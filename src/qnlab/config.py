@@ -203,8 +203,6 @@ def build_config(raw: dict, kind: str, out_override: str | None = None,
     n_configs = typed["nbody.n_configs"]
     if any(p < 1 for p in n_particles) or n_configs < 1:
         raise ConfigError("nbody sizes must be positive")
-    if any(p > 4096 for p in n_particles):
-        raise ConfigError("nbody.n_particles entries are capped at 4096")
     if jobs < 1:
         raise ConfigError("--jobs must be >= 1")
 

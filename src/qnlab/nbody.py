@@ -2,9 +2,21 @@
 against a background density, coercivity/commutator functionals, circle
 Wasserstein-1 distances, and Monte-Carlo statistics for uniform ensembles.
 
-Pair interactions use the periodic Green kernel K directly (O(N^2), exact);
-kernel convolutions with grid densities go through the Fourier symbol of K,
-i.e. against the trigonometric interpolant of the density.
+Particle sums are exact and cost O(N log N): on the unit circle the Green
+kernel is K(y) = (f^2 - f)/2 with f = frac(y), so over sorted positions, with
+d_j = x_(j) - (j + 1/2)/N, the energy against the flat background is
+
+    (1/N^2) sum_{i,j} K(x_i - x_j) + 1/12 = 1/(12 N^2) + (1/N) sum_j (d_j - mean d)^2,
+
+a sum of squares in which nothing cancels. The commutator pair term is the
+matching covariance of u against d. Kernel convolutions with grid densities
+go through the Fourier symbol of K, i.e. against the trigonometric
+interpolant of the density, evaluated at the points in bounded blocks.
+
+Circle W1 is exact to roundoff: the gap between two CDFs is piecewise
+quadratic between atoms and grid nodes, so its Lebesgue median and the
+integral of |gap - median| have closed forms piece by piece (Rabin, Delon &
+Gousseau, Transportation distances on the circle, JMIV 2011).
 """
 from __future__ import annotations
 
@@ -12,18 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RealField, TorusGrid, fourier_coefficients, integrate, l2_norm, spectral_derivative
-from .poisson_boltzmann import (
-    ParticleConfig,
-    green_kernel,
-    green_kernel_prime,
-    green_prime_symbol,
-    green_symbol,
-    wrap_half,
-)
+from .grid import RealField, fourier_coefficients, integrate, l2_norm, spectral_derivative
+from .poisson_boltzmann import ParticleConfig, green_prime_symbol, green_symbol
 
-PAIR_CAP = 4096
-W1_SAMPLES = 1 << 16
+# points per block in modal sums; a block holds O(block * sqrt(n)) phases
+POINT_BLOCK = 2048
+# atoms per block of Monte-Carlo configurations reduced together; small blocks
+# keep the temporaries in cache and peak memory flat
+MC_BLOCK_ATOMS = 1 << 12
 
 
 @dataclass
@@ -45,18 +53,37 @@ def _check_density(mu: RealField, tol: float = 1e-6) -> None:
         raise ValueError(f"density integrates to {integrate(mu)!r}, not 1")
 
 
-def _mode_numbers(n: int) -> np.ndarray:
-    return np.fft.fftfreq(n, d=1.0 / n)
+def _modal_sums(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Re sum_k c_k exp(2 pi i k x) at every point, one column per coefficient
+    column (rows in FFT order, modes -n/2 .. n/2 - 1).
+
+    Each mode splits as k = -n/2 + a*B + b with B ~ sqrt(n), so a block of
+    points needs only O(sqrt(n)) complex exponentials per point and one
+    matrix product; values agree with the direct N x n phase sum to roundoff.
+    """
+    points = np.asarray(points, dtype=float)
+    n, m = coeffs.shape
+    fine_n = 1 << (n.bit_length() // 2)
+    coarse_n = -(-n // fine_n)
+    padded = np.zeros((coarse_n * fine_n, m), dtype=complex)
+    padded[:n] = np.fft.fftshift(coeffs, axes=0)
+    # table[b, a*m + col] = coefficient of mode -n/2 + a*B + b in column col
+    table = padded.reshape(coarse_n, fine_n, m).transpose(1, 0, 2).reshape(fine_n, -1)
+    fine = 2j * np.pi * np.arange(fine_n)
+    coarse = 2j * np.pi * (fine_n * np.arange(coarse_n) - n // 2)
+    out = np.empty((points.size, m))
+    for start in range(0, points.size, POINT_BLOCK):
+        x = points[start:start + POINT_BLOCK, None]
+        inner = (np.exp(x * fine) @ table).reshape(x.shape[0], coarse_n, m)
+        out[start:start + POINT_BLOCK] = np.einsum("pa,pam->pm", np.exp(x * coarse), inner).real
+    return out
 
 
 def trig_interp_at(f: RealField, points: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of a grid field at off-grid points."""
     if f.grid.dim != 1:
         raise ValueError("interpolation helper is one-dimensional")
-    coeff = fourier_coefficients(f)
-    k = _mode_numbers(f.grid.n)
-    phases = np.exp(2j * np.pi * np.outer(np.asarray(points, dtype=float), k))
-    return (phases @ coeff).real
+    return _modal_sums(fourier_coefficients(f)[:, None], points)[:, 0]
 
 
 def kernel_convolution(mu: RealField, points: np.ndarray | None = None,
@@ -67,25 +94,40 @@ def kernel_convolution(mu: RealField, points: np.ndarray | None = None,
     coeff = fourier_coefficients(mu) * sym
     if points is None:
         return (np.fft.ifftn(coeff * grid.size)).real
-    k = _mode_numbers(grid.n)
-    phases = np.exp(2j * np.pi * np.outer(np.asarray(points, dtype=float), k))
-    return (phases @ coeff).real
+    return _modal_sums(coeff[:, None], points)[:, 0]
+
+
+def _centered_offsets(x_sorted: np.ndarray) -> np.ndarray:
+    """d_j - mean d with d_j = x_(j) - (j + 1/2)/N, for positions sorted
+    along the last axis."""
+    n = x_sorted.shape[-1]
+    d = x_sorted - (np.arange(n) + 0.5) / n
+    return d - d.mean(axis=-1, keepdims=True)
+
+
+def _flat_energy(x_sorted: np.ndarray) -> np.ndarray:
+    """(1/N^2) sum_{i,j} K(x_i - x_j) + 1/12, the energy against mu = 1, per
+    configuration sorted along the last axis."""
+    d = _centered_offsets(x_sorted)
+    n = d.shape[-1]
+    return 1.0 / (12.0 * n * n) + np.sum(d * d, axis=-1) / n
+
+
+def _energy(x: ParticleConfig, mu: RealField, conv_at_points: np.ndarray) -> RenormalizedEnergy:
+    """Energy from the values of K * mu at the positions."""
+    n = x.n
+    pair = float(_flat_energy(np.sort(x.positions))) - 1.0 / 12.0
+    cross = -2.0 * float(np.mean(conv_at_points))
+    mu_hat = fourier_coefficients(mu)
+    self_term = float(np.sum(green_symbol(mu.grid) * np.abs(mu_hat) ** 2).real)
+    counterterm = (1.0 + float(np.max(mu.values))) / n**2
+    return RenormalizedEnergy(value=pair + cross + self_term, n=n, counterterm=counterterm)
 
 
 def renormalized_energy(x: ParticleConfig, mu: RealField) -> RenormalizedEnergy:
     """Green-kernel quadratic form of mu_X - mu with the diagonal kept (K(0)=0)."""
     _check_density(mu, tol=1e-8)
-    n = x.n
-    if n > PAIR_CAP:
-        raise ValueError(f"N = {n} exceeds the direct pair-sum cap {PAIR_CAP}")
-    diffs = x.positions[:, None] - x.positions[None, :]
-    pair = float(green_kernel(diffs).sum()) / n**2
-    cross = -2.0 * float(np.mean(kernel_convolution(mu, x.positions)))
-    mu_hat = fourier_coefficients(mu)
-    self_term = float(np.sum(green_symbol(mu.grid) * np.abs(mu_hat) ** 2).real)
-    value = pair + cross + self_term
-    counterterm = (1.0 + float(np.max(mu.values))) / n**2
-    return RenormalizedEnergy(value=value, n=n, counterterm=counterterm)
+    return _energy(x, mu, kernel_convolution(mu, x.positions))
 
 
 def coercivity_check(x: ParticleConfig, mu: RealField, phi: RealField) -> dict:
@@ -114,27 +156,34 @@ def coercivity_check(x: ParticleConfig, mu: RealField, phi: RealField) -> dict:
 
 
 def commutator_functional(x: ParticleConfig, mu: RealField, u: RealField) -> dict:
-    """Off-diagonal double integral of (u(x)-u(y)) K'(x-y) against (mu_X - mu)^2."""
+    """Off-diagonal double integral of (u(x)-u(y)) K'(x-y) against (mu_X - mu)^2.
+
+    The pair term is (1/N^2) sum_{i != j} (u_i - u_j) K'(x_i - x_j)
+    = (2/N) sum_j (u_(j) - mean u)(d_j - mean d) over sorted positions.
+    """
     _check_density(mu, tol=1e-8)
     n = x.n
-    if n > PAIR_CAP:
-        raise ValueError(f"N = {n} exceeds the direct pair-sum cap {PAIR_CAP}")
-    u_at = trig_interp_at(u, x.positions)
-    diffs = x.positions[:, None] - x.positions[None, :]
-    kprime = green_kernel_prime(diffs)
-    np.fill_diagonal(kprime, 0.0)
-    pair = float(((u_at[:, None] - u_at[None, :]) * kprime).sum()) / n**2
+    grid = mu.grid
+    kp = green_prime_symbol(grid)
+    mu_hat = fourier_coefficients(mu)
+    coeffs = np.stack([
+        fourier_coefficients(u),
+        mu_hat * kp,
+        fourier_coefficients(RealField(grid, u.values * mu.values)) * kp,
+        mu_hat * green_symbol(grid),
+    ], axis=1)
+    u_at, conv_mu, conv_umu, conv_k = _modal_sums(coeffs, x.positions).T
 
-    conv_mu = kernel_convolution(mu, x.positions, prime=True)
-    umu = RealField(mu.grid, u.values * mu.values)
-    conv_umu = kernel_convolution(umu, x.positions, prime=True)
+    order = np.argsort(x.positions, kind="stable")
+    u_sorted = u_at[order]
+    pair = 2.0 * float(np.dot(u_sorted - u_sorted.mean(),
+                              _centered_offsets(x.positions[order]))) / n
     cross = -2.0 * float(np.mean(u_at * conv_mu - conv_umu))
-
     conv_grid = kernel_convolution(mu, prime=True)
     mumu = 2.0 * float(np.mean(u.values * mu.values * conv_grid))
 
     value = pair + cross + mumu
-    energy = renormalized_energy(x, mu)
+    energy = _energy(x, mu, conv_k)
     denom = max(energy.augmented, 1e-300)
     return {
         "value": value,
@@ -148,64 +197,154 @@ def commutator_functional(x: ParticleConfig, mu: RealField, u: RealField) -> dic
 
 # ---------------------------------------------------------------------------
 # circle Wasserstein-1
+#
+# The gap G = F_mu - F_nu between two CDFs is stored as pieces: on the k-th
+# piece, G(t_k + s) = a_k + b_k s + q_k s^2 for 0 <= s < length_k. Then
+# W1 = min_c int |G - c| = int |G - c*| with c* a median of the values of G
+# under Lebesgue measure.
 # ---------------------------------------------------------------------------
 
-def _weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
-    order = np.argsort(values)
-    v, w = values[order], weights[order]
-    cum = np.cumsum(w)
-    idx = int(np.searchsorted(cum, 0.5 * cum[-1]))
-    return float(v[min(idx, v.size - 1)])
-
-
-def _config_cdf(pos_sorted: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return np.searchsorted(pos_sorted, t, side="right") / pos_sorted.size
-
-
-def _density_cdf(mu: RealField, t: np.ndarray) -> np.ndarray:
-    """CDF of the periodic piecewise-linear interpolant of mu (exact)."""
-    n = mu.grid.n
-    vals = mu.values
-    ext = np.append(vals, vals[0])
+def _cdf_pieces(m, t: np.ndarray) -> tuple:
+    """F(t), F'(t) and F''/2 of a measure on pieces starting at t that cross
+    no atom or grid node (right-continuous; F of a density is the exact CDF of
+    its periodic piecewise-linear interpolant)."""
+    if isinstance(m, ParticleConfig):
+        return np.searchsorted(np.sort(m.positions), t, side="right") / m.n, 0.0, 0.0
+    _check_density(m)
+    n = m.grid.n
+    ext = np.append(m.values, m.values[0])
     node_cdf = np.concatenate([[0.0], np.cumsum((ext[:-1] + ext[1:]) / (2.0 * n))])
-    j = np.clip((t * n).astype(int), 0, n - 1)
+    j = np.searchsorted(m.grid.axis_points(), t, side="right") - 1
     xi = t - j / n
     slope = (ext[j + 1] - ext[j]) * n
-    return node_cdf[j] + ext[j] * xi + 0.5 * slope * xi**2
+    return node_cdf[j] + (ext[j] + 0.5 * slope * xi) * xi, ext[j] + slope * xi, 0.5 * slope
 
 
-def w1_circle(mu, nu, grid: TorusGrid | None = None) -> float:
+def _breakpoints(m) -> np.ndarray:
+    return m.positions if isinstance(m, ParticleConfig) else m.grid.axis_points()
+
+
+def _gap_pieces(mu, nu) -> tuple:
+    edges = np.sort(np.concatenate([[0.0, 1.0], _breakpoints(mu), _breakpoints(nu)]))
+    length = np.diff(edges)
+    t = edges[:-1][length > 0.0]
+    f_mu, d_mu, q_mu = _cdf_pieces(mu, t)
+    f_nu, d_nu, q_nu = _cdf_pieces(nu, t)
+    b = np.broadcast_to(d_mu - d_nu, t.shape)
+    q = np.broadcast_to(q_mu - q_nu, t.shape)
+    return length[length > 0.0], f_mu - f_nu, b, q
+
+
+def _monotone(length, a, b, q) -> tuple:
+    """Split every piece at an interior vertex of its quadratic."""
+    vertex = np.divide(-b, 2.0 * q, out=np.zeros_like(length), where=q != 0.0)
+    cut = (vertex > 0.0) & (vertex < length)
+    v = vertex[cut]
+    return (np.concatenate([np.where(cut, vertex, length), length[cut] - v]),
+            np.concatenate([a, a[cut] + (b[cut] + q[cut] * v) * v]),
+            np.concatenate([b, np.zeros(v.size)]),
+            np.concatenate([q, q[cut]]))
+
+
+def _crossing(c, length, a, b, q, end) -> np.ndarray:
+    """Per monotone piece, the s in [0, length] where G - c changes sign
+    (0 or length when it keeps one sign)."""
+    rising = end >= a
+    disc = np.sqrt(np.maximum(b * b + 4.0 * q * (c - a), 0.0))
+    den = b + np.where(rising, disc, -disc)
+    root = np.divide(2.0 * (c - a), den, out=np.zeros_like(length), where=den != 0.0)
+    root = np.clip(root, 0.0, length)
+    low, high = np.minimum(a, end), np.maximum(a, end)
+    # below its range G - c >= 0 on the whole piece; above it, <= 0
+    return np.where(c <= low, np.where(rising, 0.0, length),
+                    np.where(c >= high, np.where(rising, length, 0.0), root))
+
+
+def _abs_integral(c, length, a, b, q, end) -> np.ndarray:
+    """int |G - c| over monotone pieces (last axis), in closed form."""
+    def antiderivative(s):  # int_0^s (G - c)
+        return ((a - c) + (0.5 * b + q * s / 3.0) * s) * s
+
+    head = antiderivative(_crossing(c, length, a, b, q, end))
+    return np.sum(np.abs(head) + np.abs(antiderivative(length) - head), axis=-1)
+
+
+def _median_linear(length, low, high) -> np.ndarray:
+    """Exact Lebesgue median of a gap that is linear on every piece, per row
+    (pieces along the last axis): the measure of {G < c} is then piecewise
+    linear in c between the sorted piece ends. Returns shape (..., 1)."""
+    ramp = high > low
+    rate = np.divide(length, high - low, out=np.zeros_like(length), where=ramp)
+    knots = np.concatenate([low, high], axis=-1)
+    order = np.argsort(knots, axis=-1, kind="stable")
+
+    def in_order(v):
+        return np.take_along_axis(v, order, axis=-1)
+
+    z = in_order(knots)
+    slope = np.cumsum(in_order(np.concatenate([rate, -rate], axis=-1)), axis=-1)
+    # measure of {G < c} just above each knot: flat pieces so far plus ramps
+    h = np.cumsum(in_order(np.concatenate([np.where(ramp, 0.0, length),
+                                          np.zeros_like(length)], axis=-1)), axis=-1)
+    h[..., 1:] += np.cumsum(slope[..., :-1] * np.diff(z, axis=-1), axis=-1)
+    half = 0.5 * length.sum(axis=-1, keepdims=True)
+    i = np.argmax(h >= half, axis=-1)[..., None]
+    prev = np.maximum(i - 1, 0)
+    z_prev, rise = np.take_along_axis(z, prev, -1), np.take_along_axis(slope, prev, -1)
+    step = np.divide(half - np.take_along_axis(h, prev, -1), rise,
+                     out=np.full(rise.shape, np.inf), where=rise > 0.0)
+    # the crossing is on the ramp after the previous knot, or the jump at z_i
+    return np.clip(z_prev + step, z_prev, np.take_along_axis(z, i, -1))
+
+
+def _median_bisect(length, a, b, q, end) -> float:
+    """Lebesgue median of a piecewise-quadratic G, bisected to roundoff with
+    the exact measure of {G < c}. Pieces whose range leaves the bracket are
+    dropped as it shrinks."""
+    half = 0.5 * float(length.sum())
+    low, high = np.minimum(a, end), np.maximum(a, end)
+    lo, hi = float(low.min()), float(high.max())
+    # a c off by delta moves the integral by at most delta, so stop at roundoff
+    tol = np.finfo(float).eps * max(hi - lo, abs(lo), abs(hi))
+    below = 0.0  # length of the dropped pieces that lie under the bracket
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        s = _crossing(mid, length, a, b, q, end)
+        if below + np.sum(np.where(end >= a, s, length - s)) < half:
+            lo = mid
+        else:
+            hi = mid
+        under, over = high <= lo, low >= hi
+        below += float(length[under].sum())
+        keep = ~(under | over)
+        length, a, b, q, end, low, high = (v[keep] for v in (length, a, b, q, end, low, high))
+    return hi
+
+
+def _w1_linear(length, a, b) -> np.ndarray:
+    """W1 = min_c int |G - c| for gaps linear on every piece, per row."""
+    end = a + b * length
+    c = _median_linear(length, np.minimum(a, end), np.maximum(a, end))
+    return _abs_integral(c, length, a, b, 0.0, end)
+
+
+def w1_circle(mu, nu) -> float:
     """W1 on the unit circle, min over c of int |F_mu - F_nu - c|.
 
-    Exact for a pair of particle configurations; when a density is involved,
-    the CDF difference is sampled at 2^16 midpoints (absolute error ~1e-5).
-    The grid argument is unused and kept for call-site symmetry.
+    mu and nu are ParticleConfig atoms or RealField densities on 1-D grids
+    (taken as their periodic piecewise-linear interpolants). The result is
+    exact up to roundoff in every combination: the CDF gap is piecewise
+    quadratic on the merged atoms and grid nodes, its median c comes from the
+    sorted piece ends when the gap is piecewise linear (atoms, flat densities)
+    and otherwise by bisection to roundoff, and |gap - c| is integrated in
+    closed form on each piece.
     """
-    if isinstance(mu, ParticleConfig) and isinstance(nu, ParticleConfig):
-        points = np.concatenate([mu.positions, nu.positions])
-        jumps = np.concatenate([
-            np.full(mu.n, 1.0 / mu.n), np.full(nu.n, -1.0 / nu.n),
-        ])
-        order = np.argsort(points, kind="stable")
-        p = points[order]
-        g = np.cumsum(jumps[order])
-        lengths = np.diff(np.append(p, p[0] + 1.0))
-        if lengths.sum() <= 0:  # all atoms coincide
-            return 0.0
-        c = _weighted_median(g, lengths)
-        return float(np.sum(lengths * np.abs(g - c)))
-
-    t = (np.arange(W1_SAMPLES) + 0.5) / W1_SAMPLES
-
-    def cdf(m):
-        if isinstance(m, ParticleConfig):
-            return _config_cdf(np.sort(m.positions), t)
-        _check_density(m)
-        return _density_cdf(m, t)
-
-    g = cdf(mu) - cdf(nu)
-    c = float(np.median(g))
-    return float(np.mean(np.abs(g - c)))
+    length, a, b, q = _gap_pieces(mu, nu)
+    if not q.any():
+        return float(_w1_linear(length[None], a[None], b[None])[0])
+    length, a, b, q = _monotone(length, a, b, q)
+    end = a + (b + q * length) * length
+    return float(_abs_integral(_median_bisect(length, a, b, q, end), length, a, b, q, end))
 
 
 # ---------------------------------------------------------------------------
@@ -214,21 +353,27 @@ def w1_circle(mu, nu, grid: TorusGrid | None = None) -> float:
 
 def mc_uniform_stats(n_particles: int, n_configs: int, rng: np.random.Generator) -> dict:
     """Sample i.i.d. uniform configurations; return renormalized-energy moments
-    against the flat background and the mean squared W1 to uniform."""
-    if n_particles > PAIR_CAP:
-        raise ValueError(f"N = {n_particles} exceeds pair cap {PAIR_CAP}")
-    t = (np.arange(W1_SAMPLES) + 0.5) / W1_SAMPLES
+    against the flat background and the mean squared W1 to uniform.
+
+    Configurations are drawn one at a time and reduced in blocks of at most
+    MC_BLOCK_ATOMS atoms, so memory does not grow with n_configs; each costs
+    O(N log N).
+    """
+    n = n_particles
+    rows = max(1, MC_BLOCK_ATOMS // n)
     energies = np.empty(n_configs)
     w1s = np.empty(n_configs)
-    for i in range(n_configs):
-        pos = rng.random(n_particles)
-        diffs = pos[:, None] - pos[None, :]
-        pair = float(green_kernel(diffs).sum()) / n_particles**2
-        # against mu = 1: (K*1)(x) = int K = -1/12 and the self term is -1/12
-        energies[i] = pair + 2.0 / 12.0 - 1.0 / 12.0
-        g = _config_cdf(np.sort(pos), t) - t
-        c = float(np.median(g))
-        w1s[i] = np.mean(np.abs(g - c))
+    block = np.empty((rows, n))
+    levels = np.arange(n + 1) / n
+    for start in range(0, n_configs, rows):
+        stop = min(start + rows, n_configs)
+        for r in range(stop - start):
+            block[r] = rng.random(n)
+        x = np.sort(block[:stop - start], axis=1)
+        energies[start:stop] = _flat_energy(x)
+        # F_X(t) - t is k/N - t on the k-th gap [p_k, p_{k+1}), p = (0, x, 1)
+        p = np.concatenate([np.zeros((x.shape[0], 1)), x, np.ones((x.shape[0], 1))], axis=1)
+        w1s[start:stop] = _w1_linear(np.diff(p, axis=1), levels - p[:, :-1], -1.0)
     return {
         "n_particles": n_particles,
         "n_configs": n_configs,

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from qnlab.grid import RealField, TorusGrid
+from qnlab.grid import RealField, TorusGrid, fourier_coefficients
 from qnlab.nbody import (
+    _flat_energy,
     coercivity_check,
     commutator_functional,
     kernel_convolution,
@@ -15,7 +16,36 @@ from qnlab.nbody import (
     trig_interp_at,
     w1_circle,
 )
-from qnlab.poisson_boltzmann import ParticleConfig, green_kernel, green_kernel_prime
+from qnlab.poisson_boltzmann import ParticleConfig, green_kernel, green_kernel_prime, green_symbol
+
+# configurations for the direct-sum oracles: random atoms, coincident atoms,
+# and atoms at both ends of [0, 1)
+ORACLE_SIZES = (1, 2, 3, 17, 512)
+EDGE = 1.0 - 2.0**-52
+
+
+def oracle_configs(n_part):
+    rng = np.random.default_rng(n_part)
+    random = rng.random(n_part)
+    coincident = np.where(np.arange(n_part) % 2 == 0, 0.3, random)
+    edges = random.copy()
+    edges[::2] = 0.0
+    edges[1::2] = EDGE
+    if n_part > 4:
+        edges[4:] = random[4:]
+    return [random, coincident, edges]
+
+
+def direct_pair_energy(pos):
+    """(1/N^2) sum_{i,j} K(x_i - x_j), O(N^2)."""
+    return float(green_kernel(pos[:, None] - pos[None, :]).sum()) / pos.size**2
+
+
+def direct_commutator_pair(pos, u_at):
+    """(1/N^2) sum_{i != j} (u_i - u_j) K'(x_i - x_j), O(N^2)."""
+    kprime = green_kernel_prime(pos[:, None] - pos[None, :])
+    np.fill_diagonal(kprime, 0.0)
+    return float(((u_at[:, None] - u_at[None, :]) * kprime).sum()) / pos.size**2
 
 
 @pytest.fixture
@@ -117,8 +147,32 @@ def test_energy_rejects_bad_input(grid256, flat):
     with pytest.raises(ValueError):
         renormalized_energy(ParticleConfig(np.array([0.5])),
                             RealField(grid256, 2.0 * np.ones(grid256.n)))
-    with pytest.raises(ValueError):
-        renormalized_energy(ParticleConfig(np.linspace(0, 1, 5000, endpoint=False)), flat)
+    # no cap on N: 5000 equispaced atoms give the crystal value 1/(12 N^2)
+    e = renormalized_energy(ParticleConfig(np.linspace(0, 1, 5000, endpoint=False)), flat)
+    np.testing.assert_allclose(e.value, 1.0 / (12.0 * 5000**2), atol=1e-14)
+
+
+@pytest.mark.parametrize("n_part", ORACLE_SIZES)
+def test_pair_energy_matches_direct_sum(flat, n_part):
+    for pos in oracle_configs(n_part):
+        pair = _flat_energy(np.sort(pos)) - 1.0 / 12.0
+        direct = direct_pair_energy(pos)
+        # atol: a few ulps of the 1/12 shift, for pair sums that vanish
+        np.testing.assert_allclose(pair, direct, rtol=1e-14, atol=1e-16)
+        # against mu = 1 the cross and background terms add back 1/12
+        e = renormalized_energy(ParticleConfig(pos), flat)
+        np.testing.assert_allclose(e.value, direct + 1.0 / 12.0, rtol=1e-12, atol=1e-15)
+
+
+def test_flat_energy_million_atoms_against_long_double():
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("long double is not wider than double here")
+    x = np.sort(np.random.default_rng(6).random(10**6))
+    n = x.size
+    d = x.astype(np.longdouble) - (np.arange(n, dtype=np.longdouble) + 0.5) / n
+    d -= d.mean()
+    reference = 1.0 / (12.0 * np.longdouble(n) ** 2) + np.dot(d, d) / n
+    assert abs(_flat_energy(x) - float(reference)) <= 1e-12 * float(reference)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +224,31 @@ def test_commutator_against_closed_form_oracle(grid256):
 
     rep = commutator_functional(ParticleConfig(pos), mu, u)
     np.testing.assert_allclose(rep["value"], pair + cross + background, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_part", ORACLE_SIZES)
+def test_commutator_pair_term_matches_direct_sum(grid256, n_part):
+    x = grid256.axis_points()
+    mu = RealField(grid256, 1.0 + 0.3 * np.cos(2 * np.pi * x))
+    u = RealField(grid256, np.sin(2 * np.pi * x) + 0.2 * np.cos(6 * np.pi * x))
+    for pos in oracle_configs(n_part):
+        rep = commutator_functional(ParticleConfig(pos), mu, u)
+        direct = direct_commutator_pair(pos, trig_interp_at(u, pos))
+        np.testing.assert_allclose(rep["pair_term"], direct, rtol=1e-13, atol=1e-15)
+
+
+def test_point_evaluations_match_direct_phase_sum():
+    # the modal sums factor the N x n phase matrix; compare with it directly
+    g = TorusGrid(1, 2048)
+    x = g.axis_points()
+    rho = np.exp(0.5 * np.cos(2 * np.pi * x))
+    mu = RealField(g, rho / rho.mean())
+    pos = np.random.default_rng(3).random(3000)
+    phases = np.exp(2j * np.pi * np.outer(pos, np.fft.fftfreq(g.n, d=1.0 / g.n)))
+    direct = (phases @ (fourier_coefficients(mu) * green_symbol(g))).real
+    np.testing.assert_allclose(kernel_convolution(mu, pos), direct, rtol=1e-12, atol=1e-15)
+    direct = (phases @ fourier_coefficients(mu)).real
+    np.testing.assert_allclose(trig_interp_at(mu, pos), direct, rtol=1e-12)
 
 
 def test_commutator_ratio_bounded_by_velocity_lipschitz(grid256, flat):
@@ -245,7 +324,7 @@ def test_w1_matches_linear_program():
 def test_w1_equispaced_vs_uniform(flat, n_part):
     # sawtooth CDF difference: min_c integral is exactly 1/(4N)
     w = w1_circle(ParticleConfig(np.arange(n_part) / n_part), flat)
-    np.testing.assert_allclose(w, 1.0 / (4.0 * n_part), atol=2e-5)
+    np.testing.assert_allclose(w, 1.0 / (4.0 * n_part), atol=1e-14)
 
 
 def test_w1_uniform_vs_cosine_density(grid256, flat):
@@ -256,8 +335,35 @@ def test_w1_uniform_vs_cosine_density(grid256, flat):
 
 def test_w1_atom_vs_uniform(flat):
     np.testing.assert_allclose(
-        w1_circle(ParticleConfig(np.array([0.37])), flat), 0.25, atol=2e-5
+        w1_circle(ParticleConfig(np.array([0.37])), flat), 0.25, atol=1e-14
     )
+
+
+def _midpoint_w1(cfg, mu, samples=1 << 20):
+    """Reference W1 from the CDF gap sampled at midpoints: error <= 1/samples
+    (each atom's jump of 1/N upsets at most one sample)."""
+    t = (np.arange(samples) + 0.5) / samples
+    f_x = np.searchsorted(np.sort(cfg.positions), t, side="right") / cfg.n
+    n = mu.grid.n
+    ext = np.append(mu.values, mu.values[0])
+    node_cdf = np.concatenate([[0.0], np.cumsum((ext[:-1] + ext[1:]) / (2.0 * n))])
+    j = np.minimum((t * n).astype(int), n - 1)
+    xi = t - j / n
+    f_mu = node_cdf[j] + ext[j] * xi + 0.5 * (ext[j + 1] - ext[j]) * n * xi**2
+    gap = f_x - f_mu
+    return float(np.mean(np.abs(gap - np.median(gap))))
+
+
+@pytest.mark.parametrize("n_part", [1, 7, 200])
+def test_w1_config_vs_density_matches_fine_midpoints(grid256, n_part):
+    from conftest import smooth_density
+
+    rng = np.random.default_rng(40 + n_part)
+    mu = smooth_density(grid256, rng)
+    cfg = ParticleConfig(rng.random(n_part))
+    reference = _midpoint_w1(cfg, mu)
+    assert abs(w1_circle(cfg, mu) - reference) <= 2.0**-20
+    assert w1_circle(mu, cfg) == pytest.approx(w1_circle(cfg, mu), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +383,14 @@ def test_mc_w1_decays_with_n():
     s64 = mc_uniform_stats(64, 100, rng)
     assert s64["mean_w1_squared"] < s16["mean_w1_squared"]
     assert s16["mean_w1_squared"] > 0
+
+
+def test_mc_w1_is_circle_w1_to_flat(flat):
+    # the ensemble's W1 is the exact circle W1 of each draw to mu = 1
+    stats = mc_uniform_stats(64, 30, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    w1s = [w1_circle(ParticleConfig(rng.random(64)), flat) for _ in range(30)]
+    np.testing.assert_allclose(stats["mean_w1"], np.mean(w1s), rtol=1e-13)
 
 
 def test_mc_deterministic_given_seed():

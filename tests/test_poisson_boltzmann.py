@@ -163,6 +163,12 @@ def test_newton_quadratic_tail(grid256):
 # empirical solves
 # ---------------------------------------------------------------------------
 
+def test_particle_positions_half_open():
+    # -1e-20 % 1.0 rounds to 1.0; the sorted-sum formulas need [0, 1)
+    pos = ParticleConfig(np.array([-1e-20, 1.25, -0.25])).positions
+    np.testing.assert_array_equal(pos, [0.0, 0.25, 0.75])
+
+
 def test_single_particle_tilde_is_kernel(grid256):
     cfg = ParticleConfig(np.array([0.0]))
     y = grid256.axis_points()
@@ -172,6 +178,28 @@ def test_single_particle_tilde_is_kernel(grid256):
     np.testing.assert_array_equal(
         empirical_tilde_prime(cfg, 1.0, grid256), green_kernel_prime(y)
     )
+
+
+@pytest.mark.parametrize("n_part", [1, 2, 3, 17, 512])
+def test_empirical_tilde_matches_direct_sum(grid256, n_part):
+    # direct N x n kernel sums as the oracle, over random, coincident and
+    # edge atoms (at 0, at 1 - 2^-52, and on grid nodes)
+    rng = np.random.default_rng(n_part)
+    random = rng.random(n_part)
+    edges = random.copy()
+    edges[::3] = 0.0
+    edges[1::3] = 1.0 - 2.0**-52
+    edges[2::3] = 5.0 / 256.0
+    y = grid256.axis_points()
+    for pos in (random, np.where(np.arange(n_part) % 2 == 0, 0.3, random), edges):
+        diffs = y[None, :] - pos[:, None]
+        cfg = ParticleConfig(pos)
+        np.testing.assert_allclose(empirical_tilde(cfg, 1.0, grid256),
+                                   green_kernel(diffs).mean(axis=0) + 1.0 / 12.0,
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(empirical_tilde_prime(cfg, 1.0, grid256),
+                                   green_kernel_prime(diffs).mean(axis=0),
+                                   rtol=0, atol=1e-14)
 
 
 def test_equispaced_tilde_closed_form(grid256):
@@ -325,15 +353,18 @@ def test_w1_stability_report_arithmetic(grid256):
     # and W1 = int |0.1 sin(2 pi x)|/(2 pi) = 0.1/pi^2
     np.testing.assert_allclose(report["tilde_term"], 0.1 / (2 * np.pi * np.sqrt(2)), atol=1e-6)
     np.testing.assert_allclose(report["w1"], 0.1 / np.pi**2, atol=1e-4)
-    # the L2-vs-L1 gap makes the tilde term alone exceed W1/eps; the claimed
-    # inequality fails for any pair of distinct densities
+    # the L2-vs-L1 gap makes the tilde term alone exceed W1/eps, so lhs <= rhs
+    # fails for any pair of distinct densities; the derived relations hold
     assert report["tilde_term"] > report["rhs"]
-    assert not report["passed"]
+    assert report["w1"] / eps <= report["tilde_term"] <= np.sqrt(report["w1"]) / eps
+    assert report["hat_term"] <= 4.0 * np.sqrt(eps) * report["tilde_term"]
+    assert report["passed"]
 
 
 def test_w1_stability_configs_and_true_variant(grid256):
-    # the report's inequality fails (lhs >= rhs always, strictly when distinct)
-    # but the derived variant ||tilde1'-tilde2'||_2 <= (2/eps) sqrt(W1) holds
+    # lhs <= rhs fails (lhs >= rhs always, strictly when distinct), while the
+    # derived relations behind `passed` and the variant
+    # ||tilde1'-tilde2'||_2 <= (2/eps) sqrt(W1) hold
     rng = np.random.default_rng(19)
     eps = 0.5
     for _ in range(3):
@@ -341,5 +372,5 @@ def test_w1_stability_configs_and_true_variant(grid256):
         c2 = ParticleConfig(rng.random(16))
         report = w1_stability_check(c1, c2, eps, grid=grid256)
         assert report["lhs"] >= report["rhs"]
-        assert not report["passed"]
+        assert report["passed"]
         assert report["tilde_term"] <= 2.0 / eps * np.sqrt(report["w1"]) * (1 + 1e-8)
