@@ -1,14 +1,16 @@
 """Pseudospectral isothermal Euler in logarithmic variables on the torus:
 d/dt log(rho) = -div u - u.grad log(rho),  d/dt u = -u.grad u - grad log(rho).
-Classical RK4 in time, 2/3-rule dealiasing on the quadratic terms."""
+Classical RK4 in time, 2/3-rule dealiasing on the quadratic terms, which are
+summed before they are dealiased: 15 real transforms per 2-D stage, 8 in 1-D."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .errors import BlowupGuardTripped
-from .grid import RealField, TorusGrid, integrate, l2_norm, spectral_derivative
+from .grid import RealField, TorusGrid, gradient, integrate
 
 GRAD_U_GUARD = 50.0
 
@@ -17,16 +19,6 @@ def normalize_log_density(f: RealField) -> RealField:
     """Shift log rho by a constant so that exp of it integrates to 1."""
     mass = float(integrate(RealField(f.grid, np.exp(f.values))))
     return RealField(f.grid, f.values - np.log(mass))
-
-
-def _dealias_mask(grid: TorusGrid) -> np.ndarray:
-    mask = np.ones(grid.shape, dtype=bool)
-    for axis in range(grid.dim):
-        k = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
-        shape = [1] * grid.dim
-        shape[axis] = grid.n
-        mask &= np.abs(k.reshape(shape)) <= grid.n / 3.0
-    return mask
 
 
 @dataclass
@@ -54,39 +46,38 @@ class EulerState:
         return RealField(self.grid, np.exp(self.log_rho.values))
 
 
-def _rhs_arrays(grid: TorusGrid, log_rho: np.ndarray, u: list, mask: np.ndarray):
-    def deriv(vals, axis):
-        return np.fft.ifftn(np.fft.fftn(vals) * 1j * grid.wavenumbers(axis)).real
-
-    def dealias(vals):
-        return np.fft.ifftn(np.fft.fftn(vals) * mask).real
-
-    div_u = sum(deriv(u[j], j) for j in range(grid.dim))
-    d_log = -div_u
-    for j in range(grid.dim):
-        d_log = d_log - dealias(u[j] * deriv(log_rho, j))
+def _rhs(sym: spectral.Symbols, log_rho: np.ndarray, u: list, grad_u_sups: list | None = None):
+    """Right-hand side arrays (d log rho/dt, [du_i/dt]); appends max |d_j u_i|
+    of every velocity derivative to grad_u_sups when it is given."""
+    dim = len(u)
+    log_hat = sym.forward(log_rho)
+    u_hat = [sym.forward(c) for c in u]
+    advect = sum(u[j] * sym.inverse(sym.ik[j] * log_hat) for j in range(dim))
+    minus_div_hat = sum(-sym.ik[j] * u_hat[j] for j in range(dim))
+    d_log = sym.inverse(minus_div_hat - sym.dealias * sym.forward(advect))
     d_u = []
-    for i in range(grid.dim):
-        advect = sum(dealias(u[j] * deriv(u[i], j)) for j in range(grid.dim))
-        d_u.append(-advect - deriv(log_rho, i))
+    for i in range(dim):
+        advect = 0.0
+        for j in range(dim):
+            d = sym.inverse(sym.ik[j] * u_hat[i])
+            if grad_u_sups is not None:
+                grad_u_sups.append(max(float(d.max()), -float(d.min())))
+            advect = advect + u[j] * d
+        d_u.append(sym.inverse(-sym.ik[i] * log_hat - sym.dealias * sym.forward(advect)))
     return d_log, d_u
 
 
 def euler_rhs(state: EulerState):
     """Right-hand side as fields, for inspection and testing."""
-    mask = _dealias_mask(state.grid)
-    d_log, d_u = _rhs_arrays(state.grid, state.log_rho.values,
-                             [c.values for c in state.u], mask)
+    d_log, d_u = _rhs(spectral.symbols(state.grid, real=True), state.log_rho.values,
+                      [c.values for c in state.u])
     return (RealField(state.grid, d_log), [RealField(state.grid, c) for c in d_u])
 
 
-def _grad_u_sup(grid: TorusGrid, u: list) -> float:
-    worst = 0.0
-    for i in range(len(u)):
-        for j in range(grid.dim):
-            d = np.fft.ifftn(np.fft.fftn(u[i]) * 1j * grid.wavenumbers(j)).real
-            worst = max(worst, float(np.max(np.abs(d))))
-    return worst
+def _grad_u_sup(grad_u_sups: list) -> float:
+    """||grad u||_inf from the sups of the d_j u_i that a right-hand side
+    recorded; run_euler calls it once per RK4 step, on the first stage."""
+    return max(grad_u_sups)
 
 
 def run_euler(s0: EulerState, T: float, dt: float) -> list[EulerState]:
@@ -95,26 +86,27 @@ def run_euler(s0: EulerState, T: float, dt: float) -> list[EulerState]:
     if T < 0 or dt <= 0:
         raise ValueError("need T >= 0 and dt > 0")
     grid = s0.grid
-    mask = _dealias_mask(grid)
+    sym = spectral.symbols(grid, real=True)
     log_rho = np.array(s0.log_rho.values, dtype=float)
     u = [np.array(c.values, dtype=float) for c in s0.u]
     states = [s0]
     n_steps = int(round(T / dt))
     for step in range(n_steps):
-        if _grad_u_sup(grid, u) > GRAD_U_GUARD:
+        grad_u_sups: list = []
+        k_log, k_u = _rhs(sym, log_rho, u, grad_u_sups)
+        if _grad_u_sup(grad_u_sups) > GRAD_U_GUARD:
             raise BlowupGuardTripped(
                 f"||grad u||_inf > {GRAD_U_GUARD} at t = {s0.time + step * dt:.4f}"
             )
-        k1 = _rhs_arrays(grid, log_rho, u, mask)
-        k2 = _rhs_arrays(grid, log_rho + 0.5 * dt * k1[0],
-                         [u[j] + 0.5 * dt * k1[1][j] for j in range(grid.dim)], mask)
-        k3 = _rhs_arrays(grid, log_rho + 0.5 * dt * k2[0],
-                         [u[j] + 0.5 * dt * k2[1][j] for j in range(grid.dim)], mask)
-        k4 = _rhs_arrays(grid, log_rho + dt * k3[0],
-                         [u[j] + dt * k3[1][j] for j in range(grid.dim)], mask)
-        log_rho = log_rho + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        u = [u[j] + dt / 6.0 * (k1[1][j] + 2 * k2[1][j] + 2 * k3[1][j] + k4[1][j])
-             for j in range(grid.dim)]
+        # running k1 + 2 k2 + 2 k3 + k4, added left to right
+        sum_log, sum_u = k_log, k_u
+        for frac, weight in ((0.5, 2), (0.5, 2), (1.0, 1)):
+            k_log, k_u = _rhs(sym, log_rho + frac * dt * k_log,
+                              [u[j] + frac * dt * k_u[j] for j in range(grid.dim)])
+            sum_log = sum_log + weight * k_log
+            sum_u = [a + weight * b for a, b in zip(sum_u, k_u)]
+        log_rho = log_rho + dt / 6.0 * sum_log
+        u = [u[j] + dt / 6.0 * sum_u[j] for j in range(grid.dim)]
         states.append(EulerState(
             RealField(grid, log_rho),
             [RealField(grid, c) for c in u],
@@ -129,12 +121,10 @@ def euler_constants(traj: list[EulerState]) -> dict:
     from the equation), and sup ||grad(u . grad log rho)||_2."""
     if not traj:
         raise ValueError("trajectory is empty")
-    grid = traj[0].grid
+    sym = spectral.symbols(traj[0].grid, real=True)
 
     def h1(f: RealField) -> float:
-        sq = float(np.mean(f.values**2))
-        for j in range(grid.dim):
-            sq += float(np.mean(spectral_derivative(f, j).values ** 2))
+        sq = sum((np.mean(d.values**2) for d in gradient(f)), np.mean(f.values**2))
         return float(np.sqrt(sq))
 
     sup_grad_u = 0.0
@@ -142,17 +132,13 @@ def euler_constants(traj: list[EulerState]) -> dict:
     sup_dt_log_h1 = 0.0
     sup_grad_advection = 0.0
     for s in traj:
-        sup_grad_u = max(sup_grad_u, _grad_u_sup(grid, [c.values for c in s.u]))
+        grad_u_sups: list = []
+        d_log, _ = _rhs(sym, s.log_rho.values, [c.values for c in s.u], grad_u_sups)
+        sup_grad_u = max(sup_grad_u, _grad_u_sup(grad_u_sups))
         sup_log_h1 = max(sup_log_h1, h1(s.log_rho))
-        d_log, _ = euler_rhs(s)
-        sup_dt_log_h1 = max(sup_dt_log_h1, h1(d_log))
-        advect = np.zeros(grid.shape)
-        for j in range(grid.dim):
-            advect = advect + s.u[j].values * spectral_derivative(s.log_rho, j).values
-        grad_sq = 0.0
-        for j in range(grid.dim):
-            grad_sq += float(np.mean(
-                spectral_derivative(RealField(grid, advect), j).values ** 2))
+        sup_dt_log_h1 = max(sup_dt_log_h1, h1(RealField(s.grid, d_log)))
+        advect = sum(u_j.values * d.values for u_j, d in zip(s.u, gradient(s.log_rho)))
+        grad_sq = sum(float(np.mean(d.values**2)) for d in gradient(RealField(s.grid, advect)))
         sup_grad_advection = max(sup_grad_advection, float(np.sqrt(grad_sq)))
     return {
         "sup_grad_u": sup_grad_u,

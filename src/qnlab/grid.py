@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .errors import NonZeroMean
 
 # Roundoff-scale guard for operations that require an analytically
@@ -53,24 +54,6 @@ class TorusGrid:
             return (x,)
         return tuple(np.meshgrid(x, x, indexing="ij"))
 
-    def wavenumbers(self, axis: int) -> np.ndarray:
-        """Angular wavenumbers 2*pi*k along `axis`, broadcastable to shape."""
-        if not 0 <= axis < self.dim:
-            raise ValueError(f"axis {axis} out of range for dim {self.dim}")
-        k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=1.0 / self.n)
-        if self.dim == 1:
-            return k
-        shape = [1] * self.dim
-        shape[axis] = self.n
-        return k.reshape(shape)
-
-    def k_squared(self) -> np.ndarray:
-        """|2*pi*k|^2 symbol on the full grid shape."""
-        out = np.zeros(self.shape)
-        for axis in range(self.dim):
-            out = out + self.wavenumbers(axis) ** 2
-        return out
-
 
 @dataclass
 class RealField:
@@ -81,9 +64,6 @@ class RealField:
         self.values = np.asarray(self.values, dtype=float)
         _check_values(self.grid, self.values)
 
-    def copy(self) -> "RealField":
-        return RealField(self.grid, self.values.copy())
-
 
 @dataclass
 class ComplexField:
@@ -93,9 +73,6 @@ class ComplexField:
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=complex)
         _check_values(self.grid, self.values)
-
-    def copy(self) -> "ComplexField":
-        return ComplexField(self.grid, self.values.copy())
 
 
 Field = RealField | ComplexField
@@ -116,12 +93,6 @@ def same_grid(*fields: Field) -> TorusGrid:
     return g
 
 
-def _wrap(grid: TorusGrid, values: np.ndarray) -> Field:
-    if np.iscomplexobj(values):
-        return ComplexField(grid, values)
-    return RealField(grid, values)
-
-
 def integrate(f: Field) -> float | complex:
     """Integral over the unit torus = mean of node values (trapezoid rule)."""
     m = f.values.mean()
@@ -134,7 +105,14 @@ def l2_norm(f: Field) -> float:
 
 def fourier_coefficients(f: Field) -> np.ndarray:
     """Coefficients c_k with f(x) = sum_k c_k exp(2*pi*i k.x) for band-limited f."""
-    return np.fft.fftn(f.values) / f.grid.size
+    return spectral.fft(f.values) / f.grid.size
+
+
+def _apply(f: Field, pick) -> Field:
+    """Apply the multiplier pick(symbols) of f's spectrum layout to f."""
+    real = isinstance(f, RealField)
+    sym = spectral.symbols(f.grid, real=real)
+    return (RealField if real else ComplexField)(f.grid, sym.apply(f.values, pick(sym)))
 
 
 def spectral_derivative(f: Field, axis: int) -> Field:
@@ -143,21 +121,9 @@ def spectral_derivative(f: Field, axis: int) -> Field:
     The Nyquist mode is zeroed (odd-order derivative convention), which keeps
     derivatives of real fields real.
     """
-    grid = f.grid
-    mult = 1j * grid.wavenumbers(axis)
-    nyq = np.where(np.abs(np.fft.fftfreq(grid.n)) == 0.5)[0]
-    if grid.dim == 1:
-        mult = mult.copy()
-        mult[nyq] = 0.0
-    else:
-        mult = np.broadcast_to(mult, grid.shape).copy()
-        index = [slice(None)] * grid.dim
-        index[axis] = nyq
-        mult[tuple(index)] = 0.0
-    out = np.fft.ifftn(np.fft.fftn(f.values) * mult)
-    if isinstance(f, RealField):
-        return RealField(grid, out.real)
-    return ComplexField(grid, out)
+    if not 0 <= axis < f.grid.dim:
+        raise ValueError(f"axis {axis} out of range for dim {f.grid.dim}")
+    return _apply(f, lambda sym: sym.ik[axis])
 
 
 def gradient(f: Field) -> tuple[Field, ...]:
@@ -165,14 +131,12 @@ def gradient(f: Field) -> tuple[Field, ...]:
 
 
 def laplacian(f: Field) -> Field:
-    out = np.fft.ifftn(np.fft.fftn(f.values) * (-f.grid.k_squared()))
-    if isinstance(f, RealField):
-        return RealField(f.grid, out.real)
-    return ComplexField(f.grid, out)
+    return _apply(f, lambda sym: sym.minus_k2)
 
 
-def mean_tolerance(f: Field) -> float:
-    return MEAN_TOL_FACTOR * l2_norm(f)
+def _require_mean_zero(f: RealField, what: str) -> None:
+    if abs(f.values.mean()) > MEAN_TOL_FACTOR * l2_norm(f):
+        raise NonZeroMean(f"{what} needs a mean-zero field, got mean {f.values.mean():.3e}")
 
 
 def inverse_laplacian_zero_mean(f: RealField) -> RealField:
@@ -180,35 +144,25 @@ def inverse_laplacian_zero_mean(f: RealField) -> RealField:
 
     Requires f to be mean-free up to roundoff; raises NonZeroMean otherwise.
     """
-    if abs(f.values.mean()) > mean_tolerance(f):
-        raise NonZeroMean(
-            f"inverse Laplacian needs a mean-zero field, got mean {f.values.mean():.3e}"
-        )
-    k2 = f.grid.k_squared()
-    k2_safe = np.where(k2 == 0.0, 1.0, k2)
-    hat = np.fft.fftn(f.values) / k2_safe
-    hat[(0,) * f.grid.dim] = 0.0
-    return RealField(f.grid, np.fft.ifftn(hat).real)
+    _require_mean_zero(f, "inverse Laplacian")
+    return _apply(f, lambda sym: sym.inv_k2)
 
 
 def h_minus1_norm(f: RealField) -> float:
     """Homogeneous H^-1 norm (sum over k != 0 of |c_k|^2 / |2 pi k|^2)^(1/2)."""
-    if abs(f.values.mean()) > mean_tolerance(f):
-        raise NonZeroMean(
-            f"H^-1 norm needs a mean-zero field, got mean {f.values.mean():.3e}"
-        )
-    coeff = fourier_coefficients(f)
-    k2 = f.grid.k_squared()
-    k2_safe = np.where(k2 == 0.0, 1.0, k2)
-    terms = np.abs(coeff) ** 2 / k2_safe
-    terms[(0,) * f.grid.dim] = 0.0
-    return float(np.sqrt(terms.sum()))
+    _require_mean_zero(f, "H^-1 norm")
+    sym = spectral.symbols(f.grid, real=True)
+    terms = np.abs(sym.forward(f.values)) ** 2 * sym.inv_k2
+    # the half spectrum holds one mode of each conjugate pair, except for the
+    # self-conjugate last-axis modes 0 and n/2
+    terms[..., 1:-1] *= 2.0
+    return float(np.sqrt(terms.sum())) / f.grid.size
 
 
 def circular_convolve(f: Field, g: Field) -> Field:
     """Periodic convolution (f * g)(x) = int f(y) g(x - y) dy on the torus."""
     grid = same_grid(f, g)
-    out = np.fft.ifftn(np.fft.fftn(f.values) * np.fft.fftn(g.values)) / grid.size
-    if isinstance(f, RealField) and isinstance(g, RealField):
-        return RealField(grid, out.real)
-    return ComplexField(grid, out)
+    real = isinstance(f, RealField) and isinstance(g, RealField)
+    sym = spectral.symbols(grid, real=real)
+    out = sym.inverse(sym.forward(f.values) * sym.forward(g.values)) / grid.size
+    return (RealField if real else ComplexField)(grid, out)

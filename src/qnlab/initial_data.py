@@ -16,6 +16,8 @@ from .schrodinger import WaveFunction
 _R_IN = 3.0 / 16.0
 _R_OUT = 1.0 / 4.0
 _BUMP_SCALE = ((_R_OUT - _R_IN) / 2.0) ** 2
+# atom-node pairs evaluated per block of mollified_empirical
+_PAIR_BLOCK = 1 << 16
 
 
 @dataclass
@@ -99,9 +101,18 @@ def mollified_empirical(x: ParticleConfig, eta: float, grid: TorusGrid) -> RealF
         raise ValueError("eta must lie in (0, 1/4]")
     if grid.dim != 1:
         raise ValueError("mollified measures are one-dimensional")
-    y = grid.axis_points()
-    z = wrap_half(y[None, :] - x.positions[:, None]) / eta
-    vals = _bump(z).mean(axis=0) / eta
+    # atom x reaches only nodes within eta/4, all at `offsets` from floor(n x);
+    # atoms are added in turn, in the order of a dense mean over atoms
+    n = grid.n
+    reach = int(np.ceil(n * eta / 4.0))
+    offsets = np.arange(-reach, reach + 2)
+    sums = np.zeros(n)
+    block = max(1, _PAIR_BLOCK // offsets.size)
+    for start in range(0, x.n, block):
+        pos = x.positions[start:start + block, None]
+        nodes = (np.floor(pos * n).astype(np.int64) + offsets) % n
+        np.add.at(sums, nodes, _bump(wrap_half(nodes / n - pos) / eta))
+    vals = sums / x.n / eta
     mass = vals.mean()
     if mass <= 0.0:
         raise ValueError(

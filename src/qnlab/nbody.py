@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .grid import RealField, fourier_coefficients, integrate, l2_norm, spectral_derivative
 from .poisson_boltzmann import ParticleConfig, green_prime_symbol, green_symbol
 
@@ -66,7 +67,7 @@ def _modal_sums(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     fine_n = 1 << (n.bit_length() // 2)
     coarse_n = -(-n // fine_n)
     padded = np.zeros((coarse_n * fine_n, m), dtype=complex)
-    padded[:n] = np.fft.fftshift(coeffs, axes=0)
+    padded[:n] = np.roll(coeffs, n // 2, axis=0)  # modes -n/2 .. n/2 - 1 in order
     # table[b, a*m + col] = coefficient of mode -n/2 + a*B + b in column col
     table = padded.reshape(coarse_n, fine_n, m).transpose(1, 0, 2).reshape(fine_n, -1)
     fine = 2j * np.pi * np.arange(fine_n)
@@ -93,7 +94,7 @@ def kernel_convolution(mu: RealField, points: np.ndarray | None = None,
     sym = green_prime_symbol(grid) if prime else green_symbol(grid)
     coeff = fourier_coefficients(mu) * sym
     if points is None:
-        return (np.fft.ifftn(coeff * grid.size)).real
+        return spectral.ifft(coeff * grid.size).real
     return _modal_sums(coeff[:, None], points)[:, 0]
 
 

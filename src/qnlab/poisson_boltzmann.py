@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
+from . import spectral
 from .errors import NewtonDiverged, NotAProbabilityDensity
 from .grid import (
     RealField,
@@ -59,23 +60,17 @@ def green_kernel_prime(x: np.ndarray | float) -> np.ndarray:
 
 def green_symbol(grid: TorusGrid) -> np.ndarray:
     """Fourier multiplier of K: 1/|2 pi k|^2 away from k = 0, -1/12 at k = 0."""
-    k2 = grid.k_squared()
-    safe = np.where(k2 == 0.0, 1.0, k2)
-    sym = 1.0 / safe
+    sym = spectral.symbols(grid, real=False).inv_k2.copy()
     sym[(0,) * grid.dim] = -1.0 / 12.0
     return sym
 
 
 def green_prime_symbol(grid: TorusGrid) -> np.ndarray:
-    """Fourier multiplier of K' = i/(2 pi k) for k != 0 (Nyquist zeroed)."""
+    """Fourier multiplier of K' = i/(2 pi k), zero where ik is (k = 0, Nyquist)."""
     if grid.dim != 1:
         raise ValueError("K' symbol is one-dimensional")
-    k = grid.wavenumbers(0)
-    safe = np.where(k == 0.0, 1.0, k)
-    sym = 1j / safe
-    sym[k == 0.0] = 0.0
-    sym[np.abs(np.fft.fftfreq(grid.n)) == 0.5] = 0.0
-    return sym
+    ik = spectral.symbols(grid, real=False).ik[0]
+    return np.divide(-1.0, ik, out=np.zeros_like(ik), where=ik != 0.0)
 
 
 @dataclass
@@ -128,15 +123,15 @@ def _newton_hat(
     hat0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Solve -eps*Lap(hat) = 1 - exp(tilde + hat) to residual < tol (L2)."""
-    k2 = grid.k_squared()
+    sym = spectral.symbols(grid, real=True)
     shape, size = grid.shape, grid.size
+    precond_symbol = 1.0 / (1.0 - eps * sym.minus_k2)
 
     def boltzmann(v: np.ndarray) -> np.ndarray:
         return np.exp(np.clip(tilde_vals + v, None, _EXP_CLIP))
 
     def residual(v: np.ndarray) -> np.ndarray:
-        lap = np.fft.ifftn(np.fft.fftn(v) * (-k2)).real
-        return -eps * lap - 1.0 + boltzmann(v)
+        return -eps * sym.apply(v, sym.minus_k2) - 1.0 + boltzmann(v)
 
     hat = np.zeros(shape) if hat0 is None else np.array(hat0, dtype=float)
     res = residual(hat)
@@ -154,12 +149,10 @@ def _newton_hat(
 
         def matvec(v: np.ndarray) -> np.ndarray:
             v = v.reshape(shape)
-            lap = np.fft.ifftn(np.fft.fftn(v) * (-k2)).real
-            return (-eps * lap + weight * v).ravel()
+            return (-eps * sym.apply(v, sym.minus_k2) + weight * v).ravel()
 
         def precond(v: np.ndarray) -> np.ndarray:
-            v = v.reshape(shape)
-            return np.fft.ifftn(np.fft.fftn(v) / (eps * k2 + 1.0)).real.ravel()
+            return sym.apply(v.reshape(shape), precond_symbol).ravel()
 
         op = LinearOperator((size, size), matvec=matvec)
         pre = LinearOperator((size, size), matvec=precond)

@@ -8,12 +8,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EnergyReport, relative_entropy
+from . import spectral
+from .config import MODES
+from .energy import EnergyReport, field_energy, relative_entropy
 from .errors import NewtonDiverged, PotentialSolveFailed, StepTooLarge
 from .grid import ComplexField, RealField, integrate, inverse_laplacian_zero_mean, spectral_derivative
 from .poisson_boltzmann import PotentialSplit, solve_pb
 
-MODES = ("poisson_boltzmann", "linear_poisson")
 # sampling guard on the kinetic phase hbar |2 pi k_max|^2 dt / 2; the
 # multiplier itself is exact, this keeps dt in the order-2 error regime
 KINETIC_PHASE_CAP = 100.0 * np.pi
@@ -94,19 +95,23 @@ def _check_kinetic_phase(w: WaveFunction, dt: float) -> None:
         )
 
 
-def _step_core(w: WaveFunction, dt: float, mode: str,
-               hat0: np.ndarray | None) -> tuple[WaveFunction, PotentialSplit]:
+def _half_kinetic(w: WaveFunction, dt: float) -> np.ndarray:
+    """Fourier multiplier exp(-i hbar |2 pi k|^2 dt / 4) of half a kinetic step."""
+    return np.exp(0.25j * w.hbar * spectral.symbols(w.psi.grid, real=False).minus_k2 * dt)
+
+
+def _step_core(w: WaveFunction, dt: float, mode: str, hat0: np.ndarray | None,
+               half_kinetic: np.ndarray) -> tuple[WaveFunction, PotentialSplit]:
     grid = w.psi.grid
-    half_kinetic = np.exp(-0.25j * w.hbar * grid.k_squared() * dt)
-    psi = np.fft.ifftn(np.fft.fftn(w.psi.values) * half_kinetic)
+    sym = spectral.symbols(grid, real=False)
+    psi = sym.apply(w.psi.values, half_kinetic)
     rho = RealField(grid, np.abs(psi) ** 2)
     split = solve_potential(rho, w.eps, mode, hat0)
     v = split.potential().values
     v_phase = float(np.max(np.abs(v))) * dt / w.hbar
     if v_phase >= np.pi:
         raise StepTooLarge(f"potential phase {v_phase:.3f} >= pi; shrink dt")
-    psi = psi * np.exp(-1j * v * dt / w.hbar)
-    psi = np.fft.ifftn(np.fft.fftn(psi) * half_kinetic)
+    psi = sym.apply(psi * np.exp(-1j * v * dt / w.hbar), half_kinetic)
     out = WaveFunction(ComplexField(grid, psi), w.hbar, w.eps, w.time + dt)
     return out, split
 
@@ -117,7 +122,7 @@ def step_strang(w: WaveFunction, dt: float, mode: str = "poisson_boltzmann") -> 
     if dt <= 0:
         raise ValueError("dt must be positive")
     _check_kinetic_phase(w, dt)
-    out, _ = _step_core(w, dt, mode, None)
+    out, _ = _step_core(w, dt, mode, None, _half_kinetic(w, dt))
     return out
 
 
@@ -130,9 +135,7 @@ def total_energy(w: WaveFunction, split: PotentialSplit) -> EnergyReport:
         dpsi = spectral_derivative(w.psi, j).values
         kinetic += 0.5 * w.hbar**2 * float(np.mean(np.abs(dpsi) ** 2))
     v = split.potential()
-    fld = 0.0
-    for j in range(grid.dim):
-        fld += 0.5 * split.eps * float(np.mean(spectral_derivative(v, j).values ** 2))
+    fld = field_energy(split)
     m = split.background()
     boltz = float(np.mean(v.values * m.values))
     rel = relative_entropy(m, RealField(grid, np.ones(grid.shape)))
@@ -169,8 +172,9 @@ def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
     n_steps = max(1, int(round(T / dt)))
     w = w0
     hat_warm = split0.hat.values
+    half_kinetic = _half_kinetic(w0, dt)
     for i in range(1, n_steps + 1):
-        w, split_used = _step_core(w, dt, mode, hat_warm)
+        w, split_used = _step_core(w, dt, mode, hat_warm, half_kinetic)
         hat_warm = split_used.hat.values
         if i % sample_every == 0 or i == n_steps:
             snap = solve_potential(density(w), w.eps, mode, hat_warm)

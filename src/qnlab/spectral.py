@@ -1,0 +1,68 @@
+"""Every transform and Fourier multiplier of the torus grid.
+
+Real fields use numpy's real-to-complex transforms, half the work of complex
+ones, with symbols on the rfft half spectrum; complex fields (wave functions,
+FFT-order coefficients) use the full transform. Symbols are cached per grid.
+Derivative symbols zero the Nyquist mode, which on real fields agrees to
+roundoff with keeping it and taking the real part.
+"""
+from __future__ import annotations
+
+from functools import lru_cache, reduce
+
+import numpy as np
+
+
+def rfft(values: np.ndarray) -> np.ndarray:
+    return np.fft.rfft(values) if values.ndim == 1 else np.fft.rfft2(values)
+
+
+def irfft(hat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    return np.fft.irfft(hat, shape[0]) if len(shape) == 1 else np.fft.irfft2(hat, s=shape)
+
+
+fft = np.fft.fftn
+ifft = np.fft.ifftn
+
+
+class Symbols:
+    """Read-only Fourier multipliers of one grid on one spectrum layout: the
+    rfft half spectrum (last axis modes 0..n/2) if `real`, else full FFT order.
+
+    ik[axis] = i 2 pi k_axis with the Nyquist mode zeroed, broadcastable as
+    (n, 1) and (1, m) in 2-D; minus_k2 = -|2 pi k|^2; inv_k2 = 1/|2 pi k|^2,
+    0 at k = 0; dealias = 1 where every |k_axis| <= n/3 (2/3 rule), else 0.
+    """
+
+    def __init__(self, grid, *, real: bool) -> None:
+        dim, n = grid.dim, grid.n
+        self.real = real
+        self.shape = grid.shape
+        modes = []  # integer mode numbers per axis, broadcastable
+        for axis in range(dim):
+            freq = np.fft.rfftfreq if real and axis == dim - 1 else np.fft.fftfreq
+            modes.append(freq(n, 1.0 / n).reshape([-1 if a == axis else 1 for a in range(dim)]))
+        k = [2.0 * np.pi * m for m in modes]
+        self.ik = tuple(np.where(np.abs(m) == n / 2, 0.0, 1j * ka) for m, ka in zip(modes, k))
+        k2 = sum(ka**2 for ka in k)
+        self.minus_k2 = -k2
+        self.inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 != 0.0)
+        self.dealias = reduce(np.logical_and, [np.abs(m) <= n / 3.0 for m in modes]).astype(float)
+        for arr in (*self.ik, self.minus_k2, self.inv_k2, self.dealias):
+            arr.flags.writeable = False
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        return rfft(values) if self.real else fft(values)
+
+    def inverse(self, hat: np.ndarray) -> np.ndarray:
+        return irfft(hat, self.shape) if self.real else ifft(hat)
+
+    def apply(self, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+        """The multiplier `symbol` applied to grid values: one transform pair."""
+        return self.inverse(self.forward(values) * symbol)
+
+
+# symbols(grid, real=...) is built once per grid and layout (`real` is
+# keyword-only, so every call shares one cache key); a process holds a
+# handful of grids
+symbols = lru_cache(maxsize=16)(Symbols)

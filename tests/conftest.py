@@ -9,6 +9,19 @@ def grid256() -> TorusGrid:
     return TorusGrid(1, 256)
 
 
+def full_wavenumbers(grid: TorusGrid, axis: int) -> np.ndarray:
+    """Reference angular wavenumbers 2*pi*k along `axis` in full FFT order,
+    Nyquist mode kept, broadcastable to the grid shape."""
+    shape = [1] * grid.dim
+    shape[axis] = grid.n
+    return (2 * np.pi * np.fft.fftfreq(grid.n, d=1.0 / grid.n)).reshape(shape)
+
+
+def full_k_squared(grid: TorusGrid) -> np.ndarray:
+    """Reference |2*pi*k|^2 on the full grid shape."""
+    return sum(full_wavenumbers(grid, axis) ** 2 for axis in range(grid.dim)) + np.zeros(grid.shape)
+
+
 def trig_poly(grid: TorusGrid, rng: np.random.Generator, modes: int = 5,
               amp: float = 1.0, zero_mean: bool = False) -> RealField:
     """Random real band-limited field, optionally mean-free."""

@@ -1,7 +1,9 @@
 """Tests for the isothermal Euler solver in log variables."""
 import numpy as np
 import pytest
+from conftest import full_wavenumbers
 
+from qnlab import spectral
 from qnlab.errors import BlowupGuardTripped
 from qnlab.grid import RealField, TorusGrid, integrate
 from qnlab.euler import (
@@ -51,6 +53,82 @@ def test_rhs_pressure_only(grid):
     _, d_u = euler_rhs(s)
     np.testing.assert_allclose(d_u[0].values, 0.2 * np.pi * np.sin(2 * np.pi * x),
                                atol=1e-12)
+
+
+def reference_rhs(grid, log_rho, u):
+    """The complex-FFT right-hand side: every derivative and every dealiased
+    quadratic term through its own transform pair, Nyquist mode kept."""
+    k = [full_wavenumbers(grid, axis) for axis in range(grid.dim)]
+    mask = np.ones(grid.shape, dtype=bool)
+    for axis in range(grid.dim):
+        mask &= np.abs(k[axis] / (2 * np.pi)) <= grid.n / 3.0
+
+    def deriv(vals, axis):
+        return np.fft.ifftn(np.fft.fftn(vals) * 1j * k[axis]).real
+
+    def dealias(vals):
+        return np.fft.ifftn(np.fft.fftn(vals) * mask).real
+
+    d_log = -sum(deriv(u[j], j) for j in range(grid.dim))
+    for j in range(grid.dim):
+        d_log = d_log - dealias(u[j] * deriv(log_rho, j))
+    d_u = []
+    for i in range(grid.dim):
+        advect = sum(dealias(u[j] * deriv(u[i], j)) for j in range(grid.dim))
+        d_u.append(-advect - deriv(log_rho, i))
+    return d_log, d_u
+
+
+def full_spectrum_state(grid, seed):
+    """Smooth data plus white noise, so every mode carries energy, the
+    Nyquist mode and the 2/3-rule edge included."""
+    rng = np.random.default_rng(seed)
+    coords = grid.coords()
+    smooth = sum(np.cos(2 * np.pi * c) for c in coords)
+    log_rho = nlog(grid, 0.3 * smooth + 0.05 * rng.standard_normal(grid.shape))
+    u = [RealField(grid, 0.2 * np.sin(2 * np.pi * c) + 0.05 * rng.standard_normal(grid.shape))
+         for c in coords]
+    return EulerState(log_rho, u)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 2048), (2, 64)])
+def test_rhs_matches_complex_reference(dim, n):
+    g = TorusGrid(dim, n)
+    s = full_spectrum_state(g, seed=dim)
+    d_log, d_u = euler_rhs(s)
+    ref_log, ref_u = reference_rhs(g, s.log_rho.values, [c.values for c in s.u])
+    for got, ref in [(d_log.values, ref_log)] + [(a.values, b) for a, b in zip(d_u, ref_u)]:
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim, n, per_stage", [(1, 64, 8), (2, 32, 15)])
+def test_rk4_stage_uses_real_transforms_only(monkeypatch, dim, n, per_stage):
+    counts = {name: 0 for name in ("rfft", "irfft", "fft", "ifft")}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(spectral, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(spectral, name, counted)
+    steps = 3
+    run_euler(full_spectrum_state(TorusGrid(dim, n), seed=5), steps * 1e-4, 1e-4)
+    # the blow-up guard reads the first stage's derivatives and transforms nothing
+    assert counts["rfft"] + counts["irfft"] == steps * 4 * per_stage
+    assert counts["fft"] + counts["ifft"] == 0
+
+
+@pytest.mark.parametrize("dim, n, amp, message", [
+    (1, 32, 6.0, "at t = 0.0070"),
+    (2, 32, 5.0, "at t = 0.0120"),
+])
+def test_blowup_guard_trips_at_the_same_step(dim, n, amp, message):
+    # steepening flows that pass the guard first and trip it later; the trip
+    # times are those of the complex-FFT solver that computed the guard with
+    # its own transforms before each step
+    g = TorusGrid(dim, n)
+    u = [RealField(g, amp * np.sin(2 * np.pi * c)) for c in g.coords()]
+    s0 = EulerState(RealField(g, np.zeros(g.shape)), u)
+    with pytest.raises(BlowupGuardTripped, match=rf"\|\|grad u\|\|_inf > 50.0 {message}$"):
+        run_euler(s0, 1.0, 1e-3)
 
 
 def test_state_validation(grid):
@@ -155,7 +233,7 @@ def test_constants_match_finite_difference_in_time(grid):
     for a, b in zip(traj[:-1], traj[1:]):
         d = (b.log_rho.values - a.log_rho.values) / dt
         h1_sq = np.mean(d**2) + np.mean(
-            np.fft.ifft(np.fft.fft(d) * 1j * grid.wavenumbers(0)).real ** 2)
+            np.fft.ifft(np.fft.fft(d) * 1j * full_wavenumbers(grid, 0)).real ** 2)
         fd = max(fd, float(np.sqrt(h1_sq)))
     assert abs(c["dt_log_rho_h1"] - fd) <= 0.05 * fd
 

@@ -9,6 +9,7 @@ from qnlab.energy import modulated_total
 from qnlab.grid import RealField, TorusGrid, gradient, integrate, laplacian
 from qnlab.initial_data import (
     WellPreparedSpec,
+    _bump,
     entropy_w1_check,
     mollified_empirical,
     quantum_density,
@@ -205,6 +206,27 @@ def test_mollified_w1_distance_below_eta():
     for eta in (0.25, 0.1, 0.05):
         mu = mollified_empirical(cfg, eta, grid)
         assert w1_circle(mu, cfg) <= eta
+
+
+def dense_mollified(cfg, eta, grid):
+    """The N x n formula: every atom's bump evaluated at every node."""
+    z = wrap_half(grid.axis_points()[None, :] - cfg.positions[:, None]) / eta
+    vals = _bump(z).mean(axis=0) / eta
+    return vals / vals.mean()
+
+
+@pytest.mark.parametrize("n_part", [1, 17, 512])
+@pytest.mark.parametrize("eta", [0.25, 0.05])
+def test_mollifier_matches_dense_formula(n_part, eta):
+    grid = TorusGrid(1, 2048)
+    pos = np.random.default_rng(n_part).random(n_part)
+    pos[0] = 0.0
+    if n_part > 1:
+        pos[-1] = 1.0 - 2.0**-52
+    cfg = ParticleConfig(pos)
+    want = dense_mollified(cfg, eta, grid)
+    np.testing.assert_allclose(mollified_empirical(cfg, eta, grid).values, want,
+                               rtol=1e-14, atol=1e-14)
 
 
 def test_mollifier_rejects_unresolvable_eta():

@@ -1,6 +1,7 @@
 """Tests for the split Poisson-Boltzmann solver and its diagnostics."""
 import numpy as np
 import pytest
+from conftest import full_k_squared
 from scipy.integrate import quad
 
 from qnlab.errors import NotAProbabilityDensity
@@ -13,6 +14,7 @@ from qnlab.poisson_boltzmann import (
     green_kernel_prime,
     lipschitz_hat_prime,
     lipschitz_hat_prime_bound,
+    _newton_hat,
     solve_pb,
     solve_pb_empirical,
     validate_elliptic_bounds,
@@ -25,7 +27,7 @@ def residual_norm(split, h_vals):
     """L2 residual of -eps*Lap(V) = h - exp(V), computed spectrally."""
     g = split.tilde.grid
     v = split.potential().values
-    lap = np.fft.ifftn(np.fft.fftn(v) * (-g.k_squared())).real
+    lap = np.fft.ifftn(np.fft.fftn(v) * (-full_k_squared(g))).real
     return float(np.sqrt(np.mean((-split.eps * lap - h_vals + np.exp(v)) ** 2)))
 
 
@@ -99,7 +101,7 @@ def test_matches_damped_fixed_point_oracle(grid256):
     x = grid256.axis_points()
     rho = np.exp(np.cos(2 * np.pi * x))
     rho /= rho.mean()
-    k2 = grid256.k_squared()
+    k2 = full_k_squared(grid256)
     v = np.zeros(grid256.n)
     for _ in range(500):
         v_new = np.fft.ifft(np.fft.fft(rho - np.exp(v) + v) / (eps * k2 + 1.0)).real
@@ -122,6 +124,23 @@ def test_residual_is_its_own_oracle(grid256, eps):
     assert residual_norm(s, rho) <= tol
     assert abs(integrate(s.background()) - 1.0) <= 1e-8
     assert abs(np.mean(s.tilde.values)) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 2048), TorusGrid(2, 64)], ids=str)
+def test_newton_residual_matches_complex_laplacian(grid):
+    # the residual norm the solver stops on, recomputed with a full complex
+    # transform pair and the reference symbol
+    eps = 0.05
+    x = grid.coords()
+    tilde = 0.5 * sum(np.cos(2 * np.pi * c) for c in x) + 0.2 * np.sin(6 * np.pi * x[0])
+    hat, info = _newton_hat(tilde, eps, grid, tol=1e-9)
+    k2 = full_k_squared(grid)
+    lap = np.fft.ifftn(np.fft.fftn(hat) * -k2).real
+    res = -eps * lap - 1.0 + np.exp(tilde + hat)
+    # roundoff in eps*Lap(hat) grows with the largest symbol value
+    roundoff = np.finfo(float).eps * (eps * k2.max() * np.max(np.abs(hat)) + 1.0)
+    assert info["iterations"] >= 2
+    assert abs(np.sqrt(np.mean(res**2)) - info["residuals"][-1]) <= roundoff
 
 
 def test_rejects_bad_densities(grid256):
@@ -238,7 +257,7 @@ def test_empirical_residual_and_mass(grid256):
     eps = 0.5
     s = solve_pb_empirical(cfg, eps, grid256)
     # hat solves -eps*Lap(hat) = 1 - exp(tilde+hat) against the exact tilde samples
-    lap = np.fft.ifft(np.fft.fft(s.hat.values) * (-grid256.k_squared())).real
+    lap = np.fft.ifft(np.fft.fft(s.hat.values) * (-full_k_squared(grid256))).real
     res = -eps * lap - 1.0 + np.exp(s.tilde.values + s.hat.values)
     assert np.sqrt(np.mean(res**2)) <= s.info["tolerance"]
     assert abs(integrate(s.background()) - 1.0) <= 1e-8

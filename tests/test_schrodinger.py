@@ -1,6 +1,7 @@
 """Tests for the split-step Schrodinger integrator."""
 import numpy as np
 import pytest
+from conftest import full_k_squared
 
 from qnlab.errors import StepTooLarge
 from qnlab.grid import ComplexField, RealField, TorusGrid, integrate
@@ -26,7 +27,7 @@ def prepared(grid):
     eps, hbar = 0.05, 0.1
     x = grid.axis_points()
     v0 = 0.1 * np.cos(2 * np.pi * x)
-    lap = np.fft.ifft(np.fft.fft(v0) * (-grid.k_squared())).real
+    lap = np.fft.ifft(np.fft.fft(v0) * (-full_k_squared(grid))).real
     rho = np.exp(v0) - eps * lap
     rho /= rho.mean()
     u0 = 0.2 * np.sin(2 * np.pi * x) / (2 * np.pi)
@@ -156,7 +157,7 @@ def test_snapshot_splits_self_consistent(prepared_run):
     t, wf, split = traj.snapshots[-1]
     g = wf.psi.grid
     v = split.potential().values
-    lap = np.fft.ifft(np.fft.fft(v) * (-g.k_squared())).real
+    lap = np.fft.ifft(np.fft.fft(v) * (-full_k_squared(g))).real
     res = -wf.eps * lap - density(wf).values + np.exp(v)
     assert np.sqrt(np.mean(res**2)) <= 1e-9
     assert t == wf.time
