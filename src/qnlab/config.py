@@ -15,6 +15,20 @@ from .errors import ConfigError
 KINDS = ("pb_solve", "schrodinger_run", "euler_run", "quasineutral_sweep", "nbody_stats")
 MODES = ("poisson_boltzmann", "linear_poisson")
 
+
+def sample_steps(big_t: float, dt: float, sample_every: int) -> list:
+    """Step indices an integrator run to ~big_t reports: step 0, every
+    sample_every-th step and the last step. big_t rounds to a whole number of
+    steps, at least one when big_t > 0; the last index is the step count."""
+    if big_t < 0 or dt <= 0:
+        raise ValueError("need T >= 0 and dt > 0")
+    if sample_every < 1:
+        raise ValueError("sample_every must be >= 1")
+    n_steps = max(1, int(round(big_t / dt))) if big_t > 0 else 0
+    steps = list(range(0, n_steps + 1, sample_every))
+    return steps if steps[-1] == n_steps else steps + [n_steps]
+
+
 # name -> parser tag
 _KEY_TYPES = {
     "kind": "str",

@@ -103,15 +103,14 @@ def modulated_total(w, split, euler) -> EnergyReport:
     from .schrodinger import total_energy
 
     kin = kinetic_modulated(w, euler.u)
-    field = field_energy(split)
     rel = relative_entropy(split.background(), RealField(w.psi.grid, np.exp(euler.log_rho.values)))
     conserved = total_energy(w, split)
     return EnergyReport(
         time=w.time,
         kinetic_modulated=kin,
-        field_energy=field,
+        field_energy=conserved.field_energy,
         relative_entropy=rel,
-        total_modulated=kin + field + rel,
+        total_modulated=kin + conserved.field_energy + rel,
         conserved_total=conserved.conserved_total,
         boltzmann=conserved.boltzmann,
     )

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
+from .config import sample_steps
 from .errors import BlowupGuardTripped
 from .grid import RealField, TorusGrid, gradient, integrate
 
@@ -75,26 +76,26 @@ def euler_rhs(state: EulerState):
 
 
 def _grad_u_sup(grad_u_sups: list) -> float:
-    """||grad u||_inf from the sups of the d_j u_i that a right-hand side
-    recorded; run_euler calls it once per RK4 step, on the first stage."""
-    return max(grad_u_sups)
+    """||grad u||_inf (NaN if any is) from the sups of the d_j u_i that a right-hand
+    side recorded; run_euler calls it once per RK4 step, on the first stage."""
+    return float(np.max(grad_u_sups))
 
 
-def run_euler(s0: EulerState, T: float, dt: float) -> list[EulerState]:
-    """Classical RK4 trajectory from s0 to ~T; raises BlowupGuardTripped when
-    ||grad u||_inf exceeds the smooth-window guard."""
-    if T < 0 or dt <= 0:
-        raise ValueError("need T >= 0 and dt > 0")
+def run_euler(s0: EulerState, T: float, dt: float, sample_every: int = 1) -> list[EulerState]:
+    """Classical RK4 from s0 to ~T, returning the states at
+    config.sample_steps; raises BlowupGuardTripped when ||grad u||_inf
+    exceeds the smooth-window guard or is not a number."""
+    steps = sample_steps(T, dt, sample_every)
     grid = s0.grid
     sym = spectral.symbols(grid, real=True)
     log_rho = np.array(s0.log_rho.values, dtype=float)
     u = [np.array(c.values, dtype=float) for c in s0.u]
     states = [s0]
-    n_steps = int(round(T / dt))
-    for step in range(n_steps):
+    sampled = set(steps)
+    for step in range(steps[-1]):
         grad_u_sups: list = []
         k_log, k_u = _rhs(sym, log_rho, u, grad_u_sups)
-        if _grad_u_sup(grad_u_sups) > GRAD_U_GUARD:
+        if not _grad_u_sup(grad_u_sups) <= GRAD_U_GUARD:
             raise BlowupGuardTripped(
                 f"||grad u||_inf > {GRAD_U_GUARD} at t = {s0.time + step * dt:.4f}"
             )
@@ -107,11 +108,12 @@ def run_euler(s0: EulerState, T: float, dt: float) -> list[EulerState]:
             sum_u = [a + weight * b for a, b in zip(sum_u, k_u)]
         log_rho = log_rho + dt / 6.0 * sum_log
         u = [u[j] + dt / 6.0 * sum_u[j] for j in range(grid.dim)]
-        states.append(EulerState(
-            RealField(grid, log_rho),
-            [RealField(grid, c) for c in u],
-            s0.time + (step + 1) * dt,
-        ))
+        if step + 1 in sampled:
+            states.append(EulerState(
+                RealField(grid, log_rho),
+                [RealField(grid, c) for c in u],
+                s0.time + (step + 1) * dt,
+            ))
     return states
 
 

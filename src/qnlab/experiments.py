@@ -42,15 +42,6 @@ def _cos_profiles(grid: TorusGrid, rho0_amp: float, u0_amp: float):
     return RealField(grid, rho0), RealField(grid, u0pot)
 
 
-def _sample_indices(big_t: float, dt: float, sample_every: int) -> list:
-    """Step indices the Schrodinger run snapshots, mirrored for Euler."""
-    if big_t == 0:
-        return [0]
-    n_steps = max(1, int(round(big_t / dt)))
-    return [0] + [i for i in range(1, n_steps + 1)
-                  if i % sample_every == 0 or i == n_steps]
-
-
 def _error_record(exc: Exception, stage: str, **context) -> dict:
     rec = {"stage": stage, "type": type(exc).__name__, "message": str(exc)}
     rec.update(context)
@@ -73,9 +64,7 @@ def _sweep_point(task: dict) -> dict:
         straj = run(w0, task["T"], task["dt"], sample_every=task["sample_every"],
                     mode=task["mode"])
         stage = "euler"
-        etraj = run_euler(e0, task["T"], task["dt"])
-        idx = _sample_indices(task["T"], task["dt"], task["sample_every"])
-        esamp = [etraj[i] for i in idx]
+        esamp = run_euler(e0, task["T"], task["dt"], sample_every=task["sample_every"])
 
         stage = "diagnostics"
         x = grid.axis_points()
@@ -89,7 +78,7 @@ def _sweep_point(task: dict) -> dict:
         mass_defect = 0.0
         f0 = straj.diagnostics[0].conserved_total
         drift = 0.0
-        for (t, w, split), est in zip(straj.snapshots, esamp):
+        for (t, w, split), est in zip(straj.snapshots, esamp, strict=True):
             rep = modulated_total(w, split, est)
             wd = weak_distances(w, est, test_fields=fields, split=split)
             currents_ok &= all(c["passed"] for c in wd["currents"])
@@ -209,12 +198,9 @@ def _run_euler(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
     e0 = EulerState(normalize_log_density(RealField(grid, np.log(rho0.values))),
                     list(gradient(u0pot)))
     try:
-        traj = run_euler(e0, cfg.big_t, cfg.dt)
+        samp = run_euler(e0, cfg.big_t, cfg.dt, sample_every=cfg.sample_every)
     except Exception as exc:  # noqa: BLE001
         return [_error_record(exc, "euler")]
-    idx = _sample_indices(cfg.big_t, cfg.dt, cfg.sample_every)
-    idx = [i for i in idx if i < len(traj)]
-    samp = [traj[i] for i in idx]
     rows = []
     for s in samp:
         rho = s.rho()

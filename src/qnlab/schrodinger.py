@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .config import MODES
+from .config import MODES, sample_steps
 from .energy import EnergyReport, field_energy, relative_entropy
 from .errors import NewtonDiverged, PotentialSolveFailed, StepTooLarge
 from .grid import ComplexField, RealField, integrate, inverse_laplacian_zero_mean, spectral_derivative
@@ -100,20 +100,19 @@ def _half_kinetic(w: WaveFunction, dt: float) -> np.ndarray:
     return np.exp(0.25j * w.hbar * spectral.symbols(w.psi.grid, real=False).minus_k2 * dt)
 
 
-def _step_core(w: WaveFunction, dt: float, mode: str, hat0: np.ndarray | None,
-               half_kinetic: np.ndarray) -> tuple[WaveFunction, PotentialSplit]:
+def _step_core(psi: np.ndarray, w: WaveFunction, dt: float, mode: str, hat0: np.ndarray | None,
+               half_kinetic: np.ndarray) -> tuple[np.ndarray, PotentialSplit]:
+    """One Strang step of the array psi on the grid, hbar and eps of w."""
     grid = w.psi.grid
     sym = spectral.symbols(grid, real=False)
-    psi = sym.apply(w.psi.values, half_kinetic)
+    psi = sym.apply(psi, half_kinetic)
     rho = RealField(grid, np.abs(psi) ** 2)
     split = solve_potential(rho, w.eps, mode, hat0)
     v = split.potential().values
     v_phase = float(np.max(np.abs(v))) * dt / w.hbar
     if v_phase >= np.pi:
         raise StepTooLarge(f"potential phase {v_phase:.3f} >= pi; shrink dt")
-    psi = sym.apply(psi * np.exp(-1j * v * dt / w.hbar), half_kinetic)
-    out = WaveFunction(ComplexField(grid, psi), w.hbar, w.eps, w.time + dt)
-    return out, split
+    return sym.apply(psi * np.exp(-1j * v * dt / w.hbar), half_kinetic), split
 
 
 def step_strang(w: WaveFunction, dt: float, mode: str = "poisson_boltzmann") -> WaveFunction:
@@ -122,8 +121,8 @@ def step_strang(w: WaveFunction, dt: float, mode: str = "poisson_boltzmann") -> 
     if dt <= 0:
         raise ValueError("dt must be positive")
     _check_kinetic_phase(w, dt)
-    out, _ = _step_core(w, dt, mode, None, _half_kinetic(w, dt))
-    return out
+    psi, _ = _step_core(w.psi.values, w, dt, mode, None, _half_kinetic(w, dt))
+    return WaveFunction(ComplexField(w.psi.grid, psi), w.hbar, w.eps, w.time + dt)
 
 
 def total_energy(w: WaveFunction, split: PotentialSplit) -> EnergyReport:
@@ -152,31 +151,28 @@ def total_energy(w: WaveFunction, split: PotentialSplit) -> EnergyReport:
 
 def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
         mode: str = "poisson_boltzmann") -> SchrodingerTrajectory:
-    """Integrate to time ~T (rounded to a whole number of steps), sampling
-    every sample_every steps plus the endpoints.
+    """Integrate to time ~T, keeping the states at config.sample_steps.
 
     At each sample the potential is re-solved from the current |psi|^2 so the
     stored split is self-consistent with the stored state; the warm-started
     hat from the previous step keeps those solves cheap.
     """
-    if T < 0:
-        raise ValueError("T must be nonnegative")
-    if sample_every < 1:
-        raise ValueError("sample_every must be >= 1")
+    steps = sample_steps(T, dt, sample_every)
     traj = SchrodingerTrajectory()
     split0 = solve_potential(density(w0), w0.eps, mode)
     traj.append(w0.time, w0, split0, total_energy(w0, split0))
-    if T == 0:
-        return traj
-    _check_kinetic_phase(w0, dt)
-    n_steps = max(1, int(round(T / dt)))
-    w = w0
+    if steps[-1] > 0:
+        _check_kinetic_phase(w0, dt)
+    psi, t = w0.psi.values, w0.time
     hat_warm = split0.hat.values
     half_kinetic = _half_kinetic(w0, dt)
-    for i in range(1, n_steps + 1):
-        w, split_used = _step_core(w, dt, mode, hat_warm, half_kinetic)
+    sampled = set(steps)
+    for i in range(1, steps[-1] + 1):
+        psi, split_used = _step_core(psi, w0, dt, mode, hat_warm, half_kinetic)
+        t += dt
         hat_warm = split_used.hat.values
-        if i % sample_every == 0 or i == n_steps:
+        if i in sampled:
+            w = WaveFunction(ComplexField(w0.psi.grid, psi), w0.hbar, w0.eps, t)
             snap = solve_potential(density(w), w.eps, mode, hat_warm)
-            traj.append(w.time, w, snap, total_energy(w, snap))
+            traj.append(t, w, snap, total_energy(w, snap))
     return traj

@@ -1,17 +1,21 @@
-"""Smoke run of the benchmark harness on the particle workload: the run must
-complete and its outputs must match the harness's exact reference. No
-timing bound."""
+"""Smoke runs of the benchmark harness on every workload: each run must
+complete and its outputs must match the harness's reference (the sweep and
+Euler values in perfbench/reference.json, an exact reference for the
+particles). No timing bound."""
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_nbody_ladder_smoke_run_is_correct():
+@pytest.mark.parametrize("workload", ["sweep_1d", "euler_2d", "nbody_ladder"])
+def test_smoke_run_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "nbody_ladder", "--seed", "7",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "7",
          "--smoke", "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr

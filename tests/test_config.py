@@ -2,7 +2,7 @@
 import pytest
 
 from qnlab.config import (ExperimentConfig, apply_overrides, build_config,
-                          load_config)
+                          load_config, sample_steps)
 from qnlab.errors import ConfigError
 
 
@@ -198,3 +198,20 @@ class TestSeeds:
     def test_empty_seed_list(self):
         with pytest.raises(ConfigError, match="seeds"):
             build_config({"seeds": ","}, "nbody_stats")
+
+
+@pytest.mark.parametrize("big_t, dt, every, expected", [
+    (0.0, 0.1, 3, [0]),
+    (1.0, 0.1, 3, [0, 3, 6, 9, 10]),
+    (1.0, 0.1, 5, [0, 5, 10]),
+    (0.04, 0.1, 3, [0, 1]),         # 0 < T < dt/2 still takes one step
+    (1.0, 0.1, 10**9, [0, 10]),
+])
+def test_sample_steps(big_t, dt, every, expected):
+    assert sample_steps(big_t, dt, every) == expected
+
+
+@pytest.mark.parametrize("big_t, dt, every", [(-1.0, 0.1, 1), (1.0, 0.0, 1), (1.0, 0.1, 0)])
+def test_sample_steps_rejects_bad_input(big_t, dt, every):
+    with pytest.raises(ValueError):
+        sample_steps(big_t, dt, every)

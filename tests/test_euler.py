@@ -1,11 +1,14 @@
 """Tests for the isothermal Euler solver in log variables."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import full_wavenumbers
 
-from qnlab import spectral
+from qnlab import euler, spectral
+from qnlab.config import sample_steps
 from qnlab.errors import BlowupGuardTripped
-from qnlab.grid import RealField, TorusGrid, integrate
+from qnlab.grid import ComplexField, RealField, TorusGrid, integrate
 from qnlab.euler import (
     EulerState,
     euler_constants,
@@ -13,6 +16,7 @@ from qnlab.euler import (
     normalize_log_density,
     run_euler,
 )
+from qnlab.schrodinger import WaveFunction, run
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +135,19 @@ def test_blowup_guard_trips_at_the_same_step(dim, n, amp, message):
         run_euler(s0, 1.0, 1e-3)
 
 
+def test_blowup_guard_trips_on_nan():
+    # a NaN derivative sup after the first one must not read as small
+    g = TorusGrid(2, 16)
+    s0 = EulerState(RealField(g, np.zeros(g.shape)),
+                    [RealField(g, np.zeros(g.shape)) for _ in range(2)])
+    s0.u[1].values[3, 5] = np.nan  # past the field check, as a step between samples could
+    sups: list = []
+    euler._rhs(spectral.symbols(g, real=True), s0.log_rho.values, [c.values for c in s0.u], sups)
+    assert np.isnan(euler._grad_u_sup(sups))
+    with pytest.raises(BlowupGuardTripped, match=r"\|\|grad u\|\|_inf > 50.0 at t = 0.0000$"):
+        run_euler(s0, 0.01, 1e-3, sample_every=10)
+
+
 def test_state_validation(grid):
     with pytest.raises(ValueError):
         EulerState(RealField(grid, np.ones(grid.n)), [zero(grid)])  # mass e
@@ -197,6 +214,44 @@ def test_reflection_symmetry(grid):
 
     assert np.max(np.abs(fin.log_rho.values - reflect(fin.log_rho.values))) <= 1e-12
     assert np.max(np.abs(fin.u[0].values + reflect(fin.u[0].values))) <= 1e-12
+
+
+@pytest.mark.parametrize("steps_in_t, sample_every", [
+    (12, 5),     # T a whole multiple of dt
+    (12.3, 5),   # T not a multiple: rounds to 12 steps
+    (0.3, 5),    # 0 < T < dt/2: one step
+    (12, 50),    # sample_every beyond the step count: first and last only
+])
+def test_integrators_report_the_same_steps(steps_in_t, sample_every):
+    # dt a power of two, so accumulated and multiplied times are both exact
+    dt = 2.0**-10
+    big_t = steps_in_t * dt
+    g = TorusGrid(1, 16)
+    w0 = WaveFunction(ComplexField(g, np.exp(2j * np.pi * g.axis_points())), 0.5, 0.1)
+    s0 = EulerState(zero(g), [zero(g)])
+    steps = sample_steps(big_t, dt, sample_every)
+    times = list(run(w0, big_t, dt, sample_every=sample_every).times)
+    etimes = [s.time for s in run_euler(s0, big_t, dt, sample_every=sample_every)]
+    assert len(times) == len(etimes) == len(steps)
+    assert times == etimes == [i * dt for i in steps]
+
+
+def test_run_euler_memory_holds_only_samples():
+    g = TorusGrid(2, 64)
+    x, y = g.coords()
+    s0 = EulerState(nlog(g, 0.2 * np.cos(2 * np.pi * x)),
+                    [RealField(g, 0.1 * np.sin(2 * np.pi * c)) for c in (x, y)])
+    state_bytes = 3 * g.size * 8
+    spectral.symbols(g, real=True)  # cached symbols are not part of the run
+    tracemalloc.start()
+    try:
+        traj = run_euler(s0, 200 * 1e-4, 1e-4, sample_every=200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 2
+    # RK4 temporaries take about 8 states; keeping all 201 states takes 200+
+    assert peak < 16 * state_bytes
 
 
 def test_blowup_guard(grid):
