@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from qnlab import experiments
 from qnlab.cli import main
+from qnlab.euler import run_euler
 from qnlab.reports import SWEEP_FIELDS
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -131,6 +133,28 @@ class TestDeterminism:
         assert ((serial / "summary.json").read_bytes()
                 == (pooled / "summary.json").read_bytes())
 
+    def test_sweep_computes_one_euler_reference(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run_euler(*args, **kwargs)
+
+        cfg = write_cfg(tmp_path, SWEEP_CFG)
+        cached, pooled = tmp_path / "c", tmp_path / "p"
+        monkeypatch.setattr(experiments, "_euler_cache", {})
+        monkeypatch.setattr(experiments, "run_euler", counted)
+        assert main(["quasineutral_sweep", "--config", cfg, "--out", str(cached)]) == 0
+        assert len(calls) == 1
+        # each pool worker starts from an empty cache and computes its own
+        monkeypatch.setattr(experiments, "_euler_cache", {})
+        assert main(["quasineutral_sweep", "--config", cfg, "--jobs", "2",
+                     "--out", str(pooled)]) == 0
+        rels = sorted(p.relative_to(cached) for p in cached.rglob("*") if p.is_file())
+        assert rels == sorted(p.relative_to(pooled) for p in pooled.rglob("*") if p.is_file())
+        for rel in rels:
+            assert (cached / rel).read_bytes() == (pooled / rel).read_bytes(), rel
+
 
 class TestExitCodes:
     def test_missing_config_exit_two(self, tmp_path, capsys):
@@ -203,6 +227,8 @@ class TestOtherKinds:
         assert main(["pb_solve", "--config", cfg, "--out", str(out)]) == 0
         pb = load_summary(out)["pb"]
         assert 0 < pb["newton_iterations"] <= 15
+        assert pb["cg_iterations"] >= pb["newton_iterations"]
+        assert pb["cg_failures"] == 0
         assert pb["final_residual"] < 1e-10
         assert pb["checks"]["l2_boltzmann"] and pb["checks"]["boltzmann_mass"]
         assert abs(pb["background_mass"] - 1.0) < 1e-8
@@ -274,3 +300,13 @@ def test_console_script_installed(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert str(tmp_path / "out") in proc.stdout
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy 2 loads numpy.random lazily; the package loads it at import, so
+    # no run pays for it inside its own timing
+    code = ("import sys, qnlab.cli; "
+            "print('scipy' in sys.modules, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.split() == ["False", "True"]

@@ -1,12 +1,16 @@
 """Tests for the split Poisson-Boltzmann solver and its diagnostics."""
+import logging
+
 import numpy as np
 import pytest
 from conftest import full_k_squared
 from scipy.integrate import quad
 
-from qnlab.errors import NotAProbabilityDensity
+from qnlab import poisson_boltzmann
+from qnlab.errors import NewtonDiverged, NotAProbabilityDensity, PotentialSolveFailed
 from qnlab.grid import RealField, TorusGrid, integrate, l2_norm
 from qnlab.poisson_boltzmann import (
+    CG_MAXITER,
     ParticleConfig,
     empirical_tilde,
     empirical_tilde_prime,
@@ -15,12 +19,14 @@ from qnlab.poisson_boltzmann import (
     lipschitz_hat_prime,
     lipschitz_hat_prime_bound,
     _newton_hat,
+    _pcg,
     solve_pb,
     solve_pb_empirical,
     validate_elliptic_bounds,
     w1_stability_check,
     wrap_half,
 )
+from qnlab.schrodinger import solve_potential
 
 
 def residual_norm(split, h_vals):
@@ -83,7 +89,7 @@ def test_flat_density_zero_potential(grid256):
     h = RealField(grid256, np.ones(grid256.n))
     s = solve_pb(h, 0.7)
     assert np.max(np.abs(s.potential().values)) == 0.0
-    assert s.info["iterations"] == 0
+    assert s.info["iterations"] == s.info["cg_iterations"] == 0
 
 
 def test_small_amplitude_matches_linearization(grid256):
@@ -176,6 +182,61 @@ def test_newton_quadratic_tail(grid256):
         ratios = [r[k + 1] / r[k] ** 2 for k in range(len(r) - 1) if 1e-6 <= r[k] < 1e-2]
         assert ratios, "no iterate landed in the quadratic window"
         assert max(ratios[-3:]) <= 10.0
+
+
+# ---------------------------------------------------------------------------
+# preconditioned CG and the Newton guards
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 64), TorusGrid(2, 16)], ids=str)
+def test_pcg_matches_dense_solve(grid):
+    eps = 0.05
+    rng = np.random.default_rng(5)
+    weight = rng.uniform(0.2, 3.0, grid.shape)
+    rhs = rng.standard_normal(grid.shape)
+    # dense (1 - eps*Lap) + diag(weight - 1), column by column from the
+    # reference symbol with a full complex transform
+    k2 = full_k_squared(grid)
+    eye = np.eye(grid.size).reshape((grid.size, *grid.shape))
+    axes = tuple(range(1, grid.dim + 1))
+    cols = np.fft.ifftn(np.fft.fftn(eye, axes=axes) * (1.0 + eps * k2), axes=axes).real
+    dense = cols.reshape(grid.size, grid.size).T + np.diag(weight.ravel() - 1.0)
+    expected = np.linalg.solve(dense, rhs.ravel()).reshape(grid.shape)
+    x, iterations, converged = _pcg(rhs, weight, eps, grid, 1e-13, CG_MAXITER)
+    assert converged and 0 < iterations < CG_MAXITER
+    assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_pcg_zero_rhs_returns_zeros(grid256):
+    weight = np.full(grid256.shape, 2.0)
+    x, iterations, converged = _pcg(np.zeros(grid256.shape), weight, 0.1, grid256, 1e-8, CG_MAXITER)
+    assert converged and iterations == 0
+    assert not np.any(x)
+
+
+def test_cg_maxiter_hit_is_counted_and_logged(grid256, monkeypatch, caplog):
+    monkeypatch.setattr(poisson_boltzmann, "CG_MAXITER", 1)
+    x = grid256.axis_points()
+    rho = np.exp(np.cos(2 * np.pi * x))
+    rho /= rho.mean()
+    # one CG iteration misses every forcing term, yet each inexact step
+    # still descends, so Newton converges
+    with caplog.at_level(logging.DEBUG, logger="qnlab.poisson_boltzmann"):
+        s = solve_pb(RealField(grid256, rho), 0.05)
+    assert s.info["cg_failures"] >= 1
+    assert s.info["cg_iterations"] == s.info["iterations"]
+    assert any("cg hit maxiter" in rec.getMessage() for rec in caplog.records)
+
+
+def test_non_finite_residual_raises(grid256):
+    x = grid256.axis_points()
+    h = RealField(grid256, 1.0 + 0.3 * np.cos(2 * np.pi * x))
+    hat0 = np.zeros(grid256.shape)
+    hat0[7] = np.nan
+    with pytest.raises(NewtonDiverged, match="non-finite residual nan"):
+        solve_pb(h, 0.05, hat0=hat0)
+    with pytest.raises(PotentialSolveFailed, match="non-finite residual"):
+        solve_potential(h, 0.05, hat0=hat0)
 
 
 # ---------------------------------------------------------------------------

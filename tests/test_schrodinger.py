@@ -3,8 +3,11 @@ import numpy as np
 import pytest
 from conftest import full_k_squared
 
+from qnlab import schrodinger
 from qnlab.errors import StepTooLarge
+from qnlab.experiments import _cos_profiles
 from qnlab.grid import ComplexField, RealField, TorusGrid, integrate
+from qnlab.initial_data import WellPreparedSpec, well_prepared
 from qnlab.schrodinger import (
     WaveFunction,
     current,
@@ -200,6 +203,24 @@ def test_continuity_equation(grid, prepared):
 # ---------------------------------------------------------------------------
 # guards and plumbing
 # ---------------------------------------------------------------------------
+
+def test_warm_start_needs_about_one_newton_iteration(monkeypatch):
+    # the sweep_1d point: eps = hbar = 0.025, n = 2048, dt = 1e-4, 200 steps
+    g = TorusGrid(1, 2048)
+    rho0, u0pot = _cos_profiles(g, 0.5, 0.1)
+    w0 = well_prepared(WellPreparedSpec(rho0, u0pot, 0.025, 0.025))
+    iterations = []
+
+    def counted(*args, **kwargs):
+        split = solve_potential(*args, **kwargs)
+        iterations.append(split.info["iterations"])
+        return split
+
+    monkeypatch.setattr(schrodinger, "solve_potential", counted)
+    run(w0, 0.02, 1e-4, sample_every=20)
+    assert len(iterations) == 1 + 200 + 10
+    assert sum(iterations) <= 1.2 * len(iterations)
+
 
 def test_kinetic_phase_guard(grid):
     w = plane_wave(grid, hbar=0.5)
