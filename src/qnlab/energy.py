@@ -1,7 +1,8 @@
-"""Modulated-energy functionals: the kinetic part against a reference velocity,
-relative entropy of the thermalized density against the fluid density, the
-Csiszar-Kullback-Pinsker bound, and weak distances between quantum and fluid
-observables."""
+"""Energies of a quantum state: the conserved total energy, the modulated
+energy against a fluid state (kinetic part against a reference velocity,
+field energy, relative entropy of the thermalized density against the fluid
+density), the Csiszar-Kullback-Pinsker bound, and weak distances between
+quantum and fluid observables."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -9,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveReference, NotAProbabilityDensity
-from .grid import ComplexField, RealField, h_minus1_norm, integrate, spectral_derivative
+from .grid import RealField, h_minus1_norm, integrate, spectral_derivative
+from .schrodinger import current, density
 
 # below this the m log m term is numerically 0 (the 0 log 0 = 0 convention)
 _VACUUM = 1e-300
@@ -25,17 +27,6 @@ class EnergyReport:
     conserved_total: float
     boltzmann: float = 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "time": self.time,
-            "kinetic_modulated": self.kinetic_modulated,
-            "field_energy": self.field_energy,
-            "relative_entropy": self.relative_entropy,
-            "total_modulated": self.total_modulated,
-            "conserved_total": self.conserved_total,
-            "boltzmann": self.boltzmann,
-        }
-
 
 def _velocity_components(u, dim: int):
     if isinstance(u, RealField):
@@ -47,11 +38,11 @@ def _velocity_components(u, dim: int):
 
 def kinetic_modulated(w, u) -> float:
     """(1/2) int sum_j |(i hbar d_j + u_j) psi|^2."""
-    psi = w.psi
-    comps = _velocity_components(u, psi.grid.dim)
+    psi = w.psi.values
+    comps = _velocity_components(u, w.psi.grid.dim)
     total = 0.0
-    for j, u_j in enumerate(comps):
-        shifted = 1j * w.hbar * spectral_derivative(psi, j).values + u_j.values * psi.values
+    for dpsi, u_j in zip(w.gradient, comps):
+        shifted = 1j * w.hbar * dpsi + u_j.values * psi
         total += 0.5 * float(np.mean(np.abs(shifted) ** 2))
     return total
 
@@ -94,14 +85,35 @@ def field_energy(split) -> float:
     return 0.5 * split.eps * total
 
 
+def total_energy(w, split) -> EnergyReport:
+    """Conserved energy F = (hbar^2/2)||grad psi||^2 + (eps/2)||grad V||^2
+    + int V e^V, reported alongside the rho = 1, u = 0 modulated parts."""
+    grid = w.psi.grid
+    kinetic = 0.0
+    for dpsi in w.gradient:
+        kinetic += 0.5 * w.hbar**2 * float(np.mean(np.abs(dpsi) ** 2))
+    v = split.potential()
+    fld = field_energy(split)
+    m = split.background()
+    boltz = float(np.mean(v.values * m.values))
+    rel = relative_entropy(m, RealField(grid, np.ones(grid.shape)))
+    return EnergyReport(
+        time=w.time,
+        kinetic_modulated=kinetic,
+        field_energy=fld,
+        relative_entropy=rel,
+        total_modulated=kinetic + fld + rel,
+        conserved_total=kinetic + fld + boltz,
+        boltzmann=boltz,
+    )
+
+
 def modulated_total(w, split, euler) -> EnergyReport:
     """Assemble the modulated energy of a quantum state against a fluid state.
 
     Caller guarantees split is self-consistent with |psi|^2 and the fluid
     state is at the same time (within half a step).
     """
-    from .schrodinger import total_energy
-
     kin = kinetic_modulated(w, euler.u)
     rel = relative_entropy(split.background(), RealField(w.psi.grid, np.exp(euler.log_rho.values)))
     conserved = total_energy(w, split)
@@ -116,25 +128,17 @@ def modulated_total(w, split, euler) -> EnergyReport:
     )
 
 
-def weak_distances(w, euler, test_fields=(), split=None) -> dict:
+def weak_distances(w, euler, split, test_fields=()) -> dict:
     """Weak-topology gaps: mean-corrected H^-1 between densities, L1 between
-    the thermalized and fluid densities, and current errors |int (J - rho u) b|
-    with their 2 ||b||_inf sqrt(K) bounds.
-
-    If split is omitted the potential is re-solved from |psi|^2.
+    the thermalized density of split and the fluid density, and current
+    errors |int (J - rho u) b| with their 2 ||b||_inf sqrt(K) bounds.
     """
-    from .poisson_boltzmann import solve_pb
-    from .schrodinger import current, density
-
     grid = w.psi.grid
     rho_q = density(w)
     rho_fluid = np.exp(euler.log_rho.values)
     diff = rho_q.values - rho_fluid
     diff = diff - diff.mean()
     h_m1 = h_minus1_norm(RealField(grid, diff))
-
-    if split is None:
-        split = solve_pb(rho_q, w.eps)
     l1 = float(np.mean(np.abs(split.background().values - rho_fluid)))
 
     kin = kinetic_modulated(w, euler.u)

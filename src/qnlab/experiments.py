@@ -18,7 +18,7 @@ import numpy.random  # noqa: F401
 
 from . import reports
 from .config import ExperimentConfig
-from .energy import modulated_total, weak_distances
+from .energy import modulated_total, total_energy, weak_distances
 from .euler import EulerState, euler_constants, normalize_log_density, run_euler
 from .grid import RealField, TorusGrid, gradient, integrate
 from .initial_data import WellPreparedSpec, well_prepared
@@ -51,19 +51,23 @@ def _error_record(exc: Exception, stage: str, **context) -> dict:
     return rec
 
 
-# The Euler reference of a sweep depends on the data and the time grid, not
-# on (eps, hbar): each process computes it once for the points it runs
+# The Euler reference of a sweep and its Gronwall block depend on the data
+# and the time grid, not on (eps, hbar): each process computes them once for
+# the points it runs
 _euler_cache: dict = {}
 
 
-def _euler_reference(task: dict, grid: TorusGrid, rho0: RealField, u0pot: RealField) -> list:
+def _euler_reference(task: dict, grid: TorusGrid, rho0: RealField,
+                     u0pot: RealField) -> tuple[list, dict]:
+    """The sampled Euler states and their Gronwall constants."""
     key = tuple(task[k] for k in ("dim", "n", "rho0_amp", "u0_amp", "T", "dt", "sample_every"))
     if key not in _euler_cache:
         e0 = EulerState(normalize_log_density(RealField(grid, np.log(rho0.values))),
                         list(gradient(u0pot)))
         samples = run_euler(e0, task["T"], task["dt"], sample_every=task["sample_every"])
+        gronwall = {k: float(v) for k, v in euler_constants(samples).items()}
         _euler_cache.clear()
-        _euler_cache[key] = samples
+        _euler_cache[key] = samples, gronwall
     return _euler_cache[key]
 
 
@@ -81,7 +85,7 @@ def _sweep_point(task: dict) -> dict:
         straj = run(w0, task["T"], task["dt"], sample_every=task["sample_every"],
                     mode=task["mode"])
         stage = "euler"
-        esamp = _euler_reference(task, grid, rho0, u0pot)
+        esamp, gronwall = _euler_reference(task, grid, rho0, u0pot)
 
         stage = "diagnostics"
         x = grid.axis_points()
@@ -93,17 +97,14 @@ def _sweep_point(task: dict) -> dict:
         currents_ok = True
         sup_bound_ok = True
         mass_defect = 0.0
-        f0 = straj.diagnostics[0].conserved_total
-        drift = 0.0
         for (t, w, split), est in zip(straj.snapshots, esamp, strict=True):
             rep = modulated_total(w, split, est)
-            wd = weak_distances(w, est, test_fields=fields, split=split)
+            wd = weak_distances(w, est, split, test_fields=fields)
             currents_ok &= all(c["passed"] for c in wd["currents"])
             current_err = max(abs(c["value"]) for c in wd["currents"])
             v = split.potential().values
             sup_bound_ok &= eps * float(np.max(np.abs(v))) <= 1.0 + 1e-9
             mass_defect = max(mass_defect, abs(integrate(split.background()) - 1.0))
-            drift = max(drift, abs(rep.conserved_total - f0) / (1.0 + abs(f0)))
             rows.append({
                 "eps": float(eps),
                 "hbar": float(hbar),
@@ -117,7 +118,8 @@ def _sweep_point(task: dict) -> dict:
                 "l1_entropy_error": float(wd["l1_background"]),
                 "current_weak_error": float(current_err),
             })
-        gronwall = {k: float(v) for k, v in euler_constants(esamp).items()}
+        f0 = rows[0]["conserved_total"]
+        drift = max(abs(r["conserved_total"] - f0) / (1.0 + abs(f0)) for r in rows)
         numeric = [f for f in reports.SWEEP_FIELDS if f not in ("eps", "hbar", "time")]
         maxima = {f: float(max(row[f] for row in rows)) for f in numeric}
         checks = {
@@ -242,12 +244,12 @@ def _run_schrodinger(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> lis
         traj = run(w0, cfg.big_t, cfg.dt, sample_every=cfg.sample_every, mode=cfg.mode)
     except Exception as exc:  # noqa: BLE001
         return [_error_record(exc, stage, eps=float(cfg.eps[0]), hbar=float(cfg.hbar[0]))]
-    f0 = traj.diagnostics[0].conserved_total
+    conserved = [total_energy(w, split).conserved_total for _, w, split in traj.snapshots]
+    f0 = conserved[0]
     rows = []
-    for (t, w, _split), rep in zip(traj.snapshots, traj.diagnostics):
+    for (t, w, _split), f in zip(traj.snapshots, conserved):
         mass = integrate(density(w))
-        rows.append((float(t), float(rep.conserved_total),
-                     float(abs(rep.conserved_total - f0) / (1.0 + abs(f0))),
+        rows.append((float(t), float(f), float(abs(f - f0) / (1.0 + abs(f0))),
                      float(abs(mass - 1.0))))
     reports.emit_csv(out_dir / "plotdata" / "conserved_total.csv",
                      ("time", "conserved_total", "relative_drift", "mass_defect"), rows)

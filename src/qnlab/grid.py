@@ -33,10 +33,6 @@ class TorusGrid:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
 
     @property
-    def spacing(self) -> float:
-        return 1.0 / self.n
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return (self.n,) * self.dim
 
@@ -83,14 +79,6 @@ def _check_values(grid: TorusGrid, values: np.ndarray) -> None:
         raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
     if not np.all(np.isfinite(values)):
         raise ValueError("field values must be finite")
-
-
-def same_grid(*fields: Field) -> TorusGrid:
-    g = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != g:
-            raise ValueError("fields live on different grids")
-    return g
 
 
 def integrate(f: Field) -> float | complex:
@@ -158,11 +146,3 @@ def h_minus1_norm(f: RealField) -> float:
     terms[..., 1:-1] *= 2.0
     return float(np.sqrt(terms.sum())) / f.grid.size
 
-
-def circular_convolve(f: Field, g: Field) -> Field:
-    """Periodic convolution (f * g)(x) = int f(y) g(x - y) dy on the torus."""
-    grid = same_grid(f, g)
-    real = isinstance(f, RealField) and isinstance(g, RealField)
-    sym = spectral.symbols(grid, real=real)
-    out = sym.inverse(sym.forward(f.values) * sym.forward(g.values)) / grid.size
-    return (RealField if real else ComplexField)(grid, out)

@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import NotAProbabilityDensity, NotPositive
 from .grid import ComplexField, RealField, TorusGrid, integrate, laplacian
+from .nbody import w1_circle
 from .poisson_boltzmann import ParticleConfig, solve_pb_empirical, wrap_half
 from .schrodinger import WaveFunction
 
@@ -126,8 +127,6 @@ def entropy_w1_check(x: ParticleConfig, rho0: RealField, rho_eps: RealField,
     """Per-configuration check that the thermalized entropy against rho0 is
     controlled by W1 of the configuration to rho_eps:
     int m log(m/rho0) <= (5/(4 eps^{3/2})) W1(mu_X, rho_eps)."""
-    from .nbody import w1_circle
-
     grid = rho0.grid
     split = solve_pb_empirical(x, eps, grid)
     m = split.background().values

@@ -5,18 +5,19 @@ where V solves -eps*Lap(V) = |psi|^2 - e^V (or the linearized
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import spectral
 from .config import MODES, sample_steps
-from .energy import EnergyReport, field_energy, relative_entropy
 from .errors import NewtonDiverged, PotentialSolveFailed, StepTooLarge
-from .grid import ComplexField, RealField, integrate, inverse_laplacian_zero_mean, spectral_derivative
-from .poisson_boltzmann import PotentialSplit, solve_pb
+from .grid import ComplexField, RealField, integrate, spectral_derivative
+from .poisson_boltzmann import PotentialSplit, solve_pb, solve_tilde
 
-# sampling guard on the kinetic phase hbar |2 pi k_max|^2 dt / 2; the
-# multiplier itself is exact, this keeps dt in the order-2 error regime
+# sampling guard on the kinetic phase hbar |2 pi k|^2 dt / 2, |2 pi k|^2
+# maximized over the grid; the multiplier itself is exact, this keeps dt in
+# the order-2 error regime
 KINETIC_PHASE_CAP = 100.0 * np.pi
 
 
@@ -34,18 +35,20 @@ class WaveFunction:
         if abs(mass - 1.0) > 1e-10:
             raise ValueError(f"wave function has mass {mass!r}, not 1")
 
+    @cached_property
+    def gradient(self) -> tuple[np.ndarray, ...]:
+        """d_j psi per axis, computed on first use and kept with the state."""
+        return tuple(spectral_derivative(self.psi, j).values for j in range(self.psi.grid.dim))
+
 
 @dataclass
 class SchrodingerTrajectory:
     snapshots: list = field(default_factory=list)   # (time, WaveFunction, PotentialSplit)
-    diagnostics: list = field(default_factory=list)  # EnergyReport per snapshot
 
-    def append(self, time: float, w: WaveFunction, split: PotentialSplit,
-               report: EnergyReport) -> None:
+    def append(self, time: float, w: WaveFunction, split: PotentialSplit) -> None:
         if self.snapshots and time <= self.snapshots[-1][0]:
             raise ValueError("snapshot times must be strictly increasing")
         self.snapshots.append((time, w, split))
-        self.diagnostics.append(report)
 
     @property
     def times(self) -> np.ndarray:
@@ -62,11 +65,8 @@ def density(w: WaveFunction) -> RealField:
 
 def current(w: WaveFunction) -> list[RealField]:
     """J_j = hbar Im(conj(psi) d_j psi)."""
-    out = []
-    for j in range(w.psi.grid.dim):
-        dpsi = spectral_derivative(w.psi, j).values
-        out.append(RealField(w.psi.grid, w.hbar * np.imag(np.conj(w.psi.values) * dpsi)))
-    return out
+    return [RealField(w.psi.grid, w.hbar * np.imag(np.conj(w.psi.values) * dpsi))
+            for dpsi in w.gradient]
 
 
 def solve_potential(rho: RealField, eps: float, mode: str = "poisson_boltzmann",
@@ -79,16 +79,13 @@ def solve_potential(rho: RealField, eps: float, mode: str = "poisson_boltzmann",
             return solve_pb(rho, eps, hat0=hat0)
         except NewtonDiverged as exc:
             raise PotentialSolveFailed(str(exc)) from exc
-    grid = rho.grid
-    rhs_vals = (rho.values - rho.values.mean()) / eps
-    rhs_vals = rhs_vals - rhs_vals.mean()
-    tilde = inverse_laplacian_zero_mean(RealField(grid, rhs_vals))
-    return PotentialSplit(tilde, RealField(grid, np.zeros(grid.shape)), eps,
-                          info={"mode": "linear_poisson"})
+    return PotentialSplit(solve_tilde(rho, eps), RealField(rho.grid, np.zeros(rho.grid.shape)),
+                          eps, info={"mode": "linear_poisson"})
 
 
 def _check_kinetic_phase(w: WaveFunction, dt: float) -> None:
-    phase = w.hbar * (np.pi * w.psi.grid.n) ** 2 * dt / 2.0
+    grid = w.psi.grid
+    phase = w.hbar * grid.dim * (np.pi * grid.n) ** 2 * dt / 2.0
     if phase >= KINETIC_PHASE_CAP:
         raise StepTooLarge(
             f"kinetic phase {phase:.1f} exceeds cap {KINETIC_PHASE_CAP:.1f}; shrink dt"
@@ -125,30 +122,6 @@ def step_strang(w: WaveFunction, dt: float, mode: str = "poisson_boltzmann") -> 
     return WaveFunction(ComplexField(w.psi.grid, psi), w.hbar, w.eps, w.time + dt)
 
 
-def total_energy(w: WaveFunction, split: PotentialSplit) -> EnergyReport:
-    """Conserved energy F = (hbar^2/2)||grad psi||^2 + (eps/2)||grad V||^2
-    + int V e^V, reported alongside the rho = 1, u = 0 modulated parts."""
-    grid = w.psi.grid
-    kinetic = 0.0
-    for j in range(grid.dim):
-        dpsi = spectral_derivative(w.psi, j).values
-        kinetic += 0.5 * w.hbar**2 * float(np.mean(np.abs(dpsi) ** 2))
-    v = split.potential()
-    fld = field_energy(split)
-    m = split.background()
-    boltz = float(np.mean(v.values * m.values))
-    rel = relative_entropy(m, RealField(grid, np.ones(grid.shape)))
-    return EnergyReport(
-        time=w.time,
-        kinetic_modulated=kinetic,
-        field_energy=fld,
-        relative_entropy=rel,
-        total_modulated=kinetic + fld + rel,
-        conserved_total=kinetic + fld + boltz,
-        boltzmann=boltz,
-    )
-
-
 def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
         mode: str = "poisson_boltzmann") -> SchrodingerTrajectory:
     """Integrate to time ~T, keeping the states at config.sample_steps.
@@ -156,12 +129,13 @@ def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
     At each sample the potential is re-solved from the current |psi|^2 so the
     stored split is self-consistent with the stored state. Every solve is
     warm-started by linear extrapolation of the hats of the last two step
-    solves, which sit at the step midpoints, dt apart.
+    solves, which sit at the step midpoints, dt apart. Energies are left to
+    the caller (qnlab.energy).
     """
     steps = sample_steps(T, dt, sample_every)
     traj = SchrodingerTrajectory()
     split0 = solve_potential(density(w0), w0.eps, mode)
-    traj.append(w0.time, w0, split0, total_energy(w0, split0))
+    traj.append(w0.time, w0, split0)
     if steps[-1] > 0:
         _check_kinetic_phase(w0, dt)
     psi, t = w0.psi.values, w0.time
@@ -178,5 +152,5 @@ def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
         if i in sampled:
             w = WaveFunction(ComplexField(w0.psi.grid, psi), w0.hbar, w0.eps, t)
             snap = solve_potential(density(w), w.eps, mode, 1.5 * hat_n - 0.5 * hat_prev)
-            traj.append(t, w, snap, total_energy(w, snap))
+            traj.append(t, w, snap)
     return traj

@@ -1,12 +1,35 @@
 import numpy as np
 import pytest
 
+from qnlab import spectral
 from qnlab.grid import RealField, TorusGrid
 
 
 @pytest.fixture
 def grid256() -> TorusGrid:
     return TorusGrid(1, 256)
+
+
+class TransformCounter:
+    """Counts calls of each qnlab.spectral transform, except while `paused`."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.counts = dict.fromkeys(("fft", "ifft", "rfft", "irfft"), 0)
+        self.paused = False
+        for name in self.counts:
+            monkeypatch.setattr(spectral, name, self._counted(name, getattr(spectral, name)))
+
+    def _counted(self, name, fn):
+        def counted(*args):
+            if not self.paused:
+                self.counts[name] += 1
+            return fn(*args)
+        return counted
+
+
+@pytest.fixture
+def transforms(monkeypatch) -> TransformCounter:
+    return TransformCounter(monkeypatch)
 
 
 def full_wavenumbers(grid: TorusGrid, axis: int) -> np.ndarray:

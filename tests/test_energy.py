@@ -1,4 +1,6 @@
 """Tests for the modulated-energy functionals and weak-distance reports."""
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,12 +11,13 @@ from qnlab.energy import (
     kinetic_modulated,
     modulated_total,
     relative_entropy,
+    total_energy,
     weak_distances,
 )
 from qnlab.errors import NonpositiveReference, NotAProbabilityDensity
 from qnlab.euler import EulerState
 from qnlab.grid import ComplexField, RealField, TorusGrid, gradient, h_minus1_norm, integrate
-from qnlab.schrodinger import WaveFunction, density, solve_potential, total_energy
+from qnlab.schrodinger import WaveFunction, density, solve_potential
 
 
 @pytest.fixture(scope="module")
@@ -185,9 +188,9 @@ def test_modulated_total_parts_sum(grid, flat_euler):
     split = solve_potential(density(w), w.eps)
     rep = modulated_total(w, split, flat_euler)
     assert rep.total_modulated == rep.kinetic_modulated + rep.field_energy + rep.relative_entropy
-    assert set(rep.as_dict()) == {"time", "kinetic_modulated", "field_energy",
-                                  "relative_entropy", "total_modulated",
-                                  "conserved_total", "boltzmann"}
+    assert set(asdict(rep)) == {"time", "kinetic_modulated", "field_energy",
+                                "relative_entropy", "total_modulated",
+                                "conserved_total", "boltzmann"}
 
 
 def test_flat_reference_reproduces_conserved_total(grid, flat_euler):
@@ -221,8 +224,8 @@ def test_reports_invariant_under_global_phase(grid, flat_euler):
     s2 = solve_potential(density(w2), w2.eps)
     r1 = modulated_total(w, s1, flat_euler)
     r2 = modulated_total(w2, s2, flat_euler)
-    for key, val in r1.as_dict().items():
-        assert abs(val - r2.as_dict()[key]) < 1e-12
+    for key, val in asdict(r1).items():
+        assert abs(val - asdict(r2)[key]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +235,7 @@ def test_reports_invariant_under_global_phase(grid, flat_euler):
 def test_weak_distances_equilibrium(grid, flat_euler):
     w = WaveFunction(ComplexField(grid, np.ones(grid.n, dtype=complex)), 0.1, 0.2)
     x = grid.axis_points()
-    rep = weak_distances(w, flat_euler,
+    rep = weak_distances(w, flat_euler, solve_potential(density(w), w.eps),
                          test_fields=[ones(grid), RealField(grid, np.sin(2 * np.pi * x))])
     assert rep["h_minus1_density"] < 1e-12
     assert rep["l1_background"] < 1e-12
@@ -244,7 +247,7 @@ def test_weak_density_distance_matches_closed_form(grid, flat_euler):
     x = grid.axis_points()
     amp = np.sqrt(1 + 0.1 * np.cos(2 * np.pi * x))
     w = WaveFunction(ComplexField(grid, amp.astype(complex)), 0.1, 0.2)
-    rep = weak_distances(w, flat_euler)
+    rep = weak_distances(w, flat_euler, solve_potential(density(w), w.eps))
     closed = 0.1 / (2 * np.pi * np.sqrt(2))
     assert abs(rep["h_minus1_density"] - closed) < 1e-12
     assert rep["h_minus1_density"] == pytest.approx(
@@ -259,17 +262,24 @@ def test_weak_current_bound_on_random_states(grid, flat_euler):
     for _ in range(20):
         w = random_state(grid, rng)
         split = solve_potential(density(w), w.eps)
-        rep = weak_distances(w, flat_euler, test_fields=fields, split=split)
+        rep = weak_distances(w, flat_euler, split, test_fields=fields)
         for c in rep["currents"]:
             assert c["passed"]
             assert abs(c["value"]) <= 2.0 * np.sqrt(rep["kinetic_modulated"]) + 1e-14
 
 
-def test_weak_distances_resolves_split_when_missing(grid, flat_euler):
-    rng = np.random.default_rng(7)
+
+def test_sample_differentiates_psi_once(grid, flat_euler, transforms):
+    # one sweep sample: one complex pair for grad psi, one real pair for
+    # grad V, one rfft for the H^-1 norm
+    rng = np.random.default_rng(8)
+    transforms.paused = True
     w = random_state(grid, rng)
     split = solve_potential(density(w), w.eps)
-    with_split = weak_distances(w, flat_euler, split=split)
-    without = weak_distances(w, flat_euler)
-    assert abs(with_split["l1_background"] - without["l1_background"]) < 1e-12
-    assert with_split["h_minus1_density"] == without["h_minus1_density"]
+    transforms.paused = False
+    x = grid.axis_points()
+    fields = [ones(grid), RealField(grid, np.sin(2 * np.pi * x)),
+              RealField(grid, np.cos(2 * np.pi * x))]
+    modulated_total(w, split, flat_euler)
+    weak_distances(w, flat_euler, split, test_fields=fields)
+    assert transforms.counts == {"fft": 1, "ifft": 1, "rfft": 2, "irfft": 1}

@@ -11,7 +11,6 @@ from qnlab.grid import (
     ComplexField,
     RealField,
     TorusGrid,
-    circular_convolve,
     fourier_coefficients,
     gradient,
     h_minus1_norm,
@@ -32,7 +31,6 @@ def test_grid_validation():
         TorusGrid(1, 4)  # too small
     g = TorusGrid(2, 16)
     assert g.shape == (16, 16)
-    assert g.spacing == 1 / 16
 
 
 def test_field_rejects_bad_values(grid256):
@@ -197,28 +195,6 @@ def test_parseval(seed):
     phys = l2_norm(f) ** 2
     spec = float(np.sum(np.abs(fourier_coefficients(f)) ** 2))
     assert abs(phys - spec) <= 1e-12 * max(phys, 1e-30)
-
-
-def test_convolution_of_single_modes(grid256):
-    x = grid256.coords()[0]
-    f = RealField(grid256, np.cos(2 * np.pi * x))
-    conv = circular_convolve(f, f)
-    assert np.allclose(conv.values, 0.5 * np.cos(2 * np.pi * x), atol=1e-13)
-
-
-def test_convolution_with_unit_mass_is_mean(grid256):
-    rng = np.random.default_rng(11)
-    f = trig_poly(grid256, rng)
-    one = RealField(grid256, np.ones(grid256.shape))
-    conv = circular_convolve(f, one)
-    assert np.allclose(conv.values, integrate(f), atol=1e-12)
-
-
-def test_same_grid_enforced():
-    a = RealField(TorusGrid(1, 64), np.zeros(64))
-    b = RealField(TorusGrid(1, 128), np.zeros(128))
-    with pytest.raises(ValueError):
-        circular_convolve(a, b)
 
 
 def test_complex_field_roundtrip(grid256):

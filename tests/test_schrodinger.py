@@ -4,6 +4,7 @@ import pytest
 from conftest import full_k_squared
 
 from qnlab import schrodinger
+from qnlab.energy import total_energy
 from qnlab.errors import StepTooLarge
 from qnlab.experiments import _cos_profiles
 from qnlab.grid import ComplexField, RealField, TorusGrid, integrate
@@ -15,7 +16,6 @@ from qnlab.schrodinger import (
     run,
     solve_potential,
     step_strang,
-    total_energy,
 )
 
 
@@ -149,7 +149,7 @@ def test_mass_conservation(prepared_run):
 def test_energy_drift_second_order(prepared_run):
     drifts = {}
     for name, traj in prepared_run.items():
-        f = [r.conserved_total for r in traj.diagnostics]
+        f = [total_energy(wf, split).conserved_total for _, wf, split in traj.snapshots]
         drifts[name] = max(abs(v - f[0]) for v in f)
     assert drifts["coarse"] <= 1e-6
     assert 3.5 <= drifts["coarse"] / drifts["fine"] <= 4.5
@@ -226,6 +226,33 @@ def test_kinetic_phase_guard(grid):
     w = plane_wave(grid, hbar=0.5)
     with pytest.raises(StepTooLarge):
         step_strang(w, 0.01)
+
+
+def test_kinetic_phase_guard_counts_every_axis():
+    # in 2-D the corner mode has |2 pi k|^2 = 2 (pi n)^2: a dt at 0.75 of the
+    # cap in 1-D is 1.5 times the cap in 2-D
+    hbar, n = 0.1, 64
+    dt = 0.75 * schrodinger.KINETIC_PHASE_CAP * 2.0 / (hbar * (np.pi * n) ** 2)
+    step_strang(WaveFunction(ComplexField(TorusGrid(1, n), np.ones(n)), hbar, 0.1), dt)
+    w2 = WaveFunction(ComplexField(TorusGrid(2, n), np.ones((n, n))), hbar, 0.1)
+    with pytest.raises(StepTooLarge):
+        step_strang(w2, dt)
+
+
+def test_run_transforms_only_in_steps(monkeypatch, transforms, prepared):
+    # outside the potential solves, a step is two half-kinetic transform
+    # pairs; samples cost nothing, their energies are the caller's
+    def uncounted(*args, **kwargs):
+        transforms.paused = True
+        try:
+            return solve_potential(*args, **kwargs)
+        finally:
+            transforms.paused = False
+
+    monkeypatch.setattr(schrodinger, "solve_potential", uncounted)
+    steps = 10
+    run(prepared, steps * 1e-3, 1e-3, sample_every=2)
+    assert transforms.counts == {"fft": 2 * steps, "ifft": 2 * steps, "rfft": 0, "irfft": 0}
 
 
 def test_potential_phase_guard():
