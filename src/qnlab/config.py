@@ -7,6 +7,7 @@ overrides are applied on the raw text values before typing.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -91,15 +92,20 @@ def _parse_value(key: str, text: str):
     try:
         if tag == "int":
             return int(text)
-        if tag == "float":
-            return float(text)
-        if tag == "float_list":
-            return tuple(float(p) for p in text.split(",") if p.strip())
         if tag == "int_list":
             return tuple(int(p) for p in text.split(",") if p.strip())
-        return text
+        if tag == "float":
+            values = (float(text),)
+        elif tag == "float_list":
+            values = tuple(float(p) for p in text.split(",") if p.strip())
+        else:
+            return text
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: cannot parse {text!r} as {tag}") from exc
+    # float() accepts nan and inf, which no key means and JSON cannot hold
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"key {key!r}: {text!r} is not finite")
+    return values[0] if tag == "float" else values
 
 
 def load_config(path: str) -> dict:

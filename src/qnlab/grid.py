@@ -140,9 +140,6 @@ def h_minus1_norm(f: RealField) -> float:
     """Homogeneous H^-1 norm (sum over k != 0 of |c_k|^2 / |2 pi k|^2)^(1/2)."""
     _require_mean_zero(f, "H^-1 norm")
     sym = spectral.symbols(f.grid, real=True)
-    terms = np.abs(sym.forward(f.values)) ** 2 * sym.inv_k2
-    # the half spectrum holds one mode of each conjugate pair, except for the
-    # self-conjugate last-axis modes 0 and n/2
-    terms[..., 1:-1] *= 2.0
-    return float(np.sqrt(terms.sum())) / f.grid.size
+    power = np.abs(sym.forward(f.values)) ** 2 * sym.inv_k2
+    return float(np.sqrt(sym.parseval(power))) / f.grid.size
 

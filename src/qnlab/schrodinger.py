@@ -97,19 +97,20 @@ def _half_kinetic(w: WaveFunction, dt: float) -> np.ndarray:
     return np.exp(0.25j * w.hbar * spectral.symbols(w.psi.grid, real=False).minus_k2 * dt)
 
 
-def _step_core(psi: np.ndarray, w: WaveFunction, dt: float, mode: str, hat0: np.ndarray | None,
-               half_kinetic: np.ndarray) -> tuple[np.ndarray, PotentialSplit]:
-    """One Strang step of the array psi on the grid, hbar and eps of w."""
-    grid = w.psi.grid
-    sym = spectral.symbols(grid, real=False)
-    psi = sym.apply(psi, half_kinetic)
-    rho = RealField(grid, np.abs(psi) ** 2)
+def _step_core(chi_hat: np.ndarray, w: WaveFunction, dt: float, mode: str,
+               hat0: np.ndarray | None, kinetic: np.ndarray) -> tuple[np.ndarray, PotentialSplit]:
+    """One Strang step on the grid, hbar and eps of w, in coefficient space:
+    chi_hat holds the coefficients before the kinetic factor still to come,
+    `kinetic` is that factor with the step's opening half factor folded in.
+    Returns the coefficients before the step's closing half factor."""
+    psi = spectral.ifft(kinetic * chi_hat)
+    rho = RealField(w.psi.grid, np.abs(psi) ** 2)
     split = solve_potential(rho, w.eps, mode, hat0)
     v = split.potential().values
     v_phase = float(np.max(np.abs(v))) * dt / w.hbar
     if v_phase >= np.pi:
         raise StepTooLarge(f"potential phase {v_phase:.3f} >= pi; shrink dt")
-    return sym.apply(psi * np.exp(-1j * v * dt / w.hbar), half_kinetic), split
+    return spectral.fft(psi * np.exp(-1j * v * dt / w.hbar)), split
 
 
 def step_strang(w: WaveFunction, dt: float, mode: str = "poisson_boltzmann") -> WaveFunction:
@@ -118,7 +119,9 @@ def step_strang(w: WaveFunction, dt: float, mode: str = "poisson_boltzmann") -> 
     if dt <= 0:
         raise ValueError("dt must be positive")
     _check_kinetic_phase(w, dt)
-    psi, _ = _step_core(w.psi.values, w, dt, mode, None, _half_kinetic(w, dt))
+    half_kinetic = _half_kinetic(w, dt)
+    chi_hat, _ = _step_core(spectral.fft(w.psi.values), w, dt, mode, None, half_kinetic)
+    psi = spectral.ifft(half_kinetic * chi_hat)
     return WaveFunction(ComplexField(w.psi.grid, psi), w.hbar, w.eps, w.time + dt)
 
 
@@ -126,11 +129,14 @@ def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
         mode: str = "poisson_boltzmann") -> SchrodingerTrajectory:
     """Integrate to time ~T, keeping the states at config.sample_steps.
 
-    At each sample the potential is re-solved from the current |psi|^2 so the
-    stored split is self-consistent with the stored state. Every solve is
-    warm-started by linear extrapolation of the hats of the last two step
-    solves, which sit at the step midpoints, dt apart. Energies are left to
-    the caller (qnlab.energy).
+    The loop carries the coefficients before each step's closing half kinetic
+    factor, so the closing half of one step and the opening half of the next
+    are one full kinetic factor, and psi goes back to grid values only at the
+    step midpoint and at the samples. At each sample the potential is
+    re-solved from the current |psi|^2 so the stored split is self-consistent
+    with the stored state. Every solve is warm-started by linear
+    extrapolation of the hats of the last two step solves, which sit at the
+    step midpoints, dt apart. Energies are left to the caller (qnlab.energy).
     """
     steps = sample_steps(T, dt, sample_every)
     traj = SchrodingerTrajectory()
@@ -138,18 +144,22 @@ def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
     traj.append(w0.time, w0, split0)
     if steps[-1] > 0:
         _check_kinetic_phase(w0, dt)
-    psi, t = w0.psi.values, w0.time
+    chi_hat, t = spectral.fft(w0.psi.values), w0.time
     # hat_n, hat_(n-1): the last two step solves. The next midpoint is dt
     # ahead (2 hat_n - hat_(n-1); the first step gets hat_0), the sample
     # time dt/2 (1.5 hat_n - 0.5 hat_(n-1))
     hat_n = hat_prev = split0.hat.values
     half_kinetic = _half_kinetic(w0, dt)
+    full_kinetic = half_kinetic * half_kinetic
+    kinetic = half_kinetic  # the first step has no closing half before it
     sampled = set(steps)
     for i in range(1, steps[-1] + 1):
-        psi, split_used = _step_core(psi, w0, dt, mode, 2.0 * hat_n - hat_prev, half_kinetic)
+        chi_hat, split_used = _step_core(chi_hat, w0, dt, mode, 2.0 * hat_n - hat_prev, kinetic)
+        kinetic = full_kinetic
         t += dt
         hat_n, hat_prev = split_used.hat.values, hat_n
         if i in sampled:
+            psi = spectral.ifft(half_kinetic * chi_hat)
             w = WaveFunction(ComplexField(w0.psi.grid, psi), w0.hbar, w0.eps, t)
             snap = solve_potential(density(w), w.eps, mode, 1.5 * hat_n - 0.5 * hat_prev)
             traj.append(t, w, snap)

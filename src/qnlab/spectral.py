@@ -4,7 +4,9 @@ Real fields use numpy's real-to-complex transforms, half the work of complex
 ones, with symbols on the rfft half spectrum; complex fields (wave functions,
 FFT-order coefficients) use the full transform. Symbols are cached per grid.
 Derivative symbols zero the Nyquist mode, which on real fields agrees to
-roundoff with keeping it and taking the real part.
+roundoff with keeping it and taking the real part. Sums over the spectrum
+(Parseval) go through `Symbols.parseval`, which owns the half-spectrum
+conjugate-pair weight.
 """
 from __future__ import annotations
 
@@ -31,7 +33,10 @@ class Symbols:
 
     ik[axis] = i 2 pi k_axis with the Nyquist mode zeroed, broadcastable as
     (n, 1) and (1, m) in 2-D; minus_k2 = -|2 pi k|^2; inv_k2 = 1/|2 pi k|^2,
-    0 at k = 0; dealias = 1 where every |k_axis| <= n/3 (2/3 rule), else 0.
+    0 at k = 0; dealias = 1 where every |k_axis| <= n/3 (2/3 rule), else 0;
+    pair_weight = 1 on the self-conjugate last-axis modes 0 and n/2 of the half
+    spectrum and 2 on its other modes, which stand for a conjugate pair (1
+    everywhere on the full spectrum).
     """
 
     def __init__(self, grid, *, real: bool) -> None:
@@ -48,7 +53,9 @@ class Symbols:
         self.minus_k2 = -k2
         self.inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 != 0.0)
         self.dealias = reduce(np.logical_and, [np.abs(m) <= n / 3.0 for m in modes]).astype(float)
-        for arr in (*self.ik, self.minus_k2, self.inv_k2, self.dealias):
+        last = np.abs(modes[-1])
+        self.pair_weight = np.where(real & (last != 0) & (last != n / 2), 2.0, 1.0)
+        for arr in (*self.ik, self.minus_k2, self.inv_k2, self.dealias, self.pair_weight):
             arr.flags.writeable = False
 
     def forward(self, values: np.ndarray) -> np.ndarray:
@@ -56,6 +63,11 @@ class Symbols:
 
     def inverse(self, hat: np.ndarray) -> np.ndarray:
         return irfft(hat, self.shape) if self.real else ifft(hat)
+
+    def parseval(self, power: np.ndarray) -> float:
+        """Sum over the full spectrum of `power`, a function of |c_k| given on
+        this layout, such as |f_hat|^2 times a real even symbol."""
+        return float((power * self.pair_weight).sum())
 
     def apply(self, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
         """The multiplier `symbol` applied to grid values: one transform pair."""

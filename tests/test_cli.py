@@ -169,6 +169,20 @@ class TestExitCodes:
         assert main(["euler_run", "--config", cfg]) == 2
         assert "positive" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("item", [
+        "physics.T=nan", "physics.T=inf", "physics.dt=nan", "initial.rho0_amp=nan",
+        "physics.eps=0.02,nan",
+    ])
+    def test_non_finite_value_exit_two(self, tmp_path, capsys, item):
+        cfg = write_cfg(tmp_path, SWEEP_CFG)
+        code = main(["quasineutral_sweep", "--config", cfg, "--set", item,
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["type"] == "ConfigError"
+        assert repr(item.partition("=")[0]) in record["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_kind_mismatch_exit_two(self, tmp_path):
         cfg = write_cfg(tmp_path, "kind = pb_solve\n")
         assert main(["euler_run", "--config", cfg]) == 2

@@ -125,6 +125,14 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="cannot parse"):
             build_config({"physics.T": "soon"}, "pb_solve")
 
+    @pytest.mark.parametrize("key, text", [
+        ("physics.T", "nan"), ("physics.dt", "-inf"), ("initial.u0_amp", "inf"),
+        ("physics.hbar", "0.1, nan"),
+    ])
+    def test_non_finite_float_rejected(self, key, text):
+        with pytest.raises(ConfigError, match=rf"key '{key}': .* is not finite"):
+            build_config({key: text}, "pb_solve")
+
     def test_grid_power_of_two(self):
         with pytest.raises(ConfigError, match="power of two"):
             build_config({"grid.n": "100"}, "pb_solve")

@@ -8,7 +8,7 @@ from conftest import full_wavenumbers
 from qnlab import euler, spectral
 from qnlab.config import sample_steps
 from qnlab.errors import BlowupGuardTripped
-from qnlab.grid import ComplexField, RealField, TorusGrid, integrate
+from qnlab.grid import ComplexField, RealField, TorusGrid, gradient, integrate
 from qnlab.euler import (
     EulerState,
     euler_constants,
@@ -105,13 +105,19 @@ def test_rhs_matches_complex_reference(dim, n):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("dim, n, per_stage", [(1, 64, 8), (2, 32, 15)])
+@pytest.mark.parametrize("dim, n, per_stage", [(1, 64, 5), (2, 32, 11)])
 def test_rk4_stage_uses_real_transforms_only(transforms, dim, n, per_stage):
     counts = transforms.counts
-    steps = 3
-    run_euler(full_spectrum_state(TorusGrid(dim, n), seed=5), steps * 1e-4, 1e-4)
-    # the blow-up guard reads the first stage's derivatives and transforms nothing
-    assert counts["rfft"] + counts["irfft"] == steps * 4 * per_stage
+    steps, samples = 3, 2  # sample_every = 2 reports steps 2 and 3 after s0
+    run_euler(full_spectrum_state(TorusGrid(dim, n), seed=5), steps * 1e-4, 1e-4,
+              sample_every=2)
+    stages = 4 * steps
+    # a stage transforms forward only the dim + 1 summed advection terms, the
+    # rest of its transforms are inverse; the state enters as dim + 1 forward
+    # transforms and leaves as dim + 1 inverse ones per sample; the blow-up
+    # guard reads the first stage's derivatives and transforms nothing
+    assert counts["rfft"] == (dim + 1) * (1 + stages)
+    assert counts["irfft"] == (per_stage - (dim + 1)) * stages + (dim + 1) * samples
     assert counts["fft"] + counts["ifft"] == 0
 
 
@@ -137,7 +143,8 @@ def test_blowup_guard_trips_on_nan():
                     [RealField(g, np.zeros(g.shape)) for _ in range(2)])
     s0.u[1].values[3, 5] = np.nan  # past the field check, as a step between samples could
     sups: list = []
-    euler._rhs(spectral.symbols(g, real=True), s0.log_rho.values, [c.values for c in s0.u], sups)
+    sym = spectral.symbols(g, real=True)
+    euler._rhs(sym, sym.forward(s0.log_rho.values), [sym.forward(c.values) for c in s0.u], sups)
     assert np.isnan(euler._grad_u_sup(sups))
     with pytest.raises(BlowupGuardTripped, match=r"\|\|grad u\|\|_inf > 50.0 at t = 0.0000$"):
         run_euler(s0, 0.01, 1e-3, sample_every=10)
@@ -286,6 +293,45 @@ def test_constants_match_finite_difference_in_time(grid):
             np.fft.ifft(np.fft.fft(d) * 1j * full_wavenumbers(grid, 0)).real ** 2)
         fd = max(fd, float(np.sqrt(h1_sq)))
     assert abs(c["dt_log_rho_h1"] - fd) <= 0.05 * fd
+
+
+def grid_space_constants(traj):
+    """The grid-space formula of euler_constants: every norm a grid mean of
+    spectral derivatives, each through its own transform pair."""
+    def h1(f):
+        sq = sum((np.mean(d.values**2) for d in gradient(f)), np.mean(f.values**2))
+        return float(np.sqrt(sq))
+
+    sup_grad_u = sup_log_h1 = sup_dt_log_h1 = sup_grad_advection = 0.0
+    for s in traj:
+        d_log, _ = euler_rhs(s)
+        sup_grad_u = max(sup_grad_u, max(float(np.max(np.abs(d.values)))
+                                         for c in s.u for d in gradient(c)))
+        sup_log_h1 = max(sup_log_h1, h1(s.log_rho))
+        sup_dt_log_h1 = max(sup_dt_log_h1, h1(d_log))
+        advect = sum(u_j.values * d.values for u_j, d in zip(s.u, gradient(s.log_rho)))
+        grad_sq = sum(float(np.mean(d.values**2)) for d in gradient(RealField(s.grid, advect)))
+        sup_grad_advection = max(sup_grad_advection, float(np.sqrt(grad_sq)))
+    return {
+        "sup_grad_u": sup_grad_u,
+        "log_rho_h1": sup_log_h1,
+        "dt_log_rho_h1": sup_dt_log_h1,
+        "log_rho_w1inf_h1": max(sup_log_h1, sup_dt_log_h1),
+        "sup_grad_advection": sup_grad_advection,
+    }
+
+
+@pytest.mark.parametrize("dim, n", [(1, 2048), (2, 64)])
+def test_constants_match_grid_space_formula(dim, n):
+    # white noise loads the Nyquist and 2/3-rule edge modes, where the
+    # half-spectrum Parseval weights and the zeroed Nyquist derivative matter
+    g = TorusGrid(dim, n)
+    traj = [full_spectrum_state(g, seed) for seed in (11, 12, 13)]
+    got = euler_constants(traj)
+    ref = grid_space_constants(traj)
+    assert got.keys() == ref.keys()
+    for key in ref:
+        assert abs(got[key] - ref[key]) <= 1e-12 * ref[key], key
 
 
 def test_constants_empty_trajectory_rejected():

@@ -4,6 +4,7 @@ import pytest
 from conftest import full_k_squared
 
 from qnlab import schrodinger
+from qnlab.config import sample_steps
 from qnlab.energy import total_energy
 from qnlab.errors import StepTooLarge
 from qnlab.experiments import _cos_profiles
@@ -222,6 +223,29 @@ def test_warm_start_needs_about_one_newton_iteration(monkeypatch):
     assert sum(iterations) <= 1.2 * len(iterations)
 
 
+def test_run_matches_repeated_strang_steps():
+    # the sweep_1d point: eps = hbar = 0.025, n = 2048, dt = 1e-4; run carries
+    # coefficients and fuses kinetic half steps, step_strang starts from grid
+    # values and solves the potential cold, so they differ only by roundoff
+    # and the Newton tolerance
+    g = TorusGrid(1, 2048)
+    rho0, u0pot = _cos_profiles(g, 0.5, 0.1)
+    w = well_prepared(WellPreparedSpec(rho0, u0pot, 0.025, 0.025))
+    dt, steps = 1e-4, 50
+    traj = run(w, steps * dt, dt, sample_every=7)
+    expected = {}
+    for i in range(1, steps + 1):
+        w = step_strang(w, dt)
+        expected[i] = w.psi.values
+    sampled = sample_steps(steps * dt, dt, 7)
+    assert sampled == [0, 7, 14, 21, 28, 35, 42, 49, 50]
+    assert len(traj.snapshots) == len(sampled)
+    for i, (t, wf, _) in zip(sampled[1:], traj.snapshots[1:]):
+        assert t == pytest.approx(i * dt, rel=1e-12)
+        ref = expected[i]
+        assert np.max(np.abs(wf.psi.values - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 def test_kinetic_phase_guard(grid):
     w = plane_wave(grid, hbar=0.5)
     with pytest.raises(StepTooLarge):
@@ -240,8 +264,11 @@ def test_kinetic_phase_guard_counts_every_axis():
 
 
 def test_run_transforms_only_in_steps(monkeypatch, transforms, prepared):
-    # outside the potential solves, a step is two half-kinetic transform
-    # pairs; samples cost nothing, their energies are the caller's
+    # outside the potential solves, a step is one transform pair: the closing
+    # half-kinetic factor of a step and the opening one of the next are one
+    # multiplier on the carried coefficients. The start transforms psi
+    # forward once, and each sample after t0 costs one inverse transform;
+    # its energies are the caller's
     def uncounted(*args, **kwargs):
         transforms.paused = True
         try:
@@ -252,7 +279,8 @@ def test_run_transforms_only_in_steps(monkeypatch, transforms, prepared):
     monkeypatch.setattr(schrodinger, "solve_potential", uncounted)
     steps = 10
     run(prepared, steps * 1e-3, 1e-3, sample_every=2)
-    assert transforms.counts == {"fft": 2 * steps, "ifft": 2 * steps, "rfft": 0, "irfft": 0}
+    samples = steps // 2
+    assert transforms.counts == {"fft": 1 + steps, "ifft": steps + samples, "rfft": 0, "irfft": 0}
 
 
 def test_potential_phase_guard():

@@ -53,7 +53,7 @@ def test_symbols_cached_per_grid_and_read_only():
     sym = spectral.symbols(TorusGrid(2, 64), real=True)
     assert spectral.symbols(TorusGrid(2, 64), real=True) is sym
     assert spectral.symbols(TorusGrid(2, 64), real=False) is not sym
-    for arr in (*sym.ik, sym.minus_k2, sym.inv_k2, sym.dealias):
+    for arr in (*sym.ik, sym.minus_k2, sym.inv_k2, sym.dealias, sym.pair_weight):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
 
@@ -78,3 +78,14 @@ def test_h_minus1_norm_counts_conjugate_pairs(grid):
     terms[(0,) * grid.dim] = 0.0
     want = float(np.sqrt(terms.sum()))
     assert h_minus1_norm(RealField(grid, vals)) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=str)
+def test_parseval_sums_the_full_spectrum(grid):
+    # grid mean of f^2 = sum over the full spectrum of |c_k|^2, on either layout
+    vals = white_noise(grid, seed=9)
+    want = float(np.mean(vals**2))
+    for real in (True, False):
+        sym = spectral.symbols(grid, real=real)
+        power = np.abs(sym.forward(vals) / grid.size) ** 2
+        assert sym.parseval(power) == pytest.approx(want, rel=1e-13)
