@@ -21,8 +21,8 @@ def sample_steps(big_t: float, dt: float, sample_every: int) -> list:
     """Step indices an integrator run to ~big_t reports: step 0, every
     sample_every-th step and the last step. big_t rounds to a whole number of
     steps, at least one when big_t > 0; the last index is the step count."""
-    if big_t < 0 or dt <= 0:
-        raise ValueError("need T >= 0 and dt > 0")
+    if not (0 <= big_t < math.inf and dt > 0):
+        raise ValueError("need T finite and >= 0 and dt > 0")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     n_steps = max(1, int(round(big_t / dt))) if big_t > 0 else 0
@@ -210,7 +210,7 @@ def build_config(raw: dict, kind: str, out_override: str | None = None,
 
     # phase e^{iU0/hbar} must be resolved: n >= 8 sup|U0'| / (2 pi min hbar)
     u0_amp = typed["initial.u0_amp"]
-    required = 8.0 * abs(u0_amp) / (2.0 * 3.141592653589793 * min(hbar))
+    required = 8.0 * abs(u0_amp) / (2.0 * math.pi * min(hbar))
     if n < required:
         raise ConfigError(
             f"grid.n = {n} under-resolves the phase for hbar = {min(hbar)}; need n >= {required:.1f}"

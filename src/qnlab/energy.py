@@ -78,7 +78,7 @@ def ckp_check(m: RealField, rho: RealField) -> dict:
 
 def field_energy(split) -> float:
     """(eps/2) int |grad V|^2 for the full potential of a split."""
-    v = split.potential()
+    v = split.potential
     total = 0.0
     for j in range(v.grid.dim):
         total += float(np.mean(spectral_derivative(v, j).values ** 2))
@@ -92,9 +92,9 @@ def total_energy(w, split) -> EnergyReport:
     kinetic = 0.0
     for dpsi in w.gradient:
         kinetic += 0.5 * w.hbar**2 * float(np.mean(np.abs(dpsi) ** 2))
-    v = split.potential()
+    v = split.potential
     fld = field_energy(split)
-    m = split.background()
+    m = split.background
     boltz = float(np.mean(v.values * m.values))
     rel = relative_entropy(m, RealField(grid, np.ones(grid.shape)))
     return EnergyReport(
@@ -115,7 +115,7 @@ def modulated_total(w, split, euler) -> EnergyReport:
     state is at the same time (within half a step).
     """
     kin = kinetic_modulated(w, euler.u)
-    rel = relative_entropy(split.background(), RealField(w.psi.grid, np.exp(euler.log_rho.values)))
+    rel = relative_entropy(split.background, RealField(w.psi.grid, np.exp(euler.log_rho.values)))
     conserved = total_energy(w, split)
     return EnergyReport(
         time=w.time,
@@ -139,7 +139,7 @@ def weak_distances(w, euler, split, test_fields=()) -> dict:
     diff = rho_q.values - rho_fluid
     diff = diff - diff.mean()
     h_m1 = h_minus1_norm(RealField(grid, diff))
-    l1 = float(np.mean(np.abs(split.background().values - rho_fluid)))
+    l1 = float(np.mean(np.abs(split.background.values - rho_fluid)))
 
     kin = kinetic_modulated(w, euler.u)
     j = current(w)

@@ -102,9 +102,9 @@ def _sweep_point(task: dict) -> dict:
             wd = weak_distances(w, est, split, test_fields=fields)
             currents_ok &= all(c["passed"] for c in wd["currents"])
             current_err = max(abs(c["value"]) for c in wd["currents"])
-            v = split.potential().values
+            v = split.potential.values
             sup_bound_ok &= eps * float(np.max(np.abs(v))) <= 1.0 + 1e-9
-            mass_defect = max(mass_defect, abs(integrate(split.background()) - 1.0))
+            mass_defect = max(mass_defect, abs(integrate(split.background) - 1.0))
             rows.append({
                 "eps": float(eps),
                 "hbar": float(hbar),
@@ -192,7 +192,7 @@ def _run_pb(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
         split = solve_pb(h, cfg.eps[0])
     except Exception as exc:  # noqa: BLE001
         return [_error_record(exc, "pb_solve", eps=float(cfg.eps[0]))]
-    v = split.potential()
+    v = split.potential
     validation = validate_elliptic_bounds(split, h)
     summary["pb"] = {
         "eps": float(cfg.eps[0]),
@@ -202,13 +202,13 @@ def _run_pb(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
         "cg_iterations": int(split.info["cg_iterations"]),
         "cg_failures": int(split.info["cg_failures"]),
         "sup_v": float(np.max(np.abs(v.values))),
-        "background_mass": float(integrate(split.background())),
+        "background_mass": float(integrate(split.background)),
         "checks": {name: bool(block["passed"]) for name, block in validation.items()},
     }
     if grid.dim == 1:
         reports.emit_csv(out_dir / "plotdata" / "potential.csv",
                          ("x", "v", "background"),
-                         zip(grid.axis_points(), v.values, split.background().values))
+                         zip(grid.axis_points(), v.values, split.background.values))
     return []
 
 

@@ -91,11 +91,6 @@ def l2_norm(f: Field) -> float:
     return float(np.sqrt(np.mean(np.abs(f.values) ** 2)))
 
 
-def fourier_coefficients(f: Field) -> np.ndarray:
-    """Coefficients c_k with f(x) = sum_k c_k exp(2*pi*i k.x) for band-limited f."""
-    return spectral.fft(f.values) / f.grid.size
-
-
 def _apply(f: Field, pick) -> Field:
     """Apply the multiplier pick(symbols) of f's spectrum layout to f."""
     real = isinstance(f, RealField)

@@ -8,8 +8,8 @@ import numpy as np
 
 from .errors import NotAProbabilityDensity, NotPositive
 from .grid import ComplexField, RealField, TorusGrid, integrate, laplacian
-from .nbody import w1_circle
-from .poisson_boltzmann import ParticleConfig, solve_pb_empirical, wrap_half
+from .nbody import ParticleConfig, w1_circle, wrap_half
+from .poisson_boltzmann import solve_pb_empirical
 from .schrodinger import WaveFunction
 
 # annular bump profile: supported where 3/16 < |z| < 1/4; the exponent is
@@ -29,7 +29,7 @@ class WellPreparedSpec:
     hbar: float
 
     def __post_init__(self) -> None:
-        if self.eps <= 0 or self.hbar <= 0:
+        if not (self.eps > 0 and self.hbar > 0):
             raise ValueError("eps and hbar must be positive")
         if float(np.min(self.rho0.values)) <= 0.0:
             raise NotAProbabilityDensity("rho0 must be strictly positive")
@@ -129,7 +129,7 @@ def entropy_w1_check(x: ParticleConfig, rho0: RealField, rho_eps: RealField,
     int m log(m/rho0) <= (5/(4 eps^{3/2})) W1(mu_X, rho_eps)."""
     grid = rho0.grid
     split = solve_pb_empirical(x, eps, grid)
-    m = split.background().values
+    m = split.background.values
     lhs = float(np.mean(m * (np.log(np.maximum(m, 1e-300)) - np.log(rho0.values))))
     w1 = w1_circle(x, rho_eps)
     rhs = 5.0 / (4.0 * eps**1.5) * w1

@@ -1,6 +1,6 @@
-"""1-D N-particle electrostatics: renormalized energy of an empirical measure
-against a background density, coercivity/commutator functionals, circle
-Wasserstein-1 distances, and Monte-Carlo statistics for uniform ensembles.
+"""1-D N-particle electrostatics on the unit circle: configurations, the Green
+kernel, renormalized energy against a background density, coercivity and
+commutator functionals, Wasserstein-1 distances, and Monte-Carlo statistics.
 
 Particle sums are exact and cost O(N log N): on the unit circle the Green
 kernel is K(y) = (f^2 - f)/2 with f = frac(y), so over sorted positions, with
@@ -25,14 +25,71 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .grid import RealField, fourier_coefficients, integrate, l2_norm, spectral_derivative
-from .poisson_boltzmann import ParticleConfig, green_prime_symbol, green_symbol
+from .grid import RealField, TorusGrid, integrate, l2_norm, spectral_derivative
 
 # points per block in modal sums; a block holds O(block * sqrt(n)) phases
 POINT_BLOCK = 2048
 # atoms per block of Monte-Carlo configurations reduced together; small blocks
 # keep the temporaries in cache and peak memory flat
 MC_BLOCK_ATOMS = 1 << 12
+
+
+# ---------------------------------------------------------------------------
+# 1-D Green kernel of -d^2/dx^2 on the unit circle (zero-mean gauge + 1/12)
+# ---------------------------------------------------------------------------
+
+def wrap_half(x: np.ndarray | float) -> np.ndarray:
+    """Wrap to the fundamental domain [-1/2, 1/2)."""
+    x = np.asarray(x, dtype=float)
+    return x - np.floor(x + 0.5)
+
+
+def green_kernel(x: np.ndarray | float) -> np.ndarray:
+    """K(x) = (x^2 - |x|)/2 on the wrapped representative; K(0) = 0, int K = -1/12."""
+    y = wrap_half(x)
+    return 0.5 * (y * y - np.abs(y))
+
+
+def green_kernel_prime(x: np.ndarray | float) -> np.ndarray:
+    """K'(x) = x - sign(x)/2 wrapped; odd sawtooth, K'(0) = 0 by convention."""
+    y = wrap_half(x)
+    return y - 0.5 * np.sign(y)
+
+
+def green_symbol(grid: TorusGrid) -> np.ndarray:
+    """Half-spectrum multiplier of K: 1/|2 pi k|^2 away from k = 0, -1/12 at k = 0."""
+    sym = spectral.symbols(grid, real=True).inv_k2.copy()
+    sym[(0,) * grid.dim] = -1.0 / 12.0
+    return sym
+
+
+def green_prime_symbol(grid: TorusGrid) -> np.ndarray:
+    """Half-spectrum multiplier of K' = i/(2 pi k), zero where ik is (k = 0, Nyquist)."""
+    if grid.dim != 1:
+        raise ValueError("K' symbol is one-dimensional")
+    ik = spectral.symbols(grid, real=True).ik[0]
+    return np.divide(-1.0, ik, out=np.zeros_like(ik), where=ik != 0.0)
+
+
+@dataclass
+class ParticleConfig:
+    """N point charges on the unit circle; positions stored wrapped to [0, 1)."""
+
+    positions: np.ndarray
+
+    def __post_init__(self) -> None:
+        pos = np.atleast_1d(np.asarray(self.positions, dtype=float))
+        if pos.ndim != 1 or pos.size < 1:
+            raise ValueError("positions must be a nonempty 1-D array")
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("positions must be finite")
+        pos = pos % 1.0
+        # a tiny negative position wraps to exactly 1.0; keep [0, 1) half-open
+        self.positions = np.where(pos < 1.0, pos, 0.0)
+
+    @property
+    def n(self) -> int:
+        return self.positions.size
 
 
 @dataclass
@@ -54,24 +111,26 @@ def _check_density(mu: RealField, tol: float = 1e-6) -> None:
         raise ValueError(f"density integrates to {integrate(mu)!r}, not 1")
 
 
-def _modal_sums(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Re sum_k c_k exp(2 pi i k x) at every point, one column per coefficient
-    column (rows in FFT order, modes -n/2 .. n/2 - 1).
+def _modal_sums(grid: TorusGrid, hats: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Values at every point of the real fields whose rfft coefficients are
+    the columns of `hats` (rows in half-spectrum order, modes 0 .. n/2):
+    Re sum_k w_k (hat_k / n) exp(2 pi i k x), with w_k = Symbols.pair_weight.
 
-    Each mode splits as k = -n/2 + a*B + b with B ~ sqrt(n), so a block of
+    Each mode splits as k = a*B + b from 0 with B ~ sqrt(n/2), so a block of
     points needs only O(sqrt(n)) complex exponentials per point and one
     matrix product; values agree with the direct N x n phase sum to roundoff.
     """
     points = np.asarray(points, dtype=float)
-    n, m = coeffs.shape
-    fine_n = 1 << (n.bit_length() // 2)
-    coarse_n = -(-n // fine_n)
+    modes, m = hats.shape
+    weight = spectral.symbols(grid, real=True).pair_weight / grid.size
+    fine_n = 1 << (modes.bit_length() // 2)
+    coarse_n = -(-modes // fine_n)
     padded = np.zeros((coarse_n * fine_n, m), dtype=complex)
-    padded[:n] = np.roll(coeffs, n // 2, axis=0)  # modes -n/2 .. n/2 - 1 in order
-    # table[b, a*m + col] = coefficient of mode -n/2 + a*B + b in column col
+    padded[:modes] = hats * weight[:, None]
+    # table[b, a*m + col] = weighted coefficient of mode a*B + b in column col
     table = padded.reshape(coarse_n, fine_n, m).transpose(1, 0, 2).reshape(fine_n, -1)
     fine = 2j * np.pi * np.arange(fine_n)
-    coarse = 2j * np.pi * (fine_n * np.arange(coarse_n) - n // 2)
+    coarse = 2j * np.pi * fine_n * np.arange(coarse_n)
     out = np.empty((points.size, m))
     for start in range(0, points.size, POINT_BLOCK):
         x = points[start:start + POINT_BLOCK, None]
@@ -84,7 +143,7 @@ def trig_interp_at(f: RealField, points: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of a grid field at off-grid points."""
     if f.grid.dim != 1:
         raise ValueError("interpolation helper is one-dimensional")
-    return _modal_sums(fourier_coefficients(f)[:, None], points)[:, 0]
+    return _modal_sums(f.grid, spectral.rfft(f.values)[:, None], points)[:, 0]
 
 
 def kernel_convolution(mu: RealField, points: np.ndarray | None = None,
@@ -92,10 +151,9 @@ def kernel_convolution(mu: RealField, points: np.ndarray | None = None,
     """(K * mu) (or (K' * mu)) on the grid, or at arbitrary points if given."""
     grid = mu.grid
     sym = green_prime_symbol(grid) if prime else green_symbol(grid)
-    coeff = fourier_coefficients(mu) * sym
     if points is None:
-        return spectral.ifft(coeff * grid.size).real
-    return _modal_sums(coeff[:, None], points)[:, 0]
+        return spectral.symbols(grid, real=True).apply(mu.values, sym)
+    return _modal_sums(grid, (spectral.rfft(mu.values) * sym)[:, None], points)[:, 0]
 
 
 def _centered_offsets(x_sorted: np.ndarray) -> np.ndarray:
@@ -119,8 +177,8 @@ def _energy(x: ParticleConfig, mu: RealField, conv_at_points: np.ndarray) -> Ren
     n = x.n
     pair = float(_flat_energy(np.sort(x.positions))) - 1.0 / 12.0
     cross = -2.0 * float(np.mean(conv_at_points))
-    mu_hat = fourier_coefficients(mu)
-    self_term = float(np.sum(green_symbol(mu.grid) * np.abs(mu_hat) ** 2).real)
+    power = green_symbol(mu.grid) * np.abs(spectral.rfft(mu.values)) ** 2
+    self_term = spectral.symbols(mu.grid, real=True).parseval(power) / mu.grid.size**2
     counterterm = (1.0 + float(np.max(mu.values))) / n**2
     return RenormalizedEnergy(value=pair + cross + self_term, n=n, counterterm=counterterm)
 
@@ -166,14 +224,14 @@ def commutator_functional(x: ParticleConfig, mu: RealField, u: RealField) -> dic
     n = x.n
     grid = mu.grid
     kp = green_prime_symbol(grid)
-    mu_hat = fourier_coefficients(mu)
-    coeffs = np.stack([
-        fourier_coefficients(u),
+    mu_hat = spectral.rfft(mu.values)
+    hats = np.stack([
+        spectral.rfft(u.values),
         mu_hat * kp,
-        fourier_coefficients(RealField(grid, u.values * mu.values)) * kp,
+        spectral.rfft(u.values * mu.values) * kp,
         mu_hat * green_symbol(grid),
     ], axis=1)
-    u_at, conv_mu, conv_umu, conv_k = _modal_sums(coeffs, x.positions).T
+    u_at, conv_mu, conv_umu, conv_k = _modal_sums(grid, hats, x.positions).T
 
     order = np.argsort(x.positions, kind="stable")
     u_sorted = u_at[order]

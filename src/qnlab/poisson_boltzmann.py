@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .grid import (
     l2_norm,
     spectral_derivative,
 )
+from .nbody import ParticleConfig, w1_circle
 
 log = logging.getLogger(__name__)
 
@@ -36,79 +38,24 @@ W1_SLACK = 1e-8
 _EXP_CLIP = 700.0
 
 
-# ---------------------------------------------------------------------------
-# 1-D Green kernel of -d^2/dx^2 on the unit circle (zero-mean gauge + 1/12)
-# ---------------------------------------------------------------------------
-
-def wrap_half(x: np.ndarray | float) -> np.ndarray:
-    """Wrap to the fundamental domain [-1/2, 1/2)."""
-    x = np.asarray(x, dtype=float)
-    return x - np.floor(x + 0.5)
-
-
-def green_kernel(x: np.ndarray | float) -> np.ndarray:
-    """K(x) = (x^2 - |x|)/2 on the wrapped representative; K(0) = 0, int K = -1/12."""
-    y = wrap_half(x)
-    return 0.5 * (y * y - np.abs(y))
-
-
-def green_kernel_prime(x: np.ndarray | float) -> np.ndarray:
-    """K'(x) = x - sign(x)/2 wrapped; odd sawtooth, K'(0) = 0 by convention."""
-    y = wrap_half(x)
-    return y - 0.5 * np.sign(y)
-
-
-def green_symbol(grid: TorusGrid) -> np.ndarray:
-    """Fourier multiplier of K: 1/|2 pi k|^2 away from k = 0, -1/12 at k = 0."""
-    sym = spectral.symbols(grid, real=False).inv_k2.copy()
-    sym[(0,) * grid.dim] = -1.0 / 12.0
-    return sym
-
-
-def green_prime_symbol(grid: TorusGrid) -> np.ndarray:
-    """Fourier multiplier of K' = i/(2 pi k), zero where ik is (k = 0, Nyquist)."""
-    if grid.dim != 1:
-        raise ValueError("K' symbol is one-dimensional")
-    ik = spectral.symbols(grid, real=False).ik[0]
-    return np.divide(-1.0, ik, out=np.zeros_like(ik), where=ik != 0.0)
-
-
-@dataclass
-class ParticleConfig:
-    """N point charges on the unit circle; positions stored wrapped to [0, 1)."""
-
-    positions: np.ndarray
-
-    def __post_init__(self) -> None:
-        pos = np.atleast_1d(np.asarray(self.positions, dtype=float))
-        if pos.ndim != 1 or pos.size < 1:
-            raise ValueError("positions must be a nonempty 1-D array")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("positions must be finite")
-        pos = pos % 1.0
-        # a tiny negative position wraps to exactly 1.0; keep [0, 1) half-open
-        self.positions = np.where(pos < 1.0, pos, 0.0)
-
-    @property
-    def n(self) -> int:
-        return self.positions.size
-
-
 @dataclass
 class PotentialSplit:
-    """Solution pair (tilde, hat) of the split potential, V = tilde + hat."""
+    """Solution pair (tilde, hat) of the split potential, V = tilde + hat; V
+    and exp(V) are built on first use and kept with the split."""
 
     tilde: RealField
     hat: RealField
     eps: float
     info: dict = field(default_factory=dict)
 
+    @cached_property
     def potential(self) -> RealField:
         return RealField(self.tilde.grid, self.tilde.values + self.hat.values)
 
+    @cached_property
     def background(self) -> RealField:
         """The thermalized density m = exp(V)."""
-        return RealField(self.tilde.grid, np.exp(self.potential().values))
+        return RealField(self.tilde.grid, np.exp(self.potential.values))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +176,10 @@ def _newton_hat(
 
 
 def solve_tilde(h: RealField, eps: float) -> RealField:
-    """The linear part: -eps*Lap(tilde) = h - mean(h), mean(tilde) = 0."""
+    """The linear part: -eps*Lap(tilde) = h - mean(h), mean(tilde) = 0. Both
+    closure modes of a smooth density go through here."""
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     # project the (at most 1e-8) mass defect so the linear solve is exactly
     # solvable; the second subtraction kills the roundoff left by the division
     rhs_vals = (h.values - h.values.mean()) / eps
@@ -239,8 +189,6 @@ def solve_tilde(h: RealField, eps: float) -> RealField:
 
 def solve_pb(h: RealField, eps: float, *, hat0: np.ndarray | None = None) -> PotentialSplit:
     """Solve -eps*Lap(V) = h - exp(V) for a smooth probability density h."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     if float(np.min(h.values)) < 0.0:
         raise NotAProbabilityDensity("density has negative values")
     total = integrate(h)
@@ -299,7 +247,7 @@ def solve_pb_empirical(
     """
     if grid.dim != 1:
         raise ValueError("empirical solves are one-dimensional")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     tilde_vals = empirical_tilde(x, eps, grid)
     data = RealField(grid, 1.0 - np.exp(np.clip(tilde_vals, None, _EXP_CLIP)))
@@ -324,7 +272,7 @@ def lipschitz_hat_prime(split: PotentialSplit) -> float:
     """
     if split.tilde.grid.dim != 1:
         raise ValueError("Lipschitz diagnostic is one-dimensional")
-    v = split.potential().values
+    v = split.potential.values
     return float(np.max(np.abs(np.exp(v) - 1.0))) / split.eps
 
 
@@ -353,11 +301,11 @@ def validate_elliptic_bounds(split: PotentialSplit, source) -> dict:
     eps = split.eps
     grid = split.tilde.grid
     report: dict = {}
-    v = split.potential()
+    v = split.potential
     if isinstance(source, ParticleConfig):
         report["sup_potential"] = _entry(float(np.max(np.abs(v.values))), 1.0 / eps)
     else:
-        report["l2_boltzmann"] = _entry(l2_norm(split.background()), l2_norm(source))
+        report["l2_boltzmann"] = _entry(l2_norm(split.background), l2_norm(source))
     if grid.dim == 1:
         lip = lipschitz_hat_prime(split)
         entry = _entry(lip, lipschitz_hat_prime_bound(eps) * (1.0 + LIP_SLACK))
@@ -367,7 +315,7 @@ def validate_elliptic_bounds(split: PotentialSplit, source) -> dict:
             np.max(np.abs(np.diff(np.append(hat_p, hat_p[0])))) * grid.n
         )
         report["lipschitz_hat_prime"] = entry
-    mass = float(integrate(split.background()))
+    mass = float(integrate(split.background))
     report["boltzmann_mass"] = {"value": mass, "passed": bool(abs(mass - 1.0) <= 1e-8)}
     return report
 
@@ -394,8 +342,6 @@ def w1_stability_check(h1, h2, eps: float, grid: TorusGrid | None = None) -> dic
     estimate lhs <= rhs, which the first relation shows fails for any two
     distinct inputs; they are reported, not tested.
     """
-    from .nbody import w1_circle  # local import; nbody depends on this module
-
     def solve(h):
         if isinstance(h, ParticleConfig):
             if grid is None:

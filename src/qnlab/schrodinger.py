@@ -29,7 +29,7 @@ class WaveFunction:
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.hbar <= 0 or self.eps <= 0:
+        if not (self.hbar > 0 and self.eps > 0):
             raise ValueError("hbar and eps must be positive")
         mass = float(integrate(RealField(self.psi.grid, np.abs(self.psi.values) ** 2)))
         if abs(mass - 1.0) > 1e-10:
@@ -106,7 +106,7 @@ def _step_core(chi_hat: np.ndarray, w: WaveFunction, dt: float, mode: str,
     psi = spectral.ifft(kinetic * chi_hat)
     rho = RealField(w.psi.grid, np.abs(psi) ** 2)
     split = solve_potential(rho, w.eps, mode, hat0)
-    v = split.potential().values
+    v = split.potential.values
     v_phase = float(np.max(np.abs(v))) * dt / w.hbar
     if v_phase >= np.pi:
         raise StepTooLarge(f"potential phase {v_phase:.3f} >= pi; shrink dt")
@@ -116,7 +116,7 @@ def _step_core(chi_hat: np.ndarray, w: WaveFunction, dt: float, mode: str,
 def step_strang(w: WaveFunction, dt: float, mode: str = "poisson_boltzmann") -> WaveFunction:
     """One Strang step: half kinetic, potential phase from the midpoint
     density, half kinetic. Exactly mass-conserving."""
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     _check_kinetic_phase(w, dt)
     half_kinetic = _half_kinetic(w, dt)

@@ -1,12 +1,12 @@
 """Every transform and Fourier multiplier of the torus grid.
 
 Real fields use numpy's real-to-complex transforms, half the work of complex
-ones, with symbols on the rfft half spectrum; complex fields (wave functions,
-FFT-order coefficients) use the full transform. Symbols are cached per grid.
+ones, with symbols on the rfft half spectrum; complex fields (wave functions)
+use the full transform. Symbols are cached per grid.
 Derivative symbols zero the Nyquist mode, which on real fields agrees to
 roundoff with keeping it and taking the real part. Sums over the spectrum
-(Parseval) go through `Symbols.parseval`, which owns the half-spectrum
-conjugate-pair weight.
+(Parseval through `Symbols.parseval`, point evaluations in qnlab.nbody) take
+the half-spectrum conjugate-pair weight from `Symbols.pair_weight`.
 """
 from __future__ import annotations
 

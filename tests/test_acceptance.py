@@ -25,11 +25,11 @@ from qnlab.experiments import _sweep_point
 from qnlab.grid import ComplexField, RealField, TorusGrid, integrate
 from qnlab.initial_data import (WellPreparedSpec, entropy_w1_check,
                                 quantum_density, sample_iid)
-from qnlab.nbody import mc_uniform_stats, renormalized_energy
-from qnlab.poisson_boltzmann import (ParticleConfig, green_kernel, solve_pb,
-                                     solve_pb_empirical,
+from qnlab.nbody import (ParticleConfig, green_kernel, mc_uniform_stats,
+                         renormalized_energy, wrap_half)
+from qnlab.poisson_boltzmann import (solve_pb, solve_pb_empirical,
                                      validate_elliptic_bounds,
-                                     w1_stability_check, wrap_half)
+                                     w1_stability_check)
 from qnlab.schrodinger import WaveFunction, density, run
 
 # For rho0 = exp(a cos 2 pi x)/I0(a) the prepared amplitude e^{V0} - eps*Lap(V0)
@@ -147,18 +147,18 @@ def test_ac04_elliptic_solver():
 
     def track(split):
         nonlocal mass_worst
-        mass_worst = max(mass_worst, abs(integrate(split.background()) - 1.0))
+        mass_worst = max(mass_worst, abs(integrate(split.background) - 1.0))
         return split
 
     flat = track(solve_pb(RealField(grid, np.ones(grid.n)), 0.1))
-    sup_flat = float(np.max(np.abs(flat.potential().values)))
+    sup_flat = float(np.max(np.abs(flat.potential.values)))
     if sup_flat > 1e-12:
         failures.append(f"flat source: sup|V| = {sup_flat:.3e} > 1e-12")
 
     a = 1e-4
     pert = track(solve_pb(RealField(grid, 1.0 + a * np.cos(2 * np.pi * x)), 0.1))
     linearized = a * np.cos(2 * np.pi * x) / (1.0 + 0.1 * (2.0 * np.pi) ** 2)
-    lin_err = float(np.max(np.abs(pert.potential().values - linearized)))
+    lin_err = float(np.max(np.abs(pert.potential.values - linearized)))
     if lin_err > 10 * a**2:
         failures.append(f"linearization error {lin_err:.3e} > {10 * a**2:.1e}")
 
@@ -192,7 +192,7 @@ def test_ac05_elliptic_bounds_on_empirical_sources():
         n, eps = sizes[i % 2], epss[(i // 2) % 3]
         x = ParticleConfig(rng.random(n))
         split = solve_pb_empirical(x, eps, grid)
-        if eps * float(np.max(np.abs(split.potential().values))) > 1.0:
+        if eps * float(np.max(np.abs(split.potential.values))) > 1.0:
             sup_bad += 1
         # Lip(hat') against the eps-dependent a-priori bound of the validator
         lip = validate_elliptic_bounds(split, x)["lipschitz_hat_prime"]

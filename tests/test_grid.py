@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import trig_poly
+from qnlab import spectral
 from qnlab.errors import NonZeroMean
 from qnlab.grid import (
     ComplexField,
     RealField,
     TorusGrid,
-    fourier_coefficients,
     gradient,
     h_minus1_norm,
     integrate,
@@ -193,7 +193,8 @@ def test_parseval(seed):
     rng = np.random.default_rng(seed)
     f = trig_poly(g, rng)
     phys = l2_norm(f) ** 2
-    spec = float(np.sum(np.abs(fourier_coefficients(f)) ** 2))
+    sym = spectral.symbols(g, real=True)
+    spec = sym.parseval(np.abs(sym.forward(f.values)) ** 2) / g.size**2
     assert abs(phys - spec) <= 1e-12 * max(phys, 1e-30)
 
 

@@ -1,4 +1,5 @@
-"""Source hygiene of the qnlab package: no unused imports, and the import
+"""Source hygiene of the qnlab package: no unused imports, imports at module
+level only, numpy's transforms behind qnlab.spectral, and the import
 direction between the solver and energy modules."""
 import ast
 import os
@@ -35,6 +36,21 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_module_level(path):
+    # a function-local import hides an import cycle
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    local = [f"{path.name}:{node.lineno}" for func in ast.walk(tree)
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert local == []
+
+
+def test_numpy_transforms_only_in_spectral():
+    users = [p.name for p in MODULES if "np.fft" in p.read_text(encoding="utf-8")]
+    assert users == ["spectral.py"]
 
 
 def test_schrodinger_does_not_import_energy():

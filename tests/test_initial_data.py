@@ -16,8 +16,7 @@ from qnlab.initial_data import (
     sample_iid,
     well_prepared,
 )
-from qnlab.nbody import ParticleConfig, w1_circle
-from qnlab.poisson_boltzmann import wrap_half
+from qnlab.nbody import ParticleConfig, w1_circle, wrap_half
 from qnlab.schrodinger import density, solve_potential
 
 

@@ -5,18 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from qnlab.grid import RealField, TorusGrid, fourier_coefficients
+from conftest import full_k_squared
+from qnlab.grid import RealField, TorusGrid
 from qnlab.nbody import (
+    ParticleConfig,
     _flat_energy,
     coercivity_check,
     commutator_functional,
+    green_kernel,
+    green_kernel_prime,
     kernel_convolution,
     mc_uniform_stats,
     renormalized_energy,
     trig_interp_at,
     w1_circle,
 )
-from qnlab.poisson_boltzmann import ParticleConfig, green_kernel, green_kernel_prime, green_symbol
 
 # configurations for the direct-sum oracles: random atoms, coincident atoms,
 # and atoms at both ends of [0, 1)
@@ -245,10 +248,30 @@ def test_point_evaluations_match_direct_phase_sum():
     mu = RealField(g, rho / rho.mean())
     pos = np.random.default_rng(3).random(3000)
     phases = np.exp(2j * np.pi * np.outer(pos, np.fft.fftfreq(g.n, d=1.0 / g.n)))
-    direct = (phases @ (fourier_coefficients(mu) * green_symbol(g))).real
+    coeffs = np.fft.fft(mu.values) / g.n
+    k2 = full_k_squared(g)
+    green = np.divide(1.0, k2, out=np.full(g.shape, -1.0 / 12.0), where=k2 != 0.0)
+    direct = (phases @ (coeffs * green)).real
     np.testing.assert_allclose(kernel_convolution(mu, pos), direct, rtol=1e-12, atol=1e-15)
-    direct = (phases @ fourier_coefficients(mu)).real
+    direct = (phases @ coeffs).real
     np.testing.assert_allclose(trig_interp_at(mu, pos), direct, rtol=1e-12)
+
+
+def test_particle_layer_uses_real_transforms_only(transforms):
+    g = TorusGrid(1, 256)
+    x = g.axis_points()
+    rho = np.exp(0.5 * np.cos(2 * np.pi * x))
+    mu = RealField(g, rho / rho.mean())
+    u = RealField(g, np.sin(2 * np.pi * x))
+    cfg = ParticleConfig(np.random.default_rng(4).random(64))
+    renormalized_energy(cfg, mu)
+    commutator_functional(cfg, mu, u)
+    coercivity_check(cfg, mu, u)
+    kernel_convolution(mu)
+    kernel_convolution(mu, prime=True)
+    trig_interp_at(u, cfg.positions)
+    assert transforms.counts["fft"] == transforms.counts["ifft"] == 0
+    assert transforms.counts["rfft"] > 0
 
 
 def test_commutator_ratio_bounded_by_velocity_lipschitz(grid256, flat):

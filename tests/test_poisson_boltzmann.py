@@ -9,13 +9,11 @@ from scipy.integrate import quad
 from qnlab import poisson_boltzmann
 from qnlab.errors import NewtonDiverged, NotAProbabilityDensity, PotentialSolveFailed
 from qnlab.grid import RealField, TorusGrid, integrate, l2_norm
+from qnlab.nbody import ParticleConfig, green_kernel, green_kernel_prime, wrap_half
 from qnlab.poisson_boltzmann import (
     CG_MAXITER,
-    ParticleConfig,
     empirical_tilde,
     empirical_tilde_prime,
-    green_kernel,
-    green_kernel_prime,
     lipschitz_hat_prime,
     lipschitz_hat_prime_bound,
     _newton_hat,
@@ -24,7 +22,6 @@ from qnlab.poisson_boltzmann import (
     solve_pb_empirical,
     validate_elliptic_bounds,
     w1_stability_check,
-    wrap_half,
 )
 from qnlab.schrodinger import solve_potential
 
@@ -32,7 +29,7 @@ from qnlab.schrodinger import solve_potential
 def residual_norm(split, h_vals):
     """L2 residual of -eps*Lap(V) = h - exp(V), computed spectrally."""
     g = split.tilde.grid
-    v = split.potential().values
+    v = split.potential.values
     lap = np.fft.ifftn(np.fft.fftn(v) * (-full_k_squared(g))).real
     return float(np.sqrt(np.mean((-split.eps * lap - h_vals + np.exp(v)) ** 2)))
 
@@ -88,8 +85,16 @@ def test_kernel_is_green_function_distributionally():
 def test_flat_density_zero_potential(grid256):
     h = RealField(grid256, np.ones(grid256.n))
     s = solve_pb(h, 0.7)
-    assert np.max(np.abs(s.potential().values)) == 0.0
+    assert np.max(np.abs(s.potential.values)) == 0.0
     assert s.info["iterations"] == s.info["cg_iterations"] == 0
+
+
+def test_potential_and_background_built_once(grid256):
+    x = grid256.axis_points()
+    s = solve_pb(RealField(grid256, 1.0 + 0.3 * np.cos(2 * np.pi * x)), 0.1)
+    assert s.potential is s.potential
+    assert s.background is s.background
+    np.testing.assert_array_equal(s.background.values, np.exp(s.potential.values))
 
 
 def test_small_amplitude_matches_linearization(grid256):
@@ -98,7 +103,7 @@ def test_small_amplitude_matches_linearization(grid256):
     h = RealField(grid256, 1.0 + a * np.cos(2 * np.pi * x))
     s = solve_pb(h, eps)
     v_lin = a * np.cos(2 * np.pi * x) / (4 * np.pi**2 * eps + 1.0)
-    assert np.max(np.abs(s.potential().values - v_lin)) <= 10 * a**2
+    assert np.max(np.abs(s.potential.values - v_lin)) <= 10 * a**2
 
 
 def test_matches_damped_fixed_point_oracle(grid256):
@@ -116,7 +121,7 @@ def test_matches_damped_fixed_point_oracle(grid256):
             break
         v = v_new
     s = solve_pb(RealField(grid256, rho), eps)
-    assert np.max(np.abs(s.potential().values - v)) <= 1e-9
+    assert np.max(np.abs(s.potential.values - v)) <= 1e-9
 
 
 @pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-3])
@@ -128,7 +133,7 @@ def test_residual_is_its_own_oracle(grid256, eps):
     s = solve_pb(h, eps)
     tol = 1e-10 * (1.0 + l2_norm(h))
     assert residual_norm(s, rho) <= tol
-    assert abs(integrate(s.background()) - 1.0) <= 1e-8
+    assert abs(integrate(s.background) - 1.0) <= 1e-8
     assert abs(np.mean(s.tilde.values)) <= 1e-12
 
 
@@ -321,7 +326,7 @@ def test_empirical_residual_and_mass(grid256):
     lap = np.fft.ifft(np.fft.fft(s.hat.values) * (-full_k_squared(grid256))).real
     res = -eps * lap - 1.0 + np.exp(s.tilde.values + s.hat.values)
     assert np.sqrt(np.mean(res**2)) <= s.info["tolerance"]
-    assert abs(integrate(s.background()) - 1.0) <= 1e-8
+    assert abs(integrate(s.background) - 1.0) <= 1e-8
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.1])
@@ -381,8 +386,8 @@ def test_lipschitz_in_configuration(grid256):
             pos = rng.random(n_part)
             moved = pos.copy()
             moved[0] = (moved[0] + delta) % 1.0
-            v1 = solve_pb_empirical(ParticleConfig(pos), eps, grid256).potential().values
-            v2 = solve_pb_empirical(ParticleConfig(moved), eps, grid256).potential().values
+            v1 = solve_pb_empirical(ParticleConfig(pos), eps, grid256).potential.values
+            v2 = solve_pb_empirical(ParticleConfig(moved), eps, grid256).potential.values
             assert np.max(np.abs(v1 - v2)) <= 4.0 * delta / (eps**1.5 * n_part)
 
 
@@ -398,8 +403,8 @@ def test_mollified_sup_trend(grid256):
     def mollified_gap(amp, eps):
         pert = base * (1.0 + amp * np.cos(4 * np.pi * x))
         pert /= pert.mean()
-        v1 = solve_pb(RealField(grid256, base), eps).potential().values
-        v2 = solve_pb(RealField(grid256, pert), eps).potential().values
+        v1 = solve_pb(RealField(grid256, base), eps).potential.values
+        v2 = solve_pb(RealField(grid256, pert), eps).potential.values
         return np.max(np.abs(np.fft.ifft(np.fft.fft(v1 - v2) * chi_hat).real))
 
     for eps in (1.0, 0.25):

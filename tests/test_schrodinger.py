@@ -160,7 +160,7 @@ def test_snapshot_splits_self_consistent(prepared_run):
     traj = prepared_run["coarse"]
     t, wf, split = traj.snapshots[-1]
     g = wf.psi.grid
-    v = split.potential().values
+    v = split.potential.values
     lap = np.fft.ifft(np.fft.fft(v) * (-full_k_squared(g))).real
     res = -wf.eps * lap - density(wf).values + np.exp(v)
     assert np.sqrt(np.mean(res**2)) <= 1e-9
