@@ -2,7 +2,8 @@
 
 Grammar: one `key = value` pair per line, `#` starts a comment, blank lines
 ignored.  Keys are dotted lowercase names; each key has a fixed type (scalar,
-string, or comma-separated list) declared in _KEY_TYPES.  CLI `--set key=value`
+string, or comma-separated list) declared in _KEYS, next to the
+ExperimentConfig field it fills and its default.  CLI `--set key=value`
 overrides are applied on the raw text values before typing.
 """
 from __future__ import annotations
@@ -30,39 +31,24 @@ def sample_steps(big_t: float, dt: float, sample_every: int) -> list:
     return steps if steps[-1] == n_steps else steps + [n_steps]
 
 
-# name -> parser tag
-_KEY_TYPES = {
-    "kind": "str",
-    "grid.dim": "int",
-    "grid.n": "int",
-    "physics.eps": "float_list",
-    "physics.hbar": "float_list",
-    "physics.T": "float",
-    "physics.dt": "float",
-    "physics.mode": "str",
-    "initial.rho0_amp": "float",
-    "initial.u0_amp": "float",
-    "runtime.sample_every": "int",
-    "seeds": "int_list",
-    "output_dir": "str",
-    "nbody.n_particles": "int_list",
-    "nbody.n_configs": "int",
-}
-
-_DEFAULTS = {
-    "grid.dim": 1,
-    "grid.n": 256,
-    "physics.eps": (0.1,),
-    "physics.hbar": (0.1,),
-    "physics.T": 0.1,
-    "physics.dt": 1e-3,
-    "physics.mode": "poisson_boltzmann",
-    "initial.rho0_amp": 0.1,
-    "initial.u0_amp": 0.1,
-    "runtime.sample_every": 50,
-    "output_dir": "out",
-    "nbody.n_particles": (8, 32, 128),
-    "nbody.n_configs": 200,
+# key -> (ExperimentConfig field, parser tag, default); `kind` comes from the
+# subcommand and `seeds` from QNLAB_SEED when absent, so neither has a default
+_KEYS = {
+    "kind": ("kind", "str", None),
+    "grid.dim": ("grid_dim", "int", 1),
+    "grid.n": ("grid_n", "int", 256),
+    "physics.eps": ("eps", "float_list", (0.1,)),
+    "physics.hbar": ("hbar", "float_list", (0.1,)),
+    "physics.T": ("big_t", "float", 0.1),
+    "physics.dt": ("dt", "float", 1e-3),
+    "physics.mode": ("mode", "str", "poisson_boltzmann"),
+    "initial.rho0_amp": ("rho0_amp", "float", 0.1),
+    "initial.u0_amp": ("u0_amp", "float", 0.1),
+    "runtime.sample_every": ("sample_every", "int", 50),
+    "seeds": ("seeds", "int_list", None),
+    "output_dir": ("output_dir", "str", "out"),
+    "nbody.n_particles": ("n_particles", "int_list", (8, 32, 128)),
+    "nbody.n_configs": ("n_configs", "int", 200),
 }
 
 
@@ -87,7 +73,7 @@ class ExperimentConfig:
 
 
 def _parse_value(key: str, text: str):
-    tag = _KEY_TYPES[key]
+    tag = _KEYS[key][1]
     text = text.strip()
     try:
         if tag == "int":
@@ -125,7 +111,7 @@ def load_config(path: str) -> dict:
                               path=str(path))
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _KEY_TYPES:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}", path=str(path))
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}", path=str(path))
@@ -141,7 +127,7 @@ def apply_overrides(raw: dict, overrides) -> dict:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         key, _, value = item.partition("=")
         key = key.strip()
-        if key not in _KEY_TYPES:
+        if key not in _KEYS:
             raise ConfigError(f"--set: unknown key {key!r}")
         out[key] = value.strip()
     return out
@@ -149,12 +135,15 @@ def apply_overrides(raw: dict, overrides) -> dict:
 
 def _default_seeds() -> tuple:
     env = os.environ.get("QNLAB_SEED")
-    if env is not None:
-        try:
-            return (int(env),)
-        except ValueError as exc:
-            raise ConfigError(f"QNLAB_SEED must be an integer, got {env!r}") from exc
-    return (0,)
+    if env is None:
+        return (0,)
+    try:
+        seed = int(env)
+    except ValueError as exc:
+        raise ConfigError(f"QNLAB_SEED must be an integer, got {env!r}") from exc
+    if seed < 0:
+        raise ConfigError(f"QNLAB_SEED must be nonnegative, got {env!r}")
+    return (seed,)
 
 
 def build_config(raw: dict, kind: str, out_override: str | None = None,
@@ -162,19 +151,19 @@ def build_config(raw: dict, kind: str, out_override: str | None = None,
     """Type, default, and validate a raw mapping into an ExperimentConfig."""
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
-    typed = {}
+    typed = {field: default for field, _, default in _KEYS.values() if default is not None}
     for key, text in raw.items():
-        typed[key] = _parse_value(key, text)
-    if "kind" in typed and typed["kind"] != kind:
+        typed[_KEYS[key][0]] = _parse_value(key, text)
+    if typed.setdefault("kind", kind) != kind:
         raise ConfigError(f"config kind {typed['kind']!r} does not match requested {kind!r}")
-    for key, default in _DEFAULTS.items():
-        typed.setdefault(key, default)
-    seeds = typed["seeds"] if "seeds" in typed else _default_seeds()
-    if not seeds:
+    if "seeds" not in typed:
+        typed["seeds"] = _default_seeds()
+    if not typed["seeds"]:
         raise ConfigError("seeds must list at least one value")
+    if min(typed["seeds"]) < 0:
+        raise ConfigError(f"seeds must be nonnegative, got {min(typed['seeds'])}")
 
-    eps = typed["physics.eps"]
-    hbar = typed["physics.hbar"]
+    eps, hbar = typed["eps"], typed["hbar"]
     if not eps or not hbar:
         raise ConfigError("physics.eps and physics.hbar must list at least one value")
     if len(eps) == 1 and len(hbar) > 1:
@@ -185,8 +174,9 @@ def build_config(raw: dict, kind: str, out_override: str | None = None,
         raise ConfigError(f"physics.eps has {len(eps)} entries but physics.hbar has {len(hbar)}")
     if any(v <= 0 for v in eps) or any(v <= 0 for v in hbar):
         raise ConfigError("all eps and hbar values must be positive")
+    typed["eps"], typed["hbar"] = eps, hbar
 
-    dim, n = typed["grid.dim"], typed["grid.n"]
+    dim, n = typed["grid_dim"], typed["grid_n"]
     if dim not in (1, 2):
         raise ConfigError(f"grid.dim must be 1 or 2, got {dim}")
     if n < 8 or (n & (n - 1)) != 0:
@@ -194,7 +184,7 @@ def build_config(raw: dict, kind: str, out_override: str | None = None,
     if kind in ("quasineutral_sweep", "nbody_stats") and dim != 1:
         raise ConfigError(f"{kind} is one-dimensional; set grid.dim = 1")
 
-    big_t, dt = typed["physics.T"], typed["physics.dt"]
+    big_t, dt = typed["big_t"], typed["dt"]
     if dt <= 0:
         raise ConfigError("physics.dt must be positive")
     if kind in ("quasineutral_sweep", "euler_run", "schrodinger_run"):
@@ -204,43 +194,27 @@ def build_config(raw: dict, kind: str, out_override: str | None = None,
             raise ConfigError(f"physics.dt = {dt} exceeds the horizon T = {big_t}")
     elif big_t < 0:
         raise ConfigError("physics.T must be nonnegative")
-    mode = typed["physics.mode"]
-    if mode not in MODES:
-        raise ConfigError(f"physics.mode must be one of {MODES}, got {mode!r}")
+    if typed["mode"] not in MODES:
+        raise ConfigError(f"physics.mode must be one of {MODES}, got {typed['mode']!r}")
 
     # phase e^{iU0/hbar} must be resolved: n >= 8 sup|U0'| / (2 pi min hbar)
-    u0_amp = typed["initial.u0_amp"]
-    required = 8.0 * abs(u0_amp) / (2.0 * math.pi * min(hbar))
+    required = 8.0 * abs(typed["u0_amp"]) / (2.0 * math.pi * min(hbar))
     if n < required:
         raise ConfigError(
             f"grid.n = {n} under-resolves the phase for hbar = {min(hbar)}; need n >= {required:.1f}"
         )
 
-    sample_every = typed["runtime.sample_every"]
-    if sample_every < 1:
+    if typed["sample_every"] < 1:
         raise ConfigError("runtime.sample_every must be >= 1")
-    n_particles = typed["nbody.n_particles"]
-    n_configs = typed["nbody.n_configs"]
-    if any(p < 1 for p in n_particles) or n_configs < 1:
+    n_particles, n_configs = typed["n_particles"], typed["n_configs"]
+    if not n_particles:
+        raise ConfigError("nbody.n_particles must list at least one value")
+    if min(n_particles) < 1 or n_configs < 1:
         raise ConfigError("nbody sizes must be positive")
+    if n_configs < 2:
+        raise ConfigError("nbody.n_configs must be >= 2: a standard error needs two samples")
     if jobs < 1:
         raise ConfigError("--jobs must be >= 1")
-
-    return ExperimentConfig(
-        kind=kind,
-        grid_dim=dim,
-        grid_n=n,
-        eps=tuple(eps),
-        hbar=tuple(hbar),
-        big_t=big_t,
-        dt=dt,
-        mode=mode,
-        rho0_amp=typed["initial.rho0_amp"],
-        u0_amp=u0_amp,
-        sample_every=sample_every,
-        seeds=tuple(seeds),
-        output_dir=out_override if out_override is not None else typed["output_dir"],
-        n_particles=tuple(n_particles),
-        n_configs=n_configs,
-        jobs=jobs,
-    )
+    if out_override is not None:
+        typed["output_dir"] = out_override
+    return ExperimentConfig(**typed, jobs=jobs)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -51,41 +52,35 @@ def _error_record(exc: Exception, stage: str, **context) -> dict:
     return rec
 
 
-# The Euler reference of a sweep and its Gronwall block depend on the data
-# and the time grid, not on (eps, hbar): each process computes them once for
-# the points it runs
-_euler_cache: dict = {}
+@lru_cache(maxsize=1)
+def _euler_reference(dim: int, n: int, rho0_amp: float, u0_amp: float, big_t: float,
+                     dt: float, sample_every: int) -> tuple[list, dict]:
+    """The sampled Euler states of the standard data and their Gronwall
+    constants. They depend on the data and the time grid, not on (eps, hbar),
+    so each process computes them once for the sweep points it runs."""
+    grid = TorusGrid(dim, n)
+    rho0, u0pot = _cos_profiles(grid, rho0_amp, u0_amp)
+    e0 = EulerState(normalize_log_density(RealField(grid, np.log(rho0.values))),
+                    list(gradient(u0pot)))
+    samples = run_euler(e0, big_t, dt, sample_every=sample_every)
+    return samples, {k: float(v) for k, v in euler_constants(samples).items()}
 
 
-def _euler_reference(task: dict, grid: TorusGrid, rho0: RealField,
-                     u0pot: RealField) -> tuple[list, dict]:
-    """The sampled Euler states and their Gronwall constants."""
-    key = tuple(task[k] for k in ("dim", "n", "rho0_amp", "u0_amp", "T", "dt", "sample_every"))
-    if key not in _euler_cache:
-        e0 = EulerState(normalize_log_density(RealField(grid, np.log(rho0.values))),
-                        list(gradient(u0pot)))
-        samples = run_euler(e0, task["T"], task["dt"], sample_every=task["sample_every"])
-        gronwall = {k: float(v) for k, v in euler_constants(samples).items()}
-        _euler_cache.clear()
-        _euler_cache[key] = samples, gronwall
-    return _euler_cache[key]
-
-
-def _sweep_point(task: dict) -> dict:
-    """One (eps, hbar) sweep point; returns rows + per-point summary, or an
-    error record. Plain-dict in and out so a process pool can ship it."""
-    eps, hbar = task["eps"], task["hbar"]
+def _sweep_point(cfg: ExperimentConfig, eps: float, hbar: float) -> dict:
+    """One (eps, hbar) point of the sweep `cfg`; returns rows + per-point
+    summary, or an error record. The frozen config pickles, so a process pool
+    can ship it."""
     stage = "prepare"
     try:
-        grid = TorusGrid(task["dim"], task["n"])
-        rho0, u0pot = _cos_profiles(grid, task["rho0_amp"], task["u0_amp"])
+        grid = TorusGrid(cfg.grid_dim, cfg.grid_n)
+        rho0, u0pot = _cos_profiles(grid, cfg.rho0_amp, cfg.u0_amp)
         w0 = well_prepared(WellPreparedSpec(rho0, u0pot, eps, hbar))
 
         stage = "schrodinger"
-        straj = run(w0, task["T"], task["dt"], sample_every=task["sample_every"],
-                    mode=task["mode"])
+        straj = run(w0, cfg.big_t, cfg.dt, sample_every=cfg.sample_every, mode=cfg.mode)
         stage = "euler"
-        esamp, gronwall = _euler_reference(task, grid, rho0, u0pot)
+        esamp, gronwall = _euler_reference(cfg.grid_dim, cfg.grid_n, cfg.rho0_amp, cfg.u0_amp,
+                                           cfg.big_t, cfg.dt, cfg.sample_every)
 
         stage = "diagnostics"
         x = grid.axis_points()
@@ -147,18 +142,13 @@ def _sweep_point(task: dict) -> dict:
         }
 
 
-def _run_sweep(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> tuple[list, list]:
-    tasks = [{
-        "eps": eps, "hbar": hbar, "dim": cfg.grid_dim, "n": cfg.grid_n,
-        "T": cfg.big_t, "dt": cfg.dt, "mode": cfg.mode,
-        "sample_every": cfg.sample_every,
-        "rho0_amp": cfg.rho0_amp, "u0_amp": cfg.u0_amp,
-    } for eps, hbar in zip(cfg.eps, cfg.hbar)]
-    if cfg.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks))) as pool:
-            results = list(pool.map(_sweep_point, tasks))
+def _run_sweep(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
+    point = partial(_sweep_point, cfg)
+    if cfg.jobs > 1 and len(cfg.eps) > 1:
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(cfg.eps))) as pool:
+            results = list(pool.map(point, cfg.eps, cfg.hbar))
     else:
-        results = [_sweep_point(t) for t in tasks]
+        results = list(map(point, cfg.eps, cfg.hbar))
 
     rows, errors, points = [], [], []
     for res in results:
@@ -182,7 +172,7 @@ def _run_sweep(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> tuple[lis
     }
     reports.emit_sweep_csv(out_dir, rows)
     reports.emit_plotdata(out_dir, rows)
-    return rows, errors
+    return errors
 
 
 def _run_pb(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
@@ -213,12 +203,9 @@ def _run_pb(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
 
 
 def _run_euler(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
-    grid = TorusGrid(cfg.grid_dim, cfg.grid_n)
-    rho0, u0pot = _cos_profiles(grid, cfg.rho0_amp, cfg.u0_amp)
-    e0 = EulerState(normalize_log_density(RealField(grid, np.log(rho0.values))),
-                    list(gradient(u0pot)))
     try:
-        samp = run_euler(e0, cfg.big_t, cfg.dt, sample_every=cfg.sample_every)
+        samp, gronwall = _euler_reference(cfg.grid_dim, cfg.grid_n, cfg.rho0_amp, cfg.u0_amp,
+                                          cfg.big_t, cfg.dt, cfg.sample_every)
     except Exception as exc:  # noqa: BLE001
         return [_error_record(exc, "euler")]
     rows = []
@@ -229,8 +216,7 @@ def _run_euler(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
                      float(np.min(rho.values)), float(np.max(rho.values))))
     reports.emit_csv(out_dir / "plotdata" / "euler.csv",
                      ("time", "mass_defect", "sup_u", "min_rho", "max_rho"), rows)
-    summary["euler"] = {k: float(v) for k, v in euler_constants(samp).items()}
-    summary["euler"]["mass_defect_max"] = float(max(r[1] for r in rows))
+    summary["euler"] = {**gronwall, "mass_defect_max": float(max(r[1] for r in rows))}
     return []
 
 
@@ -262,34 +248,26 @@ def _run_schrodinger(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> lis
     return []
 
 
+_NBODY_COLUMNS = ("n_particles", "mean_energy", "se_energy", "expected_mean",
+                  "mean_w1", "mean_w1_squared")
+
+
 def _run_nbody(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
-    seed0 = cfg.seeds[0]
-    rows = []
     points = []
     for n_particles in cfg.n_particles:
-        rng = np.random.default_rng([seed0, n_particles])
+        rng = np.random.default_rng([cfg.seeds[0], n_particles])
         stats = mc_uniform_stats(n_particles, cfg.n_configs, rng)
-        expected = 1.0 / (12.0 * n_particles)
-        within = bool(abs(stats["mean_energy"] - expected) <= 3.0 * stats["se_energy"])
-        rows.append((int(n_particles), float(stats["mean_energy"]),
-                     float(stats["se_energy"]), float(expected),
-                     float(stats["mean_w1"]), float(stats["mean_w1_squared"])))
-        points.append({
-            "n_particles": int(n_particles),
-            "mean_energy": float(stats["mean_energy"]),
-            "se_energy": float(stats["se_energy"]),
-            "expected_mean": float(expected),
-            "mean_w1": float(stats["mean_w1"]),
-            "mean_w1_squared": float(stats["mean_w1_squared"]),
-            "energy_within_3se": within,
-        })
-    reports.emit_csv(out_dir / "plotdata" / "nbody.csv",
-                     ("n_particles", "mean_energy", "se_energy", "expected_mean",
-                      "mean_w1", "mean_w1_squared"), rows)
+        stats["expected_mean"] = 1.0 / (12.0 * n_particles)
+        point = {c: stats[c] for c in _NBODY_COLUMNS}
+        point["energy_within_3se"] = bool(
+            abs(point["mean_energy"] - point["expected_mean"]) <= 3.0 * point["se_energy"])
+        points.append(point)
+    reports.emit_csv(out_dir / "plotdata" / "nbody.csv", _NBODY_COLUMNS,
+                     ([p[c] for c in _NBODY_COLUMNS] for p in points))
     exponent = None
-    if len(rows) > 1:
-        logn = np.log([r[0] for r in rows])
-        logw = np.log([max(r[5], 1e-300) for r in rows])
+    if len(points) > 1:
+        logn = np.log([p["n_particles"] for p in points])
+        logw = np.log([max(p["mean_w1_squared"], 1e-300) for p in points])
         exponent = float(-np.polyfit(logn, logw, 1)[0])
     summary["nbody"] = {
         "points": points,
@@ -298,6 +276,15 @@ def _run_nbody(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
         "energy_within_3se": bool(all(p["energy_within_3se"] for p in points)),
     }
     return []
+
+
+_RUNNERS = {
+    "pb_solve": _run_pb,
+    "schrodinger_run": _run_schrodinger,
+    "euler_run": _run_euler,
+    "quasineutral_sweep": _run_sweep,
+    "nbody_stats": _run_nbody,
+}
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
@@ -314,16 +301,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
         "initial": {"rho0_amp": float(cfg.rho0_amp), "u0_amp": float(cfg.u0_amp)},
         "seeds": [int(s) for s in cfg.seeds],
     }
-    if cfg.kind == "quasineutral_sweep":
-        _, errors = _run_sweep(cfg, summary, out_dir)
-    elif cfg.kind == "pb_solve":
-        errors = _run_pb(cfg, summary, out_dir)
-    elif cfg.kind == "euler_run":
-        errors = _run_euler(cfg, summary, out_dir)
-    elif cfg.kind == "schrodinger_run":
-        errors = _run_schrodinger(cfg, summary, out_dir)
-    else:
-        errors = _run_nbody(cfg, summary, out_dir)
+    errors = _RUNNERS[cfg.kind](cfg, summary, out_dir)
     summary["errors"] = errors
     reports.emit_summary(out_dir, summary)
     reports.emit_error_records(out_dir, errors)

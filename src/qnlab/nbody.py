@@ -172,12 +172,13 @@ def _flat_energy(x_sorted: np.ndarray) -> np.ndarray:
     return 1.0 / (12.0 * n * n) + np.sum(d * d, axis=-1) / n
 
 
-def _energy(x: ParticleConfig, mu: RealField, conv_at_points: np.ndarray) -> RenormalizedEnergy:
-    """Energy from the values of K * mu at the positions."""
+def _energy(x: ParticleConfig, mu: RealField, mu_hat: np.ndarray,
+            conv_at_points: np.ndarray) -> RenormalizedEnergy:
+    """Energy from the rfft of mu and the values of K * mu at the positions."""
     n = x.n
     pair = float(_flat_energy(np.sort(x.positions))) - 1.0 / 12.0
     cross = -2.0 * float(np.mean(conv_at_points))
-    power = green_symbol(mu.grid) * np.abs(spectral.rfft(mu.values)) ** 2
+    power = green_symbol(mu.grid) * np.abs(mu_hat) ** 2
     self_term = spectral.symbols(mu.grid, real=True).parseval(power) / mu.grid.size**2
     counterterm = (1.0 + float(np.max(mu.values))) / n**2
     return RenormalizedEnergy(value=pair + cross + self_term, n=n, counterterm=counterterm)
@@ -186,7 +187,9 @@ def _energy(x: ParticleConfig, mu: RealField, conv_at_points: np.ndarray) -> Ren
 def renormalized_energy(x: ParticleConfig, mu: RealField) -> RenormalizedEnergy:
     """Green-kernel quadratic form of mu_X - mu with the diagonal kept (K(0)=0)."""
     _check_density(mu, tol=1e-8)
-    return _energy(x, mu, kernel_convolution(mu, x.positions))
+    mu_hat = spectral.rfft(mu.values)
+    conv = _modal_sums(mu.grid, (mu_hat * green_symbol(mu.grid))[:, None], x.positions)[:, 0]
+    return _energy(x, mu, mu_hat, conv)
 
 
 def coercivity_check(x: ParticleConfig, mu: RealField, phi: RealField) -> dict:
@@ -225,9 +228,10 @@ def commutator_functional(x: ParticleConfig, mu: RealField, u: RealField) -> dic
     grid = mu.grid
     kp = green_prime_symbol(grid)
     mu_hat = spectral.rfft(mu.values)
+    mu_kp = mu_hat * kp
     hats = np.stack([
         spectral.rfft(u.values),
-        mu_hat * kp,
+        mu_kp,
         spectral.rfft(u.values * mu.values) * kp,
         mu_hat * green_symbol(grid),
     ], axis=1)
@@ -238,11 +242,11 @@ def commutator_functional(x: ParticleConfig, mu: RealField, u: RealField) -> dic
     pair = 2.0 * float(np.dot(u_sorted - u_sorted.mean(),
                               _centered_offsets(x.positions[order]))) / n
     cross = -2.0 * float(np.mean(u_at * conv_mu - conv_umu))
-    conv_grid = kernel_convolution(mu, prime=True)
+    conv_grid = spectral.irfft(mu_kp, grid.shape)
     mumu = 2.0 * float(np.mean(u.values * mu.values * conv_grid))
 
     value = pair + cross + mumu
-    energy = _energy(x, mu, conv_k)
+    energy = _energy(x, mu, mu_hat, conv_k)
     denom = max(energy.augmented, 1e-300)
     return {
         "value": value,

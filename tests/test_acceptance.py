@@ -8,6 +8,7 @@ bounds that hold for every probability source (derived in the docstrings of
 `lipschitz_hat_prime_bound` and `w1_stability_check`).
 """
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -19,6 +20,7 @@ import pytest
 
 from conftest import smooth_density
 from qnlab.cli import main as cli_main
+from qnlab.config import build_config
 from qnlab.energy import ckp_check
 from qnlab.euler import EulerState, run_euler
 from qnlab.experiments import _sweep_point
@@ -37,8 +39,9 @@ from qnlab.schrodinger import WaveFunction, density, run
 # eps*(a) = e^{-a}/(4 pi^2 a I0(a)), about 0.0289 at a = 0.5; the ladder halves
 # eps = hbar downward from the reference point 0.025, so every point lies below it.
 AC1_EPS = (0.025, 0.0125, 0.00625)
-AC1_TASK = {"dim": 1, "n": 2048, "T": 0.2, "dt": 1e-4, "sample_every": 200,
-            "mode": "poisson_boltzmann", "rho0_amp": 0.5, "u0_amp": 0.1}
+AC1_CFG = dataclasses.replace(
+    build_config({}, "quasineutral_sweep"), grid_dim=1, grid_n=2048, big_t=0.2, dt=1e-4,
+    sample_every=200, mode="poisson_boltzmann", rho0_amp=0.5, u0_amp=0.1)
 
 
 def emit(name: str, failures: list, detail: str = "") -> None:
@@ -53,17 +56,17 @@ def emit(name: str, failures: list, detail: str = "") -> None:
 
 @pytest.fixture(scope="session")
 def sweep3():
-    """The reference sweep: eps = hbar over AC1_EPS with AC1_TASK data."""
+    """The reference sweep: eps = hbar over AC1_EPS with AC1_CFG data."""
     t0 = time.perf_counter()
-    results = [_sweep_point(dict(AC1_TASK, eps=e, hbar=e)) for e in AC1_EPS]
+    results = [_sweep_point(AC1_CFG, e, e) for e in AC1_EPS]
     return {"results": results, "wall": time.perf_counter() - t0}
 
 
 def _ac1_closed_form(eps: float, hbar: float, n: int = 2048) -> float:
     """Initial modulated energy of the prepared data, by plain quadrature:
     (hbar^2/2)||d/dx sqrt(rho_eps)||^2 + (eps/2)||V0'||^2 for
-    rho0 = exp(a cos 2 pi x)/Z with a = AC1_TASK["rho0_amp"]."""
-    a = AC1_TASK["rho0_amp"]
+    rho0 = exp(a cos 2 pi x)/Z with a = AC1_CFG.rho0_amp."""
+    a = AC1_CFG.rho0_amp
     x = np.arange(n) / n
     c = np.cos(2.0 * np.pi * x)
     s = np.sin(2.0 * np.pi * x)
@@ -112,8 +115,8 @@ def test_ac02_total_energy_conservation(sweep3):
         drift = mid["conserved_drift_max"]
         if drift > 1e-6:
             failures.append(f"relative drift {drift:.3e} > 1e-6")
-        half = _sweep_point(dict(AC1_TASK, eps=AC1_EPS[1], hbar=AC1_EPS[1],
-                                 dt=AC1_TASK["dt"] / 2, sample_every=400))
+        half = _sweep_point(dataclasses.replace(AC1_CFG, dt=AC1_CFG.dt / 2, sample_every=400),
+                            AC1_EPS[1], AC1_EPS[1])
         ratio = drift / max(half["conserved_drift_max"], 1e-300)
         if ratio < 3.5:
             failures.append(f"dt halving reduced drift only {ratio:.2f}x < 3.5x")

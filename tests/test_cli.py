@@ -142,12 +142,12 @@ class TestDeterminism:
 
         cfg = write_cfg(tmp_path, SWEEP_CFG)
         cached, pooled = tmp_path / "c", tmp_path / "p"
-        monkeypatch.setattr(experiments, "_euler_cache", {})
+        experiments._euler_reference.cache_clear()
         monkeypatch.setattr(experiments, "run_euler", counted)
         assert main(["quasineutral_sweep", "--config", cfg, "--out", str(cached)]) == 0
         assert len(calls) == 1
         # each pool worker starts from an empty cache and computes its own
-        monkeypatch.setattr(experiments, "_euler_cache", {})
+        experiments._euler_reference.cache_clear()
         assert main(["quasineutral_sweep", "--config", cfg, "--jobs", "2",
                      "--out", str(pooled)]) == 0
         rels = sorted(p.relative_to(cached) for p in cached.rglob("*") if p.is_file())
@@ -182,6 +182,29 @@ class TestExitCodes:
         assert record["type"] == "ConfigError"
         assert repr(item.partition("=")[0]) in record["message"]
         assert not (tmp_path / "out").exists()
+
+    # a negative seed reaches numpy's generator; one configuration has no
+    # standard error; no particle count reports no point
+    @pytest.mark.parametrize("overrides, env, named", [
+        (["--set", "seeds=-1"], None, "seeds"),
+        (["--set", "seeds=3,-2"], None, "seeds"),
+        ([], "-3", "QNLAB_SEED"),
+        (["--set", "nbody.n_configs=1"], None, "nbody.n_configs"),
+        (["--set", "nbody.n_particles="], None, "nbody.n_particles"),
+    ], ids=["seed", "later_seed", "env_seed", "one_config", "no_particle_count"])
+    def test_unusable_nbody_config_exit_two(self, tmp_path, capsys, monkeypatch,
+                                            overrides, env, named):
+        if env is None:
+            monkeypatch.delenv("QNLAB_SEED", raising=False)
+        else:
+            monkeypatch.setenv("QNLAB_SEED", env)
+        cfg = write_cfg(tmp_path, "nbody.n_particles = 8\nnbody.n_configs = 10\n")
+        out = tmp_path / "out"
+        assert main(["nbody_stats", "--config", cfg, *overrides, "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["type"] == "ConfigError"
+        assert named in record["message"]
+        assert not out.exists()
 
     def test_kind_mismatch_exit_two(self, tmp_path):
         cfg = write_cfg(tmp_path, "kind = pb_solve\n")

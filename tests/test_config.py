@@ -1,9 +1,14 @@
 """Config grammar, typing, defaults, and validation rules."""
+import re
+from pathlib import Path
+
 import pytest
 
-from qnlab.config import (ExperimentConfig, apply_overrides, build_config,
+from qnlab.config import (_KEYS, ExperimentConfig, apply_overrides, build_config,
                           load_config, sample_steps)
 from qnlab.errors import ConfigError
+
+GRAMMAR = Path(__file__).resolve().parent.parent / "docs" / "config_grammar.md"
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -223,3 +228,9 @@ def test_sample_steps(big_t, dt, every, expected):
 def test_sample_steps_rejects_bad_input(big_t, dt, every):
     with pytest.raises(ValueError):
         sample_steps(big_t, dt, every)
+
+
+def test_docs_key_table_lists_every_key():
+    keys_section = GRAMMAR.read_text(encoding="utf-8").split("## Keys", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `([^`]+)`", keys_section, flags=re.MULTILINE)
+    assert sorted(documented) == sorted(_KEYS)

@@ -264,8 +264,12 @@ def test_particle_layer_uses_real_transforms_only(transforms):
     mu = RealField(g, rho / rho.mean())
     u = RealField(g, np.sin(2 * np.pi * x))
     cfg = ParticleConfig(np.random.default_rng(4).random(64))
+    # the energy transforms mu once; the commutator transforms mu, u and u*mu
+    # and brings K' * mu back to the grid, reusing the one transform of mu
     renormalized_energy(cfg, mu)
+    assert transforms.counts == {"fft": 0, "ifft": 0, "rfft": 1, "irfft": 0}
     commutator_functional(cfg, mu, u)
+    assert transforms.counts == {"fft": 0, "ifft": 0, "rfft": 1 + 3, "irfft": 1}
     coercivity_check(cfg, mu, u)
     kernel_convolution(mu)
     kernel_convolution(mu, prime=True)
