@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +17,10 @@ import numpy as np
 # no run pays for it inside its own timing
 import numpy.random  # noqa: F401
 
-from . import reports
+from . import reports, spectral
 from .config import ExperimentConfig
 from .energy import modulated_total, total_energy, weak_distances
+from .errors import BlowupGuardTripped
 from .euler import EulerState, euler_constants, normalize_log_density, run_euler
 from .grid import RealField, TorusGrid, gradient, integrate
 from .initial_data import WellPreparedSpec, well_prepared
@@ -52,18 +53,73 @@ def _error_record(exc: Exception, stage: str, **context) -> dict:
     return rec
 
 
-@lru_cache(maxsize=1)
-def _euler_reference(dim: int, n: int, rho0_amp: float, u0_amp: float, big_t: float,
-                     dt: float, sample_every: int) -> tuple[list, dict]:
-    """The sampled Euler states of the standard data and their Gronwall
-    constants. They depend on the data and the time grid, not on (eps, hbar),
-    so each process computes them once for the sweep points it runs."""
+# The sweep's Euler reference starts at EULER_FLOOR_N nodes per axis, because
+# below it an RK4 step costs Python overhead, not transforms; a grid is kept
+# when its _top_band_share is at most BAND_SHARE_BOUND.
+EULER_FLOOR_N = 256
+BAND_SHARE_BOUND = 1e-13
+
+
+def _cos_euler_run(dim: int, n: int, rho0_amp: float, u0_amp: float, big_t: float,
+                   dt: float, sample_every: int) -> list[EulerState]:
+    """The sampled Euler states of the standard data on the n^dim grid."""
     grid = TorusGrid(dim, n)
     rho0, u0pot = _cos_profiles(grid, rho0_amp, u0_amp)
     e0 = EulerState(normalize_log_density(RealField(grid, np.log(rho0.values))),
                     list(gradient(u0pot)))
-    samples = run_euler(e0, big_t, dt, sample_every=sample_every)
-    return samples, {k: float(v) for k, v in euler_constants(samples).items()}
+    return run_euler(e0, big_t, dt, sample_every=sample_every)
+
+
+def _top_band_share(samples: list[EulerState]) -> float:
+    """Largest ||f_band||_2 / ||f||_2 over the samples and their fields f
+    (log rho and each u component), the band n/6 < max|k_axis| <= n/3 taken
+    on the samples' own grid."""
+    grid = samples[0].grid
+    sym = spectral.symbols(grid, real=True)
+    top = reduce(np.maximum, [np.abs(m) for m in sym.modes])
+    band = (top > grid.n / 6.0) & (top <= grid.n / 3.0)
+    share = 0.0
+    for s in samples:
+        for f in (s.log_rho, *s.u):
+            power = np.abs(sym.forward(f.values)) ** 2
+            total = sym.parseval(power)
+            if total > 0.0:
+                share = max(share, float(np.sqrt(sym.parseval(power * band) / total)))
+    return share
+
+
+@lru_cache(maxsize=1)
+def _euler_reference(dim: int, n: int, rho0_amp: float, u0_amp: float, big_t: float,
+                     dt: float, sample_every: int) -> tuple[list, dict, dict]:
+    """The sampled Euler states of the standard data on the n^dim grid, their
+    Gronwall constants, and {"n": n_e, "top_band_share": share}: the grid they
+    were integrated on and its _top_band_share. n_e is the first of
+    min(n, EULER_FLOOR_N), twice that, ... whose share is at most
+    BAND_SHARE_BOUND, else n, and n once a coarser grid trips the blow-up
+    guard; coarser samples are zero-padded to n. The states depend on the data
+    and the time grid, not on (eps, hbar), so each process computes them once
+    for the sweep points it runs."""
+    n_e = min(n, EULER_FLOOR_N)
+    while True:
+        try:
+            samples = _cos_euler_run(dim, n_e, rho0_amp, u0_amp, big_t, dt, sample_every)
+        except BlowupGuardTripped:
+            if n_e == n:
+                raise
+            # whether and where the flow trips the guard is read on the n grid
+            n_e = n
+            continue
+        share = _top_band_share(samples)
+        if n_e == n or share <= BAND_SHARE_BOUND:
+            break
+        n_e = min(2 * n_e, n)
+    grid = TorusGrid(dim, n)
+
+    def pad(f: RealField) -> RealField:
+        return RealField(grid, spectral.resample(f.values, grid.shape))
+
+    samples = [EulerState(pad(s.log_rho), [pad(c) for c in s.u], s.time) for s in samples]
+    return samples, euler_constants(samples), {"n": n_e, "top_band_share": share}
 
 
 def _sweep_point(cfg: ExperimentConfig, eps: float, hbar: float) -> dict:
@@ -79,8 +135,9 @@ def _sweep_point(cfg: ExperimentConfig, eps: float, hbar: float) -> dict:
         stage = "schrodinger"
         straj = run(w0, cfg.big_t, cfg.dt, sample_every=cfg.sample_every, mode=cfg.mode)
         stage = "euler"
-        esamp, gronwall = _euler_reference(cfg.grid_dim, cfg.grid_n, cfg.rho0_amp, cfg.u0_amp,
-                                           cfg.big_t, cfg.dt, cfg.sample_every)
+        esamp, gronwall, resolution = _euler_reference(
+            cfg.grid_dim, cfg.grid_n, cfg.rho0_amp, cfg.u0_amp, cfg.big_t, cfg.dt,
+            cfg.sample_every)
 
         stage = "diagnostics"
         x = grid.axis_points()
@@ -131,6 +188,7 @@ def _sweep_point(cfg: ExperimentConfig, eps: float, hbar: float) -> dict:
             "maxima": maxima,
             "conserved_drift_max": float(drift),
             "gronwall": gronwall,
+            "euler_reference": resolution,
             "checks": checks,
         }
     except Exception as exc:  # noqa: BLE001 - every failure becomes a record
@@ -156,7 +214,8 @@ def _run_sweep(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
             rows.extend(res["rows"])
             points.append({k: res[k] for k in
                            ("eps", "hbar", "status", "maxima",
-                            "conserved_drift_max", "gronwall", "checks")})
+                            "conserved_drift_max", "gronwall", "euler_reference",
+                            "checks")})
         else:
             errors.append(res["error"])
             points.append({k: res[k] for k in ("eps", "hbar", "status", "error")})
@@ -204,8 +263,9 @@ def _run_pb(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
 
 def _run_euler(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
     try:
-        samp, gronwall = _euler_reference(cfg.grid_dim, cfg.grid_n, cfg.rho0_amp, cfg.u0_amp,
-                                          cfg.big_t, cfg.dt, cfg.sample_every)
+        samp = _cos_euler_run(cfg.grid_dim, cfg.grid_n, cfg.rho0_amp, cfg.u0_amp,
+                              cfg.big_t, cfg.dt, cfg.sample_every)
+        gronwall = euler_constants(samp)
     except Exception as exc:  # noqa: BLE001
         return [_error_record(exc, "euler")]
     rows = []

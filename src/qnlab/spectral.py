@@ -7,9 +7,11 @@ Derivative symbols zero the Nyquist mode, which on real fields agrees to
 roundoff with keeping it and taking the real part. Sums over the spectrum
 (Parseval through `Symbols.parseval`, point evaluations in qnlab.nbody) take
 the half-spectrum conjugate-pair weight from `Symbols.pair_weight`.
+`resample` zero-pads a real field onto a finer grid.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -27,13 +29,40 @@ fft = np.fft.fftn
 ifft = np.fft.ifftn
 
 
+def resample(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The trigonometric interpolant of real grid `values` (1-D or 2-D, even
+    sizes) at the nodes of the finer grid `shape`: the rfft half spectrum,
+    zero-padded. Each coarse Nyquist mode is split evenly between +n/2 and
+    -n/2, so the result is real and takes `values` at the coarse nodes.
+    `values` itself is returned when `shape` is its own."""
+    shape = tuple(shape)
+    if shape == values.shape:
+        return values
+    if len(shape) != values.ndim or any(f <= c for f, c in zip(shape, values.shape)):
+        raise ValueError(f"cannot resample {values.shape} onto {shape}: not finer on every axis")
+    hat = rfft(values) * (math.prod(shape) / values.size)
+    h = [c // 2 for c in values.shape]  # the coarse Nyquist mode of each axis
+    # on the finer grid the last-axis mode h stands for itself and its conjugate
+    hat[..., h[-1]] *= 0.5
+    out = np.zeros((*shape[:-1], shape[-1] // 2 + 1), dtype=complex)
+    if values.ndim == 1:
+        out[:h[0] + 1] = hat
+    else:
+        out[:h[0], :h[1] + 1] = hat[:h[0]]
+        out[-h[0]:, :h[1] + 1] = hat[h[0]:]  # modes -h..-1; row -h is the Nyquist row
+        out[-h[0]] *= 0.5
+        out[h[0]] = out[-h[0]]
+    return irfft(out, shape)
+
+
 class Symbols:
     """Read-only Fourier multipliers of one grid on one spectrum layout: the
     rfft half spectrum (last axis modes 0..n/2) if `real`, else full FFT order.
 
     ik[axis] = i 2 pi k_axis with the Nyquist mode zeroed, broadcastable as
     (n, 1) and (1, m) in 2-D; minus_k2 = -|2 pi k|^2; inv_k2 = 1/|2 pi k|^2,
-    0 at k = 0; dealias = 1 where every |k_axis| <= n/3 (2/3 rule), else 0;
+    0 at k = 0; modes[axis] = the integer mode numbers k_axis, broadcastable
+    like ik; dealias = 1 where every |k_axis| <= n/3 (2/3 rule), else 0;
     pair_weight = 1 on the self-conjugate last-axis modes 0 and n/2 of the half
     spectrum and 2 on its other modes, which stand for a conjugate pair (1
     everywhere on the full spectrum).
@@ -47,6 +76,7 @@ class Symbols:
         for axis in range(dim):
             freq = np.fft.rfftfreq if real and axis == dim - 1 else np.fft.fftfreq
             modes.append(freq(n, 1.0 / n).reshape([-1 if a == axis else 1 for a in range(dim)]))
+        self.modes = tuple(modes)
         k = [2.0 * np.pi * m for m in modes]
         self.ik = tuple(np.where(np.abs(m) == n / 2, 0.0, 1j * ka) for m, ka in zip(modes, k))
         k2 = sum(ka**2 for ka in k)
@@ -55,7 +85,8 @@ class Symbols:
         self.dealias = reduce(np.logical_and, [np.abs(m) <= n / 3.0 for m in modes]).astype(float)
         last = np.abs(modes[-1])
         self.pair_weight = np.where(real & (last != 0) & (last != n / 2), 2.0, 1.0)
-        for arr in (*self.ik, self.minus_k2, self.inv_k2, self.dealias, self.pair_weight):
+        for arr in (*self.modes, *self.ik, self.minus_k2, self.inv_k2, self.dealias,
+                    self.pair_weight):
             arr.flags.writeable = False
 
     def forward(self, values: np.ndarray) -> np.ndarray:

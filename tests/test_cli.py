@@ -12,7 +12,8 @@ from qnlab.cli import main
 from qnlab.euler import run_euler
 from qnlab.reports import SWEEP_FIELDS
 
-DOCS = Path(__file__).resolve().parent.parent / "docs"
+ROOT = Path(__file__).resolve().parent.parent
+DOCS = ROOT / "docs"
 
 SWEEP_CFG = """\
 kind = quasineutral_sweep
@@ -106,6 +107,12 @@ class TestSweepRun:
             "log_rho_w1inf_h1", "sup_grad_advection"}
         assert all(v >= 0 for v in point["gronwall"].values())
 
+    def test_euler_reference_block(self, sweep_out):
+        # the default grid is the floor grid: the reference runs on it unpadded
+        for point in load_summary(sweep_out[1])["points"]:
+            assert point["euler_reference"]["n"] == 256
+            assert 0.0 <= point["euler_reference"]["top_band_share"] <= 1.0
+
     def test_no_stray_temp_files(self, sweep_out):
         stray = [p for p in sweep_out[1].rglob("*") if p.name.startswith("tmp")]
         assert stray == []
@@ -133,6 +140,21 @@ class TestDeterminism:
         assert ((serial / "summary.json").read_bytes()
                 == (pooled / "summary.json").read_bytes())
 
+    def test_padded_reference_reruns_and_pools_byte_identical(self, tmp_path):
+        # at n = 512 the reference runs on 256 nodes and is zero-padded
+        cfg = write_cfg(tmp_path, SWEEP_CFG)
+        runs = {name: tmp_path / name for name in ("a", "b", "p")}
+        for name, out in runs.items():
+            jobs = ["--jobs", "2"] if name == "p" else []
+            assert main(["quasineutral_sweep", "--config", cfg, "--set", "grid.n=512",
+                         *jobs, "--out", str(out)]) == 0
+        assert {p["euler_reference"]["n"] for p in load_summary(runs["a"])["points"]} == {256}
+        rels = sorted(p.relative_to(runs["a"]) for p in runs["a"].rglob("*") if p.is_file())
+        for out in (runs["b"], runs["p"]):
+            assert rels == sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+            for rel in rels:
+                assert (runs["a"] / rel).read_bytes() == (out / rel).read_bytes(), rel
+
     def test_sweep_computes_one_euler_reference(self, tmp_path, monkeypatch):
         calls = []
 
@@ -154,6 +176,28 @@ class TestDeterminism:
         assert rels == sorted(p.relative_to(pooled) for p in pooled.rglob("*") if p.is_file())
         for rel in rels:
             assert (cached / rel).read_bytes() == (pooled / rel).read_bytes(), rel
+
+    def test_benchmark_point_integrates_its_reference_once(self, tmp_path, monkeypatch):
+        # the perfbench sweep point at n = 2048 passes the band check on the
+        # floor grid, so its reference costs one coarse integration
+        grids = []
+
+        def counted(s0, *args, **kwargs):
+            grids.append(s0.grid.n)
+            return run_euler(s0, *args, **kwargs)
+
+        experiments._euler_reference.cache_clear()
+        monkeypatch.setattr(experiments, "run_euler", counted)
+        out = tmp_path / "out"
+        assert main(["quasineutral_sweep", "--config",
+                     str(ROOT / "perfbench" / "configs" / "sweep_1d.cfg"), "--out", str(out)]) == 0
+        experiments._euler_reference.cache_clear()
+        assert grids == [experiments.EULER_FLOOR_N]
+        summary = load_summary(out)
+        assert_schema_valid(summary)
+        (point,) = summary["points"]
+        assert point["euler_reference"]["n"] == experiments.EULER_FLOOR_N
+        assert point["euler_reference"]["top_band_share"] <= experiments.BAND_SHARE_BOUND
 
 
 class TestExitCodes:

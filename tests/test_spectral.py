@@ -1,8 +1,10 @@
 """Tests for the spectral-operator layer: cached symbols, the Nyquist
-convention and the half-spectrum bookkeeping of real fields."""
+convention, the half-spectrum bookkeeping of real fields and resampling."""
+import itertools
+
 import numpy as np
 import pytest
-from conftest import full_k_squared, full_wavenumbers
+from conftest import full_k_squared, full_wavenumbers, trig_poly
 
 from qnlab import spectral
 from qnlab.grid import RealField, TorusGrid, h_minus1_norm, spectral_derivative
@@ -26,7 +28,9 @@ def test_full_symbols_match_reference(grid):
     np.testing.assert_array_equal(np.broadcast_to(sym.minus_k2, grid.shape), -full_k_squared(grid))
     keep = np.ones(grid.shape, dtype=bool)
     for axis in range(grid.dim):
-        keep &= np.abs(full_wavenumbers(grid, axis)) <= 2 * np.pi * grid.n / 3
+        k = full_wavenumbers(grid, axis)
+        np.testing.assert_array_equal(2 * np.pi * sym.modes[axis], k)
+        keep &= np.abs(k) <= 2 * np.pi * grid.n / 3
     np.testing.assert_array_equal(np.broadcast_to(sym.dealias, grid.shape), keep)
 
 
@@ -47,13 +51,15 @@ def test_half_symbols_are_the_nonnegative_last_axis_modes(grid):
     for axis in range(grid.dim):
         want = np.broadcast_to(full.ik[axis], grid.shape)[..., :m]
         np.testing.assert_array_equal(np.broadcast_to(half.ik[axis], want.shape), want)
+        want = np.abs(np.broadcast_to(full.modes[axis], grid.shape)[..., :m])
+        np.testing.assert_array_equal(np.abs(np.broadcast_to(half.modes[axis], want.shape)), want)
 
 
 def test_symbols_cached_per_grid_and_read_only():
     sym = spectral.symbols(TorusGrid(2, 64), real=True)
     assert spectral.symbols(TorusGrid(2, 64), real=True) is sym
     assert spectral.symbols(TorusGrid(2, 64), real=False) is not sym
-    for arr in (*sym.ik, sym.minus_k2, sym.inv_k2, sym.dealias, sym.pair_weight):
+    for arr in (*sym.modes, *sym.ik, sym.minus_k2, sym.inv_k2, sym.dealias, sym.pair_weight):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
 
@@ -89,3 +95,54 @@ def test_parseval_sums_the_full_spectrum(grid):
         sym = spectral.symbols(grid, real=real)
         power = np.abs(sym.forward(vals) / grid.size) ** 2
         assert sym.parseval(power) == pytest.approx(want, rel=1e-13)
+
+
+def zero_padded(values, shape):
+    """Full-spectrum zero-padding of real `values` onto `shape`: each
+    coefficient goes to its fftfreq mode on the finer grid, a coarse Nyquist
+    coefficient split evenly between the modes +n/2 and -n/2 of its axis."""
+    n = values.shape[0]
+    coeff = np.fft.fftn(values) / values.size
+    freq = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    out = np.zeros(shape, dtype=complex)
+    for idx in np.ndindex(values.shape):
+        k = [freq[i] for i in idx]
+        aliases = list(itertools.product(*[(m, -m) if abs(m) == n // 2 else (m,) for m in k]))
+        for mode in aliases:
+            out[mode] += coeff[idx] / len(aliases)
+    padded = np.fft.ifftn(out) * out.size
+    assert np.max(np.abs(padded.imag)) <= 1e-14 * np.max(np.abs(padded.real))
+    return padded.real
+
+
+RESAMPLINGS = [(TorusGrid(1, 32), TorusGrid(1, 2048)), (TorusGrid(2, 32), TorusGrid(2, 128))]
+
+
+@pytest.mark.parametrize("coarse,fine", RESAMPLINGS, ids=lambda g: f"{g.dim}d-n{g.n}")
+def test_resample_is_full_spectrum_zero_padding(coarse, fine):
+    vals = white_noise(coarse, seed=11)
+    got = spectral.resample(vals, fine.shape)
+    want = zero_padded(vals, fine.shape)
+    assert got.shape == fine.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # the interpolant takes the data at the coarse nodes
+    nodes = got[(slice(None, None, fine.n // coarse.n),) * coarse.dim]
+    assert np.max(np.abs(nodes - vals)) <= 1e-14 * np.max(np.abs(vals))
+
+
+@pytest.mark.parametrize("coarse,fine", RESAMPLINGS, ids=lambda g: f"{g.dim}d-n{g.n}")
+def test_resample_round_trip_of_a_band_limited_field(coarse, fine):
+    # modes |k_axis| <= 4 lie below the coarse Nyquist mode, so the coarse
+    # nodes determine the field
+    vals = trig_poly(fine, np.random.default_rng(3)).values
+    nodes = vals[(slice(None, None, fine.n // coarse.n),) * coarse.dim]
+    back = spectral.resample(nodes, fine.shape)
+    assert np.max(np.abs(back - vals)) <= 1e-14 * np.max(np.abs(vals))
+
+
+def test_resample_onto_its_own_grid_returns_the_values():
+    vals = white_noise(TorusGrid(2, 8), seed=1)
+    assert spectral.resample(vals, (8, 8)) is vals
+    for shape in [(4, 4), (16, 8), (16,)]:
+        with pytest.raises(ValueError):
+            spectral.resample(vals, shape)
