@@ -31,8 +31,6 @@ class EulerState:
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        if isinstance(self.u, RealField):
-            self.u = [self.u]
         self.u = list(self.u)
         if len(self.u) != self.log_rho.grid.dim:
             raise ValueError("velocity component count must match the grid dimension")

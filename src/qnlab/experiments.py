@@ -22,7 +22,7 @@ from .config import ExperimentConfig
 from .energy import modulated_total, total_energy, weak_distances
 from .errors import BlowupGuardTripped
 from .euler import EulerState, euler_constants, normalize_log_density, run_euler
-from .grid import RealField, TorusGrid, gradient, integrate
+from .grid import MASS_TOL, RealField, TorusGrid, gradient, integrate
 from .initial_data import WellPreparedSpec, well_prepared
 from .nbody import mc_uniform_stats
 from .poisson_boltzmann import solve_pb, validate_elliptic_bounds
@@ -133,7 +133,7 @@ def _sweep_point(cfg: ExperimentConfig, eps: float, hbar: float) -> dict:
         w0 = well_prepared(WellPreparedSpec(rho0, u0pot, eps, hbar))
 
         stage = "schrodinger"
-        straj = run(w0, cfg.big_t, cfg.dt, sample_every=cfg.sample_every, mode=cfg.mode)
+        samples = run(w0, cfg.big_t, cfg.dt, sample_every=cfg.sample_every, mode=cfg.mode)
         stage = "euler"
         esamp, gronwall, resolution = _euler_reference(
             cfg.grid_dim, cfg.grid_n, cfg.rho0_amp, cfg.u0_amp, cfg.big_t, cfg.dt,
@@ -149,7 +149,7 @@ def _sweep_point(cfg: ExperimentConfig, eps: float, hbar: float) -> dict:
         currents_ok = True
         sup_bound_ok = True
         mass_defect = 0.0
-        for (t, w, split), est in zip(straj.snapshots, esamp, strict=True):
+        for (w, split), est in zip(samples, esamp, strict=True):
             rep = modulated_total(w, split, est)
             wd = weak_distances(w, est, split, test_fields=fields)
             currents_ok &= all(c["passed"] for c in wd["currents"])
@@ -160,7 +160,7 @@ def _sweep_point(cfg: ExperimentConfig, eps: float, hbar: float) -> dict:
             rows.append({
                 "eps": float(eps),
                 "hbar": float(hbar),
-                "time": float(t),
+                "time": float(w.time),
                 "kinetic_modulated": float(rep.kinetic_modulated),
                 "field_energy": float(rep.field_energy),
                 "relative_entropy": float(rep.relative_entropy),
@@ -178,7 +178,7 @@ def _sweep_point(cfg: ExperimentConfig, eps: float, hbar: float) -> dict:
             "total_modulated_nonnegative": bool(all(r["total_modulated"] >= -1e-12 for r in rows)),
             "current_bounds": bool(currents_ok),
             "potential_sup_bound": bool(sup_bound_ok),
-            "background_mass": bool(mass_defect <= 1e-8),
+            "background_mass": bool(mass_defect <= MASS_TOL),
         }
         return {
             "eps": float(eps),
@@ -235,12 +235,14 @@ def _run_sweep(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
 
 
 def _run_pb(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
-    grid = TorusGrid(cfg.grid_dim, cfg.grid_n)
-    h, _ = _cos_profiles(grid, cfg.rho0_amp, 0.0)
+    stage = "prepare"
     try:
+        grid = TorusGrid(cfg.grid_dim, cfg.grid_n)
+        h, _ = _cos_profiles(grid, cfg.rho0_amp, 0.0)
+        stage = "pb_solve"
         split = solve_pb(h, cfg.eps[0])
     except Exception as exc:  # noqa: BLE001
-        return [_error_record(exc, "pb_solve", eps=float(cfg.eps[0]))]
+        return [_error_record(exc, stage, eps=float(cfg.eps[0]))]
     v = split.potential
     validation = validate_elliptic_bounds(split, h)
     summary["pb"] = {
@@ -281,21 +283,21 @@ def _run_euler(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
 
 
 def _run_schrodinger(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
-    grid = TorusGrid(cfg.grid_dim, cfg.grid_n)
-    rho0, u0pot = _cos_profiles(grid, cfg.rho0_amp, cfg.u0_amp)
     stage = "prepare"
     try:
+        grid = TorusGrid(cfg.grid_dim, cfg.grid_n)
+        rho0, u0pot = _cos_profiles(grid, cfg.rho0_amp, cfg.u0_amp)
         w0 = well_prepared(WellPreparedSpec(rho0, u0pot, cfg.eps[0], cfg.hbar[0]))
         stage = "schrodinger"
-        traj = run(w0, cfg.big_t, cfg.dt, sample_every=cfg.sample_every, mode=cfg.mode)
+        samples = run(w0, cfg.big_t, cfg.dt, sample_every=cfg.sample_every, mode=cfg.mode)
     except Exception as exc:  # noqa: BLE001
         return [_error_record(exc, stage, eps=float(cfg.eps[0]), hbar=float(cfg.hbar[0]))]
-    conserved = [total_energy(w, split).conserved_total for _, w, split in traj.snapshots]
+    conserved = [total_energy(w, split).conserved_total for w, split in samples]
     f0 = conserved[0]
     rows = []
-    for (t, w, _split), f in zip(traj.snapshots, conserved):
+    for (w, _split), f in zip(samples, conserved):
         mass = integrate(density(w))
-        rows.append((float(t), float(f), float(abs(f - f0) / (1.0 + abs(f0))),
+        rows.append((float(w.time), float(f), float(abs(f - f0) / (1.0 + abs(f0))),
                      float(abs(mass - 1.0))))
     reports.emit_csv(out_dir / "plotdata" / "conserved_total.csv",
                      ("time", "conserved_total", "relative_drift", "mass_defect"), rows)

@@ -12,11 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import NonZeroMean
+from .errors import NonZeroMean, NotAProbabilityDensity
 
 # Roundoff-scale guard for operations that require an analytically
 # mean-zero input: |mean(f)| <= MEAN_TOL_FACTOR * ||f||_2.
 MEAN_TOL_FACTOR = 1e-10
+# how far from 1 the grid mass of a probability density may be
+MASS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,16 @@ def integrate(f: Field) -> float | complex:
     """Integral over the unit torus = mean of node values (trapezoid rule)."""
     m = f.values.mean()
     return complex(m) if np.iscomplexobj(f.values) else float(m)
+
+
+def check_density(f: RealField) -> None:
+    """The package's probability-density contract: nonnegative at every node
+    and integrating to 1 within MASS_TOL; raises NotAProbabilityDensity."""
+    if float(np.min(f.values)) < 0.0:
+        raise NotAProbabilityDensity("density has negative values")
+    total = integrate(f)
+    if abs(total - 1.0) > MASS_TOL:
+        raise NotAProbabilityDensity(f"density integrates to {total!r}, not 1")
 
 
 def l2_norm(f: Field) -> float:

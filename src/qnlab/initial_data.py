@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAProbabilityDensity, NotPositive
-from .grid import ComplexField, RealField, TorusGrid, integrate, laplacian
+from .grid import ComplexField, RealField, TorusGrid, check_density, laplacian
 from .nbody import ParticleConfig, w1_circle, wrap_half
 from .poisson_boltzmann import solve_pb_empirical
 from .schrodinger import WaveFunction
@@ -33,8 +33,7 @@ class WellPreparedSpec:
             raise ValueError("eps and hbar must be positive")
         if float(np.min(self.rho0.values)) <= 0.0:
             raise NotAProbabilityDensity("rho0 must be strictly positive")
-        if abs(integrate(self.rho0) - 1.0) > 1e-8:
-            raise NotAProbabilityDensity(f"rho0 integrates to {integrate(self.rho0)!r}")
+        check_density(self.rho0)
 
 
 def quantum_density(spec: WellPreparedSpec) -> RealField:
@@ -62,15 +61,11 @@ def sample_iid(rho: RealField, n: int, seed: int) -> ParticleConfig:
     inverse-CDF (piecewise-quadratic) inversion."""
     if rho.grid.dim != 1:
         raise ValueError("sampling is one-dimensional")
-    vals = np.asarray(rho.values, dtype=float)
-    if float(vals.min()) < 0.0:
-        raise NotAProbabilityDensity("density has negative values")
-    if abs(integrate(rho) - 1.0) > 1e-8:
-        raise NotAProbabilityDensity(f"density integrates to {integrate(rho)!r}")
+    check_density(rho)
     m = rho.grid.n
-    ext = np.append(vals, vals[0])
+    ext = np.append(rho.values, rho.values[0])
     node_cdf = np.concatenate([[0.0], np.cumsum((ext[:-1] + ext[1:]) / (2.0 * m))])
-    node_cdf /= node_cdf[-1]  # absorb the <=1e-8 mass defect exactly
+    node_cdf /= node_cdf[-1]  # absorb the <= MASS_TOL mass defect exactly
     rng = np.random.default_rng(seed)
     targets = rng.random(n)
     seg = np.clip(np.searchsorted(node_cdf, targets, side="right") - 1, 0, m - 1)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .grid import RealField, TorusGrid, integrate, l2_norm, spectral_derivative
+from .grid import RealField, TorusGrid, check_density, integrate, l2_norm, spectral_derivative
 
 # points per block in modal sums; a block holds O(block * sqrt(n)) phases
 POINT_BLOCK = 2048
@@ -104,13 +104,6 @@ class RenormalizedEnergy:
         return self.value + self.counterterm
 
 
-def _check_density(mu: RealField, tol: float = 1e-6) -> None:
-    if float(np.min(mu.values)) < -1e-12:
-        raise ValueError("density must be nonnegative")
-    if abs(integrate(mu) - 1.0) > tol:
-        raise ValueError(f"density integrates to {integrate(mu)!r}, not 1")
-
-
 def _modal_sums(grid: TorusGrid, hats: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Values at every point of the real fields whose rfft coefficients are
     the columns of `hats` (rows in half-spectrum order, modes 0 .. n/2):
@@ -186,7 +179,7 @@ def _energy(x: ParticleConfig, mu: RealField, mu_hat: np.ndarray,
 
 def renormalized_energy(x: ParticleConfig, mu: RealField) -> RenormalizedEnergy:
     """Green-kernel quadratic form of mu_X - mu with the diagonal kept (K(0)=0)."""
-    _check_density(mu, tol=1e-8)
+    check_density(mu)
     mu_hat = spectral.rfft(mu.values)
     conv = _modal_sums(mu.grid, (mu_hat * green_symbol(mu.grid))[:, None], x.positions)[:, 0]
     return _energy(x, mu, mu_hat, conv)
@@ -223,7 +216,7 @@ def commutator_functional(x: ParticleConfig, mu: RealField, u: RealField) -> dic
     The pair term is (1/N^2) sum_{i != j} (u_i - u_j) K'(x_i - x_j)
     = (2/N) sum_j (u_(j) - mean u)(d_j - mean d) over sorted positions.
     """
-    _check_density(mu, tol=1e-8)
+    check_density(mu)
     n = x.n
     grid = mu.grid
     kp = green_prime_symbol(grid)
@@ -273,7 +266,7 @@ def _cdf_pieces(m, t: np.ndarray) -> tuple:
     its periodic piecewise-linear interpolant)."""
     if isinstance(m, ParticleConfig):
         return np.searchsorted(np.sort(m.positions), t, side="right") / m.n, 0.0, 0.0
-    _check_density(m)
+    check_density(m)
     n = m.grid.n
     ext = np.append(m.values, m.values[0])
     node_cdf = np.concatenate([[0.0], np.cumsum((ext[:-1] + ext[1:]) / (2.0 * n))])

@@ -15,10 +15,12 @@ from functools import cached_property
 import numpy as np
 
 from . import spectral
-from .errors import NewtonDiverged, NotAProbabilityDensity
+from .errors import NewtonDiverged
 from .grid import (
+    MASS_TOL,
     RealField,
     TorusGrid,
+    check_density,
     integrate,
     inverse_laplacian_zero_mean,
     l2_norm,
@@ -180,7 +182,7 @@ def solve_tilde(h: RealField, eps: float) -> RealField:
     closure modes of a smooth density go through here."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    # project the (at most 1e-8) mass defect so the linear solve is exactly
+    # project the (at most MASS_TOL) mass defect so the linear solve is exactly
     # solvable; the second subtraction kills the roundoff left by the division
     rhs_vals = (h.values - h.values.mean()) / eps
     rhs_vals = rhs_vals - rhs_vals.mean()
@@ -189,11 +191,7 @@ def solve_tilde(h: RealField, eps: float) -> RealField:
 
 def solve_pb(h: RealField, eps: float, *, hat0: np.ndarray | None = None) -> PotentialSplit:
     """Solve -eps*Lap(V) = h - exp(V) for a smooth probability density h."""
-    if float(np.min(h.values)) < 0.0:
-        raise NotAProbabilityDensity("density has negative values")
-    total = integrate(h)
-    if abs(total - 1.0) > 1e-8:
-        raise NotAProbabilityDensity(f"density integrates to {total!r}, not 1")
+    check_density(h)
     tilde = solve_tilde(h, eps)
     tol = 1e-10 * (1.0 + l2_norm(h))
     hat_vals, info = _newton_hat(tilde.values, eps, h.grid, tol, hat0)
@@ -316,7 +314,7 @@ def validate_elliptic_bounds(split: PotentialSplit, source) -> dict:
         )
         report["lipschitz_hat_prime"] = entry
     mass = float(integrate(split.background))
-    report["boltzmann_mass"] = {"value": mass, "passed": bool(abs(mass - 1.0) <= 1e-8)}
+    report["boltzmann_mass"] = {"value": mass, "passed": bool(abs(mass - 1.0) <= MASS_TOL)}
     return report
 
 

@@ -36,8 +36,6 @@ PLOT_DIAGNOSTICS = (
 
 
 def format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     return repr(float(value))

@@ -4,7 +4,7 @@ where V solves -eps*Lap(V) = |psi|^2 - e^V (or the linearized
 -eps*Lap(V) = |psi|^2 - 1)."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,24 +39,6 @@ class WaveFunction:
     def gradient(self) -> tuple[np.ndarray, ...]:
         """d_j psi per axis, computed on first use and kept with the state."""
         return tuple(spectral_derivative(self.psi, j).values for j in range(self.psi.grid.dim))
-
-
-@dataclass
-class SchrodingerTrajectory:
-    snapshots: list = field(default_factory=list)   # (time, WaveFunction, PotentialSplit)
-
-    def append(self, time: float, w: WaveFunction, split: PotentialSplit) -> None:
-        if self.snapshots and time <= self.snapshots[-1][0]:
-            raise ValueError("snapshot times must be strictly increasing")
-        self.snapshots.append((time, w, split))
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([t for t, _, _ in self.snapshots])
-
-    @property
-    def final(self) -> WaveFunction:
-        return self.snapshots[-1][1]
 
 
 def density(w: WaveFunction) -> RealField:
@@ -126,8 +108,9 @@ def step_strang(w: WaveFunction, dt: float, mode: str = "poisson_boltzmann") -> 
 
 
 def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
-        mode: str = "poisson_boltzmann") -> SchrodingerTrajectory:
-    """Integrate to time ~T, keeping the states at config.sample_steps.
+        mode: str = "poisson_boltzmann") -> list[tuple[WaveFunction, PotentialSplit]]:
+    """Integrate to time ~T, returning (state, potential) at
+    config.sample_steps; a sample's time is its state's `time`.
 
     The loop carries the coefficients before each step's closing half kinetic
     factor, so the closing half of one step and the opening half of the next
@@ -139,9 +122,8 @@ def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
     step midpoints, dt apart. Energies are left to the caller (qnlab.energy).
     """
     steps = sample_steps(T, dt, sample_every)
-    traj = SchrodingerTrajectory()
     split0 = solve_potential(density(w0), w0.eps, mode)
-    traj.append(w0.time, w0, split0)
+    samples = [(w0, split0)]
     if steps[-1] > 0:
         _check_kinetic_phase(w0, dt)
     chi_hat, t = spectral.fft(w0.psi.values), w0.time
@@ -162,5 +144,5 @@ def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
             psi = spectral.ifft(half_kinetic * chi_hat)
             w = WaveFunction(ComplexField(w0.psi.grid, psi), w0.hbar, w0.eps, t)
             snap = solve_potential(density(w), w.eps, mode, 1.5 * hat_n - 0.5 * hat_prev)
-            traj.append(t, w, snap)
-    return traj
+            samples.append((w, snap))
+    return samples

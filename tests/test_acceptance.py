@@ -131,8 +131,8 @@ def test_ac03_plane_wave_exact_solution():
     w0 = WaveFunction(ComplexField(grid, np.exp(4j * np.pi * x)), hbar, 0.1)
     traj = run(w0, big_t, 1e-3, sample_every=100)
     exact = np.exp(4j * np.pi * x - 0.5j * hbar * (4.0 * np.pi) ** 2 * big_t)
-    err = float(np.max(np.abs(traj.final.psi.values - exact)))
-    drift = max(abs(integrate(density(w)) - 1.0) for _, w, _ in traj.snapshots)
+    err = float(np.max(np.abs(traj[-1][0].psi.values - exact)))
+    drift = max(abs(integrate(density(w)) - 1.0) for w, _ in traj)
     failures = []
     if err >= 1e-10:
         failures.append(f"terminal error {err:.3e} >= 1e-10")

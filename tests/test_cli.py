@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qnlab import experiments
+from qnlab import experiments, reports
 from qnlab.cli import main
 from qnlab.euler import run_euler
 from qnlab.reports import SWEEP_FIELDS
@@ -228,14 +228,20 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     # a negative seed reaches numpy's generator; one configuration has no
-    # standard error; no particle count reports no point
+    # standard error; no particle count reports no point; a third axis, a
+    # negative T (the rule of the kinds without time evolution, pb_solve and
+    # nbody_stats) and sample_every = 0 fail the range rules of build_config
     @pytest.mark.parametrize("overrides, env, named", [
         (["--set", "seeds=-1"], None, "seeds"),
         (["--set", "seeds=3,-2"], None, "seeds"),
         ([], "-3", "QNLAB_SEED"),
         (["--set", "nbody.n_configs=1"], None, "nbody.n_configs"),
         (["--set", "nbody.n_particles="], None, "nbody.n_particles"),
-    ], ids=["seed", "later_seed", "env_seed", "one_config", "no_particle_count"])
+        (["--set", "grid.dim=3"], None, "grid.dim"),
+        (["--set", "physics.T=-1"], None, "physics.T"),
+        (["--set", "runtime.sample_every=0"], None, "runtime.sample_every"),
+    ], ids=["seed", "later_seed", "env_seed", "one_config", "no_particle_count",
+            "dim", "negative_T", "zero_sample_every"])
     def test_unusable_nbody_config_exit_two(self, tmp_path, capsys, monkeypatch,
                                             overrides, env, named):
         if env is None:
@@ -272,6 +278,39 @@ class TestExitCodes:
         statuses = [p["status"] for p in summary["points"]]
         assert statuses == ["error", "ok"]
         assert summary["sweep"]["complete"] is False
+
+    # exp(800 cos) overflows, so the initial density is not a finite field
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["pb_solve", "schrodinger_run"])
+    def test_unbuildable_data_writes_error_record(self, tmp_path, capsys, kind):
+        cfg = write_cfg(tmp_path, f"kind = {kind}\ninitial.rho0_amp = 800\n")
+        out = tmp_path / "out"
+        assert main([kind, "--config", cfg, "--out", str(out)]) == 1
+        record = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert record["stage"] == "prepare"
+        assert record["message"] == "field values must be finite"
+        with open(out / "errors.json") as fh:
+            assert json.load(fh) == [record]
+        summary = load_summary(out)
+        assert_schema_valid(summary)
+        assert summary["errors"] == [record]
+
+    def test_euler_blowup_writes_error_record(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "kind = euler_run\ngrid.n = 256\n"
+                        "initial.rho0_amp = 0.5\ninitial.u0_amp = 2\n"
+                        "physics.T = 0.2\nphysics.dt = 1e-4\nruntime.sample_every = 200\n")
+        out = tmp_path / "out"
+        assert main(["euler_run", "--config", cfg, "--out", str(out)]) == 1
+        record = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert record["stage"] == "euler"
+        assert record["type"] == "BlowupGuardTripped"
+        assert record["message"].endswith("at t = 0.0767")
+        with open(out / "errors.json") as fh:
+            assert json.load(fh) == [record]
+        summary = load_summary(out)
+        assert_schema_valid(summary)
+        assert "euler" not in summary
+        assert not (out / "plotdata").exists()
 
     def test_all_points_failing_leaves_header_only_csv(self, tmp_path):
         cfg = write_cfg(tmp_path, SWEEP_CFG)
@@ -370,6 +409,20 @@ class TestEnvSeed:
         out = tmp_path / "out"
         assert main(["nbody_stats", "--config", cfg, "--out", str(out)]) == 0
         assert load_summary(out)["seeds"] == [17]
+
+
+def test_failed_replace_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "sweep.csv"
+    path.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(reports.os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        reports.write_text_atomic(path, "new\n")
+    assert path.read_text() == "old\n"
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_console_script_installed(tmp_path):

@@ -3,6 +3,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qnlab.config import (_KEYS, ExperimentConfig, apply_overrides, build_config,
                           load_config, sample_steps)
@@ -222,6 +224,15 @@ class TestSeeds:
 ])
 def test_sample_steps(big_t, dt, every, expected):
     assert sample_steps(big_t, dt, every) == expected
+
+
+@given(n_steps=st.integers(0, 2000), dt_exp=st.integers(1, 20), every=st.integers(1, 3000))
+def test_sample_steps_start_at_zero_increase_and_end_at_the_step_count(n_steps, dt_exp, every):
+    dt = 2.0**-dt_exp  # a power of two, so n_steps * dt / dt is exact
+    steps = sample_steps(n_steps * dt, dt, every)
+    assert steps[0] == 0
+    assert all(a < b for a, b in zip(steps, steps[1:]))
+    assert steps[-1] == n_steps
 
 
 @pytest.mark.parametrize("big_t, dt, every", [(-1.0, 0.1, 1), (1.0, 0.0, 1), (1.0, 0.1, 0)])

@@ -232,7 +232,7 @@ def test_integrators_report_the_same_steps(steps_in_t, sample_every):
     w0 = WaveFunction(ComplexField(g, np.exp(2j * np.pi * g.axis_points())), 0.5, 0.1)
     s0 = EulerState(zero(g), [zero(g)])
     steps = sample_steps(big_t, dt, sample_every)
-    times = list(run(w0, big_t, dt, sample_every=sample_every).times)
+    times = [w.time for w, _ in run(w0, big_t, dt, sample_every=sample_every)]
     etimes = [s.time for s in run_euler(s0, big_t, dt, sample_every=sample_every)]
     assert len(times) == len(etimes) == len(steps)
     assert times == etimes == [i * dt for i in steps]

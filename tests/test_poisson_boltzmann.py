@@ -233,6 +233,16 @@ def test_cg_maxiter_hit_is_counted_and_logged(grid256, monkeypatch, caplog):
     assert any("cg hit maxiter" in rec.getMessage() for rec in caplog.records)
 
 
+def test_newton_cap_reached(grid256, monkeypatch):
+    monkeypatch.setattr(poisson_boltzmann, "NEWTON_CAP", 0)
+    x = grid256.axis_points()
+    h = RealField(grid256, 1.0 + 0.3 * np.cos(2 * np.pi * x))
+    with pytest.raises(NewtonDiverged, match="Newton cap 0 reached"):
+        solve_pb(h, 0.1)
+    with pytest.raises(PotentialSolveFailed, match="Newton cap 0 reached"):
+        solve_potential(h, 0.1)
+
+
 def test_non_finite_residual_raises(grid256):
     x = grid256.axis_points()
     h = RealField(grid256, 1.0 + 0.3 * np.cos(2 * np.pi * x))

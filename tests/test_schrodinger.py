@@ -71,7 +71,7 @@ def test_plane_wave_long_run_phase(grid):
     traj = run(w, 1.0, 1e-3, sample_every=10**9)
     x = grid.axis_points()
     exact = np.exp(2j * np.pi * x - 0.5j * w.hbar * (2 * np.pi) ** 2 * 1.0)
-    assert np.max(np.abs(traj.final.psi.values - exact)) <= 1e-10
+    assert np.max(np.abs(traj[-1][0].psi.values - exact)) <= 1e-10
 
 
 def test_constant_state_stationary(grid):
@@ -84,7 +84,7 @@ def test_modes_agree_for_flat_density(grid):
     w = plane_wave(grid)
     a = run(w, 0.01, 1e-3, sample_every=10**9, mode="poisson_boltzmann")
     b = run(w, 0.01, 1e-3, sample_every=10**9, mode="linear_poisson")
-    assert np.max(np.abs(a.final.psi.values - b.final.psi.values)) <= 1e-13
+    assert np.max(np.abs(a[-1][0].psi.values - b[-1][0].psi.values)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +143,14 @@ def test_total_energy_ground_state(grid):
 
 def test_mass_conservation(prepared_run):
     for traj in prepared_run.values():
-        for _, wf, _ in traj.snapshots:
+        for wf, _ in traj:
             assert abs(integrate(density(wf)) - 1.0) <= 1e-12
 
 
 def test_energy_drift_second_order(prepared_run):
     drifts = {}
     for name, traj in prepared_run.items():
-        f = [total_energy(wf, split).conserved_total for _, wf, split in traj.snapshots]
+        f = [total_energy(wf, split).conserved_total for wf, split in traj]
         drifts[name] = max(abs(v - f[0]) for v in f)
     assert drifts["coarse"] <= 1e-6
     assert 3.5 <= drifts["coarse"] / drifts["fine"] <= 4.5
@@ -158,17 +158,17 @@ def test_energy_drift_second_order(prepared_run):
 
 def test_snapshot_splits_self_consistent(prepared_run):
     traj = prepared_run["coarse"]
-    t, wf, split = traj.snapshots[-1]
+    wf, split = traj[-1]
     g = wf.psi.grid
     v = split.potential.values
     lap = np.fft.ifft(np.fft.fft(v) * (-full_k_squared(g))).real
     res = -wf.eps * lap - density(wf).values + np.exp(v)
     assert np.sqrt(np.mean(res**2)) <= 1e-9
-    assert t == wf.time
+    assert wf.time == pytest.approx(0.2, rel=1e-12)
 
 
 def test_times_strictly_increasing(prepared_run):
-    times = prepared_run["coarse"].times
+    times = [wf.time for wf, _ in prepared_run["coarse"]]
     assert np.all(np.diff(times) > 0)
 
 
@@ -177,7 +177,7 @@ def test_self_convergence_order_two(prepared):
 
     def terminal_error(dt):
         tr = run(prepared, 0.1, dt, sample_every=10**9)
-        return np.max(np.abs(tr.final.psi.values - ref.final.psi.values))
+        return np.max(np.abs(tr[-1][0].psi.values - ref[-1][0].psi.values))
 
     ratio = terminal_error(1e-3) / terminal_error(5e-4)
     assert 3.5 <= ratio <= 4.6
@@ -190,9 +190,9 @@ def test_continuity_equation(grid, prepared):
     da = -2 * np.pi * np.sin(2 * np.pi * x)
 
     def cont_err(dt):
-        w_here = run(prepared, 10 * dt, dt, sample_every=10**9).final
+        w_here = run(prepared, 10 * dt, dt, sample_every=10**9)[-1][0]
         w_next = step_strang(w_here, dt)
-        w_mid = run(prepared, 10 * dt + dt / 2, dt / 2, sample_every=10**9).final
+        w_mid = run(prepared, 10 * dt + dt / 2, dt / 2, sample_every=10**9)[-1][0]
         lhs = np.mean(a * (np.abs(w_next.psi.values) ** 2 - np.abs(w_here.psi.values) ** 2)) / dt
         return abs(lhs - np.mean(da * current(w_mid)[0].values))
 
@@ -239,9 +239,9 @@ def test_run_matches_repeated_strang_steps():
         expected[i] = w.psi.values
     sampled = sample_steps(steps * dt, dt, 7)
     assert sampled == [0, 7, 14, 21, 28, 35, 42, 49, 50]
-    assert len(traj.snapshots) == len(sampled)
-    for i, (t, wf, _) in zip(sampled[1:], traj.snapshots[1:]):
-        assert t == pytest.approx(i * dt, rel=1e-12)
+    assert len(traj) == len(sampled)
+    for i, (wf, _) in zip(sampled[1:], traj[1:]):
+        assert wf.time == pytest.approx(i * dt, rel=1e-12)
         ref = expected[i]
         assert np.max(np.abs(wf.psi.values - ref)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -302,9 +302,9 @@ def test_wave_function_validation(grid):
 
 def test_zero_horizon_returns_input(prepared):
     traj = run(prepared, 0.0, 1e-3)
-    assert len(traj.snapshots) == 1
-    t, wf, _ = traj.snapshots[0]
-    assert t == prepared.time
+    assert len(traj) == 1
+    wf, _ = traj[0]
+    assert wf.time == prepared.time
     np.testing.assert_array_equal(wf.psi.values, prepared.psi.values)
 
 
