@@ -196,6 +196,9 @@ def build_config(raw: dict, kind: str, out_override: str | None = None,
         raise ConfigError("physics.T must be nonnegative")
     if typed["mode"] not in MODES:
         raise ConfigError(f"physics.mode must be one of {MODES}, got {typed['mode']!r}")
+    # pb_solve solves Poisson-Boltzmann, the one closure whose limit is isothermal Euler
+    if typed["mode"] == "linear_poisson" and kind in ("pb_solve", "quasineutral_sweep"):
+        raise ConfigError(f"physics.mode = linear_poisson has no meaning for {kind}")
 
     # phase e^{iU0/hbar} must be resolved: n >= 8 sup|U0'| / (2 pi min hbar)
     required = 8.0 * abs(typed["u0_amp"]) / (2.0 * math.pi * min(hbar))

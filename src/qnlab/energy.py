@@ -1,8 +1,8 @@
-"""Energies of a quantum state: the conserved total energy, the modulated
-energy against a fluid state (kinetic part against a reference velocity,
-field energy, relative entropy of the thermalized density against the fluid
-density), the Csiszar-Kullback-Pinsker bound, and weak distances between
-quantum and fluid observables."""
+"""Energies of a quantum state: the energy its closure conserves, the
+modulated energy against a fluid state (kinetic part against a reference
+velocity, field energy, relative entropy of the closure's background density
+against the fluid density), the Csiszar-Kullback-Pinsker bound, and weak
+distances between quantum and fluid observables."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveReference
-from .grid import RealField, check_density, h_minus1_norm, spectral_derivative
+from .grid import RealField, check_density, h_minus1_norm
 from .schrodinger import current, density
 
 # below this the m log m term is numerically 0 (the 0 log 0 = 0 convention)
@@ -19,13 +19,11 @@ _VACUUM = 1e-300
 
 @dataclass
 class EnergyReport:
-    time: float
     kinetic_modulated: float
     field_energy: float
     relative_entropy: float
     total_modulated: float
     conserved_total: float
-    boltzmann: float = 0.0
 
 
 def _velocity_components(u, dim: int):
@@ -77,34 +75,20 @@ def ckp_check(m: RealField, rho: RealField) -> dict:
 
 def field_energy(split) -> float:
     """(eps/2) int |grad V|^2 for the full potential of a split."""
-    v = split.potential
     total = 0.0
-    for j in range(v.grid.dim):
-        total += float(np.mean(spectral_derivative(v, j).values ** 2))
+    for dv in split.gradient:
+        total += float(np.mean(dv**2))
     return 0.5 * split.eps * total
 
 
-def total_energy(w, split) -> EnergyReport:
-    """Conserved energy F = (hbar^2/2)||grad psi||^2 + (eps/2)||grad V||^2
-    + int V e^V, reported alongside the rho = 1, u = 0 modulated parts."""
-    grid = w.psi.grid
+def conserved_energy(w, split) -> float:
+    """(hbar^2/2)||grad psi||^2 + (eps/2)||grad V||^2 + int V m, the energy the
+    closure of split conserves, m its background density (int V m = 0 if m = 1)."""
     kinetic = 0.0
     for dpsi in w.gradient:
         kinetic += 0.5 * w.hbar**2 * float(np.mean(np.abs(dpsi) ** 2))
-    v = split.potential
-    fld = field_energy(split)
-    m = split.background
-    boltz = float(np.mean(v.values * m.values))
-    rel = relative_entropy(m, RealField(grid, np.ones(grid.shape)))
-    return EnergyReport(
-        time=w.time,
-        kinetic_modulated=kinetic,
-        field_energy=fld,
-        relative_entropy=rel,
-        total_modulated=kinetic + fld + rel,
-        conserved_total=kinetic + fld + boltz,
-        boltzmann=boltz,
-    )
+    potential = float(np.mean(split.potential.values * split.background.values))
+    return kinetic + field_energy(split) + potential
 
 
 def modulated_total(w, split, euler) -> EnergyReport:
@@ -114,16 +98,14 @@ def modulated_total(w, split, euler) -> EnergyReport:
     state is at the same time (within half a step).
     """
     kin = kinetic_modulated(w, euler.u)
+    fld = field_energy(split)
     rel = relative_entropy(split.background, RealField(w.psi.grid, np.exp(euler.log_rho.values)))
-    conserved = total_energy(w, split)
     return EnergyReport(
-        time=w.time,
         kinetic_modulated=kin,
-        field_energy=conserved.field_energy,
+        field_energy=fld,
         relative_entropy=rel,
-        total_modulated=kin + conserved.field_energy + rel,
-        conserved_total=conserved.conserved_total,
-        boltzmann=conserved.boltzmann,
+        total_modulated=kin + fld + rel,
+        conserved_total=conserved_energy(w, split),
     )
 
 

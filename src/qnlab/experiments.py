@@ -19,7 +19,7 @@ import numpy.random  # noqa: F401
 
 from . import reports, spectral
 from .config import ExperimentConfig
-from .energy import modulated_total, total_energy, weak_distances
+from .energy import conserved_energy, modulated_total, weak_distances
 from .errors import BlowupGuardTripped
 from .euler import EulerState, euler_constants, normalize_log_density, run_euler
 from .grid import MASS_TOL, RealField, TorusGrid, gradient, integrate
@@ -33,7 +33,6 @@ from .schrodinger import density, run
 class ExperimentOutcome:
     status: int
     out_dir: Path
-    summary: dict
     errors: list
 
 
@@ -41,8 +40,10 @@ def _cos_profiles(grid: TorusGrid, rho0_amp: float, u0_amp: float):
     """The standard data family: rho0 ~ exp(amp cos), U0 = amp sin/(2 pi)."""
     coords = grid.coords()
     phase = sum(np.cos(2.0 * np.pi * c) for c in coords)
-    rho0 = np.exp(rho0_amp * phase)
-    rho0 /= rho0.mean()
+    # an overflowing amplitude leaves inf/nan here; RealField reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho0 = np.exp(rho0_amp * phase)
+        rho0 /= rho0.mean()
     u0pot = u0_amp * sum(np.sin(2.0 * np.pi * c) for c in coords) / (2.0 * np.pi)
     return RealField(grid, rho0), RealField(grid, u0pot)
 
@@ -60,14 +61,19 @@ EULER_FLOOR_N = 256
 BAND_SHARE_BOUND = 1e-13
 
 
+def _cos_euler_data(dim: int, n: int, rho0_amp: float, u0_amp: float) -> EulerState:
+    """The Euler state of the standard data on the n^dim grid."""
+    grid = TorusGrid(dim, n)
+    rho0, u0pot = _cos_profiles(grid, rho0_amp, u0_amp)
+    return EulerState(normalize_log_density(RealField(grid, np.log(rho0.values))),
+                      list(gradient(u0pot)))
+
+
 def _cos_euler_run(dim: int, n: int, rho0_amp: float, u0_amp: float, big_t: float,
                    dt: float, sample_every: int) -> list[EulerState]:
     """The sampled Euler states of the standard data on the n^dim grid."""
-    grid = TorusGrid(dim, n)
-    rho0, u0pot = _cos_profiles(grid, rho0_amp, u0_amp)
-    e0 = EulerState(normalize_log_density(RealField(grid, np.log(rho0.values))),
-                    list(gradient(u0pot)))
-    return run_euler(e0, big_t, dt, sample_every=sample_every)
+    return run_euler(_cos_euler_data(dim, n, rho0_amp, u0_amp), big_t, dt,
+                     sample_every=sample_every)
 
 
 def _top_band_share(samples: list[EulerState]) -> float:
@@ -212,13 +218,9 @@ def _run_sweep(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
     for res in results:
         if res["status"] == "ok":
             rows.extend(res["rows"])
-            points.append({k: res[k] for k in
-                           ("eps", "hbar", "status", "maxima",
-                            "conserved_drift_max", "gronwall", "euler_reference",
-                            "checks")})
         else:
             errors.append(res["error"])
-            points.append({k: res[k] for k in ("eps", "hbar", "status", "error")})
+        points.append({k: v for k, v in res.items() if k != "rows"})
     summary["points"] = points
     ok_points = [p for p in points if p["status"] == "ok"]
     sup_totals = [p["maxima"]["total_modulated"] for p in ok_points]
@@ -264,12 +266,14 @@ def _run_pb(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
 
 
 def _run_euler(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
+    stage = "prepare"
     try:
-        samp = _cos_euler_run(cfg.grid_dim, cfg.grid_n, cfg.rho0_amp, cfg.u0_amp,
-                              cfg.big_t, cfg.dt, cfg.sample_every)
+        e0 = _cos_euler_data(cfg.grid_dim, cfg.grid_n, cfg.rho0_amp, cfg.u0_amp)
+        stage = "euler"
+        samp = run_euler(e0, cfg.big_t, cfg.dt, sample_every=cfg.sample_every)
         gronwall = euler_constants(samp)
     except Exception as exc:  # noqa: BLE001
-        return [_error_record(exc, "euler")]
+        return [_error_record(exc, stage)]
     rows = []
     for s in samp:
         rho = s.rho()
@@ -292,7 +296,7 @@ def _run_schrodinger(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> lis
         samples = run(w0, cfg.big_t, cfg.dt, sample_every=cfg.sample_every, mode=cfg.mode)
     except Exception as exc:  # noqa: BLE001
         return [_error_record(exc, stage, eps=float(cfg.eps[0]), hbar=float(cfg.hbar[0]))]
-    conserved = [total_energy(w, split).conserved_total for w, split in samples]
+    conserved = [conserved_energy(w, split) for w, split in samples]
     f0 = conserved[0]
     rows = []
     for (w, _split), f in zip(samples, conserved):
@@ -367,5 +371,4 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
     summary["errors"] = errors
     reports.emit_summary(out_dir, summary)
     reports.emit_error_records(out_dir, errors)
-    return ExperimentOutcome(status=1 if errors else 0, out_dir=out_dir,
-                             summary=summary, errors=errors)
+    return ExperimentOutcome(status=1 if errors else 0, out_dir=out_dir, errors=errors)

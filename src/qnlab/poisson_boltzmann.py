@@ -42,22 +42,34 @@ _EXP_CLIP = 700.0
 
 @dataclass
 class PotentialSplit:
-    """Solution pair (tilde, hat) of the split potential, V = tilde + hat; V
-    and exp(V) are built on first use and kept with the split."""
+    """Solution pair (tilde, hat) of the split potential, V = tilde + hat,
+    under the closure `mode`; V, grad V and the closure's background density
+    are built on first use and kept with the split."""
 
     tilde: RealField
     hat: RealField
     eps: float
     info: dict = field(default_factory=dict)
+    mode: str = "poisson_boltzmann"
 
     @cached_property
     def potential(self) -> RealField:
         return RealField(self.tilde.grid, self.tilde.values + self.hat.values)
 
     @cached_property
+    def gradient(self) -> tuple[np.ndarray, ...]:
+        """d_j V per axis."""
+        return tuple(spectral_derivative(self.potential, j).values
+                     for j in range(self.tilde.grid.dim))
+
+    @cached_property
     def background(self) -> RealField:
-        """The thermalized density m = exp(V)."""
-        return RealField(self.tilde.grid, np.exp(self.potential.values))
+        """The closure's neutralizing density m: exp(V) under Poisson-Boltzmann,
+        1 under the linear closure -eps*Lap(V) = h - 1."""
+        grid = self.tilde.grid
+        if self.mode == "poisson_boltzmann":
+            return RealField(grid, np.exp(self.potential.values))
+        return RealField(grid, np.ones(grid.shape))
 
 
 # ---------------------------------------------------------------------------

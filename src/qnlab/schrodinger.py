@@ -62,7 +62,7 @@ def solve_potential(rho: RealField, eps: float, mode: str = "poisson_boltzmann",
         except NewtonDiverged as exc:
             raise PotentialSolveFailed(str(exc)) from exc
     return PotentialSplit(solve_tilde(rho, eps), RealField(rho.grid, np.zeros(rho.grid.shape)),
-                          eps, info={"mode": "linear_poisson"})
+                          eps, mode=mode)
 
 
 def _check_kinetic_phase(w: WaveFunction, dt: float) -> None:

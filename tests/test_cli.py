@@ -230,27 +230,31 @@ class TestExitCodes:
     # a negative seed reaches numpy's generator; one configuration has no
     # standard error; no particle count reports no point; a third axis, a
     # negative T (the rule of the kinds without time evolution, pb_solve and
-    # nbody_stats) and sample_every = 0 fail the range rules of build_config
-    @pytest.mark.parametrize("overrides, env, named", [
-        (["--set", "seeds=-1"], None, "seeds"),
-        (["--set", "seeds=3,-2"], None, "seeds"),
-        ([], "-3", "QNLAB_SEED"),
-        (["--set", "nbody.n_configs=1"], None, "nbody.n_configs"),
-        (["--set", "nbody.n_particles="], None, "nbody.n_particles"),
-        (["--set", "grid.dim=3"], None, "grid.dim"),
-        (["--set", "physics.T=-1"], None, "physics.T"),
-        (["--set", "runtime.sample_every=0"], None, "runtime.sample_every"),
+    # nbody_stats) and sample_every = 0 fail the range rules of build_config;
+    # pb_solve always solves Poisson-Boltzmann, and a sweep compares against
+    # isothermal Euler, the quasi-neutral limit of that closure only
+    @pytest.mark.parametrize("kind, overrides, env, named", [
+        ("nbody_stats", ["--set", "seeds=-1"], None, "seeds"),
+        ("nbody_stats", ["--set", "seeds=3,-2"], None, "seeds"),
+        ("nbody_stats", [], "-3", "QNLAB_SEED"),
+        ("nbody_stats", ["--set", "nbody.n_configs=1"], None, "nbody.n_configs"),
+        ("nbody_stats", ["--set", "nbody.n_particles="], None, "nbody.n_particles"),
+        ("nbody_stats", ["--set", "grid.dim=3"], None, "grid.dim"),
+        ("nbody_stats", ["--set", "physics.T=-1"], None, "physics.T"),
+        ("nbody_stats", ["--set", "runtime.sample_every=0"], None, "runtime.sample_every"),
+        ("pb_solve", ["--set", "physics.mode=linear_poisson"], None, "physics.mode"),
+        ("quasineutral_sweep", ["--set", "physics.mode=linear_poisson"], None, "physics.mode"),
     ], ids=["seed", "later_seed", "env_seed", "one_config", "no_particle_count",
-            "dim", "negative_T", "zero_sample_every"])
+            "dim", "negative_T", "zero_sample_every", "linear_pb_solve", "linear_sweep"])
     def test_unusable_nbody_config_exit_two(self, tmp_path, capsys, monkeypatch,
-                                            overrides, env, named):
+                                            kind, overrides, env, named):
         if env is None:
             monkeypatch.delenv("QNLAB_SEED", raising=False)
         else:
             monkeypatch.setenv("QNLAB_SEED", env)
         cfg = write_cfg(tmp_path, "nbody.n_particles = 8\nnbody.n_configs = 10\n")
         out = tmp_path / "out"
-        assert main(["nbody_stats", "--config", cfg, *overrides, "--out", str(out)]) == 2
+        assert main([kind, "--config", cfg, *overrides, "--out", str(out)]) == 2
         record = json.loads(capsys.readouterr().err)
         assert record["type"] == "ConfigError"
         assert named in record["message"]
@@ -279,9 +283,11 @@ class TestExitCodes:
         assert statuses == ["error", "ok"]
         assert summary["sweep"]["complete"] is False
 
-    # exp(800 cos) overflows, so the initial density is not a finite field
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("kind", ["pb_solve", "schrodinger_run"])
+    # exp(800 cos) overflows, so the initial density is not a finite field;
+    # the finite check reports it once, in the record, and numpy stays silent
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["pb_solve", "schrodinger_run", "euler_run",
+                                      "quasineutral_sweep"])
     def test_unbuildable_data_writes_error_record(self, tmp_path, capsys, kind):
         cfg = write_cfg(tmp_path, f"kind = {kind}\ninitial.rho0_amp = 800\n")
         out = tmp_path / "out"

@@ -5,8 +5,9 @@ from conftest import full_k_squared
 
 from qnlab import schrodinger
 from qnlab.config import sample_steps
-from qnlab.energy import total_energy
+from qnlab.energy import conserved_energy, field_energy, modulated_total
 from qnlab.errors import StepTooLarge
+from qnlab.euler import EulerState
 from qnlab.experiments import _cos_profiles
 from qnlab.grid import ComplexField, RealField, TorusGrid, integrate
 from qnlab.initial_data import WellPreparedSpec, well_prepared
@@ -120,15 +121,15 @@ def test_current_of_wkb_state(grid):
 def test_total_energy_plane_wave(grid):
     w = plane_wave(grid, hbar=0.5)
     split = solve_potential(density(w), w.eps)
-    report = total_energy(w, split)
-    np.testing.assert_allclose(report.conserved_total, 0.5**2 * (2 * np.pi) ** 2 / 2,
+    np.testing.assert_allclose(conserved_energy(w, split), 0.5**2 * (2 * np.pi) ** 2 / 2,
                                rtol=1e-12)
-    assert abs(report.field_energy) <= 1e-12
+    assert abs(field_energy(split)) <= 1e-12
 
 
 def test_total_energy_ground_state(grid):
     w = WaveFunction(ComplexField(grid, np.ones(grid.n)), 0.2, 0.3)
-    report = total_energy(w, solve_potential(density(w), w.eps))
+    zero = RealField(grid, np.zeros(grid.n))
+    report = modulated_total(w, solve_potential(density(w), w.eps), EulerState(zero, [zero]))
     assert abs(report.conserved_total) <= 1e-12
     np.testing.assert_allclose(
         report.total_modulated,
@@ -150,10 +151,22 @@ def test_mass_conservation(prepared_run):
 def test_energy_drift_second_order(prepared_run):
     drifts = {}
     for name, traj in prepared_run.items():
-        f = [total_energy(wf, split).conserved_total for wf, split in traj]
+        f = [conserved_energy(wf, split) for wf, split in traj]
         drifts[name] = max(abs(v - f[0]) for v in f)
     assert drifts["coarse"] <= 1e-6
     assert 3.5 <= drifts["coarse"] / drifts["fine"] <= 4.5
+
+
+def test_linear_closure_conserves_its_energy(prepared):
+    # under -eps*Lap(V) = |psi|^2 - 1 the conserved energy has no int V e^V
+    # term; its drift is the order-2 splitting error, as under Poisson-Boltzmann
+    drifts = []
+    for dt, every in ((1e-3, 20), (5e-4, 40)):
+        traj = run(prepared, 0.2, dt, sample_every=every, mode="linear_poisson")
+        f = [conserved_energy(wf, split) for wf, split in traj]
+        drifts.append(max(abs(v - f[0]) for v in f))
+    assert drifts[0] <= 1e-6
+    assert 3.5 <= drifts[0] / drifts[1] <= 4.5
 
 
 def test_snapshot_splits_self_consistent(prepared_run):
