@@ -22,11 +22,22 @@ class PotentialSolveFailed(QnlabError, RuntimeError):
     """Self-consistent potential solve failed inside a time step."""
 
 
-class StepTooLarge(QnlabError, ValueError):
-    """Time step violates the phase-sampling guard."""
+class GuardError(QnlabError):
+    """A run guard tripped; carries the simulated time and the value the
+    guard measured when the raiser knows them (None otherwise)."""
+
+    def __init__(self, message: str, time: float | None = None,
+                 value: float | None = None):
+        super().__init__(message)
+        self.time = time
+        self.value = value
 
 
-class BlowupGuardTripped(QnlabError, RuntimeError):
+class StepTooLarge(GuardError, ValueError):
+    """Time step violates the phase-sampling guard or RK4's stability bound."""
+
+
+class BlowupGuardTripped(GuardError, RuntimeError):
     """Velocity gradient exceeded the smooth-regime guard during a run."""
 
 

@@ -12,10 +12,12 @@ import numpy as np
 
 from . import spectral
 from .config import sample_steps
-from .errors import BlowupGuardTripped
+from .errors import BlowupGuardTripped, StepTooLarge
 from .grid import RealField, TorusGrid, integrate
 
 GRAD_U_GUARD = 50.0
+# RK4's stability interval on the imaginary axis, |h lambda| <= 2 sqrt(2)
+RK4_STABILITY = 2.0 * np.sqrt(2.0)
 
 
 def normalize_log_density(f: RealField) -> RealField:
@@ -47,14 +49,24 @@ class EulerState:
         return RealField(self.grid, np.exp(self.log_rho.values))
 
 
+def max_rate(grid: TorusGrid, sup_u: float) -> float:
+    """Bound on |lambda| over the linearized right-hand side at a state with
+    max_i |u_i| = sup_u: 2 pi (n/3) sqrt(dim) (sup_u sqrt(dim) + 1), the
+    largest kept |2 pi k| times the largest |u| plus the unit sound speed."""
+    root_dim = float(np.sqrt(grid.dim))
+    return 2.0 * np.pi * (grid.n / 3.0) * root_dim * (sup_u * root_dim + 1.0)
+
+
 def _rhs(sym: spectral.Symbols, log_hat: np.ndarray, u_hat: list,
-         grad_u_sups: list | None = None):
+         grad_u_sups: list | None = None, u_sups: list | None = None):
     """Right-hand side coefficients (d log rho/dt, [du_i/dt]) from those of
     log rho and u, and the coefficients of u.grad log rho before dealiasing;
-    appends max |d_j u_i| of every velocity derivative to grad_u_sups when it
-    is given."""
+    appends max |d_j u_i| of every velocity derivative to grad_u_sups and
+    max |u_i| of every component to u_sups when they are given."""
     dim = len(u_hat)
     u = [sym.inverse(c) for c in u_hat]
+    if u_sups is not None:
+        u_sups.extend(max(float(c.max()), -float(c.min())) for c in u)
     d_u = []
     for i in range(dim):
         advect = 0.0
@@ -90,8 +102,10 @@ def _grad_u_sup(grad_u_sups: list) -> float:
 
 def run_euler(s0: EulerState, T: float, dt: float, sample_every: int = 1) -> list[EulerState]:
     """Classical RK4 from s0 to ~T, returning the states at
-    config.sample_steps; raises BlowupGuardTripped when ||grad u||_inf
-    exceeds the smooth-window guard or is not a number."""
+    config.sample_steps. Before each step it raises BlowupGuardTripped when
+    ||grad u||_inf exceeds the smooth-window guard or is not a number, then
+    StepTooLarge when dt * max_rate exceeds RK4_STABILITY at a state that is
+    not constant; both carry the time and the value measured."""
     steps = sample_steps(T, dt, sample_every)
     grid = s0.grid
     sym = spectral.symbols(grid, real=True)
@@ -100,12 +114,20 @@ def run_euler(s0: EulerState, T: float, dt: float, sample_every: int = 1) -> lis
     sampled = set(steps)
     for step in range(steps[-1]):
         grad_u_sups: list = []
+        u_sups: list = []
         # [:2] frees the advection coefficients now, not after the next stage
-        k_log, k_u = _rhs(sym, log_hat, u_hat, grad_u_sups)[:2]
-        if not _grad_u_sup(grad_u_sups) <= GRAD_U_GUARD:
-            raise BlowupGuardTripped(
-                f"||grad u||_inf > {GRAD_U_GUARD} at t = {s0.time + step * dt:.4f}"
-            )
+        k_log, k_u = _rhs(sym, log_hat, u_hat, grad_u_sups, u_sups)[:2]
+        t = s0.time + step * dt
+        grad_u = _grad_u_sup(grad_u_sups)
+        if not grad_u <= GRAD_U_GUARD:
+            raise BlowupGuardTripped(f"||grad u||_inf > {GRAD_U_GUARD} at t = {t:.4f}",
+                                     time=t, value=grad_u)
+        rate = dt * max_rate(grid, max(u_sups))
+        # a constant state is a fixed point at any step; only a varying one
+        # has modes for an unstable step to amplify
+        if rate > RK4_STABILITY and any(np.any(c.flat[1:]) for c in (log_hat, *u_hat)):
+            raise StepTooLarge(f"RK4 step dt * lambda = {rate:.3f} > {RK4_STABILITY:.3f} "
+                               f"at t = {t:.4f}; shrink dt", time=t, value=rate)
         # running k1 + 2 k2 + 2 k3 + k4, added left to right
         sum_log, sum_u = k_log, k_u
         for frac, weight in ((0.5, 2), (0.5, 2), (1.0, 1)):

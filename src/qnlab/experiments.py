@@ -18,10 +18,10 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from . import reports, spectral
-from .config import ExperimentConfig
+from .config import ExperimentConfig, sample_steps
 from .energy import conserved_energy, modulated_total, weak_distances
-from .errors import BlowupGuardTripped
-from .euler import EulerState, euler_constants, normalize_log_density, run_euler
+from .errors import BlowupGuardTripped, StepTooLarge
+from .euler import EulerState, euler_constants, max_rate, normalize_log_density, run_euler
 from .grid import MASS_TOL, RealField, TorusGrid, gradient, integrate
 from .initial_data import WellPreparedSpec, well_prepared
 from .nbody import mc_uniform_stats
@@ -50,15 +50,23 @@ def _cos_profiles(grid: TorusGrid, rho0_amp: float, u0_amp: float):
 
 def _error_record(exc: Exception, stage: str, **context) -> dict:
     rec = {"stage": stage, "type": type(exc).__name__, "message": str(exc)}
+    for key in ("time", "value"):
+        v = getattr(exc, key, None)
+        # JSON has no NaN; the message still names a NaN guard value
+        if v is not None and np.isfinite(v):
+            rec[key] = float(v)
     rec.update(context)
     return rec
 
 
 # The sweep's Euler reference starts at EULER_FLOOR_N nodes per axis, because
 # below it an RK4 step costs Python overhead, not transforms; a grid is kept
-# when its _top_band_share is at most BAND_SHARE_BOUND.
+# when its _top_band_share is at most BAND_SHARE_BOUND. On a grid coarser than
+# the sweep's, it steps at the coarsest multiple of dt whose estimated error at
+# the samples is at most TIME_ERROR_BOUND (max-abs over log rho and u).
 EULER_FLOOR_N = 256
 BAND_SHARE_BOUND = 1e-13
+TIME_ERROR_BOUND = 1e-12
 
 
 def _cos_euler_data(dim: int, n: int, rho0_amp: float, u0_amp: float) -> EulerState:
@@ -67,13 +75,6 @@ def _cos_euler_data(dim: int, n: int, rho0_amp: float, u0_amp: float) -> EulerSt
     rho0, u0pot = _cos_profiles(grid, rho0_amp, u0_amp)
     return EulerState(normalize_log_density(RealField(grid, np.log(rho0.values))),
                       list(gradient(u0pot)))
-
-
-def _cos_euler_run(dim: int, n: int, rho0_amp: float, u0_amp: float, big_t: float,
-                   dt: float, sample_every: int) -> list[EulerState]:
-    """The sampled Euler states of the standard data on the n^dim grid."""
-    return run_euler(_cos_euler_data(dim, n, rho0_amp, u0_amp), big_t, dt,
-                     sample_every=sample_every)
 
 
 def _top_band_share(samples: list[EulerState]) -> float:
@@ -94,25 +95,73 @@ def _top_band_share(samples: list[EulerState]) -> float:
     return share
 
 
+def _state_gap(a: list[EulerState], b: list[EulerState]) -> float:
+    """Max-abs difference of log rho and u over two runs' samples."""
+    return max(float(np.max(np.abs(x.values - y.values)))
+               for s, r in zip(a, b, strict=True)
+               for x, y in zip((s.log_rho, *s.u), (r.log_rho, *r.u)))
+
+
+def _coarse_step_run(e0: EulerState, big_t: float, dt: float,
+                     sample_every: int) -> tuple[list[EulerState], float]:
+    """The samples of run_euler from e0 at step h = m dt, and h. m divides
+    sample_every and the step count, so the samples fall on the dt time grid.
+    RK4's error at the samples is taken as C m^4, with C read off the gap
+    between the two largest m > 1 whose h max_rate(e0) is at most 1 (step
+    doubling); m is the largest divisor up to the smaller of them with
+    C m^4 <= TIME_ERROR_BOUND. The gap between that probe and a smaller m's
+    run must lie within a factor 2 of C (m2^4 - m^4), else m = 1, as it is
+    when fewer than two probes exist. m = 1 is run_euler at dt."""
+    n_steps = sample_steps(big_t, dt, sample_every)[-1]
+    divisors = [m for m in range(1, sample_every + 1)
+                if sample_every % m == 0 and n_steps % m == 0]
+    rate = max_rate(e0.grid, max(float(np.max(np.abs(c.values))) for c in e0.u))
+    # a probe at m = 1 could only choose m = 1
+    probes = [m for m in divisors if m > 1 and m * dt * rate <= 1.0]
+
+    def at(m: int) -> list[EulerState]:
+        return run_euler(e0, big_t, m * dt, sample_every=sample_every // m)
+
+    if len(probes) < 2:
+        return at(1), dt
+    m1, m2 = probes[-1], probes[-2]
+    coarse, probe = at(m1), at(m2)
+    c = _state_gap(coarse, probe) / ((m1 / m2) ** 4 - 1.0) / m2**4
+    m = max((d for d in divisors if d <= m2 and c * d**4 <= TIME_ERROR_BOUND), default=1)
+    if m == m2:
+        return probe, m * dt
+    samples = at(m)
+    predicted = c * (m2**4 - m**4)
+    if m > 1 and not 0.5 * predicted <= _state_gap(probe, samples) <= 2.0 * predicted:
+        m, samples = 1, at(1)
+    return samples, m * dt
+
+
 @lru_cache(maxsize=1)
 def _euler_reference(dim: int, n: int, rho0_amp: float, u0_amp: float, big_t: float,
                      dt: float, sample_every: int) -> tuple[list, dict, dict]:
-    """The sampled Euler states of the standard data on the n^dim grid, their
-    Gronwall constants, and {"n": n_e, "top_band_share": share}: the grid they
-    were integrated on and its _top_band_share. n_e is the first of
-    min(n, EULER_FLOOR_N), twice that, ... whose share is at most
-    BAND_SHARE_BOUND, else n, and n once a coarser grid trips the blow-up
-    guard; coarser samples are zero-padded to n. The states depend on the data
-    and the time grid, not on (eps, hbar), so each process computes them once
-    for the sweep points it runs."""
+    """The sampled Euler states of the standard data on the n^dim grid at the
+    dt sample times, their Gronwall constants, and {"n": n_e, "dt": h,
+    "top_band_share": share}: the grid and RK4 step they were integrated with
+    and the grid's _top_band_share. n_e is the first of min(n, EULER_FLOOR_N),
+    twice that, ... whose share is at most BAND_SHARE_BOUND, else n; below n
+    the step is _coarse_step_run's, on n it is dt. Once a run below n trips a
+    guard, the reference is the (n, dt) run. Coarser samples are zero-padded
+    to n. The states depend on the data and the time grid, not on
+    (eps, hbar), so each process computes them once for the sweep points it
+    runs."""
     n_e = min(n, EULER_FLOOR_N)
     while True:
+        e0 = _cos_euler_data(dim, n_e, rho0_amp, u0_amp)
         try:
-            samples = _cos_euler_run(dim, n_e, rho0_amp, u0_amp, big_t, dt, sample_every)
-        except BlowupGuardTripped:
+            if n_e == n:
+                samples, h = run_euler(e0, big_t, dt, sample_every=sample_every), dt
+            else:
+                samples, h = _coarse_step_run(e0, big_t, dt, sample_every)
+        except (BlowupGuardTripped, StepTooLarge):
             if n_e == n:
                 raise
-            # whether and where the flow trips the guard is read on the n grid
+            # whether and where the flow trips a guard is read on the n grid
             n_e = n
             continue
         share = _top_band_share(samples)
@@ -124,8 +173,11 @@ def _euler_reference(dim: int, n: int, rho0_amp: float, u0_amp: float, big_t: fl
     def pad(f: RealField) -> RealField:
         return RealField(grid, spectral.resample(f.values, grid.shape))
 
-    samples = [EulerState(pad(s.log_rho), [pad(c) for c in s.u], s.time) for s in samples]
-    return samples, euler_constants(samples), {"n": n_e, "top_band_share": share}
+    # the times run_euler gives the dt samples, whatever step made them
+    times = [k * dt for k in sample_steps(big_t, dt, sample_every)]
+    samples = [EulerState(pad(s.log_rho), [pad(c) for c in s.u], t)
+               for s, t in zip(samples, times, strict=True)]
+    return samples, euler_constants(samples), {"n": n_e, "dt": h, "top_band_share": share}
 
 
 def _sweep_point(cfg: ExperimentConfig, eps: float, hbar: float) -> dict:

@@ -108,9 +108,12 @@ class TestSweepRun:
         assert all(v >= 0 for v in point["gronwall"].values())
 
     def test_euler_reference_block(self, sweep_out):
-        # the default grid is the floor grid: the reference runs on it unpadded
-        for point in load_summary(sweep_out[1])["points"]:
+        # the default grid is the floor grid: the reference runs on it
+        # unpadded, at the sweep's own step
+        summary = load_summary(sweep_out[1])
+        for point in summary["points"]:
             assert point["euler_reference"]["n"] == 256
+            assert point["euler_reference"]["dt"] == summary["physics"]["dt"]
             assert 0.0 <= point["euler_reference"]["top_band_share"] <= 1.0
 
     def test_no_stray_temp_files(self, sweep_out):
@@ -148,7 +151,9 @@ class TestDeterminism:
             jobs = ["--jobs", "2"] if name == "p" else []
             assert main(["quasineutral_sweep", "--config", cfg, "--set", "grid.n=512",
                          *jobs, "--out", str(out)]) == 0
-        assert {p["euler_reference"]["n"] for p in load_summary(runs["a"])["points"]} == {256}
+        # no probe: m = 5, the only divisor > 1, has m dt max_rate = 2.95 > 1
+        assert ({(p["euler_reference"]["n"], p["euler_reference"]["dt"])
+                 for p in load_summary(runs["a"])["points"]} == {(256, 1e-3)})
         rels = sorted(p.relative_to(runs["a"]) for p in runs["a"].rglob("*") if p.is_file())
         for out in (runs["b"], runs["p"]):
             assert rels == sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
@@ -158,16 +163,16 @@ class TestDeterminism:
     def test_sweep_computes_one_euler_reference(self, tmp_path, monkeypatch):
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return run_euler(*args, **kwargs)
+        def counted(s0, big_t, dt, **kwargs):
+            calls.append((s0.grid.n, dt))
+            return run_euler(s0, big_t, dt, **kwargs)
 
         cfg = write_cfg(tmp_path, SWEEP_CFG)
         cached, pooled = tmp_path / "c", tmp_path / "p"
         experiments._euler_reference.cache_clear()
         monkeypatch.setattr(experiments, "run_euler", counted)
         assert main(["quasineutral_sweep", "--config", cfg, "--out", str(cached)]) == 0
-        assert len(calls) == 1
+        assert calls == [(256, 1e-3)]
         # each pool worker starts from an empty cache and computes its own
         experiments._euler_reference.cache_clear()
         assert main(["quasineutral_sweep", "--config", cfg, "--jobs", "2",
@@ -177,14 +182,15 @@ class TestDeterminism:
         for rel in rels:
             assert (cached / rel).read_bytes() == (pooled / rel).read_bytes(), rel
 
-    def test_benchmark_point_integrates_its_reference_once(self, tmp_path, monkeypatch):
+    def test_benchmark_point_reference_takes_60_rk4_steps(self, tmp_path, monkeypatch):
         # the perfbench sweep point at n = 2048 passes the band check on the
-        # floor grid, so its reference costs one coarse integration
+        # floor grid, and its probes at m = 10 and 5 choose m = 5: 20 + 40 RK4
+        # steps on 256 nodes in place of 200 at dt
         grids = []
 
-        def counted(s0, *args, **kwargs):
-            grids.append(s0.grid.n)
-            return run_euler(s0, *args, **kwargs)
+        def counted(s0, big_t, dt, **kwargs):
+            grids.append((s0.grid.n, dt))
+            return run_euler(s0, big_t, dt, **kwargs)
 
         experiments._euler_reference.cache_clear()
         monkeypatch.setattr(experiments, "run_euler", counted)
@@ -192,11 +198,12 @@ class TestDeterminism:
         assert main(["quasineutral_sweep", "--config",
                      str(ROOT / "perfbench" / "configs" / "sweep_1d.cfg"), "--out", str(out)]) == 0
         experiments._euler_reference.cache_clear()
-        assert grids == [experiments.EULER_FLOOR_N]
+        assert grids == [(experiments.EULER_FLOOR_N, 1e-3), (experiments.EULER_FLOOR_N, 5e-4)]
         summary = load_summary(out)
         assert_schema_valid(summary)
         (point,) = summary["points"]
         assert point["euler_reference"]["n"] == experiments.EULER_FLOOR_N
+        assert point["euler_reference"]["dt"] == 5e-4
         assert point["euler_reference"]["top_band_share"] <= experiments.BAND_SHARE_BOUND
 
 
@@ -311,12 +318,32 @@ class TestExitCodes:
         assert record["stage"] == "euler"
         assert record["type"] == "BlowupGuardTripped"
         assert record["message"].endswith("at t = 0.0767")
+        assert abs(record["time"] - 0.0767) <= 1e-4
+        assert record["value"] > 50
         with open(out / "errors.json") as fh:
             assert json.load(fh) == [record]
         summary = load_summary(out)
         assert_schema_valid(summary)
         assert "euler" not in summary
         assert not (out / "plotdata").exists()
+
+    def test_euler_unstable_step_writes_error_record(self, tmp_path, capsys):
+        # dt max_rate = 4.7 > 2 sqrt 2 from the first step; this run used to
+        # report a blow-up at t = 0.0080
+        cfg = write_cfg(tmp_path, "kind = euler_run\ngrid.n = 2048\n"
+                        "initial.rho0_amp = 0.5\ninitial.u0_amp = 0.1\n"
+                        "physics.T = 0.01\nphysics.dt = 1e-3\n")
+        out = tmp_path / "out"
+        assert main(["euler_run", "--config", cfg, "--out", str(out)]) == 1
+        record = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert record["stage"] == "euler"
+        assert record["type"] == "StepTooLarge"
+        assert record["message"].endswith("at t = 0.0000; shrink dt")
+        assert record["time"] == 0.0
+        assert 4.7 < record["value"] < 4.8
+        with open(out / "errors.json") as fh:
+            assert json.load(fh) == [record]
+        assert_schema_valid(load_summary(out))
 
     def test_all_points_failing_leaves_header_only_csv(self, tmp_path):
         cfg = write_cfg(tmp_path, SWEEP_CFG)

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 from conftest import full_wavenumbers
 
-from qnlab import euler, spectral
+from qnlab import euler, experiments, spectral
 from qnlab.config import sample_steps
-from qnlab.errors import BlowupGuardTripped
+from qnlab.errors import BlowupGuardTripped, StepTooLarge
 from qnlab.grid import ComplexField, RealField, TorusGrid, gradient, integrate
 from qnlab.euler import (
+    RK4_STABILITY,
     EulerState,
     euler_constants,
     euler_rhs,
+    max_rate,
     normalize_log_density,
     run_euler,
 )
@@ -257,10 +259,35 @@ def test_run_euler_memory_holds_only_samples():
 
 
 def test_blowup_guard(grid):
+    # dt max_rate = 5.4 is past RK4's bound too; the guard reads first
     x = grid.axis_points()
     s0 = EulerState(zero(grid), [RealField(grid, 9.0 * np.sin(2 * np.pi * x))])
-    with pytest.raises(BlowupGuardTripped):
+    assert 1e-3 * max_rate(grid, 9.0) > RK4_STABILITY
+    with pytest.raises(BlowupGuardTripped) as caught:
         run_euler(s0, 1.0, 1e-3)
+    assert caught.value.time == 0.0
+    assert caught.value.value == pytest.approx(18.0 * np.pi, rel=1e-12)
+
+
+def test_unstable_step_raises_step_too_large():
+    # the standard data on 2048 nodes at dt = 1e-3: dt max_rate = 4.7 > 2 sqrt 2,
+    # which used to surface as a blow-up at t = 0.0080
+    s0 = experiments._cos_euler_data(1, 2048, 0.5, 0.1)
+    rate = 1e-3 * max_rate(s0.grid, max(float(np.max(np.abs(c.values))) for c in s0.u))
+    with pytest.raises(StepTooLarge, match=r"at t = 0\.0000; shrink dt$") as caught:
+        run_euler(s0, 0.01, 1e-3)
+    assert caught.value.time == 0.0
+    assert caught.value.value == pytest.approx(rate, rel=1e-12)
+    assert caught.value.value > RK4_STABILITY
+
+
+def test_max_rate_bounds_the_linear_spectrum():
+    # 2 pi (n/3) sqrt(dim) (sqrt(dim) sup_u + 1); AC-9 steps its n = 256,
+    # |u| <= 0.1 data at dt = 4e-3, inside the bound
+    top = 2.0 * np.pi * 8 / 3
+    assert max_rate(TorusGrid(1, 8), 0.0) == pytest.approx(top)
+    assert max_rate(TorusGrid(2, 8), 1.0) == pytest.approx(top * np.sqrt(2) * (np.sqrt(2) + 1))
+    assert 4e-3 * max_rate(TorusGrid(1, 256), 0.1) == pytest.approx(2.36, abs=5e-3)
 
 
 # ---------------------------------------------------------------------------
