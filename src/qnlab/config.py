@@ -174,6 +174,8 @@ def build_config(raw: dict, kind: str, out_override: str | None = None,
         raise ConfigError(f"physics.eps has {len(eps)} entries but physics.hbar has {len(hbar)}")
     if any(v <= 0 for v in eps) or any(v <= 0 for v in hbar):
         raise ConfigError("all eps and hbar values must be positive")
+    if kind in ("pb_solve", "schrodinger_run") and len(eps) > 1:
+        raise ConfigError(f"{kind} runs one (physics.eps, physics.hbar) pair, got {len(eps)}")
     typed["eps"], typed["hbar"] = eps, hbar
 
     dim, n = typed["grid_dim"], typed["grid_n"]

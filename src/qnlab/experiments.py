@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -79,11 +79,11 @@ def _cos_euler_data(dim: int, n: int, rho0_amp: float, u0_amp: float) -> EulerSt
 
 def _top_band_share(samples: list[EulerState]) -> float:
     """Largest ||f_band||_2 / ||f||_2 over the samples and their fields f
-    (log rho and each u component), the band n/6 < max|k_axis| <= n/3 taken
-    on the samples' own grid."""
+    (log rho and u), the band n/6 < |k| <= n/3 taken on the samples' own
+    1-D grid."""
     grid = samples[0].grid
     sym = spectral.symbols(grid, real=True)
-    top = reduce(np.maximum, [np.abs(m) for m in sym.modes])
+    top = np.abs(sym.modes[0])
     band = (top > grid.n / 6.0) & (top <= grid.n / 3.0)
     share = 0.0
     for s in samples:
@@ -138,9 +138,9 @@ def _coarse_step_run(e0: EulerState, big_t: float, dt: float,
 
 
 @lru_cache(maxsize=1)
-def _euler_reference(dim: int, n: int, rho0_amp: float, u0_amp: float, big_t: float,
+def _euler_reference(n: int, rho0_amp: float, u0_amp: float, big_t: float,
                      dt: float, sample_every: int) -> tuple[list, dict, dict]:
-    """The sampled Euler states of the standard data on the n^dim grid at the
+    """The sampled Euler states of the standard data on the 1-D n grid at the
     dt sample times, their Gronwall constants, and {"n": n_e, "dt": h,
     "top_band_share": share}: the grid and RK4 step they were integrated with
     and the grid's _top_band_share. n_e is the first of min(n, EULER_FLOOR_N),
@@ -152,7 +152,7 @@ def _euler_reference(dim: int, n: int, rho0_amp: float, u0_amp: float, big_t: fl
     runs."""
     n_e = min(n, EULER_FLOOR_N)
     while True:
-        e0 = _cos_euler_data(dim, n_e, rho0_amp, u0_amp)
+        e0 = _cos_euler_data(1, n_e, rho0_amp, u0_amp)
         try:
             if n_e == n:
                 samples, h = run_euler(e0, big_t, dt, sample_every=sample_every), dt
@@ -168,7 +168,7 @@ def _euler_reference(dim: int, n: int, rho0_amp: float, u0_amp: float, big_t: fl
         if n_e == n or share <= BAND_SHARE_BOUND:
             break
         n_e = min(2 * n_e, n)
-    grid = TorusGrid(dim, n)
+    grid = TorusGrid(1, n)
 
     def pad(f: RealField) -> RealField:
         return RealField(grid, spectral.resample(f.values, grid.shape))
@@ -194,22 +194,19 @@ def _sweep_point(cfg: ExperimentConfig, eps: float, hbar: float) -> dict:
         samples = run(w0, cfg.big_t, cfg.dt, sample_every=cfg.sample_every, mode=cfg.mode)
         stage = "euler"
         esamp, gronwall, resolution = _euler_reference(
-            cfg.grid_dim, cfg.grid_n, cfg.rho0_amp, cfg.u0_amp, cfg.big_t, cfg.dt,
-            cfg.sample_every)
+            cfg.grid_n, cfg.rho0_amp, cfg.u0_amp, cfg.big_t, cfg.dt, cfg.sample_every)
 
         stage = "diagnostics"
         x = grid.axis_points()
-        fields = [RealField(grid, np.ones(grid.shape))]
-        if grid.dim == 1:
-            fields += [RealField(grid, np.sin(2 * np.pi * x)),
-                       RealField(grid, np.cos(2 * np.pi * x))]
+        fields = [RealField(grid, np.ones(grid.shape)), RealField(grid, np.sin(2 * np.pi * x)),
+                  RealField(grid, np.cos(2 * np.pi * x))]
         rows = []
         currents_ok = True
         sup_bound_ok = True
         mass_defect = 0.0
         for (w, split), est in zip(samples, esamp, strict=True):
             rep = modulated_total(w, split, est)
-            wd = weak_distances(w, est, split, test_fields=fields)
+            wd = weak_distances(w, est, split, rep.kinetic_modulated, test_fields=fields)
             currents_ok &= all(c["passed"] for c in wd["currents"])
             current_err = max(abs(c["value"]) for c in wd["currents"])
             v = split.potential.values
@@ -375,7 +372,6 @@ def _run_nbody(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
     for n_particles in cfg.n_particles:
         rng = np.random.default_rng([cfg.seeds[0], n_particles])
         stats = mc_uniform_stats(n_particles, cfg.n_configs, rng)
-        stats["expected_mean"] = 1.0 / (12.0 * n_particles)
         point = {c: stats[c] for c in _NBODY_COLUMNS}
         point["energy_within_3se"] = bool(
             abs(point["mean_energy"] - point["expected_mean"]) <= 3.0 * point["se_energy"])

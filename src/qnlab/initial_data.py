@@ -8,7 +8,8 @@ import numpy as np
 
 from .errors import NotAProbabilityDensity, NotPositive
 from .grid import ComplexField, RealField, TorusGrid, check_density, laplacian
-from .nbody import ParticleConfig, w1_circle, wrap_half
+from .energy import relative_entropy
+from .nbody import ParticleConfig, density_cdf, w1_circle, wrap_half
 from .poisson_boltzmann import solve_pb_empirical
 from .schrodinger import WaveFunction
 
@@ -61,10 +62,8 @@ def sample_iid(rho: RealField, n: int, seed: int) -> ParticleConfig:
     inverse-CDF (piecewise-quadratic) inversion."""
     if rho.grid.dim != 1:
         raise ValueError("sampling is one-dimensional")
-    check_density(rho)
+    ext, node_cdf = density_cdf(rho)
     m = rho.grid.n
-    ext = np.append(rho.values, rho.values[0])
-    node_cdf = np.concatenate([[0.0], np.cumsum((ext[:-1] + ext[1:]) / (2.0 * m))])
     node_cdf /= node_cdf[-1]  # absorb the <= MASS_TOL mass defect exactly
     rng = np.random.default_rng(seed)
     targets = rng.random(n)
@@ -121,11 +120,12 @@ def entropy_w1_check(x: ParticleConfig, rho0: RealField, rho_eps: RealField,
                      eps: float) -> dict:
     """Per-configuration check that the thermalized entropy against rho0 is
     controlled by W1 of the configuration to rho_eps:
-    int m log(m/rho0) <= (5/(4 eps^{3/2})) W1(mu_X, rho_eps)."""
+    H(m | rho0) <= (5/(4 eps^{3/2})) W1(mu_X, rho_eps), with m = exp(V) of the
+    empirical solve and H = energy.relative_entropy (both densities carry unit
+    mass, so H is int m log(m/rho0) up to the mass defect)."""
     grid = rho0.grid
     split = solve_pb_empirical(x, eps, grid)
-    m = split.background.values
-    lhs = float(np.mean(m * (np.log(np.maximum(m, 1e-300)) - np.log(rho0.values))))
+    lhs = relative_entropy(split.background, rho0)
     w1 = w1_circle(x, rho_eps)
     rhs = 5.0 / (4.0 * eps**1.5) * w1
     return {

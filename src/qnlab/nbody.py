@@ -9,7 +9,9 @@ d_j = x_(j) - (j + 1/2)/N, the energy against the flat background is
     (1/N^2) sum_{i,j} K(x_i - x_j) + 1/12 = 1/(12 N^2) + (1/N) sum_j (d_j - mean d)^2,
 
 a sum of squares in which nothing cancels. The commutator pair term is the
-matching covariance of u against d. Kernel convolutions with grid densities
+matching covariance of u against d. The potential of mu_X - 1 and its
+derivative at any points are prefix sums over the sorted positions
+(`empirical_potential`). Kernel convolutions with grid densities
 go through the Fourier symbol of K, i.e. against the trigonometric
 interpolant of the density, evaluated at the points in bounded blocks.
 
@@ -165,6 +167,32 @@ def _flat_energy(x_sorted: np.ndarray) -> np.ndarray:
     return 1.0 / (12.0 * n * n) + np.sum(d * d, axis=-1) / n
 
 
+def empirical_potential(x: ParticleConfig, points: np.ndarray) -> tuple:
+    """(phi, phi') at points y in [0, 1): phi = (1/N) sum_i K(y - x_i) + 1/12,
+    the potential K * (mu_X - 1), and phi' = (1/N) sum_i K'(y - x_i) with
+    K'(0) = 0. Exact, from prefix sums over sorted positions in
+    O((N + M) log N) for M points.
+
+    With s_i = y - x_i, frac(s_i) = s_i + [x_i > y], so
+    sum_i (f_i^2 - f_i) = sum s^2 + 2 sum_{x_i > y} s_i - sum s, and since
+    K'(f) = f - 1/2 except K'(0) = 0, sum_i K'(y - x_i) =
+    sum s + #{x_i > y} - N/2 + #{x_i = y}/2.
+    """
+    xs = np.sort(x.positions)
+    n_atoms = xs.size
+    y = points
+    below = np.searchsorted(xs, y, side="right")
+    at = below - np.searchsorted(xs, y, side="left")
+    p1 = np.concatenate([[0.0], np.cumsum(xs)])
+    p2 = np.concatenate([[0.0], np.cumsum(xs * xs)])
+    s1 = n_atoms * y - p1[-1]
+    s2 = n_atoms * y * y - 2.0 * y * p1[-1] + p2[-1]
+    above = n_atoms - below
+    s1_above = above * y - (p1[-1] - p1[below])
+    phi = (s2 + 2.0 * s1_above - s1) / (2.0 * n_atoms) + 1.0 / 12.0
+    return phi, (s1 + above - 0.5 * n_atoms + 0.5 * at) / n_atoms
+
+
 def _energy(x: ParticleConfig, mu: RealField, mu_hat: np.ndarray,
             conv_at_points: np.ndarray) -> RenormalizedEnergy:
     """Energy from the rfft of mu and the values of K * mu at the positions."""
@@ -260,16 +288,23 @@ def commutator_functional(x: ParticleConfig, mu: RealField, u: RealField) -> dic
 # under Lebesgue measure.
 # ---------------------------------------------------------------------------
 
+def density_cdf(rho: RealField) -> tuple:
+    """rho at the n + 1 closed nodes j/n, j = 0..n (the last repeats the
+    first), and there the CDF of its periodic piecewise-linear interpolant:
+    trapezoid sums from 0, the last entry the grid mass."""
+    check_density(rho)
+    ext = np.append(rho.values, rho.values[0])
+    return ext, np.concatenate([[0.0], np.cumsum((ext[:-1] + ext[1:]) / (2.0 * rho.grid.n))])
+
+
 def _cdf_pieces(m, t: np.ndarray) -> tuple:
     """F(t), F'(t) and F''/2 of a measure on pieces starting at t that cross
     no atom or grid node (right-continuous; F of a density is the exact CDF of
     its periodic piecewise-linear interpolant)."""
     if isinstance(m, ParticleConfig):
         return np.searchsorted(np.sort(m.positions), t, side="right") / m.n, 0.0, 0.0
-    check_density(m)
+    ext, node_cdf = density_cdf(m)
     n = m.grid.n
-    ext = np.append(m.values, m.values[0])
-    node_cdf = np.concatenate([[0.0], np.cumsum((ext[:-1] + ext[1:]) / (2.0 * n))])
     j = np.searchsorted(m.grid.axis_points(), t, side="right") - 1
     xi = t - j / n
     slope = (ext[j + 1] - ext[j]) * n
@@ -409,7 +444,8 @@ def w1_circle(mu, nu) -> float:
 
 def mc_uniform_stats(n_particles: int, n_configs: int, rng: np.random.Generator) -> dict:
     """Sample i.i.d. uniform configurations; return renormalized-energy moments
-    against the flat background and the mean squared W1 to uniform.
+    against the flat background with their exact mean E = 1/(12 N), and the
+    mean (squared) W1 to uniform.
 
     Configurations are drawn one at a time and reduced in blocks of at most
     MC_BLOCK_ATOMS atoms, so memory does not grow with n_configs; each costs
@@ -435,6 +471,7 @@ def mc_uniform_stats(n_particles: int, n_configs: int, rng: np.random.Generator)
         "n_configs": n_configs,
         "mean_energy": float(energies.mean()),
         "se_energy": float(energies.std(ddof=1) / np.sqrt(n_configs)),
+        "expected_mean": 1.0 / (12.0 * n),
         "mean_w1": float(w1s.mean()),
         "mean_w1_squared": float((w1s**2).mean()),
     }

@@ -1,10 +1,10 @@
 """Nonlinear Poisson-Boltzmann solves -eps*Lap(V) = h - exp(V) on the torus.
 
 The potential is produced as the split V = tilde + hat, where tilde carries
-the source (linear Poisson solve, or exact Green-kernel sums for particle
-data in 1-D) and hat solves the remaining exponential problem
--eps*Lap(hat) = 1 - exp(tilde + hat) by damped Newton with a preconditioned
-conjugate-gradient linear solve on plain arrays.
+the source (linear Poisson solve, or for particle data in 1-D the exact
+Green-kernel sums of qnlab.nbody) and hat solves the remaining exponential
+problem -eps*Lap(hat) = 1 - exp(tilde + hat) by damped Newton with a
+preconditioned conjugate-gradient linear solve on plain arrays.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .grid import (
     l2_norm,
     spectral_derivative,
 )
-from .nbody import ParticleConfig, w1_circle
+from .nbody import ParticleConfig, empirical_potential, w1_circle
 
 log = logging.getLogger(__name__)
 
@@ -210,56 +210,20 @@ def solve_pb(h: RealField, eps: float, *, hat0: np.ndarray | None = None) -> Pot
     return PotentialSplit(tilde, RealField(h.grid, hat_vals), eps, info)
 
 
-def _node_sums(x: ParticleConfig, grid: TorusGrid) -> tuple:
-    """Per grid node y, with s_i = y - x_i and f_i = frac(s_i):
-    (sum_i s_i, sum_i s_i^2, sum over atoms above y of s_i, atoms above y,
-    atoms at y), from prefix sums over sorted positions in O((N + n) log N)."""
-    xs = np.sort(x.positions)
-    n_atoms = xs.size
-    y = grid.axis_points()
-    below = np.searchsorted(xs, y, side="right")
-    at = below - np.searchsorted(xs, y, side="left")
-    p1 = np.concatenate([[0.0], np.cumsum(xs)])
-    p2 = np.concatenate([[0.0], np.cumsum(xs * xs)])
-    s1 = n_atoms * y - p1[-1]
-    s2 = n_atoms * y * y - 2.0 * y * p1[-1] + p2[-1]
-    above = n_atoms - below
-    s1_above = above * y - (p1[-1] - p1[below])
-    return s1, s2, s1_above, above, at
-
-
-def empirical_tilde(x: ParticleConfig, eps: float, grid: TorusGrid) -> np.ndarray:
-    """Exact node samples of (1/eps) * [(1/N) sum_i K(y - x_i) + 1/12].
-
-    f_i = s_i + [x_i > y], so sum_i (f_i^2 - f_i) = sum s^2 + 2 sum_{x_i > y} s_i - sum s.
-    """
-    s1, s2, s1_above, _, _ = _node_sums(x, grid)
-    return ((s2 + 2.0 * s1_above - s1) / (2.0 * x.n) + 1.0 / 12.0) / eps
-
-
-def empirical_tilde_prime(x: ParticleConfig, eps: float, grid: TorusGrid) -> np.ndarray:
-    """Exact node samples of the tilde derivative, (1/(eps*N)) sum_i K'(y - x_i).
-
-    K'(f) = f - 1/2 except K'(0) = 0, so the sum is
-    sum s + #{x_i > y} - N/2 + #{x_i = y}/2.
-    """
-    s1, _, _, above, at = _node_sums(x, grid)
-    return (s1 + above - 0.5 * x.n + 0.5 * at) / (eps * x.n)
-
-
 def solve_pb_empirical(
     x: ParticleConfig, eps: float, grid: TorusGrid, *, hat0: np.ndarray | None = None
 ) -> PotentialSplit:
     """Solve -eps*Lap(V) = mu_X - exp(V) in 1-D for an atomic measure mu_X.
 
-    tilde is evaluated analytically at the nodes (true Dirac masses, no
-    gridded delta); hat is the usual Newton solve with tilde held fixed.
+    tilde = phi/eps, phi the exact potential of mu_X - 1 at the nodes
+    (nbody.empirical_potential: true Dirac masses, no gridded delta); hat is
+    the usual Newton solve with tilde held fixed.
     """
     if grid.dim != 1:
         raise ValueError("empirical solves are one-dimensional")
     if not eps > 0:
         raise ValueError("eps must be positive")
-    tilde_vals = empirical_tilde(x, eps, grid)
+    tilde_vals = empirical_potential(x, grid.axis_points())[0] / eps
     data = RealField(grid, 1.0 - np.exp(np.clip(tilde_vals, None, _EXP_CLIP)))
     tol = 1e-10 * (1.0 + l2_norm(data))
     hat_vals, info = _newton_hat(tilde_vals, eps, grid, tol, hat0)
@@ -357,7 +321,7 @@ def w1_stability_check(h1, h2, eps: float, grid: TorusGrid | None = None) -> dic
             if grid is None:
                 raise ValueError("grid required for empirical inputs")
             split = solve_pb_empirical(h, eps, grid)
-            tp = empirical_tilde_prime(h, eps, grid)
+            tp = empirical_potential(h, grid.axis_points())[1] / eps
         else:
             split = solve_pb(h, eps)
             tp = spectral_derivative(split.tilde, 0).values

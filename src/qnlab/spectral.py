@@ -7,11 +7,10 @@ Derivative symbols zero the Nyquist mode, which on real fields agrees to
 roundoff with keeping it and taking the real part. Sums over the spectrum
 (Parseval through `Symbols.parseval`, point evaluations in qnlab.nbody) take
 the half-spectrum conjugate-pair weight from `Symbols.pair_weight`.
-`resample` zero-pads a real field onto a finer grid.
+`resample` zero-pads a real 1-D field onto a finer grid.
 """
 from __future__ import annotations
 
-import math
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -30,28 +29,21 @@ ifft = np.fft.ifftn
 
 
 def resample(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The trigonometric interpolant of real grid `values` (1-D or 2-D, even
-    sizes) at the nodes of the finer grid `shape`: the rfft half spectrum,
-    zero-padded. Each coarse Nyquist mode is split evenly between +n/2 and
+    """The trigonometric interpolant of real 1-D grid `values` (even size) at
+    the nodes of the finer 1-D grid `shape`: the rfft half spectrum,
+    zero-padded. The coarse Nyquist mode is split evenly between +n/2 and
     -n/2, so the result is real and takes `values` at the coarse nodes.
     `values` itself is returned when `shape` is its own."""
     shape = tuple(shape)
     if shape == values.shape:
         return values
-    if len(shape) != values.ndim or any(f <= c for f, c in zip(shape, values.shape)):
-        raise ValueError(f"cannot resample {values.shape} onto {shape}: not finer on every axis")
-    hat = rfft(values) * (math.prod(shape) / values.size)
-    h = [c // 2 for c in values.shape]  # the coarse Nyquist mode of each axis
-    # on the finer grid the last-axis mode h stands for itself and its conjugate
-    hat[..., h[-1]] *= 0.5
-    out = np.zeros((*shape[:-1], shape[-1] // 2 + 1), dtype=complex)
-    if values.ndim == 1:
-        out[:h[0] + 1] = hat
-    else:
-        out[:h[0], :h[1] + 1] = hat[:h[0]]
-        out[-h[0]:, :h[1] + 1] = hat[h[0]:]  # modes -h..-1; row -h is the Nyquist row
-        out[-h[0]] *= 0.5
-        out[h[0]] = out[-h[0]]
+    if values.ndim != 1 or len(shape) != 1 or shape[0] <= values.size:
+        raise ValueError(f"cannot resample {values.shape} onto {shape}: not a finer 1-D grid")
+    hat = rfft(values) * (shape[0] / values.size)
+    # on the finer grid the coarse Nyquist mode stands for itself and its conjugate
+    hat[-1] *= 0.5
+    out = np.zeros(shape[0] // 2 + 1, dtype=complex)
+    out[:hat.size] = hat
     return irfft(out, shape)
 
 

@@ -239,7 +239,8 @@ class TestExitCodes:
     # negative T (the rule of the kinds without time evolution, pb_solve and
     # nbody_stats) and sample_every = 0 fail the range rules of build_config;
     # pb_solve always solves Poisson-Boltzmann, and a sweep compares against
-    # isothermal Euler, the quasi-neutral limit of that closure only
+    # isothermal Euler, the quasi-neutral limit of that closure only;
+    # pb_solve and schrodinger_run run one (eps, hbar) pair
     @pytest.mark.parametrize("kind, overrides, env, named", [
         ("nbody_stats", ["--set", "seeds=-1"], None, "seeds"),
         ("nbody_stats", ["--set", "seeds=3,-2"], None, "seeds"),
@@ -251,8 +252,11 @@ class TestExitCodes:
         ("nbody_stats", ["--set", "runtime.sample_every=0"], None, "runtime.sample_every"),
         ("pb_solve", ["--set", "physics.mode=linear_poisson"], None, "physics.mode"),
         ("quasineutral_sweep", ["--set", "physics.mode=linear_poisson"], None, "physics.mode"),
+        ("pb_solve", ["--set", "physics.eps=0.1,0.05"], None, "physics.eps"),
+        ("schrodinger_run", ["--set", "physics.hbar=0.1,0.05"], None, "physics.hbar"),
     ], ids=["seed", "later_seed", "env_seed", "one_config", "no_particle_count",
-            "dim", "negative_T", "zero_sample_every", "linear_pb_solve", "linear_sweep"])
+            "dim", "negative_T", "zero_sample_every", "linear_pb_solve", "linear_sweep",
+            "pb_solve_pairs", "schrodinger_run_pairs"])
     def test_unusable_nbody_config_exit_two(self, tmp_path, capsys, monkeypatch,
                                             kind, overrides, env, named):
         if env is None:

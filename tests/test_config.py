@@ -78,7 +78,7 @@ class TestOverrides:
 
     def test_set_list_value(self):
         raw = apply_overrides({}, ["physics.eps=0.5,0.25"])
-        cfg = build_config(raw, "pb_solve")
+        cfg = build_config(raw, "quasineutral_sweep")
         assert cfg.eps == (0.5, 0.25)
 
     def test_set_requires_equals(self):
@@ -111,7 +111,7 @@ class TestBuildConfig:
 
     def test_singleton_broadcast(self):
         cfg = build_config({"physics.eps": "0.1",
-                            "physics.hbar": "0.1, 0.05, 0.025"}, "pb_solve")
+                            "physics.hbar": "0.1, 0.05, 0.025"}, "quasineutral_sweep")
         assert cfg.eps == (0.1, 0.1, 0.1)
         assert cfg.hbar == (0.1, 0.05, 0.025)
 

@@ -234,6 +234,7 @@ def test_weak_distances_equilibrium(grid, flat_euler):
     w = WaveFunction(ComplexField(grid, np.ones(grid.n, dtype=complex)), 0.1, 0.2)
     x = grid.axis_points()
     rep = weak_distances(w, flat_euler, solve_potential(density(w), w.eps),
+                         kinetic_modulated(w, flat_euler.u),
                          test_fields=[ones(grid), RealField(grid, np.sin(2 * np.pi * x))])
     assert rep["h_minus1_density"] < 1e-12
     assert rep["l1_background"] < 1e-12
@@ -245,7 +246,8 @@ def test_weak_density_distance_matches_closed_form(grid, flat_euler):
     x = grid.axis_points()
     amp = np.sqrt(1 + 0.1 * np.cos(2 * np.pi * x))
     w = WaveFunction(ComplexField(grid, amp.astype(complex)), 0.1, 0.2)
-    rep = weak_distances(w, flat_euler, solve_potential(density(w), w.eps))
+    rep = weak_distances(w, flat_euler, solve_potential(density(w), w.eps),
+                         kinetic_modulated(w, flat_euler.u))
     closed = 0.1 / (2 * np.pi * np.sqrt(2))
     assert abs(rep["h_minus1_density"] - closed) < 1e-12
     assert rep["h_minus1_density"] == pytest.approx(
@@ -260,10 +262,11 @@ def test_weak_current_bound_on_random_states(grid, flat_euler):
     for _ in range(20):
         w = random_state(grid, rng)
         split = solve_potential(density(w), w.eps)
-        rep = weak_distances(w, flat_euler, split, test_fields=fields)
+        kin = kinetic_modulated(w, flat_euler.u)
+        rep = weak_distances(w, flat_euler, split, kin, test_fields=fields)
         for c in rep["currents"]:
             assert c["passed"]
-            assert abs(c["value"]) <= 2.0 * np.sqrt(rep["kinetic_modulated"]) + 1e-14
+            assert abs(c["value"]) <= 2.0 * np.sqrt(kin) + 1e-14
 
 
 
@@ -278,6 +281,6 @@ def test_sample_differentiates_psi_once(grid, flat_euler, transforms):
     x = grid.axis_points()
     fields = [ones(grid), RealField(grid, np.sin(2 * np.pi * x)),
               RealField(grid, np.cos(2 * np.pi * x))]
-    modulated_total(w, split, flat_euler)
-    weak_distances(w, flat_euler, split, test_fields=fields)
+    rep = modulated_total(w, split, flat_euler)
+    weak_distances(w, flat_euler, split, rep.kinetic_modulated, test_fields=fields)
     assert transforms.counts == {"fft": 1, "ifft": 1, "rfft": 2, "irfft": 1}

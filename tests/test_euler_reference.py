@@ -13,13 +13,13 @@ from qnlab.errors import BlowupGuardTripped, StepTooLarge
 from qnlab.euler import EulerState, euler_constants, run_euler
 from qnlab.grid import RealField, TorusGrid, integrate
 
-# AC-1 data: (dim, n, rho0_amp, u0_amp, T, dt, sample_every)
-AC1 = (1, 2048, 0.5, 0.1, 0.2, 1e-4, 200)
+# AC-1 data: (n, rho0_amp, u0_amp, T, dt, sample_every)
+AC1 = (2048, 0.5, 0.1, 0.2, 1e-4, 200)
 
 
-def cos_run(dim, n, rho0_amp, u0_amp, big_t, dt, sample_every):
-    """The standard data's samples on the n^dim grid at step dt."""
-    return run_euler(experiments._cos_euler_data(dim, n, rho0_amp, u0_amp), big_t, dt,
+def cos_run(n, rho0_amp, u0_amp, big_t, dt, sample_every):
+    """The standard data's samples on the 1-D n grid at step dt."""
+    return run_euler(experiments._cos_euler_data(1, n, rho0_amp, u0_amp), big_t, dt,
                      sample_every=sample_every)
 
 
@@ -63,7 +63,7 @@ def test_coarse_reference_matches_the_n_grid_on_ac1_data(grids):
 def test_benchmark_point_steps_at_the_probe(grids):
     # the perfbench sweep point: probes m = 10 and 5, and m = 5 meets the
     # bound, so its run is the reference: 20 + 40 RK4 steps instead of 200
-    args = (1, 2048, 0.5, 0.1, 0.02, 1e-4, 20)
+    args = (2048, 0.5, 0.1, 0.02, 1e-4, 20)
     samples, _, resolution = experiments._euler_reference(*args)
     assert grids == [(256, 1e-3), (256, 5e-4)]
     assert (resolution["n"], resolution["dt"]) == (256, 5e-4)
@@ -73,7 +73,7 @@ def test_benchmark_point_steps_at_the_probe(grids):
 def test_unresolved_floor_doubles_once(grids):
     # close enough to the shock that 256 nodes leave the top band at 1e-9;
     # the rule runs again on 512 nodes, where m = 2 is its only probe
-    args = (1, 1024, 0.5, 1.0, 0.1, 1e-4, 250)
+    args = (1024, 0.5, 1.0, 0.1, 1e-4, 250)
     samples, _, resolution = experiments._euler_reference(*args)
     assert grids == [(256, 5e-4), (256, 2e-4), (256, 1e-4), (512, 1e-4)]
     assert (resolution["n"], resolution["dt"]) == (512, 1e-4)
@@ -81,15 +81,14 @@ def test_unresolved_floor_doubles_once(grids):
 
 
 @pytest.mark.parametrize("args, calls", [
-    ((1, 64, 0.5, 0.1, 0.02, 1e-3, 5), [(64, 1e-3)]),     # the floor is the grid itself
-    ((2, 64, 0.5, 0.1, 0.01, 1e-3, 5), [(64, 1e-3)]),
+    ((64, 0.5, 0.1, 0.02, 1e-3, 5), [(64, 1e-3)]),     # the floor is the grid itself
     # no grid below 512 resolves the steepened flow
-    ((1, 512, 0.5, 1.0, 0.14, 2e-4, 350), [(256, 2e-4), (512, 2e-4)]),
-], ids=["1d-n64", "2d-n64", "steep-n512"])
+    ((512, 0.5, 1.0, 0.14, 2e-4, 350), [(256, 2e-4), (512, 2e-4)]),
+], ids=["1d-n64", "steep-n512"])
 def test_fallback_is_the_n_grid_reference_bit_for_bit(grids, args, calls):
     samples, gronwall, resolution = experiments._euler_reference(*args)
     assert grids == calls
-    assert (resolution["n"], resolution["dt"]) == args[1:2] + args[5:6]
+    assert (resolution["n"], resolution["dt"]) == args[0:1] + args[4:5]
     ref = cos_run(*args)
     assert max_state_error(samples, ref) == 0.0
     assert gronwall == euler_constants(ref)
@@ -98,7 +97,7 @@ def test_fallback_is_the_n_grid_reference_bit_for_bit(grids, args, calls):
 def test_failed_model_check_falls_back_to_dt_bit_for_bit(grids, monkeypatch):
     # probes m = 10 and 5 choose m = 2; a chosen run that sits 1e-9 off the
     # C h^4 model fails the check, and the reference is the floor grid at dt
-    args = (1, 512, 0.5, 0.5, 0.02, 1e-4, 100)
+    args = (512, 0.5, 0.5, 0.02, 1e-4, 100)
     recorded = experiments.run_euler
 
     def off_model(s0, big_t, dt, **kwargs):
@@ -118,7 +117,7 @@ def test_failed_model_check_falls_back_to_dt_bit_for_bit(grids, monkeypatch):
         return RealField(grid, spectral.resample(f.values, grid.shape))
 
     floor = [EulerState(pad(s.log_rho), [pad(c) for c in s.u], s.time)
-             for s in cos_run(1, 256, *args[2:])]
+             for s in cos_run(256, *args[1:])]
     assert max_state_error(samples, floor) == 0.0
 
 
@@ -126,7 +125,7 @@ def test_guard_trip_on_a_coarse_grid_is_decided_on_the_n_grid(grids):
     # the steepening flow trips the guard at t = 0.0767 on 256 nodes and at
     # t = 0.0766 on 1024; the first probe (m = 5) trips it, and the error
     # reports the (n, dt) run's trip, as without the floor and the probes
-    args = (1, 1024, 0.5, 2.0, 0.2, 1e-4, 200)
+    args = (1024, 0.5, 2.0, 0.2, 1e-4, 200)
     with pytest.raises(BlowupGuardTripped) as fine:
         cos_run(*args)
     grids.clear()
@@ -140,7 +139,7 @@ def test_guard_trip_on_a_coarse_grid_is_decided_on_the_n_grid(grids):
 def test_unstable_step_on_the_floor_hands_over_to_the_n_grid(grids):
     # dt max_rate = 2.95 on 256 nodes leaves no probe, and the dt run is past
     # RK4's bound; the error is the (n, dt) run's, with its larger rate
-    args = (1, 2048, 0.5, 0.1, 0.05, 5e-3, 5)
+    args = (2048, 0.5, 0.1, 0.05, 5e-3, 5)
     with pytest.raises(StepTooLarge) as fine:
         cos_run(*args)
     grids.clear()
@@ -158,7 +157,7 @@ def test_euler_run_kind_integrates_on_the_grid_it_was_given(grids, tmp_path):
     out = tmp_path / "out"
     assert main(["euler_run", "--config", str(cfg), "--out", str(out)]) == 0
     assert grids == [(2048, 1e-4)]
-    ref = cos_run(1, 2048, 0.5, 0.1, 0.01, 1e-4, 20)
+    ref = cos_run(2048, 0.5, 0.1, 0.01, 1e-4, 20)
     want = {**euler_constants(ref),
             "mass_defect_max": max(abs(float(integrate(s.rho())) - 1.0) for s in ref)}
     assert json.loads((out / "summary.json").read_text())["euler"] == want

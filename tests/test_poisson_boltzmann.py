@@ -9,11 +9,15 @@ from scipy.integrate import quad
 from qnlab import poisson_boltzmann
 from qnlab.errors import NewtonDiverged, NotAProbabilityDensity, PotentialSolveFailed
 from qnlab.grid import RealField, TorusGrid, integrate, l2_norm
-from qnlab.nbody import ParticleConfig, green_kernel, green_kernel_prime, wrap_half
+from qnlab.nbody import (
+    ParticleConfig,
+    empirical_potential,
+    green_kernel,
+    green_kernel_prime,
+    wrap_half,
+)
 from qnlab.poisson_boltzmann import (
     CG_MAXITER,
-    empirical_tilde,
-    empirical_tilde_prime,
     lipschitz_hat_prime,
     lipschitz_hat_prime_bound,
     _newton_hat,
@@ -267,12 +271,9 @@ def test_particle_positions_half_open():
 def test_single_particle_tilde_is_kernel(grid256):
     cfg = ParticleConfig(np.array([0.0]))
     y = grid256.axis_points()
-    np.testing.assert_array_equal(
-        empirical_tilde(cfg, 1.0, grid256), green_kernel(y) + 1.0 / 12.0
-    )
-    np.testing.assert_array_equal(
-        empirical_tilde_prime(cfg, 1.0, grid256), green_kernel_prime(y)
-    )
+    phi, phi_prime = empirical_potential(cfg, y)
+    np.testing.assert_array_equal(phi, green_kernel(y) + 1.0 / 12.0)
+    np.testing.assert_array_equal(phi_prime, green_kernel_prime(y))
 
 
 @pytest.mark.parametrize("n_part", [1, 2, 3, 17, 512])
@@ -288,12 +289,10 @@ def test_empirical_tilde_matches_direct_sum(grid256, n_part):
     y = grid256.axis_points()
     for pos in (random, np.where(np.arange(n_part) % 2 == 0, 0.3, random), edges):
         diffs = y[None, :] - pos[:, None]
-        cfg = ParticleConfig(pos)
-        np.testing.assert_allclose(empirical_tilde(cfg, 1.0, grid256),
-                                   green_kernel(diffs).mean(axis=0) + 1.0 / 12.0,
+        phi, phi_prime = empirical_potential(ParticleConfig(pos), y)
+        np.testing.assert_allclose(phi, green_kernel(diffs).mean(axis=0) + 1.0 / 12.0,
                                    rtol=0, atol=1e-14)
-        np.testing.assert_allclose(empirical_tilde_prime(cfg, 1.0, grid256),
-                                   green_kernel_prime(diffs).mean(axis=0),
+        np.testing.assert_allclose(phi_prime, green_kernel_prime(diffs).mean(axis=0),
                                    rtol=0, atol=1e-14)
 
 
@@ -304,7 +303,7 @@ def test_equispaced_tilde_closed_form(grid256):
     cfg = ParticleConfig(np.arange(n_part) / n_part)
     y = grid256.axis_points()
     expected = (green_kernel(n_part * y) + 1.0 / 12.0) / (eps * n_part**2)
-    got = empirical_tilde(cfg, eps, grid256)
+    got = empirical_potential(cfg, y)[0] / eps
     np.testing.assert_allclose(got, expected, atol=1e-13)
     assert np.max(np.abs(got)) <= 1.0 / (eps * n_part)  # O(1/(eps N)) decay
 
@@ -317,7 +316,7 @@ def test_empirical_grid_mean_aliasing_bound():
         g = TorusGrid(1, n)
         for eps in (0.5, 0.1):
             pos = rng.random(8)
-            tilde = empirical_tilde(ParticleConfig(pos), eps, g)
+            tilde = empirical_potential(ParticleConfig(pos), g.axis_points())[0] / eps
             bound = 1.01 / (12.0 * n**2 * eps) + 1e-13
             assert abs(np.mean(tilde)) <= bound
             m = np.arange(1, 20001)

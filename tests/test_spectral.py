@@ -115,7 +115,7 @@ def zero_padded(values, shape):
     return padded.real
 
 
-RESAMPLINGS = [(TorusGrid(1, 32), TorusGrid(1, 2048)), (TorusGrid(2, 32), TorusGrid(2, 128))]
+RESAMPLINGS = [(TorusGrid(1, 32), TorusGrid(1, 2048))]
 
 
 @pytest.mark.parametrize("coarse,fine", RESAMPLINGS, ids=lambda g: f"{g.dim}d-n{g.n}")
@@ -141,8 +141,8 @@ def test_resample_round_trip_of_a_band_limited_field(coarse, fine):
 
 
 def test_resample_onto_its_own_grid_returns_the_values():
-    vals = white_noise(TorusGrid(2, 8), seed=1)
-    assert spectral.resample(vals, (8, 8)) is vals
-    for shape in [(4, 4), (16, 8), (16,)]:
+    vals = white_noise(TorusGrid(1, 8), seed=1)
+    assert spectral.resample(vals, (8,)) is vals
+    for shape in [(4,), (8, 8), (16, 16)]:
         with pytest.raises(ValueError):
             spectral.resample(vals, shape)
