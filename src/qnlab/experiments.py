@@ -7,6 +7,7 @@ remaining points still produce rows.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -17,16 +18,16 @@ import numpy as np
 # no run pays for it inside its own timing
 import numpy.random  # noqa: F401
 
-from . import reports, spectral
+from . import reports, schrodinger, spectral
 from .config import ExperimentConfig, sample_steps
 from .energy import conserved_energy, modulated_total, weak_distances
-from .errors import BlowupGuardTripped, StepTooLarge
+from .errors import QnlabError
 from .euler import EulerState, euler_constants, max_rate, normalize_log_density, run_euler
-from .grid import MASS_TOL, RealField, TorusGrid, gradient, integrate
+from .grid import MASS_TOL, ComplexField, RealField, TorusGrid, gradient, integrate
 from .initial_data import WellPreparedSpec, well_prepared
 from .nbody import mc_uniform_stats
 from .poisson_boltzmann import solve_pb, validate_elliptic_bounds
-from .schrodinger import density, run
+from .schrodinger import WaveFunction, check_kinetic_phase, density, run
 
 
 @dataclass
@@ -59,13 +60,18 @@ def _error_record(exc: Exception, stage: str, **context) -> dict:
     return rec
 
 
-# The sweep's Euler reference starts at EULER_FLOOR_N nodes per axis, because
-# below it an RK4 step costs Python overhead, not transforms; a grid is kept
-# when its _top_band_share is at most BAND_SHARE_BOUND. On a grid coarser than
-# the sweep's, it steps at the coarsest multiple of dt whose estimated error at
-# the samples is at most TIME_ERROR_BOUND (max-abs over log rho and u).
-EULER_FLOOR_N = 256
+# Each sweep point integrates its Schrodinger run and the Euler reference on
+# the coarsest grid that resolves them, from FLOOR_N nodes up: below it a step
+# costs Python overhead, not transforms. A grid is kept when _top_band_share of
+# its sampled fields is at most the run's bound: BAND_SHARE_BOUND for log rho
+# and u, SCHRODINGER_BAND_SHARE_BOUND for psi and V (psi at the benchmark point
+# holds 6.5e-12 on 256 nodes, and 2.4e-9 on 256 against 2e-13 on 512 nodes at
+# eps = hbar = 0.01, u0_amp = 0.5, T = 0.2). On a grid coarser than the
+# sweep's, the reference steps at the coarsest multiple of dt whose estimated
+# error at the samples is at most TIME_ERROR_BOUND (max-abs over log rho and u).
+FLOOR_N = 256
 BAND_SHARE_BOUND = 1e-13
+SCHRODINGER_BAND_SHARE_BOUND = 1e-10
 TIME_ERROR_BOUND = 1e-12
 
 
@@ -77,22 +83,48 @@ def _cos_euler_data(dim: int, n: int, rho0_amp: float, u0_amp: float) -> EulerSt
                       list(gradient(u0pot)))
 
 
-def _top_band_share(samples: list[EulerState]) -> float:
-    """Largest ||f_band||_2 / ||f||_2 over the samples and their fields f
-    (log rho and u), the band n/6 < |k| <= n/3 taken on the samples' own
-    1-D grid."""
-    grid = samples[0].grid
-    sym = spectral.symbols(grid, real=True)
-    top = np.abs(sym.modes[0])
-    band = (top > grid.n / 6.0) & (top <= grid.n / 3.0)
+def _top_band_share(fields: list[np.ndarray]) -> float:
+    """Largest ||f_band||_2 / ||f||_2 over 1-D grid values f, real or complex,
+    the band n/6 < |k| <= n/3 taken on the values' own grid."""
     share = 0.0
-    for s in samples:
-        for f in (s.log_rho, *s.u):
-            power = np.abs(sym.forward(f.values)) ** 2
-            total = sym.parseval(power)
-            if total > 0.0:
-                share = max(share, float(np.sqrt(sym.parseval(power * band) / total)))
+    for f in fields:
+        grid = TorusGrid(1, f.size)
+        sym = spectral.symbols(grid, real=np.isrealobj(f))
+        top = np.abs(sym.modes[0])
+        band = (top > grid.n / 6.0) & (top <= grid.n / 3.0)
+        power = np.abs(sym.forward(f)) ** 2
+        total = sym.parseval(power)
+        if total > 0.0:
+            share = max(share, float(np.sqrt(sym.parseval(power * band) / total)))
     return share
+
+
+def _coarsest_run(n: int, bound: float, prepare: Callable[[int], tuple],
+                  integrate: Callable[[object], tuple]) -> tuple[int, object, float]:
+    """(n_c, result, share): a run on the first n_c of min(n, FLOOR_N), twice
+    that, ... below n whose share = _top_band_share of the run's sampled
+    fields is at most `bound`, else on n itself. prepare(n_c) gives the
+    initial state and its fields, integrate(state) the result and the fields
+    of its samples, the initial ones among them; a grid whose initial fields
+    already exceed the bound is left before anything is integrated on it.
+    Once a run below n fails with a QnlabError (a guard trip, a failed
+    solve), the run is the one on n, so an error is the n grid's."""
+    n_c = min(n, FLOOR_N)
+    while n_c < n:
+        try:
+            state, fields = prepare(n_c)
+            if _top_band_share(fields) <= bound:
+                result, fields = integrate(state)
+                share = _top_band_share(fields)
+                if share <= bound:
+                    return n_c, result, share
+        except QnlabError:
+            # whether and where a run fails is read on the n grid
+            break
+        n_c = min(2 * n_c, n)
+    state, _ = prepare(n)
+    result, fields = integrate(state)
+    return n, result, _top_band_share(fields)
 
 
 def _state_gap(a: list[EulerState], b: list[EulerState]) -> float:
@@ -137,37 +169,33 @@ def _coarse_step_run(e0: EulerState, big_t: float, dt: float,
     return samples, m * dt
 
 
+def _euler_fields(samples: list[EulerState]) -> list[np.ndarray]:
+    return [f.values for s in samples for f in (s.log_rho, *s.u)]
+
+
 @lru_cache(maxsize=1)
 def _euler_reference(n: int, rho0_amp: float, u0_amp: float, big_t: float,
                      dt: float, sample_every: int) -> tuple[list, dict, dict]:
     """The sampled Euler states of the standard data on the 1-D n grid at the
     dt sample times, their Gronwall constants, and {"n": n_e, "dt": h,
     "top_band_share": share}: the grid and RK4 step they were integrated with
-    and the grid's _top_band_share. n_e is the first of min(n, EULER_FLOOR_N),
-    twice that, ... whose share is at most BAND_SHARE_BOUND, else n; below n
-    the step is _coarse_step_run's, on n it is dt. Once a run below n trips a
-    guard, the reference is the (n, dt) run. Coarser samples are zero-padded
-    to n. The states depend on the data and the time grid, not on
-    (eps, hbar), so each process computes them once for the sweep points it
-    runs."""
-    n_e = min(n, EULER_FLOOR_N)
-    while True:
+    and the grid's _top_band_share of log rho and u. n_e is _coarsest_run's
+    grid under BAND_SHARE_BOUND; below n the step is _coarse_step_run's, on n
+    it is dt. Coarser samples are zero-padded to n. The states depend on the
+    data and the time grid, not on (eps, hbar), so each process computes them
+    once for the sweep points it runs."""
+    def prepare(n_e: int):
         e0 = _cos_euler_data(1, n_e, rho0_amp, u0_amp)
-        try:
-            if n_e == n:
-                samples, h = run_euler(e0, big_t, dt, sample_every=sample_every), dt
-            else:
-                samples, h = _coarse_step_run(e0, big_t, dt, sample_every)
-        except (BlowupGuardTripped, StepTooLarge):
-            if n_e == n:
-                raise
-            # whether and where the flow trips a guard is read on the n grid
-            n_e = n
-            continue
-        share = _top_band_share(samples)
-        if n_e == n or share <= BAND_SHARE_BOUND:
-            break
-        n_e = min(2 * n_e, n)
+        return e0, _euler_fields([e0])
+
+    def integrate(e0: EulerState):
+        if e0.grid.n == n:
+            samples, h = run_euler(e0, big_t, dt, sample_every=sample_every), dt
+        else:
+            samples, h = _coarse_step_run(e0, big_t, dt, sample_every)
+        return (samples, h), _euler_fields(samples)
+
+    n_e, (samples, h), share = _coarsest_run(n, BAND_SHARE_BOUND, prepare, integrate)
     grid = TorusGrid(1, n)
 
     def pad(f: RealField) -> RealField:
@@ -178,6 +206,43 @@ def _euler_reference(n: int, rho0_amp: float, u0_amp: float, big_t: float,
     samples = [EulerState(pad(s.log_rho), [pad(c) for c in s.u], t)
                for s, t in zip(samples, times, strict=True)]
     return samples, euler_constants(samples), {"n": n_e, "dt": h, "top_band_share": share}
+
+
+def _schrodinger_samples(cfg: ExperimentConfig, w0: WaveFunction) -> tuple[list, dict]:
+    """The sweep's Schrodinger samples on w0's n grid and {"n": n_s,
+    "top_band_share": share}: `run` on _coarsest_run's grid n_s under
+    SCHRODINGER_BAND_SHARE_BOUND (psi and V), from the standard data's
+    well-prepared state on n_s nodes. Below n each later sample's psi is
+    zero-padded to n and its potential re-solved there, warm-started from the
+    padded coarse hat; the t = 0 sample is w0 with its n solve, as on n.
+    dt must pass the kinetic-phase cap of the n grid, not only of n_s: a
+    point whose n-grid run would stop there fails as that run does."""
+    grid = w0.psi.grid
+
+    def prepare(n_s: int):
+        w = w0
+        if n_s < grid.n:
+            check_kinetic_phase(w0, cfg.dt)
+            rho0, u0pot = _cos_profiles(TorusGrid(1, n_s), cfg.rho0_amp, cfg.u0_amp)
+            w = well_prepared(WellPreparedSpec(rho0, u0pot, w0.eps, w0.hbar))
+        return w, [w.psi.values]
+
+    def integrate(w: WaveFunction):
+        samples = run(w, cfg.big_t, cfg.dt, sample_every=cfg.sample_every, mode=cfg.mode)
+        return samples, [f for v, split in samples for f in (v.psi.values, split.potential.values)]
+
+    n_s, samples, share = _coarsest_run(grid.n, SCHRODINGER_BAND_SHARE_BOUND, prepare, integrate)
+    if n_s < grid.n:
+        # called through the module, so a wrapper on it (perfbench's tracer)
+        # sees the n-grid solves
+        padded = [(w0, schrodinger.solve_potential(density(w0), w0.eps, cfg.mode))]
+        for w, split in samples[1:]:
+            psi = ComplexField(grid, spectral.resample(w.psi.values, grid.shape))
+            wn = WaveFunction(psi, w.hbar, w.eps, w.time)
+            hat0 = spectral.resample(split.hat.values, grid.shape)
+            padded.append((wn, schrodinger.solve_potential(density(wn), w.eps, cfg.mode, hat0)))
+        samples = padded
+    return samples, {"n": n_s, "top_band_share": share}
 
 
 def _sweep_point(cfg: ExperimentConfig, eps: float, hbar: float) -> dict:
@@ -191,7 +256,7 @@ def _sweep_point(cfg: ExperimentConfig, eps: float, hbar: float) -> dict:
         w0 = well_prepared(WellPreparedSpec(rho0, u0pot, eps, hbar))
 
         stage = "schrodinger"
-        samples = run(w0, cfg.big_t, cfg.dt, sample_every=cfg.sample_every, mode=cfg.mode)
+        samples, schrodinger_grid = _schrodinger_samples(cfg, w0)
         stage = "euler"
         esamp, gronwall, resolution = _euler_reference(
             cfg.grid_n, cfg.rho0_amp, cfg.u0_amp, cfg.big_t, cfg.dt, cfg.sample_every)
@@ -244,6 +309,7 @@ def _sweep_point(cfg: ExperimentConfig, eps: float, hbar: float) -> dict:
             "conserved_drift_max": float(drift),
             "gronwall": gronwall,
             "euler_reference": resolution,
+            "schrodinger_grid": schrodinger_grid,
             "checks": checks,
         }
     except Exception as exc:  # noqa: BLE001 - every failure becomes a record

@@ -210,6 +210,24 @@ def solve_pb(h: RealField, eps: float, *, hat0: np.ndarray | None = None) -> Pot
     return PotentialSplit(tilde, RealField(h.grid, hat_vals), eps, info)
 
 
+def _empirical_solve(
+    x: ParticleConfig, eps: float, grid: TorusGrid, hat0: np.ndarray | None = None
+) -> tuple[PotentialSplit, np.ndarray]:
+    """solve_pb_empirical's split and tilde' = phi'/eps at the nodes, from one
+    evaluation of the particle sums."""
+    if grid.dim != 1:
+        raise ValueError("empirical solves are one-dimensional")
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    phi, phi_prime = empirical_potential(x, grid.axis_points())
+    tilde_vals = phi / eps
+    data = RealField(grid, 1.0 - np.exp(np.clip(tilde_vals, None, _EXP_CLIP)))
+    tol = 1e-10 * (1.0 + l2_norm(data))
+    hat_vals, info = _newton_hat(tilde_vals, eps, grid, tol, hat0)
+    split = PotentialSplit(RealField(grid, tilde_vals), RealField(grid, hat_vals), eps, info)
+    return split, phi_prime / eps
+
+
 def solve_pb_empirical(
     x: ParticleConfig, eps: float, grid: TorusGrid, *, hat0: np.ndarray | None = None
 ) -> PotentialSplit:
@@ -219,15 +237,7 @@ def solve_pb_empirical(
     (nbody.empirical_potential: true Dirac masses, no gridded delta); hat is
     the usual Newton solve with tilde held fixed.
     """
-    if grid.dim != 1:
-        raise ValueError("empirical solves are one-dimensional")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    tilde_vals = empirical_potential(x, grid.axis_points())[0] / eps
-    data = RealField(grid, 1.0 - np.exp(np.clip(tilde_vals, None, _EXP_CLIP)))
-    tol = 1e-10 * (1.0 + l2_norm(data))
-    hat_vals, info = _newton_hat(tilde_vals, eps, grid, tol, hat0)
-    return PotentialSplit(RealField(grid, tilde_vals), RealField(grid, hat_vals), eps, info)
+    return _empirical_solve(x, eps, grid, hat0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +330,9 @@ def w1_stability_check(h1, h2, eps: float, grid: TorusGrid | None = None) -> dic
         if isinstance(h, ParticleConfig):
             if grid is None:
                 raise ValueError("grid required for empirical inputs")
-            split = solve_pb_empirical(h, eps, grid)
-            tp = empirical_potential(h, grid.axis_points())[1] / eps
-        else:
-            split = solve_pb(h, eps)
-            tp = spectral_derivative(split.tilde, 0).values
-        return split, tp
+            return _empirical_solve(h, eps, grid)
+        split = solve_pb(h, eps)
+        return split, spectral_derivative(split.tilde, 0).values
 
     split1, tp1 = solve(h1)
     split2, tp2 = solve(h2)

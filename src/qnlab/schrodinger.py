@@ -65,7 +65,8 @@ def solve_potential(rho: RealField, eps: float, mode: str = "poisson_boltzmann",
                           eps, mode=mode)
 
 
-def _check_kinetic_phase(w: WaveFunction, dt: float) -> None:
+def check_kinetic_phase(w: WaveFunction, dt: float) -> None:
+    """StepTooLarge when a step of dt on w's grid exceeds KINETIC_PHASE_CAP."""
     grid = w.psi.grid
     phase = w.hbar * grid.dim * (np.pi * grid.n) ** 2 * dt / 2.0
     if phase >= KINETIC_PHASE_CAP:
@@ -100,7 +101,7 @@ def step_strang(w: WaveFunction, dt: float, mode: str = "poisson_boltzmann") -> 
     density, half kinetic. Exactly mass-conserving."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    _check_kinetic_phase(w, dt)
+    check_kinetic_phase(w, dt)
     half_kinetic = _half_kinetic(w, dt)
     chi_hat, _ = _step_core(spectral.fft(w.psi.values), w, dt, mode, None, half_kinetic)
     psi = spectral.ifft(half_kinetic * chi_hat)
@@ -125,7 +126,7 @@ def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
     split0 = solve_potential(density(w0), w0.eps, mode)
     samples = [(w0, split0)]
     if steps[-1] > 0:
-        _check_kinetic_phase(w0, dt)
+        check_kinetic_phase(w0, dt)
     chi_hat, t = spectral.fft(w0.psi.values), w0.time
     # hat_n, hat_(n-1): the last two step solves. The next midpoint is dt
     # ahead (2 hat_n - hat_(n-1); the first step gets hat_0), the sample

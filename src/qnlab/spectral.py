@@ -7,7 +7,7 @@ Derivative symbols zero the Nyquist mode, which on real fields agrees to
 roundoff with keeping it and taking the real part. Sums over the spectrum
 (Parseval through `Symbols.parseval`, point evaluations in qnlab.nbody) take
 the half-spectrum conjugate-pair weight from `Symbols.pair_weight`.
-`resample` zero-pads a real 1-D field onto a finer grid.
+`resample` zero-pads a real or complex 1-D field onto a finer grid.
 """
 from __future__ import annotations
 
@@ -33,12 +33,16 @@ def resample(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     the nodes of the finer 1-D grid `shape`: the rfft half spectrum,
     zero-padded. The coarse Nyquist mode is split evenly between +n/2 and
     -n/2, so the result is real and takes `values` at the coarse nodes.
-    `values` itself is returned when `shape` is its own."""
+    Complex `values` are resampled by their real and imaginary parts, which
+    is the same zero-padding of the full spectrum. `values` itself is
+    returned when `shape` is its own."""
     shape = tuple(shape)
     if shape == values.shape:
         return values
     if values.ndim != 1 or len(shape) != 1 or shape[0] <= values.size:
         raise ValueError(f"cannot resample {values.shape} onto {shape}: not a finer 1-D grid")
+    if np.iscomplexobj(values):
+        return resample(values.real, shape) + 1j * resample(values.imag, shape)
     hat = rfft(values) * (shape[0] / values.size)
     # on the finer grid the coarse Nyquist mode stands for itself and its conjugate
     hat[-1] *= 0.5

@@ -198,11 +198,11 @@ class TestDeterminism:
         assert main(["quasineutral_sweep", "--config",
                      str(ROOT / "perfbench" / "configs" / "sweep_1d.cfg"), "--out", str(out)]) == 0
         experiments._euler_reference.cache_clear()
-        assert grids == [(experiments.EULER_FLOOR_N, 1e-3), (experiments.EULER_FLOOR_N, 5e-4)]
+        assert grids == [(experiments.FLOOR_N, 1e-3), (experiments.FLOOR_N, 5e-4)]
         summary = load_summary(out)
         assert_schema_valid(summary)
         (point,) = summary["points"]
-        assert point["euler_reference"]["n"] == experiments.EULER_FLOOR_N
+        assert point["euler_reference"]["n"] == experiments.FLOOR_N
         assert point["euler_reference"]["dt"] == 5e-4
         assert point["euler_reference"]["top_band_share"] <= experiments.BAND_SHARE_BOUND
 

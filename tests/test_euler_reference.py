@@ -1,5 +1,5 @@
 """The sweep's Euler reference: integrated on the coarsest grid that resolves
-the flow to BAND_SHARE_BOUND, from EULER_FLOOR_N up, at the coarsest multiple
+the flow to BAND_SHARE_BOUND, from FLOOR_N up, at the coarsest multiple
 of dt whose estimated RK4 error is at most TIME_ERROR_BOUND, and zero-padded to
 the Schrödinger grid; on the Schrödinger grid at dt where no coarser grid does."""
 import json

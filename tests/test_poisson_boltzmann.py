@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from qnlab import poisson_boltzmann
 from qnlab.errors import NewtonDiverged, NotAProbabilityDensity, PotentialSolveFailed
-from qnlab.grid import RealField, TorusGrid, integrate, l2_norm
+from qnlab.grid import RealField, TorusGrid, integrate, l2_norm, spectral_derivative
 from qnlab.nbody import (
     ParticleConfig,
     empirical_potential,
@@ -468,3 +468,27 @@ def test_w1_stability_configs_and_true_variant(grid256):
         assert report["lhs"] >= report["rhs"]
         assert report["passed"]
         assert report["tilde_term"] <= 2.0 / eps * np.sqrt(report["w1"]) * (1 + 1e-8)
+
+
+def test_w1_stability_sums_each_configuration_once(grid256, monkeypatch):
+    # one evaluation of the particle sums per input gives both the solve's
+    # tilde and the check's tilde'; the report is the one that evaluating
+    # them separately gives, bit for bit
+    rng = np.random.default_rng(23)
+    eps = 0.5
+    c1, c2 = ParticleConfig(rng.random(16)), ParticleConfig(rng.random(16))
+    calls = []
+
+    def counted(x, points):
+        calls.append(x)
+        return empirical_potential(x, points)
+
+    monkeypatch.setattr(poisson_boltzmann, "empirical_potential", counted)
+    report = w1_stability_check(c1, c2, eps, grid=grid256)
+    assert len(calls) == 2 and calls[0] is c1 and calls[1] is c2
+    monkeypatch.undo()
+    splits = [solve_pb_empirical(c, eps, grid256) for c in (c1, c2)]
+    tps = [empirical_potential(c, grid256.axis_points())[1] / eps for c in (c1, c2)]
+    hps = [spectral_derivative(s.hat, 0).values for s in splits]
+    assert report["tilde_term"] == l2_norm(RealField(grid256, tps[0] - tps[1]))
+    assert report["hat_term"] == 4.0 * np.sqrt(eps) * l2_norm(RealField(grid256, hps[0] - hps[1]))

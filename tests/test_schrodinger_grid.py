@@ -1,0 +1,183 @@
+"""The sweep's Schrödinger run: integrated on the coarsest grid from FLOOR_N up
+whose sampled psi and V hold at most SCHRODINGER_BAND_SHARE_BOUND of their L2
+norm in the top dealiased band, its samples zero-padded to the sweep's grid
+and their potentials re-solved there; on the sweep's grid where no coarser
+grid does."""
+import csv
+import dataclasses
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qnlab import experiments
+from qnlab.cli import main
+from qnlab.config import build_config
+from qnlab.errors import StepTooLarge
+from qnlab.grid import TorusGrid
+from qnlab.initial_data import WellPreparedSpec, well_prepared
+from qnlab.schrodinger import check_kinetic_phase, run
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_CFG = ROOT / "perfbench" / "configs" / "sweep_1d.cfg"
+# the perfbench sweep point, and how far its outputs may move from the
+# n-grid run's: the pins' relative tolerance for the maxima, and for every
+# sweep.csv cell SWEEP_CELL_REL (the largest move measured on the perfbench
+# point, the AC-1 ladder, the AC-2 half-step run and steep data was 1.0e-11)
+BENCH = dataclasses.replace(
+    build_config({}, "quasineutral_sweep"), grid_dim=1, grid_n=2048, big_t=0.02, dt=1e-4,
+    sample_every=20, mode="poisson_boltzmann", rho0_amp=0.5, u0_amp=0.1)
+PIN_REL, PIN_FLOOR = 1e-9, 1e-12
+SWEEP_CELL_REL = 1e-10
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Grid size of every schrodinger.run call the experiments module makes."""
+    calls = []
+
+    def recorded(w0, *args, **kwargs):
+        calls.append(w0.psi.grid.n)
+        return run(w0, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run", recorded)
+    return calls
+
+
+def prepared(cfg, eps, hbar, n=None):
+    grid = TorusGrid(1, n or cfg.grid_n)
+    rho0, u0pot = experiments._cos_profiles(grid, cfg.rho0_amp, cfg.u0_amp)
+    return well_prepared(WellPreparedSpec(rho0, u0pot, eps, hbar))
+
+
+def on_the_n_grid(monkeypatch):
+    """Reject every coarser grid: the sweep point of the n-grid run."""
+    monkeypatch.setattr(experiments, "SCHRODINGER_BAND_SHARE_BOUND", -1.0)
+
+
+def test_benchmark_point_runs_on_256_nodes(runs, tmp_path):
+    out = tmp_path / "out"
+    assert main(["quasineutral_sweep", "--config", str(BENCH_CFG), "--out", str(out)]) == 0
+    assert runs == [experiments.FLOOR_N]
+    summary = json.loads((out / "summary.json").read_text())
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.validate(summary, json.loads((ROOT / "docs" / "summary_schema.json").read_text()))
+    (point,) = summary["points"]
+    assert point["schrodinger_grid"]["n"] == experiments.FLOOR_N
+    assert 0.0 < point["schrodinger_grid"]["top_band_share"] <= \
+        experiments.SCHRODINGER_BAND_SHARE_BOUND
+    # every row is on the n grid's sample times
+    with open(out / "sweep.csv") as fh:
+        times = [float(r["time"]) for r in csv.DictReader(fh)]
+    assert times == pytest.approx([k * 0.002 for k in range(11)])
+
+
+def test_benchmark_point_agrees_with_the_n_grid_run(monkeypatch):
+    coarse = experiments._sweep_point(BENCH, 0.025, 0.025)
+    on_the_n_grid(monkeypatch)
+    fine = experiments._sweep_point(BENCH, 0.025, 0.025)
+    assert coarse["schrodinger_grid"]["n"] == 256
+    assert fine["schrodinger_grid"]["n"] == 2048
+    for key, want in fine["maxima"].items():
+        assert abs(coarse["maxima"][key] - want) <= max(PIN_REL * abs(want), PIN_FLOOR), key
+    # the t = 0 row is the n grid's own sample, bit for bit
+    assert coarse["rows"][0] == fine["rows"][0]
+    for got, want in zip(coarse["rows"], fine["rows"], strict=True):
+        for key in want:
+            assert abs(got[key] - want[key]) <= SWEEP_CELL_REL * abs(want[key]), (key, got["time"])
+    # checks, Gronwall constants and the Euler reference are unchanged
+    moved = ("rows", "maxima", "conserved_drift_max", "schrodinger_grid")
+    assert ({k: v for k, v in coarse.items() if k not in moved}
+            == {k: v for k, v in fine.items() if k not in moved})
+    assert all(coarse["checks"].values())
+
+
+def test_steep_data_double_once(runs):
+    # eps = hbar = 0.01 and u0_amp = 0.5: by T = 0.2 the 256-node run holds
+    # 2.4e-9 of psi in its top band, the 512-node run 2e-13
+    cfg = dataclasses.replace(BENCH, grid_n=1024, big_t=0.2, dt=4e-4, sample_every=50,
+                              u0_amp=0.5)
+    w0 = prepared(cfg, 0.01, 0.01)
+    samples, resolution = experiments._schrodinger_samples(cfg, w0)
+    assert runs == [256, 512]
+    assert resolution["n"] == 512
+    assert resolution["top_band_share"] <= experiments.SCHRODINGER_BAND_SHARE_BOUND
+    assert samples[0][0] is w0
+    # the padded samples sit within 1e-10 of the n-grid run's psi (9.6e-12 measured)
+    ref = run(w0, cfg.big_t, cfg.dt, sample_every=cfg.sample_every)
+    for (w, split), (w_ref, _) in zip(samples, ref, strict=True):
+        assert w.time == w_ref.time
+        assert split.potential.grid.n == 1024
+        assert np.max(np.abs(w.psi.values - w_ref.psi.values)) <= 1e-10
+
+
+def test_unresolved_prepared_state_is_never_integrated_there(runs):
+    # hbar = 5e-4 puts about 3e-4 of the prepared psi's L2 norm in the top
+    # band of 256 nodes: that grid is left before any step, and 512 nodes,
+    # where the share is 2e-13, carry the run
+    cfg = dataclasses.replace(BENCH, grid_n=1024, big_t=0.002, dt=1e-4, sample_every=10)
+    coarse = prepared(cfg, 0.01, 5e-4, n=256)
+    assert experiments._top_band_share([coarse.psi.values]) > \
+        experiments.SCHRODINGER_BAND_SHARE_BOUND
+    samples, resolution = experiments._schrodinger_samples(cfg, prepared(cfg, 0.01, 5e-4))
+    assert runs == [512]
+    assert resolution["n"] == 512
+
+
+def test_n_grid_kinetic_phase_cap_holds_before_any_coarse_run(runs):
+    # at dt = 1e-3 a step on 2048 nodes exceeds the kinetic-phase cap and a
+    # step on 256 nodes does not: the point fails as the n-grid run does,
+    # and nothing is integrated on a coarser grid
+    cfg = dataclasses.replace(BENCH, dt=1e-3)
+    check_kinetic_phase(prepared(cfg, 0.025, 0.025, n=256), cfg.dt)
+    got = experiments._sweep_point(cfg, 0.025, 0.025)
+    assert runs == [2048]
+    with pytest.raises(StepTooLarge) as fine:
+        run(prepared(cfg, 0.025, 0.025), cfg.big_t, cfg.dt, sample_every=cfg.sample_every)
+    assert got["error"] == {"stage": "schrodinger", "type": "StepTooLarge",
+                            "message": str(fine.value), "eps": 0.025, "hbar": 0.025}
+
+
+@pytest.mark.parametrize("n_trips", [False, True], ids=["n-grid-runs", "n-grid-trips"])
+def test_coarse_guard_trip_hands_over_to_the_n_grid(runs, monkeypatch, n_trips):
+    # every run below n trips a guard; the point is then the n grid's: its
+    # samples, or its own trip's error record
+    cfg = dataclasses.replace(BENCH, grid_n=512)
+    recorded = experiments.run
+
+    def coarse_trips(w0, *args, **kwargs):
+        samples = recorded(w0, *args, **kwargs)
+        if w0.psi.grid.n < cfg.grid_n:
+            raise StepTooLarge("coarse trip", time=0.01, value=1.0)
+        if n_trips:
+            raise StepTooLarge("n-grid trip", time=0.015, value=2.0)
+        return samples
+
+    monkeypatch.setattr(experiments, "run", coarse_trips)
+    got = experiments._sweep_point(cfg, 0.025, 0.025)
+    assert runs == [256, 512]
+    if n_trips:
+        assert got["error"] == {"stage": "schrodinger", "type": "StepTooLarge",
+                                "message": "n-grid trip", "time": 0.015, "value": 2.0,
+                                "eps": 0.025, "hbar": 0.025}
+    on_the_n_grid(monkeypatch)
+    assert got == experiments._sweep_point(cfg, 0.025, 0.025)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(grid_n=256, big_t=0.002, sample_every=10),                       # perfbench smoke
+    dict(grid_n=256, big_t=0.01, dt=1e-3, sample_every=5),                # test_cli SWEEP_CFG
+    dict(grid_n=64, big_t=0.01, dt=1e-3, sample_every=5),
+], ids=["smoke", "sweep-cfg", "n64"])
+def test_grids_up_to_the_floor_take_the_n_grid_run(runs, overrides):
+    cfg = dataclasses.replace(BENCH, **overrides)
+    w0 = prepared(cfg, 0.02, 0.02)
+    samples, resolution = experiments._schrodinger_samples(cfg, w0)
+    assert runs == [cfg.grid_n]
+    assert resolution["n"] == cfg.grid_n
+    ref = run(w0, cfg.big_t, cfg.dt, sample_every=cfg.sample_every)
+    for (w, split), (w_ref, split_ref) in zip(samples, ref, strict=True):
+        assert w.time == w_ref.time
+        assert np.array_equal(w.psi.values, w_ref.psi.values)
+        assert np.array_equal(split.potential.values, split_ref.potential.values)

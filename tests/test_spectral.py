@@ -146,3 +146,59 @@ def test_resample_onto_its_own_grid_returns_the_values():
     for shape in [(4,), (8, 8), (16, 16)]:
         with pytest.raises(ValueError):
             spectral.resample(vals, shape)
+
+
+def complex_zero_padded(values, n_fine):
+    """Zero-padding of complex 1-D `values` onto n_fine nodes, mode by mode:
+    each coefficient goes to its fftfreq mode, the coarse Nyquist coefficient
+    split evenly between the modes +n/2 and -n/2."""
+    n = values.size
+    out = np.zeros(n_fine, dtype=complex)
+    for c, k in zip(np.fft.fft(values) / n, np.fft.fftfreq(n, 1.0 / n).astype(int)):
+        modes = (k, -k) if abs(k) == n // 2 else (k,)
+        for m in modes:
+            out[m] += c / len(modes)
+    return np.fft.ifft(out) * n_fine
+
+
+def complex_noise(n, seed):
+    """Complex data with energy in every mode, the Nyquist mode included."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def test_complex_resample_is_full_spectrum_zero_padding():
+    vals = complex_noise(32, seed=12)
+    got = spectral.resample(vals, (2048,))
+    want = complex_zero_padded(vals, 2048)
+    assert got.dtype == complex
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # the interpolant takes the data at the coarse nodes
+    assert np.max(np.abs(got[::64] - vals)) <= 1e-14 * np.max(np.abs(vals))
+
+
+def test_complex_resample_round_trip_of_a_band_limited_field():
+    # modes |k| <= 5 lie below the coarse Nyquist mode 16, so the 32 coarse
+    # nodes determine the field, whose spectrum is not conjugate-symmetric
+    fine = TorusGrid(1, 2048)
+    rng = np.random.default_rng(4)
+    x = fine.axis_points()
+    vals = (trig_poly(fine, rng).values + 1j * trig_poly(fine, rng).values
+            + 0.3 * np.exp(10j * np.pi * x))
+    back = spectral.resample(vals[::64], fine.shape)
+    assert np.max(np.abs(back - vals)) <= 1e-14 * np.max(np.abs(vals))
+
+
+def test_real_resample_is_the_half_spectrum_padding_bit_for_bit():
+    # the rfft half spectrum scaled by n_fine/n, its Nyquist coefficient
+    # halved, zero-padded and inverted; real data never take the complex path
+    vals = white_noise(TorusGrid(1, 32), seed=13)
+    hat = np.fft.rfft(vals) * (2048 / 32)
+    hat[-1] *= 0.5
+    padded = np.zeros(1025, dtype=complex)
+    padded[:hat.size] = hat
+    got = spectral.resample(vals, (2048,))
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.fft.irfft(padded, 2048))
+    # the complex path agrees on real data up to roundoff
+    assert np.max(np.abs(spectral.resample(vals + 0j, (2048,)) - got)) <= 1e-14
