@@ -202,9 +202,10 @@ def build_config(raw: dict, kind: str, out_override: str | None = None,
     if typed["mode"] == "linear_poisson" and kind in ("pb_solve", "quasineutral_sweep"):
         raise ConfigError(f"physics.mode = linear_poisson has no meaning for {kind}")
 
-    # phase e^{iU0/hbar} must be resolved: n >= 8 sup|U0'| / (2 pi min hbar)
+    # the kinds that build a wave function need its phase e^{iU0/hbar}
+    # resolved: n >= 8 sup|U0'| / (2 pi min hbar)
     required = 8.0 * abs(typed["u0_amp"]) / (2.0 * math.pi * min(hbar))
-    if n < required:
+    if kind in ("schrodinger_run", "quasineutral_sweep") and n < required:
         raise ConfigError(
             f"grid.n = {n} under-resolves the phase for hbar = {min(hbar)}; need n >= {required:.1f}"
         )
@@ -212,12 +213,13 @@ def build_config(raw: dict, kind: str, out_override: str | None = None,
     if typed["sample_every"] < 1:
         raise ConfigError("runtime.sample_every must be >= 1")
     n_particles, n_configs = typed["n_particles"], typed["n_configs"]
-    if not n_particles:
-        raise ConfigError("nbody.n_particles must list at least one value")
-    if min(n_particles) < 1 or n_configs < 1:
-        raise ConfigError("nbody sizes must be positive")
-    if n_configs < 2:
-        raise ConfigError("nbody.n_configs must be >= 2: a standard error needs two samples")
+    if kind == "nbody_stats":
+        if not n_particles:
+            raise ConfigError("nbody.n_particles must list at least one value")
+        if min(n_particles) < 1 or n_configs < 1:
+            raise ConfigError("nbody sizes must be positive")
+        if n_configs < 2:
+            raise ConfigError("nbody.n_configs must be >= 2: a standard error needs two samples")
     if jobs < 1:
         raise ConfigError("--jobs must be >= 1")
     if out_override is not None:

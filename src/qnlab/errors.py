@@ -45,8 +45,9 @@ class NonpositiveReference(QnlabError, ValueError):
     """Reference density in a relative entropy must be strictly positive."""
 
 
-class NotPositive(QnlabError, ValueError):
-    """Constructed amplitude-squared lost positivity (scale parameter too large)."""
+class NotPositive(GuardError, ValueError):
+    """Constructed amplitude-squared lost positivity (scale parameter too
+    large); carries its minimum as the value."""
 
 
 class ConfigError(QnlabError, ValueError):

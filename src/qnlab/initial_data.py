@@ -42,10 +42,10 @@ def quantum_density(spec: WellPreparedSpec) -> RealField:
     amplitude squared of the prepared state."""
     v0 = RealField(spec.rho0.grid, np.log(spec.rho0.values))
     vals = spec.rho0.values - spec.eps * laplacian(v0).values
-    if float(np.min(vals)) <= 0.0:
-        raise NotPositive(
-            f"e^V0 - eps*Lap(V0) has min {float(np.min(vals)):.3e}; eps too large for rho0"
-        )
+    low = float(np.min(vals))
+    if low <= 0.0:
+        raise NotPositive(f"e^V0 - eps*Lap(V0) has min {low:.3e}; eps too large for rho0",
+                          value=low)
     return RealField(spec.rho0.grid, vals)
 
 

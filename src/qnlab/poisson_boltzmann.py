@@ -22,7 +22,6 @@ from .grid import (
     TorusGrid,
     check_density,
     integrate,
-    inverse_laplacian_zero_mean,
     l2_norm,
     spectral_derivative,
 )
@@ -31,6 +30,8 @@ from .nbody import ParticleConfig, empirical_potential, w1_circle
 log = logging.getLogger(__name__)
 
 NEWTON_CAP = 100
+# Newton stops at L2 residual NEWTON_RTOL * (1 + ||data||_2)
+NEWTON_RTOL = 1e-10
 BACKTRACK_CAP = 30
 CG_MAXITER = 400
 LIP_SLACK = 0.05
@@ -82,7 +83,6 @@ def _pcg(
     eps: float,
     grid: TorusGrid,
     rtol: float,
-    maxiter: int,
 ) -> tuple[np.ndarray, int, bool]:
     """Preconditioned CG for (-eps*Lap + diag(weight)) x = rhs from x = 0.
 
@@ -90,7 +90,8 @@ def _pcg(
     M = (1 - eps*Lap)^-1, so with z = M r and s = M^-1 p carried by the same
     recurrence as p (s <- r + beta*s), A p = s + (weight - 1) p costs no
     transform: one rfft/irfft pair per iteration, for z. Stops when
-    ||r||_2 < rtol * ||rhs||_2; returns (x, iterations, converged).
+    ||r||_2 < rtol * ||rhs||_2, or unconverged after CG_MAXITER iterations;
+    returns (x, iterations, converged).
     """
     sym = spectral.symbols(grid, real=True)
     precond = 1.0 / (1.0 - eps * sym.minus_k2)
@@ -102,7 +103,7 @@ def _pcg(
     rz_prev = 1.0
     iterations = 0
     while stop > 0.0 and float(np.sqrt(np.vdot(r, r))) >= stop:
-        if iterations == maxiter:
+        if iterations == CG_MAXITER:
             return x, iterations, False
         z = sym.apply(r, precond)
         rz = float(np.vdot(r, z))
@@ -155,23 +156,21 @@ def _newton_hat(
         # inexact Newton: forcing term proportional to the residual keeps the
         # quadratic tail observable without over-solving early iterations
         forcing = float(np.clip(res_norm, 1e-8, 1e-2))
-        step, cg_its, converged = _pcg(-res, boltzmann(hat), eps, grid, forcing, CG_MAXITER)
+        step, cg_its, converged = _pcg(-res, boltzmann(hat), eps, grid, forcing)
         cg_iterations += cg_its
         if not converged:
             cg_failures += 1
             log.debug("cg hit maxiter at Newton iteration %d", iterations)
 
         alpha = 1.0
-        accepted = False
         for _ in range(BACKTRACK_CAP + 1):
             trial = hat + alpha * step
             trial_res = residual(trial)
             trial_norm = float(np.sqrt(np.mean(trial_res**2)))
             if trial_norm < res_norm:
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             raise NewtonDiverged(
                 f"backtracking exhausted at iteration {iterations}, residual {res_norm:.3e}"
             )
@@ -191,21 +190,20 @@ def _newton_hat(
 
 def solve_tilde(h: RealField, eps: float) -> RealField:
     """The linear part: -eps*Lap(tilde) = h - mean(h), mean(tilde) = 0. Both
-    closure modes of a smooth density go through here."""
+    closure modes of a smooth density go through here. The symbol inv_k2 is 0
+    at k = 0, so applying it to h/eps also projects out the (at most MASS_TOL)
+    mass defect."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    # project the (at most MASS_TOL) mass defect so the linear solve is exactly
-    # solvable; the second subtraction kills the roundoff left by the division
-    rhs_vals = (h.values - h.values.mean()) / eps
-    rhs_vals = rhs_vals - rhs_vals.mean()
-    return inverse_laplacian_zero_mean(RealField(h.grid, rhs_vals))
+    sym = spectral.symbols(h.grid, real=True)
+    return RealField(h.grid, sym.apply(h.values / eps, sym.inv_k2))
 
 
 def solve_pb(h: RealField, eps: float, *, hat0: np.ndarray | None = None) -> PotentialSplit:
     """Solve -eps*Lap(V) = h - exp(V) for a smooth probability density h."""
     check_density(h)
     tilde = solve_tilde(h, eps)
-    tol = 1e-10 * (1.0 + l2_norm(h))
+    tol = NEWTON_RTOL * (1.0 + l2_norm(h))
     hat_vals, info = _newton_hat(tilde.values, eps, h.grid, tol, hat0)
     return PotentialSplit(tilde, RealField(h.grid, hat_vals), eps, info)
 
@@ -222,7 +220,7 @@ def _empirical_solve(
     phi, phi_prime = empirical_potential(x, grid.axis_points())
     tilde_vals = phi / eps
     data = RealField(grid, 1.0 - np.exp(np.clip(tilde_vals, None, _EXP_CLIP)))
-    tol = 1e-10 * (1.0 + l2_norm(data))
+    tol = NEWTON_RTOL * (1.0 + l2_norm(data))
     hat_vals, info = _newton_hat(tilde_vals, eps, grid, tol, hat0)
     split = PotentialSplit(RealField(grid, tilde_vals), RealField(grid, hat_vals), eps, info)
     return split, phi_prime / eps
@@ -283,22 +281,15 @@ def validate_elliptic_bounds(split: PotentialSplit, source) -> dict:
     Report-only; nothing is raised.
     """
     eps = split.eps
-    grid = split.tilde.grid
     report: dict = {}
     v = split.potential
     if isinstance(source, ParticleConfig):
         report["sup_potential"] = _entry(float(np.max(np.abs(v.values))), 1.0 / eps)
     else:
         report["l2_boltzmann"] = _entry(l2_norm(split.background), l2_norm(source))
-    if grid.dim == 1:
-        lip = lipschitz_hat_prime(split)
-        entry = _entry(lip, lipschitz_hat_prime_bound(eps) * (1.0 + LIP_SLACK))
-        # cross-estimate from divided differences of the spectral derivative
-        hat_p = spectral_derivative(split.hat, 0).values
-        entry["finite_difference_estimate"] = float(
-            np.max(np.abs(np.diff(np.append(hat_p, hat_p[0])))) * grid.n
-        )
-        report["lipschitz_hat_prime"] = entry
+    if split.tilde.grid.dim == 1:
+        report["lipschitz_hat_prime"] = _entry(
+            lipschitz_hat_prime(split), lipschitz_hat_prime_bound(eps) * (1.0 + LIP_SLACK))
     mass = float(integrate(split.background))
     report["boltzmann_mass"] = {"value": mass, "passed": bool(abs(mass - 1.0) <= MASS_TOL)}
     return report

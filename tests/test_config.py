@@ -169,9 +169,21 @@ class TestBuildConfig:
         raw = {"initial.u0_amp": "25.132741228718345", "physics.hbar": "0.01",
                "physics.eps": "0.01"}
         with pytest.raises(ConfigError, match="under-resolves"):
-            build_config(dict(raw, **{"grid.n": "2048"}), "pb_solve")
-        cfg = build_config(dict(raw, **{"grid.n": "4096"}), "pb_solve")
+            build_config(dict(raw, **{"grid.n": "2048"}), "schrodinger_run")
+        cfg = build_config(dict(raw, **{"grid.n": "4096"}), "schrodinger_run")
         assert cfg.grid_n == 4096
+
+    # hbar = 1e-4 at u0_amp = 0.1 needs n >= 1273.2 where grid.n is 256
+    @pytest.mark.parametrize("kind, accepted", [
+        ("schrodinger_run", False), ("quasineutral_sweep", False),
+        ("pb_solve", True), ("euler_run", True), ("nbody_stats", True)])
+    def test_phase_rule_only_for_wave_function_kinds(self, kind, accepted):
+        raw = {"physics.hbar": "1e-4"}
+        if accepted:
+            assert build_config(raw, kind).hbar == (1e-4,)
+        else:
+            with pytest.raises(ConfigError, match="under-resolves"):
+                build_config(raw, kind)
 
     def test_out_override_wins(self):
         cfg = build_config({"output_dir": "a"}, "pb_solve", out_override="b")
@@ -186,6 +198,14 @@ class TestBuildConfig:
         assert cfg.n_particles == (1000000,)
         with pytest.raises(ConfigError, match="positive"):
             build_config({"nbody.n_configs": "0"}, "nbody_stats")
+
+    @pytest.mark.parametrize("kind", ["pb_solve", "schrodinger_run", "euler_run",
+                                      "quasineutral_sweep"])
+    @pytest.mark.parametrize("key, value", [("nbody.n_configs", "1"), ("nbody.n_particles", "")])
+    def test_nbody_rules_only_for_nbody_stats(self, kind, key, value):
+        build_config({key: value}, kind)
+        with pytest.raises(ConfigError, match=key):
+            build_config({key: value}, "nbody_stats")
 
 
 class TestSeeds:

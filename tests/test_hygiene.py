@@ -60,3 +60,19 @@ def test_schrodinger_does_not_import_energy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# inner loops work on plain arrays: fields are validated where they cross the
+# public API, not each time a loop allocates one
+PLAIN_ARRAY_LOOPS = [("poisson_boltzmann.py", "_pcg"), ("poisson_boltzmann.py", "_newton_hat"),
+                     ("euler.py", "_rhs")]
+
+
+@pytest.mark.parametrize("module, func", PLAIN_ARRAY_LOOPS, ids=lambda v: v)
+def test_inner_loops_build_no_fields(module, func):
+    tree = ast.parse((SRC / "qnlab" / module).read_text(encoding="utf-8"))
+    [body] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == func]
+    built = [f"{module}:{node.lineno}" for node in ast.walk(body) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             in ("RealField", "ComplexField")]
+    assert built == []

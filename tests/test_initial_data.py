@@ -116,8 +116,14 @@ def test_prepared_energy_decreases_along_sweep(grid):
 def test_rejects_eps_too_large_for_density(grid):
     spec = WellPreparedSpec(cos_density(grid, 0.5), RealField(grid, np.zeros(grid.n)),
                             0.1, 0.1)
-    with pytest.raises(NotPositive):
+    with pytest.raises(NotPositive) as exc:
         well_prepared(spec)
+    # the guard's value is the negative minimum of e^V0 - eps*Lap(V0)
+    v0 = RealField(grid, np.log(spec.rho0.values))
+    low = float(np.min(spec.rho0.values - 0.1 * laplacian(v0).values))
+    assert low < 0.0
+    assert exc.value.value == low
+    assert exc.value.time is None
 
 
 def test_spec_validation(grid):

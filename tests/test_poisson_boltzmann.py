@@ -8,7 +8,15 @@ from scipy.integrate import quad
 
 from qnlab import poisson_boltzmann
 from qnlab.errors import NewtonDiverged, NotAProbabilityDensity, PotentialSolveFailed
-from qnlab.grid import RealField, TorusGrid, integrate, l2_norm, spectral_derivative
+from qnlab.grid import (
+    MASS_TOL,
+    RealField,
+    TorusGrid,
+    integrate,
+    inverse_laplacian_zero_mean,
+    l2_norm,
+    spectral_derivative,
+)
 from qnlab.nbody import (
     ParticleConfig,
     empirical_potential,
@@ -18,12 +26,14 @@ from qnlab.nbody import (
 )
 from qnlab.poisson_boltzmann import (
     CG_MAXITER,
+    NEWTON_RTOL,
     lipschitz_hat_prime,
     lipschitz_hat_prime_bound,
     _newton_hat,
     _pcg,
     solve_pb,
     solve_pb_empirical,
+    solve_tilde,
     validate_elliptic_bounds,
     w1_stability_check,
 )
@@ -193,6 +203,63 @@ def test_newton_quadratic_tail(grid256):
         assert max(ratios[-3:]) <= 10.0
 
 
+def tilde_by_projection(h, eps):
+    """tilde through the mean-zero inverse Laplacian: the mass defect and the
+    division's roundoff subtracted before the guarded transform."""
+    rhs = (h.values - h.values.mean()) / eps
+    return inverse_laplacian_zero_mean(RealField(h.grid, rhs - rhs.mean())).values
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.025, 1e-3])
+@pytest.mark.parametrize("defect", [0.9, -0.9])
+@pytest.mark.parametrize("grid", [TorusGrid(1, 2048), TorusGrid(2, 64)], ids=str)
+def test_tilde_from_the_symbol_matches_projection(grid, defect, eps):
+    # inv_k2 is 0 at k = 0, so the symbol alone removes a mass defect near
+    # MASS_TOL. Measured over these cases: the two tildes differ by at most
+    # 1.8 u max|tilde|, the mean is at most 0.23 u max|tilde|, and the
+    # Poisson residual at most 1.2 u (eps max|2 pi k|^2 max|tilde| + max h),
+    # u the machine epsilon; the bounds below allow about 2x to 4x that
+    x = grid.coords()
+    rho = np.exp(0.5 * sum(np.cos(2 * np.pi * c) for c in x) + 0.3 * np.sin(6 * np.pi * x[0]))
+    h = RealField(grid, rho / rho.mean() * (1.0 + defect * MASS_TOL))
+    tilde = solve_tilde(h, eps).values
+    reference = tilde_by_projection(h, eps)
+    u = np.finfo(float).eps
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(tilde - reference)) <= 4.0 * u * scale
+    assert abs(tilde.mean()) <= u * scale
+    k2 = full_k_squared(grid)
+    lap = np.fft.ifftn(np.fft.fftn(tilde) * -k2).real
+    floor = u * (eps * k2.max() * np.max(np.abs(tilde)) + np.max(h.values))
+    assert np.max(np.abs(-eps * lap - (h.values - h.values.mean()))) <= 4.0 * floor
+
+
+def test_newton_tolerance_is_newton_rtol(grid256):
+    x = grid256.axis_points()
+    rho = np.exp(np.cos(2 * np.pi * x))
+    h = RealField(grid256, rho / rho.mean())
+    assert solve_pb(h, 0.1).info["tolerance"] == NEWTON_RTOL * (1.0 + l2_norm(h))
+    cfg, eps = ParticleConfig(np.array([0.1, 0.55, 0.72])), 0.5
+    phi, _ = empirical_potential(cfg, x)
+    data = RealField(grid256, 1.0 - np.exp(phi / eps))
+    assert (solve_pb_empirical(cfg, eps, grid256).info["tolerance"]
+            == NEWTON_RTOL * (1.0 + l2_norm(data)))
+
+
+def test_converged_warm_start_costs_two_transform_pairs(grid256, transforms):
+    # one pair for tilde, one for the residual at the warm start; the warm
+    # start already meets the tolerance, so no Newton step runs
+    x = grid256.axis_points()
+    rho = np.exp(np.cos(2 * np.pi * x))
+    h = RealField(grid256, rho / rho.mean())
+    transforms.paused = True
+    hat0 = solve_pb(h, 0.1).hat.values
+    transforms.paused = False
+    s = solve_pb(h, 0.1, hat0=hat0)
+    assert s.info["iterations"] == 0
+    assert transforms.counts == {"fft": 0, "ifft": 0, "rfft": 2, "irfft": 2}
+
+
 # ---------------------------------------------------------------------------
 # preconditioned CG and the Newton guards
 # ---------------------------------------------------------------------------
@@ -211,14 +278,14 @@ def test_pcg_matches_dense_solve(grid):
     cols = np.fft.ifftn(np.fft.fftn(eye, axes=axes) * (1.0 + eps * k2), axes=axes).real
     dense = cols.reshape(grid.size, grid.size).T + np.diag(weight.ravel() - 1.0)
     expected = np.linalg.solve(dense, rhs.ravel()).reshape(grid.shape)
-    x, iterations, converged = _pcg(rhs, weight, eps, grid, 1e-13, CG_MAXITER)
+    x, iterations, converged = _pcg(rhs, weight, eps, grid, 1e-13)
     assert converged and 0 < iterations < CG_MAXITER
     assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 def test_pcg_zero_rhs_returns_zeros(grid256):
     weight = np.full(grid256.shape, 2.0)
-    x, iterations, converged = _pcg(np.zeros(grid256.shape), weight, 0.1, grid256, 1e-8, CG_MAXITER)
+    x, iterations, converged = _pcg(np.zeros(grid256.shape), weight, 0.1, grid256, 1e-8)
     assert converged and iterations == 0
     assert not np.any(x)
 
@@ -366,8 +433,10 @@ def test_lipschitz_report_cross_check(grid256):
     entry = report["lipschitz_hat_prime"]
     assert entry["passed"]
     assert entry["lhs"] == lipschitz_hat_prime(s)
-    # divided differences of hat' should estimate the same constant
-    assert abs(entry["finite_difference_estimate"] - entry["lhs"]) <= 0.05 * entry["lhs"]
+    # divided differences of the spectral hat' should estimate the same constant
+    hat_p = spectral_derivative(s.hat, 0).values
+    estimate = float(np.max(np.abs(np.diff(np.append(hat_p, hat_p[0]))))) * grid256.n
+    assert abs(estimate - entry["lhs"]) <= 0.05 * entry["lhs"]
 
 
 def test_lipschitz_bound_is_unity_at_eps_one():

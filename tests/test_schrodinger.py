@@ -1,4 +1,6 @@
 """Tests for the split-step Schrodinger integrator."""
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import full_k_squared
@@ -260,9 +262,12 @@ def test_run_matches_repeated_strang_steps():
 
 
 def test_kinetic_phase_guard(grid):
-    w = plane_wave(grid, hbar=0.5)
-    with pytest.raises(StepTooLarge):
+    w = dataclasses.replace(plane_wave(grid, hbar=0.5), time=0.25)
+    with pytest.raises(StepTooLarge) as exc:
         step_strang(w, 0.01)
+    # the state's time, and hbar |2 pi k|^2 dt / 2 at the Nyquist mode
+    assert exc.value.time == 0.25
+    assert exc.value.value == pytest.approx(0.5 * (np.pi * grid.n) ** 2 * 0.01 / 2.0, rel=1e-15)
 
 
 def test_kinetic_phase_guard_counts_every_axis():
@@ -301,9 +306,40 @@ def test_potential_phase_guard():
     x = g.axis_points()
     rho = 1.0 + 0.9 * np.cos(2 * np.pi * x)
     rho /= rho.mean()
-    w = WaveFunction(ComplexField(g, np.sqrt(rho).astype(complex)), 1e-3, 0.01)
-    with pytest.raises(StepTooLarge):
-        step_strang(w, 5e-3)
+    w = WaveFunction(ComplexField(g, np.sqrt(rho).astype(complex)), 1e-3, 0.01, time=0.25)
+    dt = 5e-3
+    # the first step fails: max|V| dt / hbar at its midpoint density
+    half = np.exp(-0.25j * w.hbar * full_k_squared(g) * dt)
+    mid = np.fft.ifft(half * np.fft.fft(w.psi.values))
+    v = solve_potential(RealField(g, np.abs(mid) ** 2), w.eps).potential.values
+    phase = float(np.max(np.abs(v))) * dt / w.hbar
+    assert phase >= np.pi
+    for advance in (step_strang, lambda w, dt: run(w, 2 * dt, dt)):
+        with pytest.raises(StepTooLarge) as exc:
+            advance(w, dt)
+        assert exc.value.time == 0.25
+        assert exc.value.value == pytest.approx(phase, rel=1e-12)
+
+
+def test_potential_phase_guard_reports_the_failing_steps_start(prepared, monkeypatch):
+    # the solve of the third step returns a potential far past the phase
+    # guard: the error carries that step's start time, 2 dt after t0
+    solves = []
+
+    def lifted(*args, **kwargs):
+        split = solve_potential(*args, **kwargs)
+        solves.append(split)
+        if len(solves) == 4:  # the t0 solve, then steps 1, 2 and 3
+            split.hat.values += 1e4
+        return split
+
+    monkeypatch.setattr(schrodinger, "solve_potential", lifted)
+    dt = 1e-3
+    with pytest.raises(StepTooLarge) as exc:
+        run(prepared, 10 * dt, dt)
+    assert exc.value.time == 2 * dt
+    v = solves[-1].potential.values
+    assert exc.value.value == float(np.max(np.abs(v))) * dt / prepared.hbar
 
 
 def test_wave_function_validation(grid):

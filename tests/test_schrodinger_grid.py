@@ -135,8 +135,11 @@ def test_n_grid_kinetic_phase_cap_holds_before_any_coarse_run(runs):
     assert runs == [2048]
     with pytest.raises(StepTooLarge) as fine:
         run(prepared(cfg, 0.025, 0.025), cfg.big_t, cfg.dt, sample_every=cfg.sample_every)
+    phase = 0.025 * (np.pi * 2048) ** 2 * cfg.dt / 2.0
+    assert fine.value.value == pytest.approx(phase, rel=1e-15)
     assert got["error"] == {"stage": "schrodinger", "type": "StepTooLarge",
-                            "message": str(fine.value), "eps": 0.025, "hbar": 0.025}
+                            "message": str(fine.value), "time": 0.0,
+                            "value": fine.value.value, "eps": 0.025, "hbar": 0.025}
 
 
 @pytest.mark.parametrize("n_trips", [False, True], ids=["n-grid-runs", "n-grid-trips"])
