@@ -13,8 +13,16 @@ import os
 from dataclasses import dataclass
 
 from .errors import ConfigError
+from .grid import TorusGrid
 
-KINDS = ("pb_solve", "schrodinger_run", "euler_run", "quasineutral_sweep", "nbody_stats")
+# experiment kind -> what it runs, the CLI's help for its subcommand
+KINDS = {
+    "pb_solve": "solve the nonlinear elliptic potential equation once",
+    "schrodinger_run": "evolve one well-prepared wave function",
+    "euler_run": "evolve the limiting isothermal flow",
+    "quasineutral_sweep": "compare wave and limit dynamics across (eps, hbar)",
+    "nbody_stats": "Monte-Carlo statistics of the N-particle energy",
+}
 MODES = ("poisson_boltzmann", "linear_poisson")
 
 
@@ -179,10 +187,10 @@ def build_config(raw: dict, kind: str, out_override: str | None = None,
     typed["eps"], typed["hbar"] = eps, hbar
 
     dim, n = typed["grid_dim"], typed["grid_n"]
-    if dim not in (1, 2):
-        raise ConfigError(f"grid.dim must be 1 or 2, got {dim}")
-    if n < 8 or (n & (n - 1)) != 0:
-        raise ConfigError(f"grid.n must be a power of two >= 8, got {n}")
+    try:
+        TorusGrid(dim, n)
+    except ValueError as exc:
+        raise ConfigError(f"grid.{exc}") from exc
     if kind in ("quasineutral_sweep", "nbody_stats") and dim != 1:
         raise ConfigError(f"{kind} is one-dimensional; set grid.dim = 1")
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -30,13 +29,6 @@ from .poisson_boltzmann import solve_pb, validate_elliptic_bounds
 from .schrodinger import WaveFunction, check_kinetic_phase, density, run
 
 
-@dataclass
-class ExperimentOutcome:
-    status: int
-    out_dir: Path
-    errors: list
-
-
 def _cos_profiles(grid: TorusGrid, rho0_amp: float, u0_amp: float):
     """The standard data family: rho0 ~ exp(amp cos), U0 = amp sin/(2 pi)."""
     coords = grid.coords()
@@ -47,6 +39,13 @@ def _cos_profiles(grid: TorusGrid, rho0_amp: float, u0_amp: float):
         rho0 /= rho0.mean()
     u0pot = u0_amp * sum(np.sin(2.0 * np.pi * c) for c in coords) / (2.0 * np.pi)
     return RealField(grid, rho0), RealField(grid, u0pot)
+
+
+def _prepared_state(grid: TorusGrid, rho0_amp: float, u0_amp: float, eps: float,
+                    hbar: float) -> WaveFunction:
+    """The well-prepared wave function of the standard data on `grid`."""
+    rho0, u0pot = _cos_profiles(grid, rho0_amp, u0_amp)
+    return well_prepared(WellPreparedSpec(rho0, u0pot, eps, hbar))
 
 
 def _error_record(exc: Exception, stage: str, **context) -> dict:
@@ -223,8 +222,7 @@ def _schrodinger_samples(cfg: ExperimentConfig, w0: WaveFunction) -> tuple[list,
         w = w0
         if n_s < grid.n:
             check_kinetic_phase(w0, cfg.dt)
-            rho0, u0pot = _cos_profiles(TorusGrid(1, n_s), cfg.rho0_amp, cfg.u0_amp)
-            w = well_prepared(WellPreparedSpec(rho0, u0pot, w0.eps, w0.hbar))
+            w = _prepared_state(TorusGrid(1, n_s), cfg.rho0_amp, cfg.u0_amp, w0.eps, w0.hbar)
         return w, [w.psi.values]
 
     def integrate(w: WaveFunction):
@@ -249,11 +247,11 @@ def _sweep_point(cfg: ExperimentConfig, eps: float, hbar: float) -> dict:
     """One (eps, hbar) point of the sweep `cfg`; returns rows + per-point
     summary, or an error record. The frozen config pickles, so a process pool
     can ship it."""
+    pair = {"eps": float(eps), "hbar": float(hbar)}
     stage = "prepare"
     try:
         grid = TorusGrid(cfg.grid_dim, cfg.grid_n)
-        rho0, u0pot = _cos_profiles(grid, cfg.rho0_amp, cfg.u0_amp)
-        w0 = well_prepared(WellPreparedSpec(rho0, u0pot, eps, hbar))
+        w0 = _prepared_state(grid, cfg.rho0_amp, cfg.u0_amp, eps, hbar)
 
         stage = "schrodinger"
         samples, schrodinger_grid = _schrodinger_samples(cfg, w0)
@@ -278,8 +276,7 @@ def _sweep_point(cfg: ExperimentConfig, eps: float, hbar: float) -> dict:
             sup_bound_ok &= eps * float(np.max(np.abs(v))) <= 1.0 + 1e-9
             mass_defect = max(mass_defect, abs(integrate(split.background) - 1.0))
             rows.append({
-                "eps": float(eps),
-                "hbar": float(hbar),
+                **pair,
                 "time": float(w.time),
                 "kinetic_modulated": float(rep.kinetic_modulated),
                 "field_energy": float(rep.field_energy),
@@ -301,8 +298,7 @@ def _sweep_point(cfg: ExperimentConfig, eps: float, hbar: float) -> dict:
             "background_mass": bool(mass_defect <= MASS_TOL),
         }
         return {
-            "eps": float(eps),
-            "hbar": float(hbar),
+            **pair,
             "status": "ok",
             "rows": rows,
             "maxima": maxima,
@@ -314,10 +310,9 @@ def _sweep_point(cfg: ExperimentConfig, eps: float, hbar: float) -> dict:
         }
     except Exception as exc:  # noqa: BLE001 - every failure becomes a record
         return {
-            "eps": float(eps),
-            "hbar": float(hbar),
+            **pair,
             "status": "error",
-            "error": _error_record(exc, stage, eps=float(eps), hbar=float(hbar)),
+            "error": _error_record(exc, stage, **pair),
         }
 
 
@@ -404,9 +399,8 @@ def _run_euler(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
 def _run_schrodinger(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
     stage = "prepare"
     try:
-        grid = TorusGrid(cfg.grid_dim, cfg.grid_n)
-        rho0, u0pot = _cos_profiles(grid, cfg.rho0_amp, cfg.u0_amp)
-        w0 = well_prepared(WellPreparedSpec(rho0, u0pot, cfg.eps[0], cfg.hbar[0]))
+        w0 = _prepared_state(TorusGrid(cfg.grid_dim, cfg.grid_n), cfg.rho0_amp, cfg.u0_amp,
+                             cfg.eps[0], cfg.hbar[0])
         stage = "schrodinger"
         samples = run(w0, cfg.big_t, cfg.dt, sample_every=cfg.sample_every, mode=cfg.mode)
     except Exception as exc:  # noqa: BLE001
@@ -415,9 +409,8 @@ def _run_schrodinger(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> lis
     f0 = conserved[0]
     rows = []
     for (w, _split), f in zip(samples, conserved):
-        mass = integrate(density(w))
         rows.append((float(w.time), float(f), float(abs(f - f0) / (1.0 + abs(f0))),
-                     float(abs(mass - 1.0))))
+                     float(abs(integrate(density(w)) - 1.0))))
     reports.emit_csv(out_dir / "plotdata" / "conserved_total.csv",
                      ("time", "conserved_total", "relative_drift", "mass_defect"), rows)
     summary["schrodinger"] = {
@@ -467,10 +460,9 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
-    """Execute one configured experiment; artifacts land in cfg.output_dir."""
+def run_experiment(cfg: ExperimentConfig) -> list:
+    """Run one configured experiment into cfg.output_dir; returns its error records."""
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary = {
         "kind": cfg.kind,
         "grid": {"dim": int(cfg.grid_dim), "n": int(cfg.grid_n)},
@@ -485,4 +477,4 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutcome:
     summary["errors"] = errors
     reports.emit_summary(out_dir, summary)
     reports.emit_error_records(out_dir, errors)
-    return ExperimentOutcome(status=1 if errors else 0, out_dir=out_dir, errors=errors)
+    return errors

@@ -199,13 +199,17 @@ def solve_tilde(h: RealField, eps: float) -> RealField:
     return RealField(h.grid, sym.apply(h.values / eps, sym.inv_k2))
 
 
+def _split_with_hat(tilde: RealField, data_norm: float, eps: float, hat0) -> PotentialSplit:
+    """tilde and its Newton hat, to L2 residual NEWTON_RTOL * (1 + ||data||_2)."""
+    tol = NEWTON_RTOL * (1.0 + data_norm)
+    hat_vals, info = _newton_hat(tilde.values, eps, tilde.grid, tol, hat0)
+    return PotentialSplit(tilde, RealField(tilde.grid, hat_vals), eps, info)
+
+
 def solve_pb(h: RealField, eps: float, *, hat0: np.ndarray | None = None) -> PotentialSplit:
     """Solve -eps*Lap(V) = h - exp(V) for a smooth probability density h."""
     check_density(h)
-    tilde = solve_tilde(h, eps)
-    tol = NEWTON_RTOL * (1.0 + l2_norm(h))
-    hat_vals, info = _newton_hat(tilde.values, eps, h.grid, tol, hat0)
-    return PotentialSplit(tilde, RealField(h.grid, hat_vals), eps, info)
+    return _split_with_hat(solve_tilde(h, eps), l2_norm(h), eps, hat0)
 
 
 def _empirical_solve(
@@ -218,12 +222,9 @@ def _empirical_solve(
     if not eps > 0:
         raise ValueError("eps must be positive")
     phi, phi_prime = empirical_potential(x, grid.axis_points())
-    tilde_vals = phi / eps
-    data = RealField(grid, 1.0 - np.exp(np.clip(tilde_vals, None, _EXP_CLIP)))
-    tol = NEWTON_RTOL * (1.0 + l2_norm(data))
-    hat_vals, info = _newton_hat(tilde_vals, eps, grid, tol, hat0)
-    split = PotentialSplit(RealField(grid, tilde_vals), RealField(grid, hat_vals), eps, info)
-    return split, phi_prime / eps
+    tilde = RealField(grid, phi / eps)
+    data = RealField(grid, 1.0 - np.exp(np.clip(tilde.values, None, _EXP_CLIP)))
+    return _split_with_hat(tilde, l2_norm(data), eps, hat0), phi_prime / eps
 
 
 def solve_pb_empirical(

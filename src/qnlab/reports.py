@@ -87,8 +87,10 @@ def emit_summary(out_dir: Path, summary: dict) -> Path:
 
 
 def emit_error_records(out_dir: Path, errors) -> Path | None:
-    if not errors:
-        return None
+    """Write errors.json; with no records, remove one an earlier run left."""
     path = Path(out_dir) / "errors.json"
+    if not errors:
+        path.unlink(missing_ok=True)
+        return None
     write_text_atomic(path, json.dumps(list(errors), sort_keys=True, indent=2) + "\n")
     return path

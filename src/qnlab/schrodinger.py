@@ -116,7 +116,7 @@ def step_strang(w: WaveFunction, dt: float, mode: str = "poisson_boltzmann") -> 
 def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
         mode: str = "poisson_boltzmann") -> list[tuple[WaveFunction, PotentialSplit]]:
     """Integrate to time ~T, returning (state, potential) at
-    config.sample_steps; a sample's time is its state's `time`.
+    config.sample_steps; sample i is stamped w0.time + i * dt, as in run_euler.
 
     The loop carries the coefficients before each step's closing half kinetic
     factor, so the closing half of one step and the opening half of the next
@@ -132,7 +132,7 @@ def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
     samples = [(w0, split0)]
     if steps[-1] > 0:
         check_kinetic_phase(w0, dt)
-    chi_hat, t = spectral.fft(w0.psi.values), w0.time
+    chi_hat = spectral.fft(w0.psi.values)
     # hat_n, hat_(n-1): the last two step solves. The next midpoint is dt
     # ahead (2 hat_n - hat_(n-1); the first step gets hat_0), the sample
     # time dt/2 (1.5 hat_n - 0.5 hat_(n-1))
@@ -142,14 +142,13 @@ def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
     kinetic = half_kinetic  # the first step has no closing half before it
     sampled = set(steps)
     for i in range(1, steps[-1] + 1):
-        chi_hat, split_used = _step_core(chi_hat, w0, t, dt, mode, 2.0 * hat_n - hat_prev,
-                                         kinetic)
+        chi_hat, split_used = _step_core(chi_hat, w0, w0.time + (i - 1) * dt, dt, mode,
+                                         2.0 * hat_n - hat_prev, kinetic)
         kinetic = full_kinetic
-        t += dt
         hat_n, hat_prev = split_used.hat.values, hat_n
         if i in sampled:
             psi = spectral.ifft(half_kinetic * chi_hat)
-            w = WaveFunction(ComplexField(w0.psi.grid, psi), w0.hbar, w0.eps, t)
+            w = WaveFunction(ComplexField(w0.psi.grid, psi), w0.hbar, w0.eps, w0.time + i * dt)
             snap = solve_potential(density(w), w.eps, mode, 1.5 * hat_n - 0.5 * hat_prev)
             samples.append((w, snap))
     return samples

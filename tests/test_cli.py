@@ -9,6 +9,7 @@ import pytest
 
 from qnlab import experiments, reports
 from qnlab.cli import main
+from qnlab.config import sample_steps
 from qnlab.euler import run_euler
 from qnlab.reports import SWEEP_FIELDS
 
@@ -70,6 +71,10 @@ class TestSweepRun:
         assert len(rows) == 6
         times = sorted({float(r["time"]) for r in rows if float(r["eps"]) == 0.02})
         assert times == pytest.approx([0.0, 0.005, 0.01])
+        # exactly: sample k of every point is stamped k * dt
+        for eps in (0.02, 0.01):
+            cells = [r["time"] for r in rows if float(r["eps"]) == eps]
+            assert cells == [repr(k * 1e-3) for k in sample_steps(0.01, 1e-3, 5)]
 
     def test_floats_round_trip(self, sweep_out):
         with open(sweep_out[1] / "sweep.csv") as fh:
@@ -270,6 +275,29 @@ class TestExitCodes:
         assert record["type"] == "ConfigError"
         assert named in record["message"]
         assert not out.exists()
+
+    def test_output_path_that_is_a_file_exit_two(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "kind = pb_solve\n")
+        out = tmp_path / "taken"
+        out.write_text("a file\n")
+        assert main(["pb_solve", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        record = json.loads(captured.err)
+        assert record["type"] == "ConfigError"
+        assert record["path"] == str(out)
+        assert captured.out == ""
+        assert out.read_text() == "a file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "taken"]
+
+    def test_success_removes_a_previous_errors_file(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "kind = pb_solve\n")
+        out = tmp_path / "out"
+        assert main(["pb_solve", "--config", cfg, "--set", "initial.rho0_amp=800",
+                     "--out", str(out)]) == 1
+        assert (out / "errors.json").exists()
+        assert main(["pb_solve", "--config", cfg, "--out", str(out)]) == 0
+        assert load_summary(out)["errors"] == []
+        assert not (out / "errors.json").exists()
 
     def test_kind_mismatch_exit_two(self, tmp_path):
         cfg = write_cfg(tmp_path, "kind = pb_solve\n")

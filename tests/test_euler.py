@@ -220,15 +220,23 @@ def test_reflection_symmetry(grid):
     assert np.max(np.abs(fin.u[0].values + reflect(fin.u[0].values))) <= 1e-12
 
 
-@pytest.mark.parametrize("steps_in_t, sample_every", [
-    (12, 5),     # T a whole multiple of dt
-    (12.3, 5),   # T not a multiple: rounds to 12 steps
-    (0.3, 5),    # 0 < T < dt/2: one step
-    (12, 50),    # sample_every beyond the step count: first and last only
+# sample k is stamped k * dt by both integrators. With a dyadic dt a running
+# sum of dt would be exact too; at dt = 1e-4 it drifts (200 steps would give
+# 0.019999999999999934, 2000 steps 0.1999999999999943)
+@pytest.mark.parametrize("dt, steps_in_t, sample_every", [
+    # T a whole multiple of dt
+    pytest.param(2.0**-10, 12, 5, id="12-5"),
+    # T not a multiple: rounds to 12 steps
+    pytest.param(2.0**-10, 12.3, 5, id="12.3-5"),
+    # 0 < T < dt/2: one step
+    pytest.param(2.0**-10, 0.3, 5, id="0.3-5"),
+    # sample_every beyond the step count: first and last only
+    pytest.param(2.0**-10, 12, 50, id="12-50"),
+    # the sweep_1d benchmark point's time grid, and ten times its horizon
+    pytest.param(1e-4, 200, 20, id="dt1e-4-200-20"),
+    pytest.param(1e-4, 2000, 200, id="dt1e-4-2000-200"),
 ])
-def test_integrators_report_the_same_steps(steps_in_t, sample_every):
-    # dt a power of two, so accumulated and multiplied times are both exact
-    dt = 2.0**-10
+def test_integrators_report_the_same_steps(dt, steps_in_t, sample_every):
     big_t = steps_in_t * dt
     g = TorusGrid(1, 16)
     w0 = WaveFunction(ComplexField(g, np.exp(2j * np.pi * g.axis_points())), 0.5, 0.1)

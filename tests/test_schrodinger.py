@@ -10,9 +10,8 @@ from qnlab.config import sample_steps
 from qnlab.energy import conserved_energy, field_energy, modulated_total
 from qnlab.errors import StepTooLarge
 from qnlab.euler import EulerState
-from qnlab.experiments import _cos_profiles
+from qnlab.experiments import _prepared_state
 from qnlab.grid import ComplexField, RealField, TorusGrid, integrate
-from qnlab.initial_data import WellPreparedSpec, well_prepared
 from qnlab.schrodinger import (
     WaveFunction,
     current,
@@ -223,8 +222,7 @@ def test_continuity_equation(grid, prepared):
 def test_warm_start_needs_about_one_newton_iteration(monkeypatch):
     # the sweep_1d point: eps = hbar = 0.025, n = 2048, dt = 1e-4, 200 steps
     g = TorusGrid(1, 2048)
-    rho0, u0pot = _cos_profiles(g, 0.5, 0.1)
-    w0 = well_prepared(WellPreparedSpec(rho0, u0pot, 0.025, 0.025))
+    w0 = _prepared_state(g, 0.5, 0.1, 0.025, 0.025)
     iterations = []
 
     def counted(*args, **kwargs):
@@ -244,8 +242,7 @@ def test_run_matches_repeated_strang_steps():
     # values and solves the potential cold, so they differ only by roundoff
     # and the Newton tolerance
     g = TorusGrid(1, 2048)
-    rho0, u0pot = _cos_profiles(g, 0.5, 0.1)
-    w = well_prepared(WellPreparedSpec(rho0, u0pot, 0.025, 0.025))
+    w = _prepared_state(g, 0.5, 0.1, 0.025, 0.025)
     dt, steps = 1e-4, 50
     traj = run(w, steps * dt, dt, sample_every=7)
     expected = {}

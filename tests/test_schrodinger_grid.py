@@ -16,7 +16,6 @@ from qnlab.cli import main
 from qnlab.config import build_config
 from qnlab.errors import StepTooLarge
 from qnlab.grid import TorusGrid
-from qnlab.initial_data import WellPreparedSpec, well_prepared
 from qnlab.schrodinger import check_kinetic_phase, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,9 +45,8 @@ def runs(monkeypatch):
 
 
 def prepared(cfg, eps, hbar, n=None):
-    grid = TorusGrid(1, n or cfg.grid_n)
-    rho0, u0pot = experiments._cos_profiles(grid, cfg.rho0_amp, cfg.u0_amp)
-    return well_prepared(WellPreparedSpec(rho0, u0pot, eps, hbar))
+    return experiments._prepared_state(TorusGrid(1, n or cfg.grid_n), cfg.rho0_amp,
+                                       cfg.u0_amp, eps, hbar)
 
 
 def on_the_n_grid(monkeypatch):
