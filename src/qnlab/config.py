@@ -228,6 +228,9 @@ def build_config(raw: dict, kind: str, out_override: str | None = None,
             raise ConfigError("nbody sizes must be positive")
         if n_configs < 2:
             raise ConfigError("nbody.n_configs must be >= 2: a standard error needs two samples")
+        if len(set(n_particles)) < len(n_particles):
+            raise ConfigError("nbody.n_particles must not repeat a count: each count draws "
+                              "one seeded stream, and the decay fit needs distinct counts")
     if jobs < 1:
         raise ConfigError("--jobs must be >= 1")
     if out_override is not None:

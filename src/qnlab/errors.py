@@ -23,14 +23,16 @@ class PotentialSolveFailed(QnlabError, RuntimeError):
 
 
 class GuardError(QnlabError):
-    """A run guard tripped; carries the simulated time and the value the
-    guard measured when the raiser knows them (None otherwise)."""
+    """A run guard tripped; carries the simulated time, the value the guard
+    measured and the number of steps completed when it tripped, each when the
+    raiser knows it (None otherwise)."""
 
     def __init__(self, message: str, time: float | None = None,
-                 value: float | None = None):
+                 value: float | None = None, step: int | None = None):
         super().__init__(message)
         self.time = time
         self.value = value
+        self.step = step
 
 
 class StepTooLarge(GuardError, ValueError):
@@ -47,7 +49,8 @@ class NonpositiveReference(QnlabError, ValueError):
 
 class NotPositive(GuardError, ValueError):
     """Constructed amplitude-squared lost positivity (scale parameter too
-    large); carries its minimum as the value."""
+    large); carries its minimum as the value, and no time or step: it fails
+    before any step."""
 
 
 class ConfigError(QnlabError, ValueError):

@@ -105,7 +105,8 @@ def run_euler(s0: EulerState, T: float, dt: float, sample_every: int = 1) -> lis
     config.sample_steps. Before each step it raises BlowupGuardTripped when
     ||grad u||_inf exceeds the smooth-window guard or is not a number, then
     StepTooLarge when dt * max_rate exceeds RK4_STABILITY at a state that is
-    not constant; both carry the time and the value measured."""
+    not constant; both carry the time, the value measured and the number of
+    steps completed."""
     steps = sample_steps(T, dt, sample_every)
     grid = s0.grid
     sym = spectral.symbols(grid, real=True)
@@ -121,13 +122,14 @@ def run_euler(s0: EulerState, T: float, dt: float, sample_every: int = 1) -> lis
         grad_u = _grad_u_sup(grad_u_sups)
         if not grad_u <= GRAD_U_GUARD:
             raise BlowupGuardTripped(f"||grad u||_inf > {GRAD_U_GUARD} at t = {t:.4f}",
-                                     time=t, value=grad_u)
+                                     time=t, value=grad_u, step=step)
         rate = dt * max_rate(grid, max(u_sups))
         # a constant state is a fixed point at any step; only a varying one
         # has modes for an unstable step to amplify
         if rate > RK4_STABILITY and any(np.any(c.flat[1:]) for c in (log_hat, *u_hat)):
             raise StepTooLarge(f"RK4 step dt * lambda = {rate:.3f} > {RK4_STABILITY:.3f} "
-                               f"at t = {t:.4f}; shrink dt", time=t, value=rate)
+                               f"at t = {t:.4f}; shrink dt", time=t, value=rate,
+                               step=step)
         # running k1 + 2 k2 + 2 k3 + k4, added left to right
         sum_log, sum_u = k_log, k_u
         for frac, weight in ((0.5, 2), (0.5, 2), (1.0, 1)):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +55,9 @@ def _error_record(exc: Exception, stage: str, **context) -> dict:
         # JSON has no NaN; the message still names a NaN guard value
         if v is not None and np.isfinite(v):
             rec[key] = float(v)
+    step = getattr(exc, "step", None)
+    if step is not None:
+        rec["step"] = int(step)
     rec.update(context)
     return rec
 
@@ -172,7 +175,30 @@ def _euler_fields(samples: list[EulerState]) -> list[np.ndarray]:
     return [f.values for s in samples for f in (s.log_rho, *s.u)]
 
 
-@lru_cache(maxsize=1)
+def _last_outcome(fn: Callable) -> Callable:
+    """fn with its last call memoized, an Exception it raised included: a hit
+    re-raises that exception (lru_cache keeps results only). cache_clear
+    forgets the call."""
+    @lru_cache(maxsize=1)
+    def outcome(*args):
+        try:
+            return fn(*args), None
+        except Exception as exc:  # noqa: BLE001 - re-raised on every hit
+            return None, exc
+
+    @wraps(fn)
+    def call(*args):
+        result, exc = outcome(*args)
+        if exc is not None:
+            # a fresh traceback per raise, not one grown by every hit
+            raise exc.with_traceback(None)
+        return result
+
+    call.cache_clear = outcome.cache_clear
+    return call
+
+
+@_last_outcome
 def _euler_reference(n: int, rho0_amp: float, u0_amp: float, big_t: float,
                      dt: float, sample_every: int) -> tuple[list, dict, dict]:
     """The sampled Euler states of the standard data on the 1-D n grid at the
@@ -181,8 +207,8 @@ def _euler_reference(n: int, rho0_amp: float, u0_amp: float, big_t: float,
     and the grid's _top_band_share of log rho and u. n_e is _coarsest_run's
     grid under BAND_SHARE_BOUND; below n the step is _coarse_step_run's, on n
     it is dt. Coarser samples are zero-padded to n. The states depend on the
-    data and the time grid, not on (eps, hbar), so each process computes them
-    once for the sweep points it runs."""
+    data and the time grid, not on (eps, hbar), so each process computes them,
+    or the error that stops them, once for the sweep points it runs."""
     def prepare(n_e: int):
         e0 = _cos_euler_data(1, n_e, rho0_amp, u0_amp)
         return e0, _euler_fields([e0])

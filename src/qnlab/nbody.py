@@ -19,6 +19,15 @@ Circle W1 is exact to roundoff: the gap between two CDFs is piecewise
 quadratic between atoms and grid nodes, so its Lebesgue median and the
 integral of |gap - median| have closed forms piece by piece (Rabin, Delon &
 Gousseau, Transportation distances on the circle, JMIV 2011).
+
+Against the uniform measure one sort of N numbers is enough. On the k-th gap
+the CDF gap F_X - t falls with slope -1 from k/N - x_(k) to k/N - x_(k+1);
+the end terms cancel, so it pushes Lebesgue measure forward to the average of
+the uniform laws on [tau_j - 1/N, tau_j], tau_j = j/N - x_(j) for j = 1..N.
+Its median c solves sum_j clip(c - tau_j + 1/N, 0, 1/N) = 1/2, piecewise
+linear between the sorted tau and tau - 1/N, and
+W1 = sum_j r(tau_j - c) - r(tau_j - 1/N - c) with r(y) = y |y| / 2
+(`_w1_to_uniform`, the Monte-Carlo ensembles' W1).
 """
 from __future__ import annotations
 
@@ -351,41 +360,35 @@ def _crossing(c, length, a, b, q, end) -> np.ndarray:
                     np.where(c >= high, np.where(rising, length, 0.0), root))
 
 
-def _abs_integral(c, length, a, b, q, end) -> np.ndarray:
-    """int |G - c| over monotone pieces (last axis), in closed form."""
+def _abs_integral(c, length, a, b, q, end) -> float:
+    """int |G - c| over monotone pieces, in closed form."""
     def antiderivative(s):  # int_0^s (G - c)
         return ((a - c) + (0.5 * b + q * s / 3.0) * s) * s
 
     head = antiderivative(_crossing(c, length, a, b, q, end))
-    return np.sum(np.abs(head) + np.abs(antiderivative(length) - head), axis=-1)
+    return float(np.sum(np.abs(head) + np.abs(antiderivative(length) - head)))
 
 
-def _median_linear(length, low, high) -> np.ndarray:
-    """Exact Lebesgue median of a gap that is linear on every piece, per row
-    (pieces along the last axis): the measure of {G < c} is then piecewise
-    linear in c between the sorted piece ends. Returns shape (..., 1)."""
+def _median_linear(length, a, end) -> float:
+    """Exact Lebesgue median of a gap that is linear on every piece: the
+    measure of {G < c} is then piecewise linear in c between the sorted piece
+    ends."""
+    low, high = np.minimum(a, end), np.maximum(a, end)
     ramp = high > low
     rate = np.divide(length, high - low, out=np.zeros_like(length), where=ramp)
-    knots = np.concatenate([low, high], axis=-1)
-    order = np.argsort(knots, axis=-1, kind="stable")
-
-    def in_order(v):
-        return np.take_along_axis(v, order, axis=-1)
-
-    z = in_order(knots)
-    slope = np.cumsum(in_order(np.concatenate([rate, -rate], axis=-1)), axis=-1)
+    knots = np.concatenate([low, high])
+    order = np.argsort(knots, kind="stable")
+    z = knots[order]
+    slope = np.cumsum(np.concatenate([rate, -rate])[order])
     # measure of {G < c} just above each knot: flat pieces so far plus ramps
-    h = np.cumsum(in_order(np.concatenate([np.where(ramp, 0.0, length),
-                                          np.zeros_like(length)], axis=-1)), axis=-1)
-    h[..., 1:] += np.cumsum(slope[..., :-1] * np.diff(z, axis=-1), axis=-1)
-    half = 0.5 * length.sum(axis=-1, keepdims=True)
-    i = np.argmax(h >= half, axis=-1)[..., None]
-    prev = np.maximum(i - 1, 0)
-    z_prev, rise = np.take_along_axis(z, prev, -1), np.take_along_axis(slope, prev, -1)
-    step = np.divide(half - np.take_along_axis(h, prev, -1), rise,
-                     out=np.full(rise.shape, np.inf), where=rise > 0.0)
+    h = np.cumsum(np.concatenate([np.where(ramp, 0.0, length), np.zeros_like(length)])[order])
+    h[1:] += np.cumsum(slope[:-1] * np.diff(z))
+    half = 0.5 * length.sum()
+    i = int(np.argmax(h >= half))
+    prev = max(i - 1, 0)
+    step = (half - h[prev]) / slope[prev] if slope[prev] > 0.0 else np.inf
     # the crossing is on the ramp after the previous knot, or the jump at z_i
-    return np.clip(z_prev + step, z_prev, np.take_along_axis(z, i, -1))
+    return float(np.clip(z[prev] + step, z[prev], z[i]))
 
 
 def _median_bisect(length, a, b, q, end) -> float:
@@ -412,13 +415,6 @@ def _median_bisect(length, a, b, q, end) -> float:
     return hi
 
 
-def _w1_linear(length, a, b) -> np.ndarray:
-    """W1 = min_c int |G - c| for gaps linear on every piece, per row."""
-    end = a + b * length
-    c = _median_linear(length, np.minimum(a, end), np.maximum(a, end))
-    return _abs_integral(c, length, a, b, 0.0, end)
-
-
 def w1_circle(mu, nu) -> float:
     """W1 on the unit circle, min over c of int |F_mu - F_nu - c|.
 
@@ -430,42 +426,67 @@ def w1_circle(mu, nu) -> float:
     and otherwise by bisection to roundoff, and |gap - c| is integrated in
     closed form on each piece.
     """
-    length, a, b, q = _gap_pieces(mu, nu)
-    if not q.any():
-        return float(_w1_linear(length[None], a[None], b[None])[0])
-    length, a, b, q = _monotone(length, a, b, q)
+    length, a, b, q = _monotone(*_gap_pieces(mu, nu))
     end = a + (b + q * length) * length
-    return float(_abs_integral(_median_bisect(length, a, b, q, end), length, a, b, q, end))
+    if q.any():
+        c = _median_bisect(length, a, b, q, end)
+    else:
+        c = _median_linear(length, a, end)
+    return _abs_integral(c, length, a, b, q, end)
 
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo ensembles of uniform configurations
 # ---------------------------------------------------------------------------
 
+def _w1_to_uniform(x_sorted: np.ndarray) -> np.ndarray:
+    """Exact circle W1 to the uniform measure of each configuration sorted
+    along the last axis, by the identity in the module docstring: the median
+    c is found between the merged sorted knots tau - 1/N and tau, where the
+    measure of {F_X - t < c} is piecewise linear, and W1 is summed over the
+    tau_j in closed form."""
+    n = x_sorted.shape[-1]
+    tau = np.sort(np.arange(1, n + 1) / n - x_sorted, axis=-1)
+    knots = np.concatenate([tau - 1.0 / n, tau], axis=-1)
+    # two sorted runs laid end to end: the stable sort merges them
+    order = np.argsort(knots, axis=-1, kind="stable")
+    z = np.take_along_axis(knots, order, -1)
+    # windows open above the k-th knot: 2 (opened so far) - (k + 1); and the
+    # measure of {F_X - t < c} at the knots
+    slope = 2 * np.cumsum(order < n, axis=-1) - np.arange(1, 2 * n + 1)
+    h = np.zeros_like(z)
+    h[..., 1:] = np.cumsum(slope[..., :-1] * np.diff(z, axis=-1), axis=-1)
+    # h[0] = 0, so the first knot at or past 1/2 has a ramp before it
+    prev = np.argmax(h >= 0.5, axis=-1)[..., None] - 1
+    z_prev, h_prev, rise = (np.take_along_axis(v, prev, -1) for v in (z, h, slope))
+    c = z_prev + (0.5 - h_prev) / rise
+
+    def ramp(y):  # antiderivative of |y|
+        return 0.5 * y * np.abs(y)
+
+    return np.sum(ramp(tau - c) - ramp(tau - 1.0 / n - c), axis=-1)
+
+
 def mc_uniform_stats(n_particles: int, n_configs: int, rng: np.random.Generator) -> dict:
     """Sample i.i.d. uniform configurations; return renormalized-energy moments
     against the flat background with their exact mean E = 1/(12 N), and the
     mean (squared) W1 to uniform.
 
-    Configurations are drawn one at a time and reduced in blocks of at most
-    MC_BLOCK_ATOMS atoms, so memory does not grow with n_configs; each costs
-    O(N log N).
+    Configurations are drawn and reduced in blocks of at most MC_BLOCK_ATOMS
+    atoms, one rng.random call per block (the same stream as one call per
+    configuration), so memory does not grow with n_configs. Each costs
+    O(N log N): one sort of the atoms for the energy, one sort of the offsets
+    tau_j = j/N - x_(j) for W1 (_w1_to_uniform).
     """
     n = n_particles
     rows = max(1, MC_BLOCK_ATOMS // n)
     energies = np.empty(n_configs)
     w1s = np.empty(n_configs)
-    block = np.empty((rows, n))
-    levels = np.arange(n + 1) / n
     for start in range(0, n_configs, rows):
         stop = min(start + rows, n_configs)
-        for r in range(stop - start):
-            block[r] = rng.random(n)
-        x = np.sort(block[:stop - start], axis=1)
+        x = np.sort(rng.random((stop - start, n)), axis=1)
         energies[start:stop] = _flat_energy(x)
-        # F_X(t) - t is k/N - t on the k-th gap [p_k, p_{k+1}), p = (0, x, 1)
-        p = np.concatenate([np.zeros((x.shape[0], 1)), x, np.ones((x.shape[0], 1))], axis=1)
-        w1s[start:stop] = _w1_linear(np.diff(p, axis=1), levels - p[:, :-1], -1.0)
+        w1s[start:stop] = _w1_to_uniform(x)
     return {
         "n_particles": n_particles,
         "n_configs": n_configs,

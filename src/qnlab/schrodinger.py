@@ -66,14 +66,14 @@ def solve_potential(rho: RealField, eps: float, mode: str = "poisson_boltzmann",
 
 
 def check_kinetic_phase(w: WaveFunction, dt: float) -> None:
-    """StepTooLarge, carrying w's time and the phase, when a step of dt on
-    w's grid exceeds KINETIC_PHASE_CAP."""
+    """StepTooLarge, carrying w's time, the phase and step 0, when a step of
+    dt on w's grid exceeds KINETIC_PHASE_CAP."""
     grid = w.psi.grid
     phase = w.hbar * grid.dim * (np.pi * grid.n) ** 2 * dt / 2.0
     if phase >= KINETIC_PHASE_CAP:
         raise StepTooLarge(
             f"kinetic phase {phase:.1f} exceeds cap {KINETIC_PHASE_CAP:.1f}; shrink dt",
-            time=w.time, value=phase,
+            time=w.time, value=phase, step=0,
         )
 
 
@@ -82,14 +82,15 @@ def _half_kinetic(w: WaveFunction, dt: float) -> np.ndarray:
     return np.exp(0.25j * w.hbar * spectral.symbols(w.psi.grid, real=False).minus_k2 * dt)
 
 
-def _step_core(chi_hat: np.ndarray, w: WaveFunction, t: float, dt: float, mode: str,
+def _step_core(chi_hat: np.ndarray, w: WaveFunction, step: int, dt: float, mode: str,
                hat0: np.ndarray | None, kinetic: np.ndarray) -> tuple[np.ndarray, PotentialSplit]:
-    """One Strang step from time t on the grid, hbar and eps of w, in
-    coefficient space: chi_hat holds the coefficients before the kinetic
-    factor still to come, `kinetic` is that factor with the step's opening
-    half factor folded in. Returns the coefficients before the step's closing
-    half factor; StepTooLarge, carrying t and the phase, when the potential
-    phase max|V| dt / hbar reaches pi."""
+    """Step number step + 1 of dt from w, from time t = w.time + step * dt,
+    on the grid, hbar and eps of w, in coefficient space: chi_hat holds the
+    coefficients before the kinetic factor still to come, `kinetic` is that
+    factor with the step's opening half factor folded in. Returns the
+    coefficients before the step's closing half factor; StepTooLarge,
+    carrying t, the phase and `step`, when the potential phase
+    max|V| dt / hbar reaches pi."""
     psi = spectral.ifft(kinetic * chi_hat)
     rho = RealField(w.psi.grid, np.abs(psi) ** 2)
     split = solve_potential(rho, w.eps, mode, hat0)
@@ -97,7 +98,7 @@ def _step_core(chi_hat: np.ndarray, w: WaveFunction, t: float, dt: float, mode: 
     v_phase = float(np.max(np.abs(v))) * dt / w.hbar
     if v_phase >= np.pi:
         raise StepTooLarge(f"potential phase {v_phase:.3f} >= pi; shrink dt",
-                           time=t, value=v_phase)
+                           time=w.time + step * dt, value=v_phase, step=step)
     return spectral.fft(psi * np.exp(-1j * v * dt / w.hbar)), split
 
 
@@ -108,7 +109,7 @@ def step_strang(w: WaveFunction, dt: float, mode: str = "poisson_boltzmann") -> 
         raise ValueError("dt must be positive")
     check_kinetic_phase(w, dt)
     half_kinetic = _half_kinetic(w, dt)
-    chi_hat, _ = _step_core(spectral.fft(w.psi.values), w, w.time, dt, mode, None, half_kinetic)
+    chi_hat, _ = _step_core(spectral.fft(w.psi.values), w, 0, dt, mode, None, half_kinetic)
     psi = spectral.ifft(half_kinetic * chi_hat)
     return WaveFunction(ComplexField(w.psi.grid, psi), w.hbar, w.eps, w.time + dt)
 
@@ -142,7 +143,7 @@ def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
     kinetic = half_kinetic  # the first step has no closing half before it
     sampled = set(steps)
     for i in range(1, steps[-1] + 1):
-        chi_hat, split_used = _step_core(chi_hat, w0, w0.time + (i - 1) * dt, dt, mode,
+        chi_hat, split_used = _step_core(chi_hat, w0, i - 1, dt, mode,
                                          2.0 * hat_n - hat_prev, kinetic)
         kinetic = full_kinetic
         hat_n, hat_prev = split_used.hat.values, hat_n

@@ -252,6 +252,7 @@ class TestExitCodes:
         ("nbody_stats", [], "-3", "QNLAB_SEED"),
         ("nbody_stats", ["--set", "nbody.n_configs=1"], None, "nbody.n_configs"),
         ("nbody_stats", ["--set", "nbody.n_particles="], None, "nbody.n_particles"),
+        ("nbody_stats", ["--set", "nbody.n_particles=8,64,8"], None, "nbody.n_particles"),
         ("nbody_stats", ["--set", "grid.dim=3"], None, "grid.dim"),
         ("nbody_stats", ["--set", "physics.T=-1"], None, "physics.T"),
         ("nbody_stats", ["--set", "runtime.sample_every=0"], None, "runtime.sample_every"),
@@ -260,8 +261,8 @@ class TestExitCodes:
         ("pb_solve", ["--set", "physics.eps=0.1,0.05"], None, "physics.eps"),
         ("schrodinger_run", ["--set", "physics.hbar=0.1,0.05"], None, "physics.hbar"),
     ], ids=["seed", "later_seed", "env_seed", "one_config", "no_particle_count",
-            "dim", "negative_T", "zero_sample_every", "linear_pb_solve", "linear_sweep",
-            "pb_solve_pairs", "schrodinger_run_pairs"])
+            "repeated_particle_count", "dim", "negative_T", "zero_sample_every",
+            "linear_pb_solve", "linear_sweep", "pb_solve_pairs", "schrodinger_run_pairs"])
     def test_unusable_nbody_config_exit_two(self, tmp_path, capsys, monkeypatch,
                                             kind, overrides, env, named):
         if env is None:
@@ -314,6 +315,7 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.splitlines()[0])
         assert record["type"] == "NotPositive"
         assert record["stage"] == "prepare"
+        assert "step" not in record and "time" not in record
         with open(out / "errors.json") as fh:
             assert json.load(fh) == [record]
         summary = load_summary(out)
@@ -351,6 +353,7 @@ class TestExitCodes:
         assert record["type"] == "BlowupGuardTripped"
         assert record["message"].endswith("at t = 0.0767")
         assert abs(record["time"] - 0.0767) <= 1e-4
+        assert record["step"] == 767
         assert record["value"] > 50
         with open(out / "errors.json") as fh:
             assert json.load(fh) == [record]
@@ -372,6 +375,7 @@ class TestExitCodes:
         assert record["type"] == "StepTooLarge"
         assert record["message"].endswith("at t = 0.0000; shrink dt")
         assert record["time"] == 0.0
+        assert record["step"] == 0
         assert 4.7 < record["value"] < 4.8
         with open(out / "errors.json") as fh:
             assert json.load(fh) == [record]

@@ -199,6 +199,14 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="positive"):
             build_config({"nbody.n_configs": "0"}, "nbody_stats")
 
+    @pytest.mark.parametrize("counts", ["8, 8", "8, 64, 8"])
+    def test_nbody_counts_distinct(self, counts):
+        # a repeated count draws the same seeded stream twice, and the decay
+        # exponent would be fitted to two equal log N
+        with pytest.raises(ConfigError, match="nbody.n_particles must not repeat"):
+            build_config({"nbody.n_particles": counts}, "nbody_stats")
+        assert build_config({"nbody.n_particles": "8, 64"}, "nbody_stats").n_particles == (8, 64)
+
     @pytest.mark.parametrize("kind", ["pb_solve", "schrodinger_run", "euler_run",
                                       "quasineutral_sweep"])
     @pytest.mark.parametrize("key, value", [("nbody.n_configs", "1"), ("nbody.n_particles", "")])

@@ -274,6 +274,7 @@ def test_blowup_guard(grid):
     with pytest.raises(BlowupGuardTripped) as caught:
         run_euler(s0, 1.0, 1e-3)
     assert caught.value.time == 0.0
+    assert caught.value.step == 0
     assert caught.value.value == pytest.approx(18.0 * np.pi, rel=1e-12)
 
 
@@ -285,6 +286,7 @@ def test_unstable_step_raises_step_too_large():
     with pytest.raises(StepTooLarge, match=r"at t = 0\.0000; shrink dt$") as caught:
         run_euler(s0, 0.01, 1e-3)
     assert caught.value.time == 0.0
+    assert caught.value.step == 0
     assert caught.value.value == pytest.approx(rate, rel=1e-12)
     assert caught.value.value > RK4_STABILITY
 

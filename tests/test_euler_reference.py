@@ -134,6 +134,7 @@ def test_guard_trip_on_a_coarse_grid_is_decided_on_the_n_grid(grids):
     assert grids == [(256, 5e-4), (1024, 1e-4)]
     assert str(caught.value) == str(fine.value)
     assert (caught.value.time, caught.value.value) == (fine.value.time, fine.value.value)
+    assert caught.value.step == fine.value.step == 766
 
 
 def test_unstable_step_on_the_floor_hands_over_to_the_n_grid(grids):
@@ -161,3 +162,25 @@ def test_euler_run_kind_integrates_on_the_grid_it_was_given(grids, tmp_path):
     want = {**euler_constants(ref),
             "mass_defect_max": max(abs(float(integrate(s.rho())) - 1.0) for s in ref)}
     assert json.loads((out / "summary.json").read_text())["euler"] == want
+
+
+def test_failed_reference_is_computed_once_per_sweep(grids, tmp_path):
+    # the steepening flow trips the guard after 86 steps; the failure is
+    # memoized like a result, so the three points share one run_euler call
+    # and one error
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("kind = quasineutral_sweep\ngrid.n = 256\nphysics.T = 0.2\n"
+                   "physics.dt = 1e-3\nphysics.eps = 0.1, 0.05, 0.025\n"
+                   "physics.hbar = 0.1, 0.05, 0.025\ninitial.u0_amp = 2\n")
+    out = tmp_path / "out"
+    assert main(["quasineutral_sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert grids == [(256, 1e-3)]
+    records = json.loads((out / "errors.json").read_text())
+    assert [(r["eps"], r["hbar"]) for r in records] == [(0.1, 0.1), (0.05, 0.05), (0.025, 0.025)]
+    first = {k: v for k, v in records[0].items() if k not in ("eps", "hbar")}
+    assert first["stage"] == "euler"
+    assert first["type"] == "BlowupGuardTripped"
+    assert first["message"].endswith("at t = 0.0860")
+    assert first["step"] == 86
+    for record in records[1:]:
+        assert {k: v for k, v in record.items() if k not in ("eps", "hbar")} == first

@@ -124,6 +124,7 @@ def test_rejects_eps_too_large_for_density(grid):
     assert low < 0.0
     assert exc.value.value == low
     assert exc.value.time is None
+    assert exc.value.step is None
 
 
 def test_spec_validation(grid):

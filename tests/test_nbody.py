@@ -8,8 +8,10 @@ from scipy.optimize import linprog
 from conftest import full_k_squared
 from qnlab.grid import RealField, TorusGrid
 from qnlab.nbody import (
+    MC_BLOCK_ATOMS,
     ParticleConfig,
     _flat_energy,
+    _w1_to_uniform,
     coercivity_check,
     commutator_functional,
     green_kernel,
@@ -412,12 +414,55 @@ def test_mc_w1_decays_with_n():
     assert s16["mean_w1_squared"] > 0
 
 
-def test_mc_w1_is_circle_w1_to_flat(flat):
-    # the ensemble's W1 is the exact circle W1 of each draw to mu = 1
-    stats = mc_uniform_stats(64, 30, np.random.default_rng(9))
+@pytest.mark.parametrize("n_part", [8, 64, 512])
+def test_mc_w1_is_circle_w1_to_flat(flat, n_part):
+    # the ensemble's W1 is the exact circle W1 of each draw to mu = 1; at
+    # N = 512 the 30 draws span four blocks
+    stats = mc_uniform_stats(n_part, 30, np.random.default_rng(9))
     rng = np.random.default_rng(9)
-    w1s = [w1_circle(ParticleConfig(rng.random(64)), flat) for _ in range(30)]
+    w1s = [w1_circle(ParticleConfig(rng.random(n_part)), flat) for _ in range(30)]
     np.testing.assert_allclose(stats["mean_w1"], np.mean(w1s), rtol=1e-13)
+
+
+@pytest.mark.parametrize("n_part", [8, 64, 512])
+def test_block_draws_equal_per_configuration_draws(n_part):
+    # one rng.random((rows, N)) call per block reads the stream that one
+    # rng.random(N) call per configuration reads, and leaves it where they do
+    n_configs = 2 * max(1, MC_BLOCK_ATOMS // n_part) + 3  # two full blocks and a part
+    rng = np.random.default_rng(31)
+    stats = mc_uniform_stats(n_part, n_configs, rng)
+    one_by_one = np.random.default_rng(31)
+    x = np.sort([one_by_one.random(n_part) for _ in range(n_configs)], axis=1)
+    assert stats["mean_energy"] == float(_flat_energy(x).mean())
+    assert stats["mean_w1"] == float(_w1_to_uniform(x).mean())
+    assert rng.random() == one_by_one.random()
+
+
+def w1_kernel_configs():
+    """Hand-built sorted configurations for the uniform-W1 kernel."""
+    rng = np.random.default_rng(17)
+    yield "one-atom", np.array([0.37])
+    yield "atom-at-0", np.sort(np.append(0.0, rng.random(6)))
+    yield "duplicates", np.array([0.2, 0.2, 0.7, 0.7, 0.7])
+    yield "all-coincident", np.full(4, 0.6)
+    for n_part in (4, 8, 33):
+        yield f"equispaced-{n_part}", (np.arange(n_part) + 0.5) / n_part
+    for n_part in (2, 8, 64, 512):
+        yield f"random-{n_part}", np.sort(rng.random(n_part))
+
+
+@pytest.mark.parametrize("name, x", list(w1_kernel_configs()),
+                         ids=[name for name, _ in w1_kernel_configs()])
+def test_w1_to_uniform_is_circle_w1_to_flat(flat, name, x):
+    # row by row, alone and inside a block of other rows
+    want = w1_circle(ParticleConfig(x), flat)
+    np.testing.assert_allclose(_w1_to_uniform(x[None])[0], want, rtol=1e-13)
+    block = np.sort(np.random.default_rng(x.size).random((3, x.size)), axis=1)
+    block[1] = x
+    np.testing.assert_allclose(_w1_to_uniform(block)[1], want, rtol=1e-13)
+    if name.startswith("equispaced"):
+        # the sawtooth gap: exactly 1/(4N)
+        np.testing.assert_allclose(want, 1.0 / (4.0 * x.size), rtol=1e-13)
 
 
 def test_mc_deterministic_given_seed():

@@ -262,8 +262,10 @@ def test_kinetic_phase_guard(grid):
     w = dataclasses.replace(plane_wave(grid, hbar=0.5), time=0.25)
     with pytest.raises(StepTooLarge) as exc:
         step_strang(w, 0.01)
-    # the state's time, and hbar |2 pi k|^2 dt / 2 at the Nyquist mode
+    # the state's time, and hbar |2 pi k|^2 dt / 2 at the Nyquist mode; no
+    # step completed
     assert exc.value.time == 0.25
+    assert exc.value.step == 0
     assert exc.value.value == pytest.approx(0.5 * (np.pi * grid.n) ** 2 * 0.01 / 2.0, rel=1e-15)
 
 
@@ -315,12 +317,14 @@ def test_potential_phase_guard():
         with pytest.raises(StepTooLarge) as exc:
             advance(w, dt)
         assert exc.value.time == 0.25
+        assert exc.value.step == 0
         assert exc.value.value == pytest.approx(phase, rel=1e-12)
 
 
 def test_potential_phase_guard_reports_the_failing_steps_start(prepared, monkeypatch):
     # the solve of the third step returns a potential far past the phase
-    # guard: the error carries that step's start time, 2 dt after t0
+    # guard: the error carries that step's start time, 2 dt after t0, and
+    # the two steps completed before it
     solves = []
 
     def lifted(*args, **kwargs):
@@ -335,6 +339,7 @@ def test_potential_phase_guard_reports_the_failing_steps_start(prepared, monkeyp
     with pytest.raises(StepTooLarge) as exc:
         run(prepared, 10 * dt, dt)
     assert exc.value.time == 2 * dt
+    assert exc.value.step == 2
     v = solves[-1].potential.values
     assert exc.value.value == float(np.max(np.abs(v))) * dt / prepared.hbar
 

@@ -137,7 +137,7 @@ def test_n_grid_kinetic_phase_cap_holds_before_any_coarse_run(runs):
     assert fine.value.value == pytest.approx(phase, rel=1e-15)
     assert got["error"] == {"stage": "schrodinger", "type": "StepTooLarge",
                             "message": str(fine.value), "time": 0.0,
-                            "value": fine.value.value, "eps": 0.025, "hbar": 0.025}
+                            "value": fine.value.value, "step": 0, "eps": 0.025, "hbar": 0.025}
 
 
 @pytest.mark.parametrize("n_trips", [False, True], ids=["n-grid-runs", "n-grid-trips"])
