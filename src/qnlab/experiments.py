@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from functools import lru_cache, partial, wraps
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -62,15 +62,16 @@ def _error_record(exc: Exception, stage: str, **context) -> dict:
     return rec
 
 
-# Each sweep point integrates its Schrodinger run and the Euler reference on
-# the coarsest grid that resolves them, from FLOOR_N nodes up: below it a step
-# costs Python overhead, not transforms. A grid is kept when _top_band_share of
-# its sampled fields is at most the run's bound: BAND_SHARE_BOUND for log rho
-# and u, SCHRODINGER_BAND_SHARE_BOUND for psi and V (psi at the benchmark point
-# holds 6.5e-12 on 256 nodes, and 2.4e-9 on 256 against 2e-13 on 512 nodes at
-# eps = hbar = 0.01, u0_amp = 0.5, T = 0.2). On a grid coarser than the
-# sweep's, the reference steps at the coarsest multiple of dt whose estimated
-# error at the samples is at most TIME_ERROR_BOUND (max-abs over log rho and u).
+# A sweep integrates its Euler reference once, and each point its Schrodinger
+# run, on the coarsest grid that resolves them, from FLOOR_N nodes up: below it
+# a step costs Python overhead, not transforms. A grid is kept when
+# _top_band_share of its sampled fields is at most the run's bound:
+# BAND_SHARE_BOUND for log rho and u, SCHRODINGER_BAND_SHARE_BOUND for psi and
+# V (psi at the benchmark point holds 6.5e-12 on 256 nodes, and 2.4e-9 on 256
+# against 2e-13 on 512 nodes at eps = hbar = 0.01, u0_amp = 0.5, T = 0.2). On a
+# grid coarser than the sweep's, the reference steps at the coarsest multiple
+# of dt whose estimated error at the samples is at most TIME_ERROR_BOUND
+# (max-abs over log rho and u).
 FLOOR_N = 256
 BAND_SHARE_BOUND = 1e-13
 SCHRODINGER_BAND_SHARE_BOUND = 1e-10
@@ -175,30 +176,6 @@ def _euler_fields(samples: list[EulerState]) -> list[np.ndarray]:
     return [f.values for s in samples for f in (s.log_rho, *s.u)]
 
 
-def _last_outcome(fn: Callable) -> Callable:
-    """fn with its last call memoized, an Exception it raised included: a hit
-    re-raises that exception (lru_cache keeps results only). cache_clear
-    forgets the call."""
-    @lru_cache(maxsize=1)
-    def outcome(*args):
-        try:
-            return fn(*args), None
-        except Exception as exc:  # noqa: BLE001 - re-raised on every hit
-            return None, exc
-
-    @wraps(fn)
-    def call(*args):
-        result, exc = outcome(*args)
-        if exc is not None:
-            # a fresh traceback per raise, not one grown by every hit
-            raise exc.with_traceback(None)
-        return result
-
-    call.cache_clear = outcome.cache_clear
-    return call
-
-
-@_last_outcome
 def _euler_reference(n: int, rho0_amp: float, u0_amp: float, big_t: float,
                      dt: float, sample_every: int) -> tuple[list, dict, dict]:
     """The sampled Euler states of the standard data on the 1-D n grid at the
@@ -206,9 +183,7 @@ def _euler_reference(n: int, rho0_amp: float, u0_amp: float, big_t: float,
     "top_band_share": share}: the grid and RK4 step they were integrated with
     and the grid's _top_band_share of log rho and u. n_e is _coarsest_run's
     grid under BAND_SHARE_BOUND; below n the step is _coarse_step_run's, on n
-    it is dt. Coarser samples are zero-padded to n. The states depend on the
-    data and the time grid, not on (eps, hbar), so each process computes them,
-    or the error that stops them, once for the sweep points it runs."""
+    it is dt. Coarser samples are zero-padded to n."""
     def prepare(n_e: int):
         e0 = _cos_euler_data(1, n_e, rho0_amp, u0_amp)
         return e0, _euler_fields([e0])
@@ -231,6 +206,17 @@ def _euler_reference(n: int, rho0_amp: float, u0_amp: float, big_t: float,
     samples = [EulerState(pad(s.log_rho), [pad(c) for c in s.u], t)
                for s, t in zip(samples, times, strict=True)]
     return samples, euler_constants(samples), {"n": n_e, "dt": h, "top_band_share": share}
+
+
+def _sweep_reference(cfg: ExperimentConfig) -> tuple[list, dict, dict] | Exception:
+    """_euler_reference of the sweep `cfg`, or the Exception that stopped it.
+    It depends on the data and the time grid, not on (eps, hbar), so a sweep
+    computes it once and hands it to every point."""
+    try:
+        return _euler_reference(cfg.grid_n, cfg.rho0_amp, cfg.u0_amp, cfg.big_t, cfg.dt,
+                                cfg.sample_every)
+    except Exception as exc:  # noqa: BLE001 - each point re-raises it at its euler stage
+        return exc
 
 
 def _schrodinger_samples(cfg: ExperimentConfig, w0: WaveFunction) -> tuple[list, dict]:
@@ -269,10 +255,11 @@ def _schrodinger_samples(cfg: ExperimentConfig, w0: WaveFunction) -> tuple[list,
     return samples, {"n": n_s, "top_band_share": share}
 
 
-def _sweep_point(cfg: ExperimentConfig, eps: float, hbar: float) -> dict:
-    """One (eps, hbar) point of the sweep `cfg`; returns rows + per-point
-    summary, or an error record. The frozen config pickles, so a process pool
-    can ship it."""
+def _sweep_point(cfg: ExperimentConfig, reference: tuple[list, dict, dict] | Exception,
+                 eps: float, hbar: float) -> dict:
+    """One (eps, hbar) point of the sweep `cfg` against its _sweep_reference;
+    returns rows + per-point summary, or an error record. The frozen config
+    and the reference pickle, so a process pool can ship them."""
     pair = {"eps": float(eps), "hbar": float(hbar)}
     stage = "prepare"
     try:
@@ -282,8 +269,10 @@ def _sweep_point(cfg: ExperimentConfig, eps: float, hbar: float) -> dict:
         stage = "schrodinger"
         samples, schrodinger_grid = _schrodinger_samples(cfg, w0)
         stage = "euler"
-        esamp, gronwall, resolution = _euler_reference(
-            cfg.grid_n, cfg.rho0_amp, cfg.u0_amp, cfg.big_t, cfg.dt, cfg.sample_every)
+        if isinstance(reference, Exception):
+            # a fresh traceback per point, not one grown by every raise
+            raise reference.with_traceback(None)
+        esamp, gronwall, resolution = reference
 
         stage = "diagnostics"
         x = grid.axis_points()
@@ -343,7 +332,7 @@ def _sweep_point(cfg: ExperimentConfig, eps: float, hbar: float) -> dict:
 
 
 def _run_sweep(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
-    point = partial(_sweep_point, cfg)
+    point = partial(_sweep_point, cfg, _sweep_reference(cfg))
     if cfg.jobs > 1 and len(cfg.eps) > 1:
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(cfg.eps))) as pool:
             results = list(pool.map(point, cfg.eps, cfg.hbar))

@@ -16,9 +16,10 @@ go through the Fourier symbol of K, i.e. against the trigonometric
 interpolant of the density, evaluated at the points in bounded blocks.
 
 Circle W1 is exact to roundoff: the gap between two CDFs is piecewise
-quadratic between atoms and grid nodes, so its Lebesgue median and the
-integral of |gap - median| have closed forms piece by piece (Rabin, Delon &
-Gousseau, Transportation distances on the circle, JMIV 2011).
+quadratic between atoms and grid nodes, so the measure of {gap < c} and the
+integral of |gap - c| have closed forms piece by piece; the Lebesgue median c
+is bisected to roundoff on the first (Rabin, Delon & Gousseau, Transportation
+distances on the circle, JMIV 2011).
 
 Against the uniform measure one sort of N numbers is enough. On the k-th gap
 the CDF gap F_X - t falls with slope -1 from k/N - x_(k) to k/N - x_(k+1);
@@ -369,32 +370,10 @@ def _abs_integral(c, length, a, b, q, end) -> float:
     return float(np.sum(np.abs(head) + np.abs(antiderivative(length) - head)))
 
 
-def _median_linear(length, a, end) -> float:
-    """Exact Lebesgue median of a gap that is linear on every piece: the
-    measure of {G < c} is then piecewise linear in c between the sorted piece
-    ends."""
-    low, high = np.minimum(a, end), np.maximum(a, end)
-    ramp = high > low
-    rate = np.divide(length, high - low, out=np.zeros_like(length), where=ramp)
-    knots = np.concatenate([low, high])
-    order = np.argsort(knots, kind="stable")
-    z = knots[order]
-    slope = np.cumsum(np.concatenate([rate, -rate])[order])
-    # measure of {G < c} just above each knot: flat pieces so far plus ramps
-    h = np.cumsum(np.concatenate([np.where(ramp, 0.0, length), np.zeros_like(length)])[order])
-    h[1:] += np.cumsum(slope[:-1] * np.diff(z))
-    half = 0.5 * length.sum()
-    i = int(np.argmax(h >= half))
-    prev = max(i - 1, 0)
-    step = (half - h[prev]) / slope[prev] if slope[prev] > 0.0 else np.inf
-    # the crossing is on the ramp after the previous knot, or the jump at z_i
-    return float(np.clip(z[prev] + step, z[prev], z[i]))
-
-
 def _median_bisect(length, a, b, q, end) -> float:
-    """Lebesgue median of a piecewise-quadratic G, bisected to roundoff with
-    the exact measure of {G < c}. Pieces whose range leaves the bracket are
-    dropped as it shrinks."""
+    """Lebesgue median of a piecewise-quadratic G (linear and constant pieces
+    included), bisected to roundoff with the exact measure of {G < c}. Pieces
+    whose range leaves the bracket are dropped as it shrinks."""
     half = 0.5 * float(length.sum())
     low, high = np.minimum(a, end), np.maximum(a, end)
     lo, hi = float(low.min()), float(high.max())
@@ -421,18 +400,12 @@ def w1_circle(mu, nu) -> float:
     mu and nu are ParticleConfig atoms or RealField densities on 1-D grids
     (taken as their periodic piecewise-linear interpolants). The result is
     exact up to roundoff in every combination: the CDF gap is piecewise
-    quadratic on the merged atoms and grid nodes, its median c comes from the
-    sorted piece ends when the gap is piecewise linear (atoms, flat densities)
-    and otherwise by bisection to roundoff, and |gap - c| is integrated in
-    closed form on each piece.
+    quadratic on the merged atoms and grid nodes, its median c is bisected to
+    roundoff, and |gap - c| is integrated in closed form on each piece.
     """
     length, a, b, q = _monotone(*_gap_pieces(mu, nu))
     end = a + (b + q * length) * length
-    if q.any():
-        c = _median_bisect(length, a, b, q, end)
-    else:
-        c = _median_linear(length, a, end)
-    return _abs_integral(c, length, a, b, q, end)
+    return _abs_integral(_median_bisect(length, a, b, q, end), length, a, b, q, end)
 
 
 # ---------------------------------------------------------------------------

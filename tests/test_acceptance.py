@@ -23,7 +23,7 @@ from qnlab.cli import main as cli_main
 from qnlab.config import build_config
 from qnlab.energy import ckp_check
 from qnlab.euler import EulerState, run_euler
-from qnlab.experiments import _sweep_point
+from qnlab.experiments import _sweep_point, _sweep_reference
 from qnlab.grid import ComplexField, RealField, TorusGrid, integrate
 from qnlab.initial_data import (WellPreparedSpec, entropy_w1_check,
                                 quantum_density, sample_iid)
@@ -58,7 +58,8 @@ def emit(name: str, failures: list, detail: str = "") -> None:
 def sweep3():
     """The reference sweep: eps = hbar over AC1_EPS with AC1_CFG data."""
     t0 = time.perf_counter()
-    results = [_sweep_point(AC1_CFG, e, e) for e in AC1_EPS]
+    reference = _sweep_reference(AC1_CFG)
+    results = [_sweep_point(AC1_CFG, reference, e, e) for e in AC1_EPS]
     return {"results": results, "wall": time.perf_counter() - t0}
 
 
@@ -115,8 +116,8 @@ def test_ac02_total_energy_conservation(sweep3):
         drift = mid["conserved_drift_max"]
         if drift > 1e-6:
             failures.append(f"relative drift {drift:.3e} > 1e-6")
-        half = _sweep_point(dataclasses.replace(AC1_CFG, dt=AC1_CFG.dt / 2, sample_every=400),
-                            AC1_EPS[1], AC1_EPS[1])
+        half_cfg = dataclasses.replace(AC1_CFG, dt=AC1_CFG.dt / 2, sample_every=400)
+        half = _sweep_point(half_cfg, _sweep_reference(half_cfg), AC1_EPS[1], AC1_EPS[1])
         ratio = drift / max(half["conserved_drift_max"], 1e-300)
         if ratio < 3.5:
             failures.append(f"dt halving reduced drift only {ratio:.2f}x < 3.5x")

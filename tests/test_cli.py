@@ -173,19 +173,18 @@ class TestDeterminism:
             return run_euler(s0, big_t, dt, **kwargs)
 
         cfg = write_cfg(tmp_path, SWEEP_CFG)
-        cached, pooled = tmp_path / "c", tmp_path / "p"
-        experiments._euler_reference.cache_clear()
+        serial, pooled = tmp_path / "s", tmp_path / "p"
         monkeypatch.setattr(experiments, "run_euler", counted)
-        assert main(["quasineutral_sweep", "--config", cfg, "--out", str(cached)]) == 0
+        assert main(["quasineutral_sweep", "--config", cfg, "--out", str(serial)]) == 0
         assert calls == [(256, 1e-3)]
-        # each pool worker starts from an empty cache and computes its own
-        experiments._euler_reference.cache_clear()
+        calls.clear()
         assert main(["quasineutral_sweep", "--config", cfg, "--jobs", "2",
                      "--out", str(pooled)]) == 0
-        rels = sorted(p.relative_to(cached) for p in cached.rglob("*") if p.is_file())
+        assert calls == [(256, 1e-3)]
+        rels = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
         assert rels == sorted(p.relative_to(pooled) for p in pooled.rglob("*") if p.is_file())
         for rel in rels:
-            assert (cached / rel).read_bytes() == (pooled / rel).read_bytes(), rel
+            assert (serial / rel).read_bytes() == (pooled / rel).read_bytes(), rel
 
     def test_benchmark_point_reference_takes_60_rk4_steps(self, tmp_path, monkeypatch):
         # the perfbench sweep point at n = 2048 passes the band check on the
@@ -197,12 +196,10 @@ class TestDeterminism:
             grids.append((s0.grid.n, dt))
             return run_euler(s0, big_t, dt, **kwargs)
 
-        experiments._euler_reference.cache_clear()
         monkeypatch.setattr(experiments, "run_euler", counted)
         out = tmp_path / "out"
         assert main(["quasineutral_sweep", "--config",
                      str(ROOT / "perfbench" / "configs" / "sweep_1d.cfg"), "--out", str(out)]) == 0
-        experiments._euler_reference.cache_clear()
         assert grids == [(experiments.FLOOR_N, 1e-3), (experiments.FLOOR_N, 5e-4)]
         summary = load_summary(out)
         assert_schema_valid(summary)
@@ -361,6 +358,22 @@ class TestExitCodes:
         assert_schema_valid(summary)
         assert "euler" not in summary
         assert not (out / "plotdata").exists()
+
+    @pytest.mark.parametrize("sample_every", [50, 100])
+    def test_euler_mass_drift_leaves_the_guard_to_decide(self, tmp_path, capsys, sample_every):
+        # on 64 nodes this flow's mass drifts past 1e-6 before the guard
+        # trips; the run stops where the guard does at every sampling rate,
+        # not at the first sample whose mass has drifted
+        cfg = write_cfg(tmp_path, "kind = euler_run\ngrid.n = 64\n"
+                        "initial.rho0_amp = 0.5\ninitial.u0_amp = 2\n"
+                        f"physics.T = 0.2\nphysics.dt = 1e-4\nruntime.sample_every = {sample_every}\n")
+        out = tmp_path / "out"
+        assert main(["euler_run", "--config", cfg, "--out", str(out)]) == 1
+        record = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert record["stage"] == "euler"
+        assert record["type"] == "BlowupGuardTripped"
+        assert record["message"].endswith("at t = 0.0818")
+        assert record["step"] == 818
 
     def test_euler_unstable_step_writes_error_record(self, tmp_path, capsys):
         # dt max_rate = 4.7 > 2 sqrt 2 from the first step; this run used to

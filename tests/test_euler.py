@@ -153,8 +153,9 @@ def test_blowup_guard_trips_on_nan():
 
 
 def test_state_validation(grid):
-    with pytest.raises(ValueError):
-        EulerState(RealField(grid, np.ones(grid.n)), [zero(grid)])  # mass e
+    # unit mass is checked on the state a run starts from
+    with pytest.raises(ValueError, match="integrates to"):
+        run_euler(EulerState(RealField(grid, np.ones(grid.n)), [zero(grid)]), 0.01, 1e-3)  # mass e
     with pytest.raises(ValueError):
         EulerState(zero(grid), [zero(grid), zero(grid)])  # wrong dimension
 

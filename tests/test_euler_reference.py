@@ -25,18 +25,15 @@ def cos_run(n, rho0_amp, u0_amp, big_t, dt, sample_every):
 
 @pytest.fixture
 def grids(monkeypatch):
-    """(grid size, step) of every run_euler call the experiments module makes,
-    from a fresh reference cache."""
+    """(grid size, step) of every run_euler call the experiments module makes."""
     calls = []
 
     def recorded(s0, big_t, dt, **kwargs):
         calls.append((s0.grid.n, dt))
         return run_euler(s0, big_t, dt, **kwargs)
 
-    experiments._euler_reference.cache_clear()
     monkeypatch.setattr(experiments, "run_euler", recorded)
-    yield calls
-    experiments._euler_reference.cache_clear()
+    return calls
 
 
 def max_state_error(samples, ref) -> float:
@@ -165,9 +162,9 @@ def test_euler_run_kind_integrates_on_the_grid_it_was_given(grids, tmp_path):
 
 
 def test_failed_reference_is_computed_once_per_sweep(grids, tmp_path):
-    # the steepening flow trips the guard after 86 steps; the failure is
-    # memoized like a result, so the three points share one run_euler call
-    # and one error
+    # the steepening flow trips the guard after 86 steps; the sweep computes
+    # its reference once, before any point, so the three points share one
+    # run_euler call and one error, serially and on a pool
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("kind = quasineutral_sweep\ngrid.n = 256\nphysics.T = 0.2\n"
                    "physics.dt = 1e-3\nphysics.eps = 0.1, 0.05, 0.025\n"
@@ -184,3 +181,9 @@ def test_failed_reference_is_computed_once_per_sweep(grids, tmp_path):
     assert first["step"] == 86
     for record in records[1:]:
         assert {k: v for k, v in record.items() if k not in ("eps", "hbar")} == first
+    pooled = tmp_path / "pooled"
+    assert main(["quasineutral_sweep", "--config", str(cfg), "--jobs", "2",
+                 "--out", str(pooled)]) == 1
+    assert grids == [(256, 1e-3)] * 2
+    for name in ("errors.json", "summary.json"):
+        assert (pooled / name).read_bytes() == (out / name).read_bytes(), name

@@ -106,6 +106,12 @@ def test_newton_tail_has_one_caller():
     assert len(sites) == 1, sites
 
 
+def test_euler_reference_has_one_caller():
+    # a sweep integrates its reference once and hands it to every point
+    sites = [s for p in MODULES for s in _call_sites(p, "_euler_reference")]
+    assert sites == ["experiments.py:_sweep_reference"]
+
+
 def test_prepared_state_built_in_one_function():
     sites = _call_sites(SRC / "qnlab" / "experiments.py", "WellPreparedSpec")
     assert len(sites) == 1, sites

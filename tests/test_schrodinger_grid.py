@@ -72,9 +72,10 @@ def test_benchmark_point_runs_on_256_nodes(runs, tmp_path):
 
 
 def test_benchmark_point_agrees_with_the_n_grid_run(monkeypatch):
-    coarse = experiments._sweep_point(BENCH, 0.025, 0.025)
+    reference = experiments._sweep_reference(BENCH)
+    coarse = experiments._sweep_point(BENCH, reference, 0.025, 0.025)
     on_the_n_grid(monkeypatch)
-    fine = experiments._sweep_point(BENCH, 0.025, 0.025)
+    fine = experiments._sweep_point(BENCH, reference, 0.025, 0.025)
     assert coarse["schrodinger_grid"]["n"] == 256
     assert fine["schrodinger_grid"]["n"] == 2048
     for key, want in fine["maxima"].items():
@@ -129,7 +130,7 @@ def test_n_grid_kinetic_phase_cap_holds_before_any_coarse_run(runs):
     # and nothing is integrated on a coarser grid
     cfg = dataclasses.replace(BENCH, dt=1e-3)
     check_kinetic_phase(prepared(cfg, 0.025, 0.025, n=256), cfg.dt)
-    got = experiments._sweep_point(cfg, 0.025, 0.025)
+    got = experiments._sweep_point(cfg, experiments._sweep_reference(cfg), 0.025, 0.025)
     assert runs == [2048]
     with pytest.raises(StepTooLarge) as fine:
         run(prepared(cfg, 0.025, 0.025), cfg.big_t, cfg.dt, sample_every=cfg.sample_every)
@@ -156,14 +157,15 @@ def test_coarse_guard_trip_hands_over_to_the_n_grid(runs, monkeypatch, n_trips):
         return samples
 
     monkeypatch.setattr(experiments, "run", coarse_trips)
-    got = experiments._sweep_point(cfg, 0.025, 0.025)
+    reference = experiments._sweep_reference(cfg)
+    got = experiments._sweep_point(cfg, reference, 0.025, 0.025)
     assert runs == [256, 512]
     if n_trips:
         assert got["error"] == {"stage": "schrodinger", "type": "StepTooLarge",
                                 "message": "n-grid trip", "time": 0.015, "value": 2.0,
                                 "eps": 0.025, "hbar": 0.025}
     on_the_n_grid(monkeypatch)
-    assert got == experiments._sweep_point(cfg, 0.025, 0.025)
+    assert got == experiments._sweep_point(cfg, reference, 0.025, 0.025)
 
 
 @pytest.mark.parametrize("overrides", [
