@@ -15,11 +15,12 @@ class NotAProbabilityDensity(QnlabError, ValueError):
 
 
 class NewtonDiverged(QnlabError, RuntimeError):
-    """Damped Newton iteration hit its cap (or exhausted backtracking)."""
+    """Damped Newton iteration hit its cap (or exhausted backtracking);
+    carries the L2 residual of its last iterate."""
 
-
-class PotentialSolveFailed(QnlabError, RuntimeError):
-    """Self-consistent potential solve failed inside a time step."""
+    def __init__(self, message: str, residual: float | None = None):
+        super().__init__(message)
+        self.residual = residual
 
 
 class GuardError(QnlabError):
@@ -33,6 +34,12 @@ class GuardError(QnlabError):
         self.time = time
         self.value = value
         self.step = step
+
+
+class PotentialSolveFailed(GuardError, RuntimeError):
+    """Self-consistent potential solve failed inside a run; carries the time
+    of the solve's step (of the sample, for a solve at a sample), the steps
+    completed and the last Newton residual as the value."""
 
 
 class StepTooLarge(GuardError, ValueError):

@@ -96,6 +96,29 @@ def _grad_u_sup(grad_u_sups: list) -> float:
     return float(np.max(grad_u_sups))
 
 
+def _check_step(grid: TorusGrid, dt: float, u_sup: float, hats: tuple, t: float,
+                step: int) -> None:
+    """StepTooLarge, carrying t, rate = dt * max_rate(grid, u_sup) and step,
+    when the rate exceeds RK4_STABILITY and the rfft coefficients `hats` of
+    log rho and u are not those of a constant state."""
+    rate = dt * max_rate(grid, u_sup)
+    # a constant state is a fixed point at any step; only a varying one
+    # has modes for an unstable step to amplify
+    if rate > RK4_STABILITY and any(np.any(c.flat[1:]) for c in hats):
+        raise StepTooLarge(f"RK4 step dt * lambda = {rate:.3f} > {RK4_STABILITY:.3f} "
+                           f"at t = {t:.4f}; shrink dt", time=t, value=rate, step=step)
+
+
+def check_first_step(s0: EulerState, dt: float) -> None:
+    """run_euler's stability check before its first step of dt from s0, on
+    s0's grid: StepTooLarge with s0.time, the rate and step 0."""
+    sym = spectral.symbols(s0.grid, real=True)
+    log_hat, u_hat = _coefficients(sym, s0)
+    # max |u_i| of the same grid values as run_euler's first stage
+    u_sup = max(max(float(u.max()), -float(u.min())) for u in map(sym.inverse, u_hat))
+    _check_step(s0.grid, dt, u_sup, (log_hat, *u_hat), s0.time, 0)
+
+
 def run_euler(s0: EulerState, T: float, dt: float, sample_every: int = 1) -> list[EulerState]:
     """Classical RK4 from s0 to ~T, returning the states at
     config.sample_steps. Before each step it raises BlowupGuardTripped when
@@ -124,13 +147,7 @@ def run_euler(s0: EulerState, T: float, dt: float, sample_every: int = 1) -> lis
         if not grad_u <= GRAD_U_GUARD:
             raise BlowupGuardTripped(f"||grad u||_inf > {GRAD_U_GUARD} at t = {t:.4f}",
                                      time=t, value=grad_u, step=step)
-        rate = dt * max_rate(grid, max(u_sups))
-        # a constant state is a fixed point at any step; only a varying one
-        # has modes for an unstable step to amplify
-        if rate > RK4_STABILITY and any(np.any(c.flat[1:]) for c in (log_hat, *u_hat)):
-            raise StepTooLarge(f"RK4 step dt * lambda = {rate:.3f} > {RK4_STABILITY:.3f} "
-                               f"at t = {t:.4f}; shrink dt", time=t, value=rate,
-                               step=step)
+        _check_step(grid, dt, max(u_sups), (log_hat, *u_hat), t, step)
         # running k1 + 2 k2 + 2 k3 + k4, added left to right
         sum_log, sum_u = k_log, k_u
         for frac, weight in ((0.5, 2), (0.5, 2), (1.0, 1)):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,8 @@ from . import reports, schrodinger, spectral
 from .config import ExperimentConfig, sample_steps
 from .energy import conserved_energy, modulated_total, weak_distances
 from .errors import QnlabError
-from .euler import EulerState, euler_constants, max_rate, normalize_log_density, run_euler
+from .euler import (EulerState, check_first_step, euler_constants, max_rate,
+                    normalize_log_density, run_euler)
 from .grid import MASS_TOL, ComplexField, RealField, TorusGrid, gradient, integrate
 from .initial_data import WellPreparedSpec, well_prepared
 from .nbody import mc_uniform_stats
@@ -62,14 +63,17 @@ def _error_record(exc: Exception, stage: str, **context) -> dict:
     return rec
 
 
-# A sweep integrates its Euler reference once, and each point its Schrodinger
-# run, on the coarsest grid that resolves them, from FLOOR_N nodes up: below it
-# a step costs Python overhead, not transforms. A grid is kept when
+# The Euler reference (of a sweep and of the euler_run kind) and each sweep
+# point's Schrodinger run are integrated on the coarsest grid that resolves
+# them, from FLOOR_N nodes in all up: 256 in 1-D, 16^2 in 2-D. Below that a
+# step costs Python overhead, not transforms (an RK4 step on 256 nodes takes
+# at most 1.3x one on 64, and on 16^2 at most 1.5x one on 8^2, 2 vCPUs,
+# numpy 2.4). A grid is kept when
 # _top_band_share of its sampled fields is at most the run's bound:
 # BAND_SHARE_BOUND for log rho and u, SCHRODINGER_BAND_SHARE_BOUND for psi and
 # V (psi at the benchmark point holds 6.5e-12 on 256 nodes, and 2.4e-9 on 256
 # against 2e-13 on 512 nodes at eps = hbar = 0.01, u0_amp = 0.5, T = 0.2). On a
-# grid coarser than the sweep's, the reference steps at the coarsest multiple
+# grid coarser than the run's, the reference steps at the coarsest multiple
 # of dt whose estimated error at the samples is at most TIME_ERROR_BOUND
 # (max-abs over log rho and u).
 FLOOR_N = 256
@@ -87,13 +91,14 @@ def _cos_euler_data(dim: int, n: int, rho0_amp: float, u0_amp: float) -> EulerSt
 
 
 def _top_band_share(fields: list[np.ndarray]) -> float:
-    """Largest ||f_band||_2 / ||f||_2 over 1-D grid values f, real or complex,
-    the band n/6 < |k| <= n/3 taken on the values' own grid."""
+    """Largest ||f_band||_2 / ||f||_2 over 1-D or 2-D grid values f, real or
+    complex, the band the shell n/6 < max over axes of |k_axis| <= n/3 taken
+    on the values' own grid."""
     share = 0.0
     for f in fields:
-        grid = TorusGrid(1, f.size)
+        grid = TorusGrid(f.ndim, f.shape[0])
         sym = spectral.symbols(grid, real=np.isrealobj(f))
-        top = np.abs(sym.modes[0])
+        top = reduce(np.maximum, map(np.abs, sym.modes))
         band = (top > grid.n / 6.0) & (top <= grid.n / 3.0)
         power = np.abs(sym.forward(f)) ** 2
         total = sym.parseval(power)
@@ -102,17 +107,18 @@ def _top_band_share(fields: list[np.ndarray]) -> float:
     return share
 
 
-def _coarsest_run(n: int, bound: float, prepare: Callable[[int], tuple],
+def _coarsest_run(n: int, dim: int, bound: float, prepare: Callable[[int], tuple],
                   integrate: Callable[[object], tuple]) -> tuple[int, object, float]:
-    """(n_c, result, share): a run on the first n_c of min(n, FLOOR_N), twice
-    that, ... below n whose share = _top_band_share of the run's sampled
-    fields is at most `bound`, else on n itself. prepare(n_c) gives the
-    initial state and its fields, integrate(state) the result and the fields
-    of its samples, the initial ones among them; a grid whose initial fields
-    already exceed the bound is left before anything is integrated on it.
+    """(n_c, result, share): a run on the first n_c^dim grid of min(n, floor),
+    twice that, ... below n (floor^dim = FLOOR_N) whose share =
+    _top_band_share of the run's sampled fields is at most `bound`, else on
+    n^dim itself. prepare(n_c) gives the initial state and its fields,
+    integrate(state) the result and the fields of its samples, the initial
+    ones among them; a grid whose initial fields already exceed the bound is
+    left before anything is integrated on it.
     Once a run below n fails with a QnlabError (a guard trip, a failed
     solve), the run is the one on n, so an error is the n grid's."""
-    n_c = min(n, FLOOR_N)
+    n_c = min(n, round(FLOOR_N ** (1.0 / dim)))
     while n_c < n:
         try:
             state, fields = prepare(n_c)
@@ -176,16 +182,16 @@ def _euler_fields(samples: list[EulerState]) -> list[np.ndarray]:
     return [f.values for s in samples for f in (s.log_rho, *s.u)]
 
 
-def _euler_reference(n: int, rho0_amp: float, u0_amp: float, big_t: float,
+def _euler_reference(dim: int, n: int, rho0_amp: float, u0_amp: float, big_t: float,
                      dt: float, sample_every: int) -> tuple[list, dict, dict]:
-    """The sampled Euler states of the standard data on the 1-D n grid at the
-    dt sample times, their Gronwall constants, and {"n": n_e, "dt": h,
+    """The sampled Euler states of the standard data on the dim-D n grid at
+    the dt sample times, their Gronwall constants, and {"n": n_e, "dt": h,
     "top_band_share": share}: the grid and RK4 step they were integrated with
     and the grid's _top_band_share of log rho and u. n_e is _coarsest_run's
     grid under BAND_SHARE_BOUND; below n the step is _coarse_step_run's, on n
     it is dt. Coarser samples are zero-padded to n."""
     def prepare(n_e: int):
-        e0 = _cos_euler_data(1, n_e, rho0_amp, u0_amp)
+        e0 = _cos_euler_data(dim, n_e, rho0_amp, u0_amp)
         return e0, _euler_fields([e0])
 
     def integrate(e0: EulerState):
@@ -195,8 +201,8 @@ def _euler_reference(n: int, rho0_amp: float, u0_amp: float, big_t: float,
             samples, h = _coarse_step_run(e0, big_t, dt, sample_every)
         return (samples, h), _euler_fields(samples)
 
-    n_e, (samples, h), share = _coarsest_run(n, BAND_SHARE_BOUND, prepare, integrate)
-    grid = TorusGrid(1, n)
+    n_e, (samples, h), share = _coarsest_run(n, dim, BAND_SHARE_BOUND, prepare, integrate)
+    grid = TorusGrid(dim, n)
 
     def pad(f: RealField) -> RealField:
         return RealField(grid, spectral.resample(f.values, grid.shape))
@@ -209,12 +215,12 @@ def _euler_reference(n: int, rho0_amp: float, u0_amp: float, big_t: float,
 
 
 def _sweep_reference(cfg: ExperimentConfig) -> tuple[list, dict, dict] | Exception:
-    """_euler_reference of the sweep `cfg`, or the Exception that stopped it.
-    It depends on the data and the time grid, not on (eps, hbar), so a sweep
-    computes it once and hands it to every point."""
+    """_euler_reference of the sweep or euler_run `cfg`, or the Exception
+    that stopped it. It depends on the data and the time grid, not on
+    (eps, hbar), so a sweep computes it once and hands it to every point."""
     try:
-        return _euler_reference(cfg.grid_n, cfg.rho0_amp, cfg.u0_amp, cfg.big_t, cfg.dt,
-                                cfg.sample_every)
+        return _euler_reference(cfg.grid_dim, cfg.grid_n, cfg.rho0_amp, cfg.u0_amp, cfg.big_t,
+                                cfg.dt, cfg.sample_every)
     except Exception as exc:  # noqa: BLE001 - each point re-raises it at its euler stage
         return exc
 
@@ -241,16 +247,20 @@ def _schrodinger_samples(cfg: ExperimentConfig, w0: WaveFunction) -> tuple[list,
         samples = run(w, cfg.big_t, cfg.dt, sample_every=cfg.sample_every, mode=cfg.mode)
         return samples, [f for v, split in samples for f in (v.psi.values, split.potential.values)]
 
-    n_s, samples, share = _coarsest_run(grid.n, SCHRODINGER_BAND_SHARE_BOUND, prepare, integrate)
+    n_s, samples, share = _coarsest_run(grid.n, grid.dim, SCHRODINGER_BAND_SHARE_BOUND,
+                                        prepare, integrate)
     if n_s < grid.n:
         # called through the module, so a wrapper on it (perfbench's tracer)
         # sees the n-grid solves
-        padded = [(w0, schrodinger.solve_potential(density(w0), w0.eps, cfg.mode))]
-        for w, split in samples[1:]:
+        padded = [(w0, schrodinger.solve_potential(density(w0), w0.eps, cfg.mode,
+                                                   time=w0.time, step=0))]
+        steps = sample_steps(cfg.big_t, cfg.dt, cfg.sample_every)
+        for (w, split), step in zip(samples[1:], steps[1:], strict=True):
             psi = ComplexField(grid, spectral.resample(w.psi.values, grid.shape))
             wn = WaveFunction(psi, w.hbar, w.eps, w.time)
             hat0 = spectral.resample(split.hat.values, grid.shape)
-            padded.append((wn, schrodinger.solve_potential(density(wn), w.eps, cfg.mode, hat0)))
+            padded.append((wn, schrodinger.solve_potential(density(wn), w.eps, cfg.mode, hat0,
+                                                           time=w.time, step=step)))
         samples = padded
     return samples, {"n": n_s, "top_band_share": share}
 
@@ -395,8 +405,12 @@ def _run_euler(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
     try:
         e0 = _cos_euler_data(cfg.grid_dim, cfg.grid_n, cfg.rho0_amp, cfg.u0_amp)
         stage = "euler"
-        samp = run_euler(e0, cfg.big_t, cfg.dt, sample_every=cfg.sample_every)
-        gronwall = euler_constants(samp)
+        # a step of dt must be stable on the n grid, not only on a coarser one
+        check_first_step(e0, cfg.dt)
+        reference = _sweep_reference(cfg)
+        if isinstance(reference, Exception):
+            raise reference.with_traceback(None)
+        samp, gronwall, resolution = reference
     except Exception as exc:  # noqa: BLE001
         return [_error_record(exc, stage)]
     rows = []
@@ -408,6 +422,7 @@ def _run_euler(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
     reports.emit_csv(out_dir / "plotdata" / "euler.csv",
                      ("time", "mass_defect", "sup_u", "min_rho", "max_rho"), rows)
     summary["euler"] = {**gronwall, "mass_defect_max": float(max(r[1] for r in rows))}
+    summary["euler_reference"] = resolution
     return []
 
 

@@ -142,7 +142,7 @@ def _newton_hat(
     res = residual(hat)
     res_norm = float(np.sqrt(np.mean(res**2)))
     if not np.isfinite(res_norm):
-        raise NewtonDiverged(f"non-finite residual {res_norm} at the initial guess")
+        raise NewtonDiverged(f"non-finite residual {res_norm} at the initial guess", res_norm)
     history = [res_norm]
     iterations = 0
     cg_iterations = 0
@@ -151,8 +151,8 @@ def _newton_hat(
     while res_norm > tol:
         if iterations >= NEWTON_CAP:
             raise NewtonDiverged(
-                f"Newton cap {NEWTON_CAP} reached with residual {res_norm:.3e} (tol {tol:.3e})"
-            )
+                f"Newton cap {NEWTON_CAP} reached with residual {res_norm:.3e} (tol {tol:.3e})",
+                res_norm)
         # inexact Newton: forcing term proportional to the residual keeps the
         # quadratic tail observable without over-solving early iterations
         forcing = float(np.clip(res_norm, 1e-8, 1e-2))
@@ -172,8 +172,8 @@ def _newton_hat(
             alpha *= 0.5
         else:
             raise NewtonDiverged(
-                f"backtracking exhausted at iteration {iterations}, residual {res_norm:.3e}"
-            )
+                f"backtracking exhausted at iteration {iterations}, residual {res_norm:.3e}",
+                res_norm)
         hat, res, res_norm = trial, trial_res, trial_norm
         history.append(res_norm)
         iterations += 1

@@ -52,15 +52,19 @@ def current(w: WaveFunction) -> list[RealField]:
 
 
 def solve_potential(rho: RealField, eps: float, mode: str = "poisson_boltzmann",
-                    hat0: np.ndarray | None = None) -> PotentialSplit:
-    """Self-consistent potential of a density in either closure mode."""
+                    hat0: np.ndarray | None = None, *, time: float | None = None,
+                    step: int | None = None) -> PotentialSplit:
+    """Self-consistent potential of a density in either closure mode; a
+    failed Newton solve raises PotentialSolveFailed with the caller's `time`
+    and `step` and the solve's last residual."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "poisson_boltzmann":
         try:
             return solve_pb(rho, eps, hat0=hat0)
         except NewtonDiverged as exc:
-            raise PotentialSolveFailed(str(exc)) from exc
+            raise PotentialSolveFailed(str(exc), time=time, value=exc.residual,
+                                       step=step) from exc
     return PotentialSplit(solve_tilde(rho, eps), RealField(rho.grid, np.zeros(rho.grid.shape)),
                           eps, mode=mode)
 
@@ -90,15 +94,17 @@ def _step_core(chi_hat: np.ndarray, w: WaveFunction, step: int, dt: float, mode:
     factor with the step's opening half factor folded in. Returns the
     coefficients before the step's closing half factor; StepTooLarge,
     carrying t, the phase and `step`, when the potential phase
-    max|V| dt / hbar reaches pi."""
+    max|V| dt / hbar reaches pi (PotentialSolveFailed, with t and `step`,
+    when the midpoint solve fails)."""
     psi = spectral.ifft(kinetic * chi_hat)
     rho = RealField(w.psi.grid, np.abs(psi) ** 2)
-    split = solve_potential(rho, w.eps, mode, hat0)
+    t = w.time + step * dt
+    split = solve_potential(rho, w.eps, mode, hat0, time=t, step=step)
     v = split.potential.values
     v_phase = float(np.max(np.abs(v))) * dt / w.hbar
     if v_phase >= np.pi:
         raise StepTooLarge(f"potential phase {v_phase:.3f} >= pi; shrink dt",
-                           time=w.time + step * dt, value=v_phase, step=step)
+                           time=t, value=v_phase, step=step)
     return spectral.fft(psi * np.exp(-1j * v * dt / w.hbar)), split
 
 
@@ -129,7 +135,7 @@ def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
     step midpoints, dt apart. Energies are left to the caller (qnlab.energy).
     """
     steps = sample_steps(T, dt, sample_every)
-    split0 = solve_potential(density(w0), w0.eps, mode)
+    split0 = solve_potential(density(w0), w0.eps, mode, time=w0.time, step=0)
     samples = [(w0, split0)]
     if steps[-1] > 0:
         check_kinetic_phase(w0, dt)
@@ -150,6 +156,7 @@ def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
         if i in sampled:
             psi = spectral.ifft(half_kinetic * chi_hat)
             w = WaveFunction(ComplexField(w0.psi.grid, psi), w0.hbar, w0.eps, w0.time + i * dt)
-            snap = solve_potential(density(w), w.eps, mode, 1.5 * hat_n - 0.5 * hat_prev)
+            snap = solve_potential(density(w), w.eps, mode, 1.5 * hat_n - 0.5 * hat_prev,
+                                   time=w.time, step=i)
             samples.append((w, snap))
     return samples

@@ -7,7 +7,7 @@ Derivative symbols zero the Nyquist mode, which on real fields agrees to
 roundoff with keeping it and taking the real part. Sums over the spectrum
 (Parseval through `Symbols.parseval`, point evaluations in qnlab.nbody) take
 the half-spectrum conjugate-pair weight from `Symbols.pair_weight`.
-`resample` zero-pads a real or complex 1-D field onto a finer grid.
+`resample` zero-pads a real or complex 1-D or 2-D field onto a finer grid.
 """
 from __future__ import annotations
 
@@ -29,25 +29,35 @@ ifft = np.fft.ifftn
 
 
 def resample(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The trigonometric interpolant of real 1-D grid `values` (even size) at
-    the nodes of the finer 1-D grid `shape`: the rfft half spectrum,
-    zero-padded. The coarse Nyquist mode is split evenly between +n/2 and
-    -n/2, so the result is real and takes `values` at the coarse nodes.
-    Complex `values` are resampled by their real and imaginary parts, which
-    is the same zero-padding of the full spectrum. `values` itself is
-    returned when `shape` is its own."""
+    """The trigonometric interpolant of real 1-D or 2-D grid `values` (even
+    size per axis) at the nodes of the finer grid `shape` of the same
+    dimension: the rfft half spectrum, zero-padded. Each coarse Nyquist line
+    is split evenly between the modes +n/2 and -n/2 of its axis (the
+    last-axis column by halving it, as the half spectrum holds only +n/2), so
+    the result is real and takes `values` at the coarse nodes. Complex
+    `values` are resampled by their real and imaginary parts, which is the
+    same zero-padding of the full spectrum. `values` itself is returned when
+    `shape` is its own."""
     shape = tuple(shape)
     if shape == values.shape:
         return values
-    if values.ndim != 1 or len(shape) != 1 or shape[0] <= values.size:
-        raise ValueError(f"cannot resample {values.shape} onto {shape}: not a finer 1-D grid")
+    if values.ndim not in (1, 2) or len(shape) != values.ndim or \
+            any(m <= n for m, n in zip(shape, values.shape)):
+        raise ValueError(f"cannot resample {values.shape} onto {shape}: not a finer grid")
     if np.iscomplexobj(values):
         return resample(values.real, shape) + 1j * resample(values.imag, shape)
-    hat = rfft(values) * (shape[0] / values.size)
-    # on the finer grid the coarse Nyquist mode stands for itself and its conjugate
-    hat[-1] *= 0.5
-    out = np.zeros(shape[0] // 2 + 1, dtype=complex)
-    out[:hat.size] = hat
+    hat = rfft(values) * (np.prod(shape) / values.size)
+    # on the finer grid a coarse Nyquist mode stands for itself and its conjugate
+    hat[..., -1] *= 0.5
+    out = np.zeros((*shape[:-1], shape[-1] // 2 + 1), dtype=complex)
+    if values.ndim == 1:
+        out[:hat.size] = hat
+    else:
+        half = values.shape[0] // 2
+        cols = hat.shape[1]
+        out[:half, :cols] = hat[:half]
+        out[shape[0] - half + 1:, :cols] = hat[half + 1:]
+        out[half, :cols] = out[shape[0] - half, :cols] = 0.5 * hat[half]
     return irfft(out, shape)
 
 

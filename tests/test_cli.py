@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qnlab import experiments, reports
+from qnlab import experiments, poisson_boltzmann, reports, schrodinger
 from qnlab.cli import main
 from qnlab.config import sample_steps
 from qnlab.euler import run_euler
@@ -394,6 +394,37 @@ class TestExitCodes:
             assert json.load(fh) == [record]
         assert_schema_valid(load_summary(out))
 
+    def test_failed_solve_writes_where_and_by_how_much(self, tmp_path, capsys, monkeypatch):
+        # the fourth solve, at the midpoint of step 3, meets a Newton cap of
+        # 0: the record carries the step's start time, the 2 steps completed
+        # and the residual of the solve's warm start
+        solves = []
+        solve_pb = schrodinger.solve_pb
+
+        def capped(*args, **kwargs):
+            solves.append(None)
+            if len(solves) == 4:
+                monkeypatch.setattr(poisson_boltzmann, "NEWTON_CAP", 0)
+            return solve_pb(*args, **kwargs)
+
+        monkeypatch.setattr(schrodinger, "solve_pb", capped)
+        cfg = write_cfg(tmp_path, "kind = schrodinger_run\nphysics.T = 0.01\n"
+                        "physics.dt = 1e-3\nphysics.eps = 0.02\nphysics.hbar = 0.02\n"
+                        "initial.rho0_amp = 0.2\n")
+        out = tmp_path / "out"
+        assert main(["schrodinger_run", "--config", cfg, "--out", str(out)]) == 1
+        record = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert record["stage"] == "schrodinger"
+        assert record["type"] == "PotentialSolveFailed"
+        assert record["time"] == 2e-3
+        assert record["step"] == 2
+        assert record["value"] > poisson_boltzmann.NEWTON_RTOL
+        assert record["message"].startswith(
+            f"Newton cap 0 reached with residual {record['value']:.3e} (tol ")
+        with open(out / "errors.json") as fh:
+            assert json.load(fh) == [record]
+        assert_schema_valid(load_summary(out))
+
     def test_all_points_failing_leaves_header_only_csv(self, tmp_path):
         cfg = write_cfg(tmp_path, SWEEP_CFG)
         out = tmp_path / "out"
@@ -447,6 +478,19 @@ class TestOtherKinds:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["time"]) == 0.0
         assert float(rows[-1]["time"]) == pytest.approx(0.05)
+
+    def test_euler_2d_reference_block(self, tmp_path):
+        # perfbench's euler_2d data: 16^2 leaves 5e-8 of the flow in its top
+        # band, 32^2 resolves it, and the states are zero-padded to 256^2
+        out = tmp_path / "out"
+        cfg = ROOT / "perfbench" / "configs" / "euler_2d.cfg"
+        assert main(["euler_run", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = load_summary(out)
+        assert_schema_valid(summary)
+        assert summary["euler_reference"]["n"] == 32
+        assert summary["euler_reference"]["dt"] == summary["physics"]["dt"]
+        assert summary["euler_reference"]["top_band_share"] <= experiments.BAND_SHARE_BOUND
+        assert summary["grid"] == {"dim": 2, "n": 256}
 
     def test_schrodinger_run(self, tmp_path):
         cfg = write_cfg(tmp_path, "kind = schrodinger_run\n"

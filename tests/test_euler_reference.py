@@ -1,7 +1,9 @@
-"""The sweep's Euler reference: integrated on the coarsest grid that resolves
-the flow to BAND_SHARE_BOUND, from FLOOR_N up, at the coarsest multiple
-of dt whose estimated RK4 error is at most TIME_ERROR_BOUND, and zero-padded to
-the Schrödinger grid; on the Schrödinger grid at dt where no coarser grid does."""
+"""The Euler reference of a sweep and of the euler_run kind: integrated on
+the coarsest grid that resolves the flow to BAND_SHARE_BOUND, from FLOOR_N
+nodes in all up (256 in 1-D, 16^2 in 2-D), at the coarsest multiple of dt
+whose estimated RK4 error is at most TIME_ERROR_BOUND, and zero-padded to the
+run's n grid; on the n grid at dt where no coarser grid resolves it. A guard
+trip or an unstable step is reported as the n grid's."""
 import json
 
 import numpy as np
@@ -17,9 +19,9 @@ from qnlab.grid import RealField, TorusGrid, integrate
 AC1 = (2048, 0.5, 0.1, 0.2, 1e-4, 200)
 
 
-def cos_run(n, rho0_amp, u0_amp, big_t, dt, sample_every):
-    """The standard data's samples on the 1-D n grid at step dt."""
-    return run_euler(experiments._cos_euler_data(1, n, rho0_amp, u0_amp), big_t, dt,
+def cos_run(n, rho0_amp, u0_amp, big_t, dt, sample_every, dim=1):
+    """The standard data's samples on the dim-D n grid at step dt."""
+    return run_euler(experiments._cos_euler_data(dim, n, rho0_amp, u0_amp), big_t, dt,
                      sample_every=sample_every)
 
 
@@ -44,7 +46,7 @@ def max_state_error(samples, ref) -> float:
 
 
 def test_coarse_reference_matches_the_n_grid_on_ac1_data(grids):
-    samples, gronwall, resolution = experiments._euler_reference(*AC1)
+    samples, gronwall, resolution = experiments._euler_reference(1, *AC1)
     # probes m = 10 and 8 (the largest divisors of 200 with m dt lambda <= 1)
     # estimate C; m = 2 is the largest with C m^4 <= 1e-12: 1450 RK4 steps
     assert grids == [(256, 1e-3), (256, 8e-4), (256, 2e-4)]
@@ -61,7 +63,7 @@ def test_benchmark_point_steps_at_the_probe(grids):
     # the perfbench sweep point: probes m = 10 and 5, and m = 5 meets the
     # bound, so its run is the reference: 20 + 40 RK4 steps instead of 200
     args = (2048, 0.5, 0.1, 0.02, 1e-4, 20)
-    samples, _, resolution = experiments._euler_reference(*args)
+    samples, _, resolution = experiments._euler_reference(1, *args)
     assert grids == [(256, 1e-3), (256, 5e-4)]
     assert (resolution["n"], resolution["dt"]) == (256, 5e-4)
     assert max_state_error(samples, cos_run(*args)) <= experiments.TIME_ERROR_BOUND
@@ -71,7 +73,7 @@ def test_unresolved_floor_doubles_once(grids):
     # close enough to the shock that 256 nodes leave the top band at 1e-9;
     # the rule runs again on 512 nodes, where m = 2 is its only probe
     args = (1024, 0.5, 1.0, 0.1, 1e-4, 250)
-    samples, _, resolution = experiments._euler_reference(*args)
+    samples, _, resolution = experiments._euler_reference(1, *args)
     assert grids == [(256, 5e-4), (256, 2e-4), (256, 1e-4), (512, 1e-4)]
     assert (resolution["n"], resolution["dt"]) == (512, 1e-4)
     assert max_state_error(samples, cos_run(*args)) <= 1e-12
@@ -83,7 +85,7 @@ def test_unresolved_floor_doubles_once(grids):
     ((512, 0.5, 1.0, 0.14, 2e-4, 350), [(256, 2e-4), (512, 2e-4)]),
 ], ids=["1d-n64", "steep-n512"])
 def test_fallback_is_the_n_grid_reference_bit_for_bit(grids, args, calls):
-    samples, gronwall, resolution = experiments._euler_reference(*args)
+    samples, gronwall, resolution = experiments._euler_reference(1, *args)
     assert grids == calls
     assert (resolution["n"], resolution["dt"]) == args[0:1] + args[4:5]
     ref = cos_run(*args)
@@ -105,7 +107,7 @@ def test_failed_model_check_falls_back_to_dt_bit_for_bit(grids, monkeypatch):
                            s.time) for s in samples]
 
     monkeypatch.setattr(experiments, "run_euler", off_model)
-    samples, _, resolution = experiments._euler_reference(*args)
+    samples, _, resolution = experiments._euler_reference(1, *args)
     assert grids == [(256, 1e-3), (256, 5e-4), (256, 2e-4), (256, 1e-4)]
     assert (resolution["n"], resolution["dt"]) == (256, 1e-4)
     grid = TorusGrid(1, 512)
@@ -127,7 +129,7 @@ def test_guard_trip_on_a_coarse_grid_is_decided_on_the_n_grid(grids):
         cos_run(*args)
     grids.clear()
     with pytest.raises(BlowupGuardTripped) as caught:
-        experiments._euler_reference(*args)
+        experiments._euler_reference(1, *args)
     assert grids == [(256, 5e-4), (1024, 1e-4)]
     assert str(caught.value) == str(fine.value)
     assert (caught.value.time, caught.value.value) == (fine.value.time, fine.value.value)
@@ -142,23 +144,120 @@ def test_unstable_step_on_the_floor_hands_over_to_the_n_grid(grids):
         cos_run(*args)
     grids.clear()
     with pytest.raises(StepTooLarge) as caught:
-        experiments._euler_reference(*args)
+        experiments._euler_reference(1, *args)
     assert grids == [(256, 5e-3), (2048, 5e-3)]
     assert str(caught.value) == str(fine.value)
     assert caught.value.value == fine.value.value > 20
 
 
-def test_euler_run_kind_integrates_on_the_grid_it_was_given(grids, tmp_path):
+# (dim, n, rho0_amp, u0_amp, T, dt, sample_every) of an euler_run kind, and
+# the (n_e, h) it is integrated with; the 2-D one is perfbench's euler_2d,
+# whose 16^2 floor leaves 5e-8 of the flow in its top band
+KINDS = [((1, 2048, 0.5, 0.1, 0.01, 1e-4, 20), (256, 5e-4)),
+         ((2, 256, 0.5, 0.1, 0.0006, 1e-4, 3), (32, 1e-4))]
+# the derivatives each euler value reads off the states (0: the mass)
+DERIVATIVES = {"sup_grad_u": 1, "log_rho_h1": 1, "dt_log_rho_h1": 2, "log_rho_w1inf_h1": 2,
+               "sup_grad_advection": 2, "mass_defect_max": 0}
+
+
+@pytest.mark.parametrize("args, resolution", KINDS, ids=["1d-n2048", "2d-n256"])
+def test_euler_run_kind_integrates_on_the_coarsest_grid_that_resolves_it(
+        tmp_path, monkeypatch, args, resolution):
+    dim, n, rho0_amp, u0_amp, big_t, dt, sample_every = args
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("kind = euler_run\ngrid.n = 2048\nphysics.T = 0.01\nphysics.dt = 1e-4\n"
-                   "initial.rho0_amp = 0.5\ninitial.u0_amp = 0.1\nruntime.sample_every = 20\n")
+    cfg.write_text(f"kind = euler_run\ngrid.dim = {dim}\ngrid.n = {n}\nphysics.T = {big_t}\n"
+                   f"physics.dt = {dt}\ninitial.rho0_amp = {rho0_amp}\n"
+                   f"initial.u0_amp = {u0_amp}\nruntime.sample_every = {sample_every}\n")
+    references = []
+    computed = experiments._sweep_reference
+
+    def kept(c):
+        references.append(computed(c))
+        return references[-1]
+
+    monkeypatch.setattr(experiments, "_sweep_reference", kept)
     out = tmp_path / "out"
     assert main(["euler_run", "--config", str(cfg), "--out", str(out)]) == 0
-    assert grids == [(2048, 1e-4)]
-    ref = cos_run(2048, 0.5, 0.1, 0.01, 1e-4, 20)
+    summary = json.loads((out / "summary.json").read_text())
+    recorded = summary["euler_reference"]
+    assert (recorded["n"], recorded["dt"]) == resolution
+    assert recorded["top_band_share"] <= experiments.BAND_SHARE_BOUND
+    [(samples, _, _)] = references
+    assert all(s.grid == TorusGrid(dim, n) for s in samples)
+    ref = cos_run(n, rho0_amp, u0_amp, big_t, dt, sample_every, dim)
+    gap = max_state_error(samples, ref)
+    assert gap <= 1e-12
     want = {**euler_constants(ref),
             "mass_defect_max": max(abs(float(integrate(s.rho())) - 1.0) for s in ref)}
-    assert json.loads((out / "summary.json").read_text())["euler"] == want
+    # Bernstein's inequality on the n grid's modes: a derivative of the state
+    # gap is at most k_max = sqrt(dim) pi n times the gap, so sup_grad_u may
+    # move by k_max times it; a product or exponential of the states
+    # multiplies that by at most 2 (1 + their sup)
+    k_max = np.sqrt(dim) * np.pi * n
+    scale = 2.0 * (1.0 + max(float(np.max(np.abs(f.values))) for s in ref
+                             for f in (s.log_rho, s.rho(), *s.u)))
+    got = summary["euler"]
+    assert set(got) == set(DERIVATIVES)
+    for name, order in DERIVATIVES.items():
+        assert abs(got[name] - want[name]) <= scale * k_max**order * gap, name
+
+
+def test_2d_top_band_share_is_the_full_spectrum_shell_share():
+    # the shell n/6 < max(|k_x|, |k_y|) <= n/3, summed over the full spectrum
+    n = 32
+    k = np.abs(np.fft.fftfreq(n, 1.0 / n))
+    shell = np.maximum.outer(k, k)
+    band = (shell > n / 6) & (shell <= n / 3)
+    rng = np.random.default_rng(5)
+    fields = [rng.standard_normal((n, n)),
+              rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+              np.cos(2 * np.pi * np.arange(n) / n)[:, None] * np.ones(n)]
+    shares = []
+    for f in fields:
+        power = np.abs(np.fft.fft2(f)) ** 2
+        shares.append(float(np.sqrt(power[band].sum() / power.sum())))
+        assert experiments._top_band_share([f]) == pytest.approx(shares[-1], rel=1e-13)
+    assert shares[-1] < 1e-15
+    assert experiments._top_band_share(fields) == pytest.approx(max(shares), rel=1e-13)
+
+
+def test_euler_reference_in_2d_matches_the_n_grid_run(grids):
+    # 16^2 and 32^2 each probe m = 10 and 5, and m = 5 meets the time bound;
+    # 16^2 leaves too much of the flow in its top band
+    args = (256, 0.5, 0.1, 0.002, 1e-4, 10)
+    samples, gronwall, resolution = experiments._euler_reference(2, *args)
+    assert grids == [(16, 1e-3), (16, 5e-4), (32, 1e-3), (32, 5e-4)]
+    assert (resolution["n"], resolution["dt"]) == (32, 5e-4)
+    assert all(s.grid == TorusGrid(2, 256) for s in samples)
+    assert max_state_error(samples, cos_run(*args, dim=2)) <= 1e-12
+    assert gronwall == euler_constants(samples)
+
+
+def test_2d_fallback_is_the_n_grid_reference_bit_for_bit(grids):
+    # the euler_2d data on 32^2: 16^2 does not resolve them
+    args = (32, 0.5, 0.1, 0.0006, 1e-4, 3)
+    samples, gronwall, resolution = experiments._euler_reference(2, *args)
+    assert grids == [(16, 1e-4), (32, 1e-4)]
+    assert (resolution["n"], resolution["dt"]) == (32, 1e-4)
+    ref = cos_run(*args, dim=2)
+    assert max_state_error(samples, ref) == 0.0
+    assert gronwall == euler_constants(ref)
+
+
+def test_2d_guard_trip_on_a_coarse_grid_is_decided_on_the_n_grid(grids):
+    # 16^2 runs to T unresolved; on 32^2 the first probe (m = 5) trips the
+    # guard, and the error is the 64^2 run's at dt
+    args = (64, 0.5, 2.0, 0.2, 5e-4, 40)
+    with pytest.raises(BlowupGuardTripped) as fine:
+        cos_run(*args, dim=2)
+    grids.clear()
+    with pytest.raises(BlowupGuardTripped) as caught:
+        experiments._euler_reference(2, *args)
+    assert grids[-2:] == [(32, 2.5e-3), (64, 5e-4)]
+    assert all(g < 64 for g, _ in grids[:-1])
+    assert str(caught.value) == str(fine.value)
+    assert (caught.value.time, caught.value.value) == (fine.value.time, fine.value.value)
+    assert caught.value.step == fine.value.step == 164
 
 
 def test_failed_reference_is_computed_once_per_sweep(grids, tmp_path):

@@ -81,23 +81,30 @@ def test_inner_loops_build_no_fields(module, func):
 # one owner per rule: each rule below is written in one function, so a change
 # to it edits one place
 
-def _call_sites(path: Path, callee: str) -> list[str]:
-    """`module:function` for every call of `callee` (by name or attribute) in
-    `path`; a nested function counts as its own, module level as `<module>`."""
-    sites = []
+def _call_chains(path: Path, callee: str) -> list[tuple[str, ...]]:
+    """The enclosing functions, outermost first, of every call of `callee` (by
+    name or attribute) in `path`; () at module level."""
+    chains = []
 
-    def visit(node, owner):
+    def visit(node, chain):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+                visit(child, (*chain, child.name))
                 continue
             if isinstance(child, ast.Call) and \
                     getattr(child.func, "id", getattr(child.func, "attr", None)) == callee:
-                sites.append(f"{path.name}:{owner}")
-            visit(child, owner)
+                chains.append(chain)
+            visit(child, chain)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
-    return sites
+    visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return chains
+
+
+def _call_sites(path: Path, callee: str) -> list[str]:
+    """`module:function` for every call of `callee` (by name or attribute) in
+    `path`; a nested function counts as its own, module level as `<module>`."""
+    return [f"{path.name}:{chain[-1] if chain else '<module>'}"
+            for chain in _call_chains(path, callee)]
 
 
 def test_newton_tail_has_one_caller():
@@ -110,6 +117,15 @@ def test_euler_reference_has_one_caller():
     # a sweep integrates its reference once and hands it to every point
     sites = [s for p in MODULES for s in _call_sites(p, "_euler_reference")]
     assert sites == ["experiments.py:_sweep_reference"]
+
+
+def test_euler_integrates_only_under_the_grid_rule():
+    # every Euler run of an experiment goes through _euler_reference's
+    # callback to _coarsest_run or through the coarse time-step rule
+    chains = _call_chains(SRC / "qnlab" / "experiments.py", "run_euler")
+    assert chains
+    assert all(c[:2] == ("_euler_reference", "integrate") or c[:1] == ("_coarse_step_run",)
+               for c in chains), chains
 
 
 def test_prepared_state_built_in_one_function():

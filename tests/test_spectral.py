@@ -115,7 +115,9 @@ def zero_padded(values, shape):
     return padded.real
 
 
-RESAMPLINGS = [(TorusGrid(1, 32), TorusGrid(1, 2048))]
+# white noise loads every coarse mode, so in 2-D both Nyquist lines (the
+# row of the full axis and the column of the half-spectrum axis) are split
+RESAMPLINGS = [(TorusGrid(1, 32), TorusGrid(1, 2048)), (TorusGrid(2, 32), TorusGrid(2, 128))]
 
 
 @pytest.mark.parametrize("coarse,fine", RESAMPLINGS, ids=lambda g: f"{g.dim}d-n{g.n}")
@@ -144,6 +146,14 @@ def test_resample_onto_its_own_grid_returns_the_values():
     vals = white_noise(TorusGrid(1, 8), seed=1)
     assert spectral.resample(vals, (8,)) is vals
     for shape in [(4,), (8, 8), (16, 16)]:
+        with pytest.raises(ValueError):
+            spectral.resample(vals, shape)
+
+
+def test_2d_resample_onto_its_own_grid_returns_the_values():
+    vals = white_noise(TorusGrid(2, 16), seed=2)
+    assert spectral.resample(vals, (16, 16)) is vals
+    for shape in [(8, 8), (32, 16), (16, 32), (32,), (32, 32, 32)]:
         with pytest.raises(ValueError):
             spectral.resample(vals, shape)
 
