@@ -1,8 +1,8 @@
 """Pseudospectral isothermal Euler in logarithmic variables on the torus:
 d/dt log(rho) = -div u - u.grad log(rho),  d/dt u = -u.grad u - grad log(rho).
-Classical RK4 in time on the rfft half-spectrum coefficients of (log rho, u),
-2/3-rule dealiasing on the quadratic terms, which are summed before they are
-dealiased. A stage goes to grid values only for the products: 11 real
+Classical RK4 in time on the rfft half-spectrum coefficients of (log rho, u);
+the 2/3 rule dealiases the whole right-hand side, so no mode outside its band
+evolves. A stage goes to grid values only for the products: 11 real
 transforms per 2-D stage, 5 in 1-D. Grid states are built at the samples only."""
 from __future__ import annotations
 
@@ -47,8 +47,8 @@ class EulerState:
 
 def max_rate(grid: TorusGrid, sup_u: float) -> float:
     """Bound on |lambda| over the linearized right-hand side at a state with
-    max_i |u_i| = sup_u: 2 pi (n/3) sqrt(dim) (sup_u sqrt(dim) + 1), the
-    largest kept |2 pi k| times the largest |u| plus the unit sound speed."""
+    max_i |u_i| = sup_u: 2 pi (n/3) sqrt(dim) (sup_u sqrt(dim) + 1), the largest
+    |2 pi k| that _rhs evolves times the largest |u| plus the unit sound speed."""
     root_dim = float(np.sqrt(grid.dim))
     return 2.0 * np.pi * (grid.n / 3.0) * root_dim * (sup_u * root_dim + 1.0)
 
@@ -71,10 +71,10 @@ def _rhs(sym: spectral.Symbols, log_hat: np.ndarray, u_hat: list,
             if grad_u_sups is not None:
                 grad_u_sups.append(max(float(d.max()), -float(d.min())))
             advect = advect + u[j] * d
-        d_u.append(-sym.ik[i] * log_hat - sym.dealias * sym.forward(advect))
+        d_u.append(sym.dealias * (-sym.ik[i] * log_hat - sym.forward(advect)))
     # last, so that advect_hat is not held through the velocity loop
     advect_hat = sym.forward(sum(u[j] * sym.inverse(sym.ik[j] * log_hat) for j in range(dim)))
-    d_log = sum(-sym.ik[j] * u_hat[j] for j in range(dim)) - sym.dealias * advect_hat
+    d_log = sym.dealias * (sum(-sym.ik[j] * u_hat[j] for j in range(dim)) - advect_hat)
     return d_log, d_u, advect_hat
 
 

@@ -107,17 +107,18 @@ def _top_band_share(fields: list[np.ndarray]) -> float:
     return share
 
 
-def _coarsest_run(n: int, dim: int, bound: float, prepare: Callable[[int], tuple],
+def _coarsest_run(state_n, n: int, dim: int, bound: float, prepare: Callable[[int], tuple],
                   integrate: Callable[[object], tuple]) -> tuple[int, object, float]:
     """(n_c, result, share): a run on the first n_c^dim grid of min(n, floor),
     twice that, ... below n (floor^dim = FLOOR_N) whose share =
-    _top_band_share of the run's sampled fields is at most `bound`, else on
-    n^dim itself. prepare(n_c) gives the initial state and its fields,
+    _top_band_share of the run's sampled fields is at most `bound`, else the
+    run from state_n, the caller's checked initial state on n^dim.
+    prepare(n_c) gives the initial state and its fields below n,
     integrate(state) the result and the fields of its samples, the initial
     ones among them; a grid whose initial fields already exceed the bound is
     left before anything is integrated on it.
     Once a run below n fails with a QnlabError (a guard trip, a failed
-    solve), the run is the one on n, so an error is the n grid's."""
+    solve), the run is the one from state_n, so an error is the n grid's."""
     n_c = min(n, round(FLOOR_N ** (1.0 / dim)))
     while n_c < n:
         try:
@@ -131,8 +132,7 @@ def _coarsest_run(n: int, dim: int, bound: float, prepare: Callable[[int], tuple
             # whether and where a run fails is read on the n grid
             break
         n_c = min(2 * n_c, n)
-    state, _ = prepare(n)
-    result, fields = integrate(state)
+    result, fields = integrate(state_n)
     return n, result, _top_band_share(fields)
 
 
@@ -182,27 +182,29 @@ def _euler_fields(samples: list[EulerState]) -> list[np.ndarray]:
     return [f.values for s in samples for f in (s.log_rho, *s.u)]
 
 
-def _euler_reference(dim: int, n: int, rho0_amp: float, u0_amp: float, big_t: float,
+def _euler_reference(e0: EulerState, rho0_amp: float, u0_amp: float, big_t: float,
                      dt: float, sample_every: int) -> tuple[list, dict, dict]:
-    """The sampled Euler states of the standard data on the dim-D n grid at
+    """The sampled Euler states from e0, the standard data on the n grid, at
     the dt sample times, their Gronwall constants, and {"n": n_e, "dt": h,
     "top_band_share": share}: the grid and RK4 step they were integrated with
     and the grid's _top_band_share of log rho and u. n_e is _coarsest_run's
     grid under BAND_SHARE_BOUND; below n the step is _coarse_step_run's, on n
     it is dt. Coarser samples are zero-padded to n."""
-    def prepare(n_e: int):
-        e0 = _cos_euler_data(dim, n_e, rho0_amp, u0_amp)
-        return e0, _euler_fields([e0])
+    grid = e0.grid
 
-    def integrate(e0: EulerState):
-        if e0.grid.n == n:
-            samples, h = run_euler(e0, big_t, dt, sample_every=sample_every), dt
+    def prepare(n_e: int):
+        e = _cos_euler_data(grid.dim, n_e, rho0_amp, u0_amp)
+        return e, _euler_fields([e])
+
+    def integrate(e: EulerState):
+        if e is e0:
+            samples, h = run_euler(e, big_t, dt, sample_every=sample_every), dt
         else:
-            samples, h = _coarse_step_run(e0, big_t, dt, sample_every)
+            samples, h = _coarse_step_run(e, big_t, dt, sample_every)
         return (samples, h), _euler_fields(samples)
 
-    n_e, (samples, h), share = _coarsest_run(n, dim, BAND_SHARE_BOUND, prepare, integrate)
-    grid = TorusGrid(dim, n)
+    n_e, (samples, h), share = _coarsest_run(e0, grid.n, grid.dim, BAND_SHARE_BOUND, prepare,
+                                             integrate)
 
     def pad(f: RealField) -> RealField:
         return RealField(grid, spectral.resample(f.values, grid.shape))
@@ -215,12 +217,15 @@ def _euler_reference(dim: int, n: int, rho0_amp: float, u0_amp: float, big_t: fl
 
 
 def _sweep_reference(cfg: ExperimentConfig) -> tuple[list, dict, dict] | Exception:
-    """_euler_reference of the sweep or euler_run `cfg`, or the Exception
-    that stopped it. It depends on the data and the time grid, not on
-    (eps, hbar), so a sweep computes it once and hands it to every point."""
+    """_euler_reference of the sweep `cfg` from its n-grid data after
+    check_first_step, as in the euler_run kind, or the Exception that stopped
+    it. It depends on the data and the time grid, not on (eps, hbar), so a
+    sweep computes it once and hands it to every point."""
     try:
-        return _euler_reference(cfg.grid_dim, cfg.grid_n, cfg.rho0_amp, cfg.u0_amp, cfg.big_t,
-                                cfg.dt, cfg.sample_every)
+        e0 = _cos_euler_data(cfg.grid_dim, cfg.grid_n, cfg.rho0_amp, cfg.u0_amp)
+        check_first_step(e0, cfg.dt)
+        return _euler_reference(e0, cfg.rho0_amp, cfg.u0_amp, cfg.big_t, cfg.dt,
+                                cfg.sample_every)
     except Exception as exc:  # noqa: BLE001 - each point re-raises it at its euler stage
         return exc
 
@@ -229,39 +234,35 @@ def _schrodinger_samples(cfg: ExperimentConfig, w0: WaveFunction) -> tuple[list,
     """The sweep's Schrodinger samples on w0's n grid and {"n": n_s,
     "top_band_share": share}: `run` on _coarsest_run's grid n_s under
     SCHRODINGER_BAND_SHARE_BOUND (psi and V), from the standard data's
-    well-prepared state on n_s nodes. Below n each later sample's psi is
-    zero-padded to n and its potential re-solved there, warm-started from the
-    padded coarse hat; the t = 0 sample is w0 with its n solve, as on n.
-    dt must pass the kinetic-phase cap of the n grid, not only of n_s: a
-    point whose n-grid run would stop there fails as that run does."""
+    well-prepared state on n_s nodes, or from w0 on n. Below n the samples
+    are w0 and the later psi zero-padded to n, their potentials solved on n
+    from the padded coarse hat (w0's from none), as on n. dt must first pass
+    the n grid's kinetic-phase cap: a point whose n-grid run would stop there
+    fails as that run does, before any grid is integrated."""
     grid = w0.psi.grid
+    check_kinetic_phase(w0, cfg.dt)
 
     def prepare(n_s: int):
-        w = w0
-        if n_s < grid.n:
-            check_kinetic_phase(w0, cfg.dt)
-            w = _prepared_state(TorusGrid(1, n_s), cfg.rho0_amp, cfg.u0_amp, w0.eps, w0.hbar)
+        w = _prepared_state(TorusGrid(1, n_s), cfg.rho0_amp, cfg.u0_amp, w0.eps, w0.hbar)
         return w, [w.psi.values]
 
     def integrate(w: WaveFunction):
         samples = run(w, cfg.big_t, cfg.dt, sample_every=cfg.sample_every, mode=cfg.mode)
         return samples, [f for v, split in samples for f in (v.psi.values, split.potential.values)]
 
-    n_s, samples, share = _coarsest_run(grid.n, grid.dim, SCHRODINGER_BAND_SHARE_BOUND,
+    n_s, samples, share = _coarsest_run(w0, grid.n, grid.dim, SCHRODINGER_BAND_SHARE_BOUND,
                                         prepare, integrate)
     if n_s < grid.n:
+        padded = [(w0, None)] + [
+            (WaveFunction(ComplexField(grid, spectral.resample(w.psi.values, grid.shape)),
+                          w.hbar, w.eps, w.time), spectral.resample(split.hat.values, grid.shape))
+            for w, split in samples[1:]]
+        steps = sample_steps(cfg.big_t, cfg.dt, cfg.sample_every)
         # called through the module, so a wrapper on it (perfbench's tracer)
         # sees the n-grid solves
-        padded = [(w0, schrodinger.solve_potential(density(w0), w0.eps, cfg.mode,
-                                                   time=w0.time, step=0))]
-        steps = sample_steps(cfg.big_t, cfg.dt, cfg.sample_every)
-        for (w, split), step in zip(samples[1:], steps[1:], strict=True):
-            psi = ComplexField(grid, spectral.resample(w.psi.values, grid.shape))
-            wn = WaveFunction(psi, w.hbar, w.eps, w.time)
-            hat0 = spectral.resample(split.hat.values, grid.shape)
-            padded.append((wn, schrodinger.solve_potential(density(wn), w.eps, cfg.mode, hat0,
-                                                           time=w.time, step=step)))
-        samples = padded
+        samples = [(w, schrodinger.solve_potential(density(w), w.eps, cfg.mode, hat0,
+                                                   time=w.time, step=step))
+                   for (w, hat0), step in zip(padded, steps, strict=True)]
     return samples, {"n": n_s, "top_band_share": share}
 
 
@@ -407,10 +408,8 @@ def _run_euler(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
         stage = "euler"
         # a step of dt must be stable on the n grid, not only on a coarser one
         check_first_step(e0, cfg.dt)
-        reference = _sweep_reference(cfg)
-        if isinstance(reference, Exception):
-            raise reference.with_traceback(None)
-        samp, gronwall, resolution = reference
+        samp, gronwall, resolution = _euler_reference(e0, cfg.rho0_amp, cfg.u0_amp, cfg.big_t,
+                                                      cfg.dt, cfg.sample_every)
     except Exception as exc:  # noqa: BLE001
         return [_error_record(exc, stage)]
     rows = []

@@ -62,8 +62,8 @@ def test_rhs_pressure_only(grid):
 
 
 def reference_rhs(grid, log_rho, u):
-    """The complex-FFT right-hand side: every derivative and every dealiased
-    quadratic term through its own transform pair, Nyquist mode kept."""
+    """The complex-FFT right-hand side: every derivative through its own
+    transform pair, Nyquist mode kept, and the whole sum dealiased."""
     k = [full_wavenumbers(grid, axis) for axis in range(grid.dim)]
     mask = np.ones(grid.shape, dtype=bool)
     for axis in range(grid.dim):
@@ -77,12 +77,12 @@ def reference_rhs(grid, log_rho, u):
 
     d_log = -sum(deriv(u[j], j) for j in range(grid.dim))
     for j in range(grid.dim):
-        d_log = d_log - dealias(u[j] * deriv(log_rho, j))
+        d_log = d_log - u[j] * deriv(log_rho, j)
     d_u = []
     for i in range(grid.dim):
-        advect = sum(dealias(u[j] * deriv(u[i], j)) for j in range(grid.dim))
-        d_u.append(-advect - deriv(log_rho, i))
-    return d_log, d_u
+        advect = sum(u[j] * deriv(u[i], j) for j in range(grid.dim))
+        d_u.append(dealias(-advect - deriv(log_rho, i)))
+    return dealias(d_log), d_u
 
 
 def full_spectrum_state(grid, seed):
@@ -299,6 +299,50 @@ def test_max_rate_bounds_the_linear_spectrum():
     assert max_rate(TorusGrid(1, 8), 0.0) == pytest.approx(top)
     assert max_rate(TorusGrid(2, 8), 1.0) == pytest.approx(top * np.sqrt(2) * (np.sqrt(2) + 1))
     assert 4e-3 * max_rate(TorusGrid(1, 256), 0.1) == pytest.approx(2.36, abs=5e-3)
+
+
+@pytest.mark.parametrize("dim, n, top", [(1, 32, 2 * np.pi * 10 * 1.1),
+                                          (2, 16, 2 * np.pi * (0.1 * 10 + np.sqrt(50)))])
+def test_max_rate_bounds_the_jacobian_at_a_constant_flow(dim, n, top):
+    # at u_i = 0.1 the linearized right-hand side has eigenvalues
+    # i (u.2 pi k +- |2 pi k|); only the kept modes (|k_axis| <= n/3: 10 on
+    # 32 nodes, (5, 5) on 16^2) may carry them, so max_rate bounds them all
+    g = TorusGrid(dim, n)
+    base = np.concatenate([np.zeros(g.size)] + [np.full(g.size, 0.1)] * dim)
+
+    def rhs(x):
+        log_rho, *u = (RealField(g, f) for f in x.reshape(dim + 1, *g.shape))
+        d_log, d_u = euler_rhs(EulerState(log_rho, u))
+        return np.concatenate([f.values.ravel() for f in (d_log, *d_u)])
+
+    h = 1e-6
+    # central differences of a quadratic map: exact up to roundoff
+    jac = np.column_stack([(rhs(base + h * e) - rhs(base - h * e)) / (2 * h)
+                           for e in np.eye(base.size)])
+    radius = float(np.max(np.abs(np.linalg.eigvals(jac))))
+    assert radius == pytest.approx(top, rel=1e-6)
+    assert radius <= max_rate(g, 0.1)
+
+
+def test_modes_above_the_kept_band_stay_at_roundoff():
+    # AC-9's data at its coarsest step, dt max_rate = 2.36 < 2 sqrt 2: the
+    # modes n/3 < |k| <= n/2 hold roundoff only and must not evolve; run at
+    # the acoustic rate alone, 2 pi (n/2 - 1) dt = 3.19, they would grow.
+    # Their L2 norm is read against each field's initial norm, as log rho
+    # passes near zero on the way
+    grid = TorusGrid(1, 256)
+    x = grid.axis_points()
+    s0 = EulerState(nlog(grid, 0.2 * np.cos(2 * np.pi * x)),
+                    [RealField(grid, 0.1 * np.sin(2 * np.pi * x))])
+    sym = spectral.symbols(grid, real=True)
+
+    def norm(f, symbol=1.0):
+        return np.sqrt(sym.parseval(np.abs(sym.forward(f.values)) ** 2 * symbol))
+
+    initial = [norm(f) for f in (s0.log_rho, *s0.u)]
+    share = max(norm(f, 1.0 - sym.dealias) / f0 for s in run_euler(s0, 0.6, 4e-3)
+                for f, f0 in zip((s.log_rho, *s.u), initial))
+    assert share <= 1e-15
 
 
 # ---------------------------------------------------------------------------

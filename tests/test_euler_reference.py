@@ -25,6 +25,12 @@ def cos_run(n, rho0_amp, u0_amp, big_t, dt, sample_every, dim=1):
                      sample_every=sample_every)
 
 
+def reference(dim, n, rho0_amp, u0_amp, big_t, dt, sample_every):
+    """_euler_reference from the standard data on the dim-D n grid."""
+    e0 = experiments._cos_euler_data(dim, n, rho0_amp, u0_amp)
+    return experiments._euler_reference(e0, rho0_amp, u0_amp, big_t, dt, sample_every)
+
+
 @pytest.fixture
 def grids(monkeypatch):
     """(grid size, step) of every run_euler call the experiments module makes."""
@@ -46,7 +52,7 @@ def max_state_error(samples, ref) -> float:
 
 
 def test_coarse_reference_matches_the_n_grid_on_ac1_data(grids):
-    samples, gronwall, resolution = experiments._euler_reference(1, *AC1)
+    samples, gronwall, resolution = reference(1, *AC1)
     # probes m = 10 and 8 (the largest divisors of 200 with m dt lambda <= 1)
     # estimate C; m = 2 is the largest with C m^4 <= 1e-12: 1450 RK4 steps
     assert grids == [(256, 1e-3), (256, 8e-4), (256, 2e-4)]
@@ -63,7 +69,7 @@ def test_benchmark_point_steps_at_the_probe(grids):
     # the perfbench sweep point: probes m = 10 and 5, and m = 5 meets the
     # bound, so its run is the reference: 20 + 40 RK4 steps instead of 200
     args = (2048, 0.5, 0.1, 0.02, 1e-4, 20)
-    samples, _, resolution = experiments._euler_reference(1, *args)
+    samples, _, resolution = reference(1, *args)
     assert grids == [(256, 1e-3), (256, 5e-4)]
     assert (resolution["n"], resolution["dt"]) == (256, 5e-4)
     assert max_state_error(samples, cos_run(*args)) <= experiments.TIME_ERROR_BOUND
@@ -73,7 +79,7 @@ def test_unresolved_floor_doubles_once(grids):
     # close enough to the shock that 256 nodes leave the top band at 1e-9;
     # the rule runs again on 512 nodes, where m = 2 is its only probe
     args = (1024, 0.5, 1.0, 0.1, 1e-4, 250)
-    samples, _, resolution = experiments._euler_reference(1, *args)
+    samples, _, resolution = reference(1, *args)
     assert grids == [(256, 5e-4), (256, 2e-4), (256, 1e-4), (512, 1e-4)]
     assert (resolution["n"], resolution["dt"]) == (512, 1e-4)
     assert max_state_error(samples, cos_run(*args)) <= 1e-12
@@ -85,7 +91,7 @@ def test_unresolved_floor_doubles_once(grids):
     ((512, 0.5, 1.0, 0.14, 2e-4, 350), [(256, 2e-4), (512, 2e-4)]),
 ], ids=["1d-n64", "steep-n512"])
 def test_fallback_is_the_n_grid_reference_bit_for_bit(grids, args, calls):
-    samples, gronwall, resolution = experiments._euler_reference(1, *args)
+    samples, gronwall, resolution = reference(1, *args)
     assert grids == calls
     assert (resolution["n"], resolution["dt"]) == args[0:1] + args[4:5]
     ref = cos_run(*args)
@@ -107,7 +113,7 @@ def test_failed_model_check_falls_back_to_dt_bit_for_bit(grids, monkeypatch):
                            s.time) for s in samples]
 
     monkeypatch.setattr(experiments, "run_euler", off_model)
-    samples, _, resolution = experiments._euler_reference(1, *args)
+    samples, _, resolution = reference(1, *args)
     assert grids == [(256, 1e-3), (256, 5e-4), (256, 2e-4), (256, 1e-4)]
     assert (resolution["n"], resolution["dt"]) == (256, 1e-4)
     grid = TorusGrid(1, 512)
@@ -129,7 +135,7 @@ def test_guard_trip_on_a_coarse_grid_is_decided_on_the_n_grid(grids):
         cos_run(*args)
     grids.clear()
     with pytest.raises(BlowupGuardTripped) as caught:
-        experiments._euler_reference(1, *args)
+        reference(1, *args)
     assert grids == [(256, 5e-4), (1024, 1e-4)]
     assert str(caught.value) == str(fine.value)
     assert (caught.value.time, caught.value.value) == (fine.value.time, fine.value.value)
@@ -144,7 +150,7 @@ def test_unstable_step_on_the_floor_hands_over_to_the_n_grid(grids):
         cos_run(*args)
     grids.clear()
     with pytest.raises(StepTooLarge) as caught:
-        experiments._euler_reference(1, *args)
+        reference(1, *args)
     assert grids == [(256, 5e-3), (2048, 5e-3)]
     assert str(caught.value) == str(fine.value)
     assert caught.value.value == fine.value.value > 20
@@ -169,13 +175,13 @@ def test_euler_run_kind_integrates_on_the_coarsest_grid_that_resolves_it(
                    f"physics.dt = {dt}\ninitial.rho0_amp = {rho0_amp}\n"
                    f"initial.u0_amp = {u0_amp}\nruntime.sample_every = {sample_every}\n")
     references = []
-    computed = experiments._sweep_reference
+    computed = experiments._euler_reference
 
-    def kept(c):
-        references.append(computed(c))
+    def kept(*args):
+        references.append(computed(*args))
         return references[-1]
 
-    monkeypatch.setattr(experiments, "_sweep_reference", kept)
+    monkeypatch.setattr(experiments, "_euler_reference", kept)
     out = tmp_path / "out"
     assert main(["euler_run", "--config", str(cfg), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
@@ -225,7 +231,7 @@ def test_euler_reference_in_2d_matches_the_n_grid_run(grids):
     # 16^2 and 32^2 each probe m = 10 and 5, and m = 5 meets the time bound;
     # 16^2 leaves too much of the flow in its top band
     args = (256, 0.5, 0.1, 0.002, 1e-4, 10)
-    samples, gronwall, resolution = experiments._euler_reference(2, *args)
+    samples, gronwall, resolution = reference(2, *args)
     assert grids == [(16, 1e-3), (16, 5e-4), (32, 1e-3), (32, 5e-4)]
     assert (resolution["n"], resolution["dt"]) == (32, 5e-4)
     assert all(s.grid == TorusGrid(2, 256) for s in samples)
@@ -236,7 +242,7 @@ def test_euler_reference_in_2d_matches_the_n_grid_run(grids):
 def test_2d_fallback_is_the_n_grid_reference_bit_for_bit(grids):
     # the euler_2d data on 32^2: 16^2 does not resolve them
     args = (32, 0.5, 0.1, 0.0006, 1e-4, 3)
-    samples, gronwall, resolution = experiments._euler_reference(2, *args)
+    samples, gronwall, resolution = reference(2, *args)
     assert grids == [(16, 1e-4), (32, 1e-4)]
     assert (resolution["n"], resolution["dt"]) == (32, 1e-4)
     ref = cos_run(*args, dim=2)
@@ -252,7 +258,7 @@ def test_2d_guard_trip_on_a_coarse_grid_is_decided_on_the_n_grid(grids):
         cos_run(*args, dim=2)
     grids.clear()
     with pytest.raises(BlowupGuardTripped) as caught:
-        experiments._euler_reference(2, *args)
+        reference(2, *args)
     assert grids[-2:] == [(32, 2.5e-3), (64, 5e-4)]
     assert all(g < 64 for g, _ in grids[:-1])
     assert str(caught.value) == str(fine.value)
@@ -286,3 +292,24 @@ def test_failed_reference_is_computed_once_per_sweep(grids, tmp_path):
     assert grids == [(256, 1e-3)] * 2
     for name in ("errors.json", "summary.json"):
         assert (pooled / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_sweep_reference_refuses_the_step_euler_run_refuses(grids, tmp_path, capsys):
+    # dt max_rate = 4.7 on 2048 nodes, 0.59 on 256: the sweep's reference
+    # applies the n grid's first-step check, as euler_run does, so every
+    # point reports euler_run's record and no Euler grid is integrated
+    body = "grid.n = 2048\nphysics.T = 0.02\nphysics.dt = 1e-3\nruntime.sample_every = 10\n"
+    records = []
+    for kind, extra in (("euler_run", ""), ("quasineutral_sweep",
+                                            "physics.eps = 0.01\nphysics.hbar = 0.01\n")):
+        cfg = tmp_path / f"{kind}.cfg"
+        cfg.write_text(f"kind = {kind}\n{body}{extra}")
+        assert main([kind, "--config", str(cfg), "--out", str(tmp_path / kind)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        records.append(json.loads(line))
+    assert grids == []
+    euler, sweep = records
+    assert {k: euler[k] for k in ("stage", "type", "time", "step", "value")} == {
+        "stage": "euler", "type": "StepTooLarge", "time": 0.0, "step": 0,
+        "value": 4.718253286671452}
+    assert sweep == {**euler, "eps": 0.01, "hbar": 0.01}

@@ -113,10 +113,20 @@ def test_newton_tail_has_one_caller():
     assert len(sites) == 1, sites
 
 
-def test_euler_reference_has_one_caller():
-    # a sweep integrates its reference once and hands it to every point
+def test_euler_reference_callers_are_pinned():
+    # a sweep integrates its reference once and hands it to every point; the
+    # euler_run kind integrates its own
     sites = [s for p in MODULES for s in _call_sites(p, "_euler_reference")]
-    assert sites == ["experiments.py:_sweep_reference"]
+    assert sites == ["experiments.py:_sweep_reference", "experiments.py:_run_euler"]
+
+
+def test_n_grid_first_step_checked_once_before_the_grid_rule():
+    # the callers of _coarsest_run hand it an n-grid state that has passed
+    # the n grid's first-step check; no coarse grid's prepare applies it
+    sites = [s for p in MODULES for s in _call_sites(p, "check_first_step")]
+    assert sites == ["experiments.py:_sweep_reference", "experiments.py:_run_euler"]
+    chains = _call_chains(SRC / "qnlab" / "experiments.py", "check_kinetic_phase")
+    assert chains == [("_schrodinger_samples",)]
 
 
 def test_euler_integrates_only_under_the_grid_rule():
