@@ -166,31 +166,40 @@ def run_euler(s0: EulerState, T: float, dt: float, sample_every: int = 1) -> lis
     return states
 
 
-def euler_constants(traj: list[EulerState]) -> dict:
-    """Grönwall-constant ingredients over a trajectory: sup ||grad u||_inf,
-    the W^{1,inf}-in-time H^1-in-space size of log rho (time derivative taken
-    from the equation), and sup ||grad(u . grad log rho)||_2. One right-hand
-    side per state; the L^2-type norms are read off its coefficients by
-    Parseval."""
+def euler_constants(traj: list[EulerState], grid: TorusGrid | None = None) -> dict:
+    """Grönwall-constant ingredients of the trigonometric interpolant, on
+    `grid` (n per axis; by default the trajectory's own, n_e), of a
+    trajectory: sup ||grad u||_inf over the n nodes, the W^{1,inf}-in-time
+    H^1-in-space size of log rho (d/dt from the equation) and
+    sup ||grad(u . grad log rho)||_2. The L^2-type norms come by Parseval from
+    one right-hand side per state on m = min(2 n_e, n) nodes per axis, where
+    the products of the band |k| <= n_e/3 that a run on n_e evolves are exact."""
     if not traj:
         raise ValueError("trajectory is empty")
-    grid = traj[0].grid
-    sym = spectral.symbols(grid, real=True)
+    coarse = traj[0].grid
+    grid = grid or coarse
+    if grid.dim != coarse.dim or grid.n < coarse.n:
+        raise ValueError(f"{grid} is not as fine as the trajectory's {coarse}")
+    m_grid = TorusGrid(grid.dim, min(2 * coarse.n, grid.n))
+    sym, fine = (spectral.symbols(g, real=True) for g in (m_grid, grid))
     # |2 pi k|^2 with each axis's Nyquist mode zeroed, the symbol of grad.grad
     grad_k2 = sum(np.abs(ik) ** 2 for ik in sym.ik)
 
     def norm(hat: np.ndarray, symbol) -> float:
-        return float(np.sqrt(sym.parseval(np.abs(hat) ** 2 * symbol))) / grid.size
+        return float(np.sqrt(sym.parseval(np.abs(hat) ** 2 * symbol))) / m_grid.size
 
     sup_grad_u = 0.0
     sup_log_h1 = 0.0
     sup_dt_log_h1 = 0.0
     sup_grad_advection = 0.0
     for s in traj:
-        log_hat, u_hat = _coefficients(sym, s)
-        grad_u_sups: list = []
-        d_log, _, advect_hat = _rhs(sym, log_hat, u_hat, grad_u_sups)
-        sup_grad_u = max(sup_grad_u, _grad_u_sup(grad_u_sups))
+        hats = [spectral.rfft(f.values) for f in (s.log_rho, *s.u)]
+        log_hat, *u_hat = (spectral.zero_pad(c, m_grid.shape) for c in hats)
+        d_log, _, advect_hat = _rhs(sym, log_hat, u_hat)
+        u_n = [spectral.zero_pad(c, grid.shape) for c in hats[1:]]
+        grad_u = [max(float(d.max()), -float(d.min()))
+                  for d in (fine.inverse(ik * c) for c in u_n for ik in fine.ik)]
+        sup_grad_u = max(sup_grad_u, _grad_u_sup(grad_u))
         sup_log_h1 = max(sup_log_h1, norm(log_hat, 1.0 + grad_k2))
         sup_dt_log_h1 = max(sup_dt_log_h1, norm(d_log, 1.0 + grad_k2))
         sup_grad_advection = max(sup_grad_advection, norm(advect_hat, grad_k2))

@@ -189,7 +189,8 @@ def _euler_reference(e0: EulerState, rho0_amp: float, u0_amp: float, big_t: floa
     "top_band_share": share}: the grid and RK4 step they were integrated with
     and the grid's _top_band_share of log rho and u. n_e is _coarsest_run's
     grid under BAND_SHARE_BOUND; below n the step is _coarse_step_run's, on n
-    it is dt. Coarser samples are zero-padded to n."""
+    it is dt. Coarser samples are zero-padded to n, and the constants are
+    euler_constants of the integrated samples' interpolant on n."""
     grid = e0.grid
 
     def prepare(n_e: int):
@@ -211,9 +212,9 @@ def _euler_reference(e0: EulerState, rho0_amp: float, u0_amp: float, big_t: floa
 
     # the times run_euler gives the dt samples, whatever step made them
     times = [k * dt for k in sample_steps(big_t, dt, sample_every)]
-    samples = [EulerState(pad(s.log_rho), [pad(c) for c in s.u], t)
-               for s, t in zip(samples, times, strict=True)]
-    return samples, euler_constants(samples), {"n": n_e, "dt": h, "top_band_share": share}
+    padded = [EulerState(pad(s.log_rho), [pad(c) for c in s.u], t)
+              for s, t in zip(samples, times, strict=True)]
+    return padded, euler_constants(samples, grid), {"n": n_e, "dt": h, "top_band_share": share}
 
 
 def _sweep_reference(cfg: ExperimentConfig) -> tuple[list, dict, dict] | Exception:

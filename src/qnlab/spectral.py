@@ -7,7 +7,7 @@ Derivative symbols zero the Nyquist mode, which on real fields agrees to
 roundoff with keeping it and taking the real part. Sums over the spectrum
 (Parseval through `Symbols.parseval`, point evaluations in qnlab.nbody) take
 the half-spectrum conjugate-pair weight from `Symbols.pair_weight`.
-`resample` zero-pads a real or complex 1-D or 2-D field onto a finer grid.
+`resample` zero-pads a 1-D or 2-D field onto a finer grid, `zero_pad` its rfft.
 """
 from __future__ import annotations
 
@@ -28,16 +28,35 @@ fft = np.fft.fftn
 ifft = np.fft.ifftn
 
 
+def zero_pad(hat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The rfft half spectrum `hat` of real 1-D or 2-D grid values (even size
+    per axis) on the finer grid `shape`, scaled so that its irfft there is
+    their trigonometric interpolant; `hat` itself on its own grid. Each coarse
+    Nyquist line is split evenly between the modes +n/2 and -n/2 of its axis
+    (the last-axis column by halving it, as the half spectrum holds only
+    +n/2), so the interpolant is real and takes the values at the coarse nodes."""
+    coarse = (*hat.shape[:-1], 2 * hat.shape[-1] - 2)
+    if tuple(shape) == coarse:
+        return hat
+    hat = hat * (np.prod(shape) / np.prod(coarse))
+    # on the finer grid a coarse Nyquist mode stands for itself and its conjugate
+    hat[..., -1] *= 0.5
+    out = np.zeros((*shape[:-1], shape[-1] // 2 + 1), dtype=complex)
+    if hat.ndim == 1:
+        out[:hat.size] = hat
+    else:
+        half, cols = coarse[0] // 2, hat.shape[1]
+        out[:half, :cols] = hat[:half]
+        out[shape[0] - half + 1:, :cols] = hat[half + 1:]
+        out[half, :cols] = out[shape[0] - half, :cols] = 0.5 * hat[half]
+    return out
+
+
 def resample(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The trigonometric interpolant of real 1-D or 2-D grid `values` (even
-    size per axis) at the nodes of the finer grid `shape` of the same
-    dimension: the rfft half spectrum, zero-padded. Each coarse Nyquist line
-    is split evenly between the modes +n/2 and -n/2 of its axis (the
-    last-axis column by halving it, as the half spectrum holds only +n/2), so
-    the result is real and takes `values` at the coarse nodes. Complex
-    `values` are resampled by their real and imaginary parts, which is the
-    same zero-padding of the full spectrum. `values` itself is returned when
-    `shape` is its own."""
+    """irfft(zero_pad(rfft(values))): the trigonometric interpolant of real
+    1-D or 2-D grid `values` at the nodes of the finer grid `shape`; complex
+    `values` by their real and imaginary parts, the same zero-padding of the
+    full spectrum. `values` itself when `shape` is its own."""
     shape = tuple(shape)
     if shape == values.shape:
         return values
@@ -46,19 +65,7 @@ def resample(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         raise ValueError(f"cannot resample {values.shape} onto {shape}: not a finer grid")
     if np.iscomplexobj(values):
         return resample(values.real, shape) + 1j * resample(values.imag, shape)
-    hat = rfft(values) * (np.prod(shape) / values.size)
-    # on the finer grid a coarse Nyquist mode stands for itself and its conjugate
-    hat[..., -1] *= 0.5
-    out = np.zeros((*shape[:-1], shape[-1] // 2 + 1), dtype=complex)
-    if values.ndim == 1:
-        out[:hat.size] = hat
-    else:
-        half = values.shape[0] // 2
-        cols = hat.shape[1]
-        out[:half, :cols] = hat[:half]
-        out[shape[0] - half + 1:, :cols] = hat[half + 1:]
-        out[half, :cols] = out[shape[0] - half, :cols] = 0.5 * hat[half]
-    return irfft(out, shape)
+    return irfft(zero_pad(rfft(values), shape), shape)
 
 
 class Symbols:

@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,10 +14,13 @@ def grid256() -> TorusGrid:
 
 
 class TransformCounter:
-    """Counts calls of each qnlab.spectral transform, except while `paused`."""
+    """Counts calls of each qnlab.spectral transform, except while `paused`:
+    `counts` by name, `by_shape` by (name, grid shape), the shape of the
+    values a transform reads or, for irfft, of those it writes."""
 
     def __init__(self, monkeypatch) -> None:
         self.counts = dict.fromkeys(("fft", "ifft", "rfft", "irfft"), 0)
+        self.by_shape = Counter()
         self.paused = False
         for name in self.counts:
             monkeypatch.setattr(spectral, name, self._counted(name, getattr(spectral, name)))
@@ -23,6 +29,7 @@ class TransformCounter:
         def counted(*args):
             if not self.paused:
                 self.counts[name] += 1
+                self.by_shape[name, tuple(args[1]) if name == "irfft" else args[0].shape] += 1
             return fn(*args)
         return counted
 
@@ -70,3 +77,21 @@ def smooth_density(grid: TorusGrid, rng: np.random.Generator, amp: float = 0.6,
     vals = np.exp(f.values)
     vals /= vals.mean()
     return RealField(grid, vals)
+
+
+def zero_padded(values, shape):
+    """Full-spectrum zero-padding of real `values` onto `shape`: each
+    coefficient goes to its fftfreq mode on the finer grid, a coarse Nyquist
+    coefficient split evenly between the modes +n/2 and -n/2 of its axis."""
+    n = values.shape[0]
+    coeff = np.fft.fftn(values) / values.size
+    freq = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    out = np.zeros(shape, dtype=complex)
+    for idx in np.ndindex(values.shape):
+        k = [freq[i] for i in idx]
+        aliases = list(itertools.product(*[(m, -m) if abs(m) == n // 2 else (m,) for m in k]))
+        for mode in aliases:
+            out[mode] += coeff[idx] / len(aliases)
+    padded = np.fft.ifftn(out) * out.size
+    assert np.max(np.abs(padded.imag)) <= 1e-14 * np.max(np.abs(padded.real))
+    return padded.real

@@ -419,3 +419,11 @@ def test_constants_match_grid_space_formula(dim, n):
 def test_constants_empty_trajectory_rejected():
     with pytest.raises(ValueError):
         euler_constants([])
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 16), TorusGrid(2, 64)], ids=str)
+def test_constants_rejected_on_a_coarser_or_other_dimension_grid(grid):
+    line = TorusGrid(1, 32)
+    s = EulerState(RealField(line, np.zeros(32)), [RealField(line, np.zeros(32))])
+    with pytest.raises(ValueError, match="not as fine"):
+        euler_constants([s], grid)

@@ -8,6 +8,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import zero_padded
 
 from qnlab import experiments, spectral
 from qnlab.cli import main
@@ -44,6 +45,20 @@ def grids(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def coarsest(monkeypatch):
+    """The (n_e, (samples, h), share) that each _coarsest_run call returns."""
+    runs = []
+    computed = experiments._coarsest_run
+
+    def recorded(*args):
+        runs.append(computed(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(experiments, "_coarsest_run", recorded)
+    return runs
+
+
 def max_state_error(samples, ref) -> float:
     assert [s.time for s in samples] == [r.time for r in ref]
     return max(float(np.max(np.abs(a.values - b.values)))
@@ -51,7 +66,7 @@ def max_state_error(samples, ref) -> float:
                for a, b in zip((s.log_rho, *s.u), (r.log_rho, *r.u)))
 
 
-def test_coarse_reference_matches_the_n_grid_on_ac1_data(grids):
+def test_coarse_reference_matches_the_n_grid_on_ac1_data(grids, coarsest):
     samples, gronwall, resolution = reference(1, *AC1)
     # probes m = 10 and 8 (the largest divisors of 200 with m dt lambda <= 1)
     # estimate C; m = 2 is the largest with C m^4 <= 1e-12: 1450 RK4 steps
@@ -62,7 +77,121 @@ def test_coarse_reference_matches_the_n_grid_on_ac1_data(grids):
     assert all(s.grid.n == 2048 for s in samples)
     ref = cos_run(*AC1)
     assert max_state_error(samples, ref) <= 1e-12
-    assert gronwall == euler_constants(samples)
+    # the constants of the run on 256 nodes, read on 2048
+    [(_, (coarse, _), _)] = coarsest
+    assert gronwall == euler_constants(coarse, TorusGrid(1, 2048))
+
+
+# A reference integrated on n_e < n nodes reports the Gronwall constants of
+# its interpolant on n: the Parseval norms off one right-hand side on m = 2 n_e
+# nodes per axis, sup |d_j u_i| over the n nodes from u's zero-padded
+# coefficients P. In exact arithmetic these are euler_constants of the padded
+# samples. The norms agree to 1e-14 relative. The padded samples' route
+# differentiates rfft(irfft(P)) where the coarse route differentiates P, so
+# sup_grad_u moves by roundoff, bounded by c u k_max sup|u|: u the unit
+# roundoff, k_max = pi n the largest |2 pi k_j| on n, c = 8 log2 N for
+# N = n^dim nodes. Derivation, in the usual model of FFT roundoff as
+# uncorrelated errors of relative rms at most 2u per radix-2 stage, so at most
+# 2u sqrt(L) for a transform of L = log2 N stages; in normalized coefficients
+# (values = sum_k c_k exp(2 pi i k.x)) an l2 error is an rms error of the values:
+# - each of the two extra transforms errs by at most 2u sqrt(L) rms(u_i), so
+#   together they move P by at most 2 sqrt(2) u sqrt(L) sup|u|, and i k_j
+#   scales that by at most k_max;
+# - the last inverse transform of each route errs by at most
+#   2u sqrt(L) rms(d_j u_i) <= 2u sqrt(L) k_max sup|u| (Bernstein), the two
+#   routes together by sqrt(2) times that;
+# - so the two d_j u_i differ by an rms of at most
+#   4 sqrt(2) u sqrt(L) k_max sup|u|, and a max over N nodes of such errors
+#   stays below sqrt(2 ln N) = 1.18 sqrt(L) times their rms: c = 6.7 L,
+#   rounded up to 8 L.
+# The cases below move sup_grad_u by at most 1.2 u k_max sup|u|.
+PARSEVAL_NORMS = ("log_rho_h1", "dt_log_rho_h1", "log_rho_w1inf_h1", "sup_grad_advection")
+
+
+def assert_constants_of_the_interpolant(coarse, padded, grid):
+    """euler_constants of the coarse trajectory on `grid` against those of its
+    samples zero-padded to `grid`, within the bounds above."""
+    got, want = euler_constants(coarse, grid), euler_constants(padded)
+    for name in PARSEVAL_NORMS:
+        assert abs(got[name] - want[name]) <= 1e-14 * want[name], name
+    sup_u = max(float(np.max(np.abs(c.values))) for s in padded for c in s.u)
+    roundoff = 8 * np.log2(grid.size) * np.finfo(float).eps / 2
+    assert abs(got["sup_grad_u"] - want["sup_grad_u"]) <= roundoff * np.pi * grid.n * sup_u
+
+
+@pytest.mark.parametrize("dim, args", [(1, AC1), (2, (256, 0.5, 0.1, 0.002, 1e-4, 10))],
+                         ids=["ac1-n2048", "2d-n256"])
+def test_coarse_constants_are_those_of_the_padded_samples(coarsest, dim, args):
+    # integrated on 256 nodes and on 32^2
+    samples, _, resolution = reference(dim, *args)
+    assert resolution["n"] == args[0] // 8
+    [(_, (coarse, _), _)] = coarsest
+    assert_constants_of_the_interpolant(coarse, samples, TorusGrid(dim, args[0]))
+
+
+def band_limited(grid, rng, band):
+    """Real values on `grid`, sup 0.3, with random coefficients on the modes
+    |k_axis| <= band."""
+    k = np.abs(np.fft.fftfreq(grid.n, 1.0 / grid.n)) <= band
+    mask = k if grid.dim == 1 else np.logical_and.outer(k, k)
+    vals = np.fft.ifftn(np.fft.fftn(rng.standard_normal(grid.shape)) * mask).real
+    return 0.3 * vals / np.max(np.abs(vals))
+
+
+@pytest.mark.parametrize("case", ["top-band", "nyquist"])
+@pytest.mark.parametrize("dim, n_e, n", [(1, 256, 2048), (2, 32, 256)], ids=["1d", "2d"])
+def test_coarse_constants_of_data_that_fill_the_band(dim, n_e, n, case):
+    # the runs above hold roundoff in their top band and at their Nyquist
+    # modes, so neither products on n_e nor an unsplit Nyquist line would show
+    # there. Here the fields fill |k| <= n_e/3, or log rho holds Nyquist lines
+    # and both fields fill |k| <= n_e/6: every product stays inside the 2/3
+    # rule on 2 n_e, so the interpolant's constants are exact there, while
+    # the coarse grid's own constants are not theirs
+    coarse, fine = TorusGrid(dim, n_e), TorusGrid(dim, n)
+    rng = np.random.default_rng(7)
+    band = n_e // 3 if case == "top-band" else n_e // 6
+    log_rho = band_limited(coarse, rng, band)
+    if case == "nyquist":
+        x = coarse.coords()
+        for axis in range(dim):
+            across = np.cos(2 * np.pi * x[1 - axis]) if dim == 2 else 1.0
+            log_rho = log_rho + 0.2 * (-1.0) ** np.rint(n_e * x[axis]) * across
+    u = [band_limited(coarse, rng, band) for _ in range(dim)]
+
+    def state(grid, fields):
+        return EulerState(RealField(grid, fields[0]), [RealField(grid, c) for c in fields[1:]])
+
+    on_coarse = state(coarse, (log_rho, *u))
+    padded = state(fine, [zero_padded(f, fine.shape) for f in (log_rho, *u)])
+    assert_constants_of_the_interpolant([on_coarse], [padded], fine)
+    # the coarse grid's own constants are not the interpolant's: these data
+    # need the products on 2 n_e and the split Nyquist lines
+    own = euler_constants([on_coarse])
+    name = "dt_log_rho_h1" if case == "top-band" else "log_rho_h1"
+    assert abs(own[name] - euler_constants([padded])[name]) > 1e-3 * own[name]
+
+
+@pytest.mark.parametrize("dim, args", [(1, (2048, 0.5, 0.1, 0.02, 1e-4, 20)),
+                                       (2, (256, 0.5, 0.1, 0.0006, 1e-4, 3))],
+                         ids=["1d-n2048", "2d-n256"])
+def test_coarse_samples_reach_n_by_inverse_transforms_only(transforms, monkeypatch, dim, args):
+    # after the coarse run nothing is transformed forward on n: each sample's
+    # 1 + dim fields and its dim^2 derivatives d_j u_i are inverse transforms
+    # of zero-padded coarse coefficients
+    transforms.paused = True
+    computed = experiments._coarsest_run
+
+    def then_count(*args):
+        result = computed(*args)
+        transforms.paused = False
+        return result
+
+    monkeypatch.setattr(experiments, "_coarsest_run", then_count)
+    samples, _, resolution = reference(dim, *args)
+    assert resolution["n"] < args[0]
+    shape = (args[0],) * dim
+    assert transforms.by_shape["rfft", shape] == 0
+    assert transforms.by_shape["irfft", shape] == len(samples) * (1 + dim + dim**2)
 
 
 def test_benchmark_point_steps_at_the_probe(grids):
@@ -227,7 +356,7 @@ def test_2d_top_band_share_is_the_full_spectrum_shell_share():
     assert experiments._top_band_share(fields) == pytest.approx(max(shares), rel=1e-13)
 
 
-def test_euler_reference_in_2d_matches_the_n_grid_run(grids):
+def test_euler_reference_in_2d_matches_the_n_grid_run(grids, coarsest):
     # 16^2 and 32^2 each probe m = 10 and 5, and m = 5 meets the time bound;
     # 16^2 leaves too much of the flow in its top band
     args = (256, 0.5, 0.1, 0.002, 1e-4, 10)
@@ -236,7 +365,8 @@ def test_euler_reference_in_2d_matches_the_n_grid_run(grids):
     assert (resolution["n"], resolution["dt"]) == (32, 5e-4)
     assert all(s.grid == TorusGrid(2, 256) for s in samples)
     assert max_state_error(samples, cos_run(*args, dim=2)) <= 1e-12
-    assert gronwall == euler_constants(samples)
+    [(_, (coarse, _), _)] = coarsest
+    assert gronwall == euler_constants(coarse, TorusGrid(2, 256))
 
 
 def test_2d_fallback_is_the_n_grid_reference_bit_for_bit(grids):

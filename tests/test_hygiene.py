@@ -120,6 +120,20 @@ def test_euler_reference_callers_are_pinned():
     assert sites == ["experiments.py:_sweep_reference", "experiments.py:_run_euler"]
 
 
+def test_euler_constants_called_once_through_the_experiments_global():
+    # the Grönwall constants are computed in one place, by a call that looks
+    # the name up in qnlab.experiments, where perfbench's tracer wraps it
+    sites = [s for p in MODULES for s in _call_sites(p, "euler_constants")]
+    assert sites == ["experiments.py:_euler_reference"]
+    tree = ast.parse((SRC / "qnlab" / "experiments.py").read_text(encoding="utf-8"))
+    calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "euler_constants"]
+    assert [type(f) for f in calls] == [ast.Name]
+    imported = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                and node.module == "euler" for alias in node.names]
+    assert "euler_constants" in imported
+
+
 def test_n_grid_first_step_checked_once_before_the_grid_rule():
     # the callers of _coarsest_run hand it an n-grid state that has passed
     # the n grid's first-step check; no coarse grid's prepare applies it

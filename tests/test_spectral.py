@@ -1,10 +1,8 @@
 """Tests for the spectral-operator layer: cached symbols, the Nyquist
 convention, the half-spectrum bookkeeping of real fields and resampling."""
-import itertools
-
 import numpy as np
 import pytest
-from conftest import full_k_squared, full_wavenumbers, trig_poly
+from conftest import full_k_squared, full_wavenumbers, trig_poly, zero_padded
 
 from qnlab import spectral
 from qnlab.grid import RealField, TorusGrid, h_minus1_norm, spectral_derivative
@@ -95,24 +93,6 @@ def test_parseval_sums_the_full_spectrum(grid):
         sym = spectral.symbols(grid, real=real)
         power = np.abs(sym.forward(vals) / grid.size) ** 2
         assert sym.parseval(power) == pytest.approx(want, rel=1e-13)
-
-
-def zero_padded(values, shape):
-    """Full-spectrum zero-padding of real `values` onto `shape`: each
-    coefficient goes to its fftfreq mode on the finer grid, a coarse Nyquist
-    coefficient split evenly between the modes +n/2 and -n/2 of its axis."""
-    n = values.shape[0]
-    coeff = np.fft.fftn(values) / values.size
-    freq = np.fft.fftfreq(n, 1.0 / n).astype(int)
-    out = np.zeros(shape, dtype=complex)
-    for idx in np.ndindex(values.shape):
-        k = [freq[i] for i in idx]
-        aliases = list(itertools.product(*[(m, -m) if abs(m) == n // 2 else (m,) for m in k]))
-        for mode in aliases:
-            out[mode] += coeff[idx] / len(aliases)
-    padded = np.fft.ifftn(out) * out.size
-    assert np.max(np.abs(padded.imag)) <= 1e-14 * np.max(np.abs(padded.real))
-    return padded.real
 
 
 # white noise loads every coarse mode, so in 2-D both Nyquist lines (the
@@ -212,3 +192,15 @@ def test_real_resample_is_the_half_spectrum_padding_bit_for_bit():
     assert np.array_equal(got, np.fft.irfft(padded, 2048))
     # the complex path agrees on real data up to roundoff
     assert np.max(np.abs(spectral.resample(vals + 0j, (2048,)) - got)) <= 1e-14
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 32), TorusGrid(2, 16)], ids=str)
+def test_zero_pad_leaves_the_spectrum_it_reads(grid):
+    # on its own grid zero_pad is the identity; onto a finer one it halves a
+    # copy's Nyquist lines, not the caller's coefficients, which
+    # euler_constants pads twice
+    hat = spectral.rfft(white_noise(grid, seed=3))
+    assert spectral.zero_pad(hat, grid.shape) is hat
+    before = hat.copy()
+    spectral.zero_pad(hat, (2 * grid.n,) * grid.dim)
+    assert np.array_equal(hat, before)
