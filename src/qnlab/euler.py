@@ -196,9 +196,9 @@ def euler_constants(traj: list[EulerState], grid: TorusGrid | None = None) -> di
         hats = [spectral.rfft(f.values) for f in (s.log_rho, *s.u)]
         log_hat, *u_hat = (spectral.zero_pad(c, m_grid.shape) for c in hats)
         d_log, _, advect_hat = _rhs(sym, log_hat, u_hat)
-        u_n = [spectral.zero_pad(c, grid.shape) for c in hats[1:]]
         grad_u = [max(float(d.max()), -float(d.min()))
-                  for d in (fine.inverse(ik * c) for c in u_n for ik in fine.ik)]
+                  for d in (spectral.irfft_padded(c, grid.shape, ik)
+                            for c in hats[1:] for ik in fine.ik)]
         sup_grad_u = max(sup_grad_u, _grad_u_sup(grad_u))
         sup_log_h1 = max(sup_log_h1, norm(log_hat, 1.0 + grad_k2))
         sup_dt_log_h1 = max(sup_dt_log_h1, norm(d_log, 1.0 + grad_k2))

@@ -32,13 +32,17 @@ from .schrodinger import WaveFunction, check_kinetic_phase, density, run
 
 def _cos_profiles(grid: TorusGrid, rho0_amp: float, u0_amp: float):
     """The standard data family: rho0 ~ exp(amp cos), U0 = amp sin/(2 pi)."""
-    coords = grid.coords()
-    phase = sum(np.cos(2.0 * np.pi * c) for c in coords)
+    # one cos and one sin per axis, broadcast: the sums over the nodes are
+    # those of the meshgrid's bit for bit
+    x = grid.axis_points()
+    axes = [x.reshape([-1 if a == axis else 1 for a in range(grid.dim)])
+            for axis in range(grid.dim)]
+    phase = sum(np.cos(2.0 * np.pi * c) for c in axes)
     # an overflowing amplitude leaves inf/nan here; RealField reports it
     with np.errstate(over="ignore", invalid="ignore"):
         rho0 = np.exp(rho0_amp * phase)
         rho0 /= rho0.mean()
-    u0pot = u0_amp * sum(np.sin(2.0 * np.pi * c) for c in coords) / (2.0 * np.pi)
+    u0pot = u0_amp * sum(np.sin(2.0 * np.pi * c) for c in axes) / (2.0 * np.pi)
     return RealField(grid, rho0), RealField(grid, u0pot)
 
 
@@ -65,10 +69,12 @@ def _error_record(exc: Exception, stage: str, **context) -> dict:
 
 # The Euler reference (of a sweep and of the euler_run kind) and each sweep
 # point's Schrodinger run are integrated on the coarsest grid that resolves
-# them, from FLOOR_N nodes in all up: 256 in 1-D, 16^2 in 2-D. Below that a
-# step costs Python overhead, not transforms (an RK4 step on 256 nodes takes
-# at most 1.3x one on 64, and on 16^2 at most 1.5x one on 8^2, 2 vCPUs,
-# numpy 2.4). A grid is kept when
+# them, from FLOOR_N[dim] nodes per axis up: 256 in 1-D, 32^2 in 2-D. Below
+# that a step costs Python overhead, not transforms. An Euler RK4 step of the
+# standard data (ms, best of 7x5 runs of 20 steps, 2 vCPUs, numpy 2.4):
+#   1-D   64: 0.13   256: 0.16                 (1.2x)
+#   2-D   8^2: 0.61  16^2: 0.68  32^2: 0.86    (1.4x)  64^2: 1.44 (2.4x)
+# A grid is kept when
 # _top_band_share of its sampled fields is at most the run's bound:
 # BAND_SHARE_BOUND for log rho and u, SCHRODINGER_BAND_SHARE_BOUND for psi and
 # V (psi at the benchmark point holds 6.5e-12 on 256 nodes, and 2.4e-9 on 256
@@ -76,7 +82,7 @@ def _error_record(exc: Exception, stage: str, **context) -> dict:
 # grid coarser than the run's, the reference steps at the coarsest multiple
 # of dt whose estimated error at the samples is at most TIME_ERROR_BOUND
 # (max-abs over log rho and u).
-FLOOR_N = 256
+FLOOR_N = {1: 256, 2: 32}
 BAND_SHARE_BOUND = 1e-13
 SCHRODINGER_BAND_SHARE_BOUND = 1e-10
 TIME_ERROR_BOUND = 1e-12
@@ -109,8 +115,8 @@ def _top_band_share(fields: list[np.ndarray]) -> float:
 
 def _coarsest_run(state_n, n: int, dim: int, bound: float, prepare: Callable[[int], tuple],
                   integrate: Callable[[object], tuple]) -> tuple[int, object, float]:
-    """(n_c, result, share): a run on the first n_c^dim grid of min(n, floor),
-    twice that, ... below n (floor^dim = FLOOR_N) whose share =
+    """(n_c, result, share): a run on the first n_c^dim grid of
+    min(n, FLOOR_N[dim]), twice that, ... below n whose share =
     _top_band_share of the run's sampled fields is at most `bound`, else the
     run from state_n, the caller's checked initial state on n^dim.
     prepare(n_c) gives the initial state and its fields below n,
@@ -119,7 +125,7 @@ def _coarsest_run(state_n, n: int, dim: int, bound: float, prepare: Callable[[in
     left before anything is integrated on it.
     Once a run below n fails with a QnlabError (a guard trip, a failed
     solve), the run is the one from state_n, so an error is the n grid's."""
-    n_c = min(n, round(FLOOR_N ** (1.0 / dim)))
+    n_c = min(n, FLOOR_N[dim])
     while n_c < n:
         try:
             state, fields = prepare(n_c)

@@ -41,13 +41,22 @@ def format_cell(value) -> str:
     return repr(float(value))
 
 
+def _umask() -> int:
+    umask = os.umask(0)
+    os.umask(umask)
+    return umask
+
+
 def write_text_atomic(path: Path, text: str) -> None:
+    """Write `text` to `path` through a temp file beside it, with the mode a
+    plain open would give a new file (0o666 less the umask; mkstemp's is 0o600)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

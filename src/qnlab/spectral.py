@@ -7,7 +7,11 @@ Derivative symbols zero the Nyquist mode, which on real fields agrees to
 roundoff with keeping it and taking the real part. Sums over the spectrum
 (Parseval through `Symbols.parseval`, point evaluations in qnlab.nbody) take
 the half-spectrum conjugate-pair weight from `Symbols.pair_weight`.
-`resample` zero-pads a 1-D or 2-D field onto a finer grid, `zero_pad` its rfft.
+`resample` zero-pads a 1-D or 2-D field onto a finer grid, `zero_pad` its rfft,
+and `irfft_padded` inverts a zero-padded half spectrum, a multiplier applied.
+In 2-D that inverse transforms along the first axis only the columns the
+coarse spectrum fills (a pruned FFT): the rest are zero, and the result is
+irfft2's bit for bit.
 """
 from __future__ import annotations
 
@@ -28,28 +32,53 @@ fft = np.fft.fftn
 ifft = np.fft.ifftn
 
 
-def zero_pad(hat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def _coarse_shape(hat: np.ndarray) -> tuple[int, ...]:
+    return (*hat.shape[:-1], 2 * hat.shape[-1] - 2)
+
+
+def zero_pad(hat: np.ndarray, shape: tuple[int, ...], cols: int | None = None) -> np.ndarray:
     """The rfft half spectrum `hat` of real 1-D or 2-D grid values (even size
     per axis) on the finer grid `shape`, scaled so that its irfft there is
     their trigonometric interpolant; `hat` itself on its own grid. Each coarse
     Nyquist line is split evenly between the modes +n/2 and -n/2 of its axis
     (the last-axis column by halving it, as the half spectrum holds only
-    +n/2), so the interpolant is real and takes the values at the coarse nodes."""
-    coarse = (*hat.shape[:-1], 2 * hat.shape[-1] - 2)
+    +n/2), so the interpolant is real and takes the values at the coarse nodes.
+    `cols` keeps only the first cols last-axis modes of a finer grid's result."""
+    coarse = _coarse_shape(hat)
     if tuple(shape) == coarse:
         return hat
     hat = hat * (np.prod(shape) / np.prod(coarse))
     # on the finer grid a coarse Nyquist mode stands for itself and its conjugate
     hat[..., -1] *= 0.5
-    out = np.zeros((*shape[:-1], shape[-1] // 2 + 1), dtype=complex)
+    out = np.zeros((*shape[:-1], cols or shape[-1] // 2 + 1), dtype=complex)
     if hat.ndim == 1:
         out[:hat.size] = hat
     else:
-        half, cols = coarse[0] // 2, hat.shape[1]
-        out[:half, :cols] = hat[:half]
-        out[shape[0] - half + 1:, :cols] = hat[half + 1:]
-        out[half, :cols] = out[shape[0] - half, :cols] = 0.5 * hat[half]
+        half, filled = coarse[0] // 2, hat.shape[1]
+        out[:half, :filled] = hat[:half]
+        out[shape[0] - half + 1:, :filled] = hat[half + 1:]
+        out[half, :filled] = out[shape[0] - half, :filled] = 0.5 * hat[half]
     return out
+
+
+def irfft_padded(hat: np.ndarray, shape: tuple[int, ...], symbol=None) -> np.ndarray:
+    """irfft(symbol * zero_pad(hat, shape), shape) bit for bit, `symbol` a
+    multiplier on the half spectrum of `shape` (none if None): the values on
+    the grid `shape` of that multiplier applied to the trigonometric
+    interpolant of the coarse half spectrum `hat`. In 2-D on a finer grid the
+    first-axis inverse runs only on the columns `hat` fills, as numpy's irfft2
+    runs it on every column before its last-axis irfft."""
+    shape = tuple(shape)
+    if hat.ndim == 1 or shape == _coarse_shape(hat):
+        padded = zero_pad(hat, shape)
+        return irfft(padded if symbol is None else symbol * padded, shape)
+    cols = hat.shape[1]
+    part = zero_pad(hat, shape, cols)
+    if symbol is not None:
+        part = symbol[..., :cols] * part
+    out = np.zeros((shape[0], shape[1] // 2 + 1), dtype=complex)
+    out[:, :cols] = np.fft.ifft(part, axis=0)
+    return np.fft.irfft(out, shape[1], axis=1)
 
 
 def resample(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -65,7 +94,7 @@ def resample(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         raise ValueError(f"cannot resample {values.shape} onto {shape}: not a finer grid")
     if np.iscomplexobj(values):
         return resample(values.real, shape) + 1j * resample(values.imag, shape)
-    return irfft(zero_pad(rfft(values), shape), shape)
+    return irfft_padded(rfft(values), shape)
 
 
 class Symbols:

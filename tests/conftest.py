@@ -16,7 +16,8 @@ def grid256() -> TorusGrid:
 class TransformCounter:
     """Counts calls of each qnlab.spectral transform, except while `paused`:
     `counts` by name, `by_shape` by (name, grid shape), the shape of the
-    values a transform reads or, for irfft, of those it writes."""
+    values a transform reads or, for irfft, of those it writes. An
+    irfft_padded call counts as one irfft to its shape, whatever it calls."""
 
     def __init__(self, monkeypatch) -> None:
         self.counts = dict.fromkeys(("fft", "ifft", "rfft", "irfft"), 0)
@@ -24,13 +25,21 @@ class TransformCounter:
         self.paused = False
         for name in self.counts:
             monkeypatch.setattr(spectral, name, self._counted(name, getattr(spectral, name)))
+        monkeypatch.setattr(spectral, "irfft_padded",
+                            self._counted("irfft", spectral.irfft_padded))
 
     def _counted(self, name, fn):
         def counted(*args):
-            if not self.paused:
-                self.counts[name] += 1
-                self.by_shape[name, tuple(args[1]) if name == "irfft" else args[0].shape] += 1
-            return fn(*args)
+            if self.paused:
+                return fn(*args)
+            self.counts[name] += 1
+            self.by_shape[name, tuple(args[1]) if name == "irfft" else args[0].shape] += 1
+            # the transforms a counted one makes are not counted again
+            self.paused = True
+            try:
+                return fn(*args)
+            finally:
+                self.paused = False
         return counted
 
 

@@ -1,6 +1,8 @@
 """End-to-end CLI runs: artifacts, exit codes, determinism, schema."""
 import csv
 import json
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -200,11 +202,11 @@ class TestDeterminism:
         out = tmp_path / "out"
         assert main(["quasineutral_sweep", "--config",
                      str(ROOT / "perfbench" / "configs" / "sweep_1d.cfg"), "--out", str(out)]) == 0
-        assert grids == [(experiments.FLOOR_N, 1e-3), (experiments.FLOOR_N, 5e-4)]
+        assert grids == [(experiments.FLOOR_N[1], 1e-3), (experiments.FLOOR_N[1], 5e-4)]
         summary = load_summary(out)
         assert_schema_valid(summary)
         (point,) = summary["points"]
-        assert point["euler_reference"]["n"] == experiments.FLOOR_N
+        assert point["euler_reference"]["n"] == experiments.FLOOR_N[1]
         assert point["euler_reference"]["dt"] == 5e-4
         assert point["euler_reference"]["top_band_share"] <= experiments.BAND_SHARE_BOUND
 
@@ -480,8 +482,8 @@ class TestOtherKinds:
         assert float(rows[-1]["time"]) == pytest.approx(0.05)
 
     def test_euler_2d_reference_block(self, tmp_path):
-        # perfbench's euler_2d data: 16^2 leaves 5e-8 of the flow in its top
-        # band, 32^2 resolves it, and the states are zero-padded to 256^2
+        # perfbench's euler_2d data: the 32^2 floor resolves them, and the
+        # states are zero-padded to 256^2
         out = tmp_path / "out"
         cfg = ROOT / "perfbench" / "configs" / "euler_2d.cfg"
         assert main(["euler_run", "--config", str(cfg), "--out", str(out)]) == 0
@@ -549,6 +551,26 @@ def test_failed_replace_keeps_the_old_file(tmp_path, monkeypatch):
         reports.write_text_atomic(path, "new\n")
     assert path.read_text() == "old\n"
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_emitted_files_take_the_mode_of_a_plain_open(tmp_path, umask):
+    # summary.json, sweep.csv, every plotdata CSV and errors.json (the first
+    # point fails at prepare) get 0o666 less the umask, as open() gives
+    cfg = write_cfg(tmp_path, "kind = quasineutral_sweep\ngrid.n = 64\nphysics.T = 0.002\n"
+                    "physics.dt = 1e-3\nphysics.eps = 0.1, 0.02\nphysics.hbar = 0.1, 0.02\n"
+                    "initial.rho0_amp = 0.5\n")
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert main(["quasineutral_sweep", "--config", cfg, "--out", str(out)]) == 1
+    finally:
+        os.umask(old)
+    files = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert {"summary.json", "errors.json", "sweep.csv", "plotdata/total_modulated.csv"} <= \
+        set(files)
+    for rel in files:
+        assert stat.S_IMODE((out / rel).stat().st_mode) == 0o666 & ~umask, rel
 
 
 def test_console_script_installed(tmp_path):

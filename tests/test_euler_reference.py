@@ -1,6 +1,6 @@
 """The Euler reference of a sweep and of the euler_run kind: integrated on
 the coarsest grid that resolves the flow to BAND_SHARE_BOUND, from FLOOR_N
-nodes in all up (256 in 1-D, 16^2 in 2-D), at the coarsest multiple of dt
+nodes per axis up (256 in 1-D, 32^2 in 2-D), at the coarsest multiple of dt
 whose estimated RK4 error is at most TIME_ERROR_BOUND, and zero-padded to the
 run's n grid; on the n grid at dt where no coarser grid resolves it. A guard
 trip or an unstable step is reported as the n grid's."""
@@ -287,7 +287,7 @@ def test_unstable_step_on_the_floor_hands_over_to_the_n_grid(grids):
 
 # (dim, n, rho0_amp, u0_amp, T, dt, sample_every) of an euler_run kind, and
 # the (n_e, h) it is integrated with; the 2-D one is perfbench's euler_2d,
-# whose 16^2 floor leaves 5e-8 of the flow in its top band
+# which its 32^2 floor resolves
 KINDS = [((1, 2048, 0.5, 0.1, 0.01, 1e-4, 20), (256, 5e-4)),
          ((2, 256, 0.5, 0.1, 0.0006, 1e-4, 3), (32, 1e-4))]
 # the derivatives each euler value reads off the states (0: the mass)
@@ -357,11 +357,10 @@ def test_2d_top_band_share_is_the_full_spectrum_shell_share():
 
 
 def test_euler_reference_in_2d_matches_the_n_grid_run(grids, coarsest):
-    # 16^2 and 32^2 each probe m = 10 and 5, and m = 5 meets the time bound;
-    # 16^2 leaves too much of the flow in its top band
+    # the 32^2 floor probes m = 10 and 5, and m = 5 meets the time bound
     args = (256, 0.5, 0.1, 0.002, 1e-4, 10)
     samples, gronwall, resolution = reference(2, *args)
-    assert grids == [(16, 1e-3), (16, 5e-4), (32, 1e-3), (32, 5e-4)]
+    assert grids == [(32, 1e-3), (32, 5e-4)]
     assert (resolution["n"], resolution["dt"]) == (32, 5e-4)
     assert all(s.grid == TorusGrid(2, 256) for s in samples)
     assert max_state_error(samples, cos_run(*args, dim=2)) <= 1e-12
@@ -370,10 +369,23 @@ def test_euler_reference_in_2d_matches_the_n_grid_run(grids, coarsest):
 
 
 def test_2d_fallback_is_the_n_grid_reference_bit_for_bit(grids):
-    # the euler_2d data on 32^2: 16^2 does not resolve them
+    # on 32^2 the probes m = 10 and 5 leave no m > 1 within the time bound,
+    # and the run at dt leaves 3e-8 of the steepening flow in its top band;
+    # the reference is the 64^2 run at dt
+    args = (64, 0.5, 0.3, 0.02, 5e-4, 10)
+    samples, gronwall, resolution = reference(2, *args)
+    assert grids == [(32, 5e-3), (32, 2.5e-3), (32, 5e-4), (64, 5e-4)]
+    assert (resolution["n"], resolution["dt"]) == (64, 5e-4)
+    ref = cos_run(*args, dim=2)
+    assert max_state_error(samples, ref) == 0.0
+    assert gronwall == euler_constants(ref)
+
+
+def test_2d_run_at_the_floor_integrates_only_on_n(grids):
+    # the euler_2d data on 32^2: no grid is coarser than the floor
     args = (32, 0.5, 0.1, 0.0006, 1e-4, 3)
     samples, gronwall, resolution = reference(2, *args)
-    assert grids == [(16, 1e-4), (32, 1e-4)]
+    assert grids == [(32, 1e-4)]
     assert (resolution["n"], resolution["dt"]) == (32, 1e-4)
     ref = cos_run(*args, dim=2)
     assert max_state_error(samples, ref) == 0.0
@@ -381,16 +393,15 @@ def test_2d_fallback_is_the_n_grid_reference_bit_for_bit(grids):
 
 
 def test_2d_guard_trip_on_a_coarse_grid_is_decided_on_the_n_grid(grids):
-    # 16^2 runs to T unresolved; on 32^2 the first probe (m = 5) trips the
-    # guard, and the error is the 64^2 run's at dt
+    # on the 32^2 floor the first probe (m = 5) trips the guard, and the
+    # error is the 64^2 run's at dt
     args = (64, 0.5, 2.0, 0.2, 5e-4, 40)
     with pytest.raises(BlowupGuardTripped) as fine:
         cos_run(*args, dim=2)
     grids.clear()
     with pytest.raises(BlowupGuardTripped) as caught:
         reference(2, *args)
-    assert grids[-2:] == [(32, 2.5e-3), (64, 5e-4)]
-    assert all(g < 64 for g, _ in grids[:-1])
+    assert grids == [(32, 2.5e-3), (64, 5e-4)]
     assert str(caught.value) == str(fine.value)
     assert (caught.value.time, caught.value.value) == (fine.value.time, fine.value.value)
     assert caught.value.step == fine.value.step == 164

@@ -3,6 +3,7 @@ empirical measures."""
 import numpy as np
 import pytest
 
+from qnlab import experiments
 from qnlab.errors import NotAProbabilityDensity, NotPositive
 from qnlab.euler import EulerState, normalize_log_density
 from qnlab.energy import modulated_total
@@ -260,3 +261,17 @@ def test_entropy_w1_bound_on_sampled_configs(grid):
             assert rep["passed"]
             assert rep["lhs"] >= -1e-12
             assert rep["margin"] > 0.02
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 2048), TorusGrid(2, 16), TorusGrid(2, 256)],
+                         ids=str)
+def test_cos_profiles_are_the_meshgrid_formula_bit_for_bit(grid):
+    # one cos and one sin per axis, broadcast over the grid
+    coords = grid.coords()
+    phase = sum(np.cos(2.0 * np.pi * c) for c in coords)
+    rho0 = np.exp(0.5 * phase)
+    rho0 /= rho0.mean()
+    u0pot = 0.3 * sum(np.sin(2.0 * np.pi * c) for c in coords) / (2.0 * np.pi)
+    got_rho0, got_u0pot = experiments._cos_profiles(grid, 0.5, 0.3)
+    assert np.array_equal(got_rho0.values, rho0)
+    assert np.array_equal(got_u0pot.values, u0pot)

@@ -57,12 +57,12 @@ def on_the_n_grid(monkeypatch):
 def test_benchmark_point_runs_on_256_nodes(runs, tmp_path):
     out = tmp_path / "out"
     assert main(["quasineutral_sweep", "--config", str(BENCH_CFG), "--out", str(out)]) == 0
-    assert runs == [experiments.FLOOR_N]
+    assert runs == [experiments.FLOOR_N[1]]
     summary = json.loads((out / "summary.json").read_text())
     jsonschema = pytest.importorskip("jsonschema")
     jsonschema.validate(summary, json.loads((ROOT / "docs" / "summary_schema.json").read_text()))
     (point,) = summary["points"]
-    assert point["schrodinger_grid"]["n"] == experiments.FLOOR_N
+    assert point["schrodinger_grid"]["n"] == experiments.FLOOR_N[1]
     assert 0.0 < point["schrodinger_grid"]["top_band_share"] <= \
         experiments.SCHRODINGER_BAND_SHARE_BOUND
     # every row is on the n grid's sample times

@@ -204,3 +204,39 @@ def test_zero_pad_leaves_the_spectrum_it_reads(grid):
     before = hat.copy()
     spectral.zero_pad(hat, (2 * grid.n,) * grid.dim)
     assert np.array_equal(hat, before)
+
+
+# coarse and fine grids per axis of the pruned inverse; white noise loads both
+# Nyquist lines, which zero_pad splits
+PADDINGS = [(8, 8), (8, 32), (16, 64), (32, 256), (64, 128)]
+
+
+@pytest.mark.parametrize("n_e, n", PADDINGS, ids=str)
+def test_2d_irfft_padded_is_the_zero_padded_irfft_bit_for_bit(n_e, n):
+    # the first-axis inverse on the columns the coarse spectrum fills only,
+    # with and without each derivative symbol of the fine half spectrum
+    fine = TorusGrid(2, n)
+    ik = spectral.symbols(fine, real=True).ik
+    for seed in range(3):
+        hat = spectral.rfft(white_noise(TorusGrid(2, n_e), seed=seed))
+        before = hat.copy()
+        padded = spectral.zero_pad(hat, fine.shape)
+        assert np.array_equal(spectral.irfft_padded(hat, fine.shape),
+                              np.fft.irfft2(padded, s=fine.shape))
+        for symbol in ik:
+            got = spectral.irfft_padded(hat, fine.shape, symbol)
+            want = np.fft.irfft2(symbol * padded, s=fine.shape)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(hat, before)
+
+
+def test_1d_irfft_padded_is_the_zero_padded_irfft():
+    fine = TorusGrid(1, 2048)
+    [ik] = spectral.symbols(fine, real=True).ik
+    hat = spectral.rfft(white_noise(TorusGrid(1, 32), seed=5))
+    padded = spectral.zero_pad(hat, fine.shape)
+    assert np.array_equal(spectral.irfft_padded(hat, fine.shape),
+                          np.fft.irfft(padded, fine.n))
+    assert np.array_equal(spectral.irfft_padded(hat, fine.shape, ik),
+                          np.fft.irfft(ik * padded, fine.n))
