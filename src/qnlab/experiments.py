@@ -22,7 +22,7 @@ from .config import ExperimentConfig, sample_steps
 from .energy import conserved_energy, modulated_total, weak_distances
 from .errors import QnlabError
 from .euler import (EulerState, check_first_step, euler_constants, max_rate,
-                    normalize_log_density, run_euler)
+                    normalize_log_density, run_euler, spectrum)
 from .grid import MASS_TOL, ComplexField, RealField, TorusGrid, gradient, integrate
 from .initial_data import WellPreparedSpec, well_prepared
 from .nbody import mc_uniform_stats
@@ -70,10 +70,11 @@ def _error_record(exc: Exception, stage: str, **context) -> dict:
 # The Euler reference (of a sweep and of the euler_run kind) and each sweep
 # point's Schrodinger run are integrated on the coarsest grid that resolves
 # them, from FLOOR_N[dim] nodes per axis up: 256 in 1-D, 32^2 in 2-D. Below
-# that a step costs Python overhead, not transforms. An Euler RK4 step of the
-# standard data (ms, best of 7x5 runs of 20 steps, 2 vCPUs, numpy 2.4):
-#   1-D   64: 0.13   256: 0.16                 (1.2x)
-#   2-D   8^2: 0.61  16^2: 0.68  32^2: 0.86    (1.4x)  64^2: 1.44 (2.4x)
+# that a step costs mostly Python overhead, not transforms, and the 2-D data
+# leave the band on 16^2. An Euler RK4 step of the standard data (ms, best of
+# 7x3 runs of 20 steps, a fresh process per grid, 2 vCPUs, numpy 2.4):
+#   1-D   64: 0.10   256: 0.11                 (1.15x)
+#   2-D   8^2: 0.23  16^2: 0.27  32^2: 0.42    (1.8x)  64^2: 1.17 (5x)
 # A grid is kept when
 # _top_band_share of its sampled fields is at most the run's bound:
 # BAND_SHARE_BOUND for log rho and u, SCHRODINGER_BAND_SHARE_BOUND for psi and
@@ -213,13 +214,16 @@ def _euler_reference(e0: EulerState, rho0_amp: float, u0_amp: float, big_t: floa
     n_e, (samples, h), share = _coarsest_run(e0, grid.n, grid.dim, BAND_SHARE_BOUND, prepare,
                                              integrate)
 
-    def pad(f: RealField) -> RealField:
-        return RealField(grid, spectral.resample(f.values, grid.shape))
+    def pad(s: EulerState, t: float) -> EulerState:
+        if n_e == grid.n:
+            return EulerState(s.log_rho, s.u, t)
+        # one stacked forward transform, each field's inverse pruned
+        log_rho, *u = (RealField(grid, spectral.irfft_padded(c, grid.shape)) for c in spectrum(s))
+        return EulerState(log_rho, u, t)
 
     # the times run_euler gives the dt samples, whatever step made them
     times = [k * dt for k in sample_steps(big_t, dt, sample_every)]
-    padded = [EulerState(pad(s.log_rho), [pad(c) for c in s.u], t)
-              for s, t in zip(samples, times, strict=True)]
+    padded = [pad(s, t) for s, t in zip(samples, times, strict=True)]
     return padded, euler_constants(samples, grid), {"n": n_e, "dt": h, "top_band_share": share}
 
 

@@ -122,7 +122,13 @@ def spectral_derivative(f: Field, axis: int) -> Field:
 
 
 def gradient(f: Field) -> tuple[Field, ...]:
-    return tuple(spectral_derivative(f, axis) for axis in range(f.grid.dim))
+    """spectral_derivative(f, axis) for every axis, bit for bit: one forward
+    transform and one stacked inverse."""
+    real = isinstance(f, RealField)
+    sym = spectral.symbols(f.grid, real=real)
+    hat = sym.forward(f.values)
+    d = sym.inverse(np.stack([hat * ik for ik in sym.ik]))
+    return tuple((RealField if real else ComplexField)(f.grid, v) for v in d)
 
 
 def laplacian(f: Field) -> Field:

@@ -148,7 +148,7 @@ def trig_interp_at(f: RealField, points: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of a grid field at off-grid points."""
     if f.grid.dim != 1:
         raise ValueError("interpolation helper is one-dimensional")
-    return _modal_sums(f.grid, spectral.rfft(f.values)[:, None], points)[:, 0]
+    return _modal_sums(f.grid, spectral.rfft(f.values, f.grid.shape)[:, None], points)[:, 0]
 
 
 def kernel_convolution(mu: RealField, points: np.ndarray | None = None,
@@ -158,7 +158,7 @@ def kernel_convolution(mu: RealField, points: np.ndarray | None = None,
     sym = green_prime_symbol(grid) if prime else green_symbol(grid)
     if points is None:
         return spectral.symbols(grid, real=True).apply(mu.values, sym)
-    return _modal_sums(grid, (spectral.rfft(mu.values) * sym)[:, None], points)[:, 0]
+    return _modal_sums(grid, (spectral.rfft(mu.values, grid.shape) * sym)[:, None], points)[:, 0]
 
 
 def _centered_offsets(x_sorted: np.ndarray) -> np.ndarray:
@@ -218,7 +218,7 @@ def _energy(x: ParticleConfig, mu: RealField, mu_hat: np.ndarray,
 def renormalized_energy(x: ParticleConfig, mu: RealField) -> RenormalizedEnergy:
     """Green-kernel quadratic form of mu_X - mu with the diagonal kept (K(0)=0)."""
     check_density(mu)
-    mu_hat = spectral.rfft(mu.values)
+    mu_hat = spectral.rfft(mu.values, mu.grid.shape)
     conv = _modal_sums(mu.grid, (mu_hat * green_symbol(mu.grid))[:, None], x.positions)[:, 0]
     return _energy(x, mu, mu_hat, conv)
 
@@ -258,12 +258,12 @@ def commutator_functional(x: ParticleConfig, mu: RealField, u: RealField) -> dic
     n = x.n
     grid = mu.grid
     kp = green_prime_symbol(grid)
-    mu_hat = spectral.rfft(mu.values)
+    mu_hat = spectral.rfft(mu.values, grid.shape)
     mu_kp = mu_hat * kp
     hats = np.stack([
-        spectral.rfft(u.values),
+        spectral.rfft(u.values, grid.shape),
         mu_kp,
-        spectral.rfft(u.values * mu.values) * kp,
+        spectral.rfft(u.values * mu.values, grid.shape) * kp,
         mu_hat * green_symbol(grid),
     ], axis=1)
     u_at, conv_mu, conv_umu, conv_k = _modal_sums(grid, hats, x.positions).T

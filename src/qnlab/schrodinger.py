@@ -96,7 +96,7 @@ def _step_core(chi_hat: np.ndarray, w: WaveFunction, step: int, dt: float, mode:
     carrying t, the phase and `step`, when the potential phase
     max|V| dt / hbar reaches pi (PotentialSolveFailed, with t and `step`,
     when the midpoint solve fails)."""
-    psi = spectral.ifft(kinetic * chi_hat)
+    psi = spectral.ifft(kinetic * chi_hat, w.psi.grid.shape)
     rho = RealField(w.psi.grid, np.abs(psi) ** 2)
     t = w.time + step * dt
     split = solve_potential(rho, w.eps, mode, hat0, time=t, step=step)
@@ -105,7 +105,7 @@ def _step_core(chi_hat: np.ndarray, w: WaveFunction, step: int, dt: float, mode:
     if v_phase >= np.pi:
         raise StepTooLarge(f"potential phase {v_phase:.3f} >= pi; shrink dt",
                            time=t, value=v_phase, step=step)
-    return spectral.fft(psi * np.exp(-1j * v * dt / w.hbar)), split
+    return spectral.fft(psi * np.exp(-1j * v * dt / w.hbar), w.psi.grid.shape), split
 
 
 def step_strang(w: WaveFunction, dt: float, mode: str = "poisson_boltzmann") -> WaveFunction:
@@ -115,8 +115,9 @@ def step_strang(w: WaveFunction, dt: float, mode: str = "poisson_boltzmann") -> 
         raise ValueError("dt must be positive")
     check_kinetic_phase(w, dt)
     half_kinetic = _half_kinetic(w, dt)
-    chi_hat, _ = _step_core(spectral.fft(w.psi.values), w, 0, dt, mode, None, half_kinetic)
-    psi = spectral.ifft(half_kinetic * chi_hat)
+    shape = w.psi.grid.shape
+    chi_hat, _ = _step_core(spectral.fft(w.psi.values, shape), w, 0, dt, mode, None, half_kinetic)
+    psi = spectral.ifft(half_kinetic * chi_hat, shape)
     return WaveFunction(ComplexField(w.psi.grid, psi), w.hbar, w.eps, w.time + dt)
 
 
@@ -139,7 +140,8 @@ def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
     samples = [(w0, split0)]
     if steps[-1] > 0:
         check_kinetic_phase(w0, dt)
-    chi_hat = spectral.fft(w0.psi.values)
+    shape = w0.psi.grid.shape
+    chi_hat = spectral.fft(w0.psi.values, shape)
     # hat_n, hat_(n-1): the last two step solves. The next midpoint is dt
     # ahead (2 hat_n - hat_(n-1); the first step gets hat_0), the sample
     # time dt/2 (1.5 hat_n - 0.5 hat_(n-1))
@@ -154,7 +156,7 @@ def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
         kinetic = full_kinetic
         hat_n, hat_prev = split_used.hat.values, hat_n
         if i in sampled:
-            psi = spectral.ifft(half_kinetic * chi_hat)
+            psi = spectral.ifft(half_kinetic * chi_hat, shape)
             w = WaveFunction(ComplexField(w0.psi.grid, psi), w0.hbar, w0.eps, w0.time + i * dt)
             snap = solve_potential(density(w), w.eps, mode, 1.5 * hat_n - 0.5 * hat_prev,
                                    time=w.time, step=i)

@@ -3,15 +3,18 @@
 Real fields use numpy's real-to-complex transforms, half the work of complex
 ones, with symbols on the rfft half spectrum; complex fields (wave functions)
 use the full transform. Symbols are cached per grid.
+A transform acts on the trailing axes that the grid's `shape` names; any
+leading axes index fields, a stack transformed in calls of at most
+STACK_BYTES of input each, every field bit for bit as on its own.
 Derivative symbols zero the Nyquist mode, which on real fields agrees to
 roundoff with keeping it and taking the real part. Sums over the spectrum
 (Parseval through `Symbols.parseval`, point evaluations in qnlab.nbody) take
 the half-spectrum conjugate-pair weight from `Symbols.pair_weight`.
-`resample` zero-pads a 1-D or 2-D field onto a finer grid, `zero_pad` its rfft,
-and `irfft_padded` inverts a zero-padded half spectrum, a multiplier applied.
-In 2-D that inverse transforms along the first axis only the columns the
-coarse spectrum fills (a pruned FFT): the rest are zero, and the result is
-irfft2's bit for bit.
+`resample` zero-pads a 1-D or 2-D field onto a finer grid, `zero_pad` its rfft
+(or a stack of them), and `irfft_padded` inverts a zero-padded half spectrum,
+a multiplier applied. In 2-D that inverse transforms along the first axis
+only the columns the coarse spectrum fills (a pruned FFT): the rest are zero,
+and the result is irfft2's bit for bit.
 """
 from __future__ import annotations
 
@@ -19,57 +22,120 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+# Most input bytes one transform call takes: a stack of fields goes in
+# chunks of as many whole fields as fit, and a larger field alone. Batching
+# pays while a transform costs call overhead, not arithmetic; past a few
+# hundred kB per call it costs (8 fields per call on 64^2 and 128^2 below).
+# irfft2 of 8 fields, us (best of 7, a fresh process per entry, 2 vCPUs,
+# numpy 2.4), by fields per call:
+#           1     2     3     4     8     half-spectrum field
+#   32^2   107    67    58    48    38      8.7 kB
+#   64^2   181   142   130   119   190     33.8 kB
+#   128^2  485   450   444   443   866      133 kB
+#   256^2 1825  2027  2121  2123  2939      528 kB
+# 128 kB takes a 2-D Euler stage's 8 inverse fields on 32^2 in one call,
+# chunks of 3 on 64^2, and one field per call from 128^2 up.
+STACK_BYTES = 128 * 1024
 
-def rfft(values: np.ndarray) -> np.ndarray:
-    return np.fft.rfft(values) if values.ndim == 1 else np.fft.rfft2(values)
+
+def _chunked(transform, values: np.ndarray, dim: int, field_shape: tuple[int, ...],
+             dtype, out: np.ndarray | None = None, **kwargs) -> np.ndarray:
+    """transform(values, out=out, **kwargs) over the trailing `dim` axes of
+    `values`, whose leading axes are fields, in calls of at most STACK_BYTES
+    of input (at least one field each); each transformed field has
+    `field_shape`. The result is written to `out` if given, which must be
+    C-contiguous: the chunks write through a reshaped view of it."""
+    if out is not None and not out.flags.c_contiguous:
+        raise ValueError("a transform's `out` must be C-contiguous")
+    if values.nbytes <= STACK_BYTES or values.ndim == dim:
+        return transform(values, out=out, **kwargs)  # one chunk
+    fields = values.reshape(-1, *values.shape[-dim:])
+    per = max(1, STACK_BYTES // fields[0].nbytes)
+    if out is None:
+        out = np.empty((*values.shape[:-dim], *field_shape), dtype)
+    flat = out.reshape(len(fields), *field_shape)
+    for start in range(0, len(fields), per):
+        transform(fields[start:start + per], out=flat[start:start + per], **kwargs)
+    return out
 
 
-def irfft(hat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    return np.fft.irfft(hat, shape[0]) if len(shape) == 1 else np.fft.irfft2(hat, s=shape)
+# numpy's irfft2 and ifft2 ignore `out`; their n-d forms over the last two
+# axes compute the same and honour it
+_AXES2 = (-2, -1)
 
 
-fft = np.fft.fftn
-ifft = np.fft.ifftn
+def rfft(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """rfft half spectra of real grid values on the grid `shape`."""
+    half = (*shape[:-1], shape[-1] // 2 + 1)
+    if len(shape) == 1:
+        return _chunked(np.fft.rfft, values, 1, half, complex)
+    return _chunked(np.fft.rfftn, values, 2, half, complex, axes=_AXES2)
 
 
-def _coarse_shape(hat: np.ndarray) -> tuple[int, ...]:
-    return (*hat.shape[:-1], 2 * hat.shape[-1] - 2)
+def irfft(hat: np.ndarray, shape: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
+    """Real grid values on the grid `shape` of rfft half spectra, written to
+    `out` if given."""
+    if len(shape) == 1:
+        return _chunked(np.fft.irfft, hat, 1, shape, float, out, n=shape[0])
+    return _chunked(np.fft.irfftn, hat, 2, shape, float, out, s=shape, axes=_AXES2)
+
+
+def fft(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Full spectra of complex grid values on the grid `shape`."""
+    if len(shape) == 1:
+        return _chunked(np.fft.fft, values, 1, shape, complex)
+    return _chunked(np.fft.fftn, values, 2, shape, complex, axes=_AXES2)
+
+
+def ifft(hat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex grid values on the grid `shape` of full spectra."""
+    if len(shape) == 1:
+        return _chunked(np.fft.ifft, hat, 1, shape, complex)
+    return _chunked(np.fft.ifftn, hat, 2, shape, complex, axes=_AXES2)
+
+
+def _coarse_shape(hat: np.ndarray, dim: int) -> tuple[int, ...]:
+    return (*hat.shape[-dim:-1], 2 * hat.shape[-1] - 2)
 
 
 def zero_pad(hat: np.ndarray, shape: tuple[int, ...], cols: int | None = None) -> np.ndarray:
-    """The rfft half spectrum `hat` of real 1-D or 2-D grid values (even size
-    per axis) on the finer grid `shape`, scaled so that its irfft there is
-    their trigonometric interpolant; `hat` itself on its own grid. Each coarse
-    Nyquist line is split evenly between the modes +n/2 and -n/2 of its axis
-    (the last-axis column by halving it, as the half spectrum holds only
-    +n/2), so the interpolant is real and takes the values at the coarse nodes.
-    `cols` keeps only the first cols last-axis modes of a finer grid's result."""
-    coarse = _coarse_shape(hat)
+    """The rfft half spectra `hat` of real 1-D or 2-D grid values (even size
+    per axis; leading axes are fields) on the finer grid `shape`, scaled so
+    that their irfft there is their trigonometric interpolant; `hat` itself on
+    its own grid. Each coarse Nyquist line is split evenly between the modes
+    +n/2 and -n/2 of its axis (the last-axis column by halving it, as the half
+    spectrum holds only +n/2), so the interpolant is real and takes the values
+    at the coarse nodes. `cols` keeps only the first cols last-axis modes of a
+    finer grid's result."""
+    coarse = _coarse_shape(hat, len(shape))
     if tuple(shape) == coarse:
         return hat
     hat = hat * (np.prod(shape) / np.prod(coarse))
     # on the finer grid a coarse Nyquist mode stands for itself and its conjugate
     hat[..., -1] *= 0.5
-    out = np.zeros((*shape[:-1], cols or shape[-1] // 2 + 1), dtype=complex)
-    if hat.ndim == 1:
-        out[:hat.size] = hat
+    fields = hat.shape[:hat.ndim - len(shape)]
+    out = np.zeros((*fields, *shape[:-1], cols or shape[-1] // 2 + 1), dtype=complex)
+    filled = hat.shape[-1]
+    if len(shape) == 1:
+        out[..., :filled] = hat
     else:
-        half, filled = coarse[0] // 2, hat.shape[1]
-        out[:half, :filled] = hat[:half]
-        out[shape[0] - half + 1:, :filled] = hat[half + 1:]
-        out[half, :filled] = out[shape[0] - half, :filled] = 0.5 * hat[half]
+        half = coarse[0] // 2
+        out[..., :half, :filled] = hat[..., :half, :]
+        out[..., shape[0] - half + 1:, :filled] = hat[..., half + 1:, :]
+        out[..., half, :filled] = out[..., shape[0] - half, :filled] = 0.5 * hat[..., half, :]
     return out
 
 
 def irfft_padded(hat: np.ndarray, shape: tuple[int, ...], symbol=None) -> np.ndarray:
-    """irfft(symbol * zero_pad(hat, shape), shape) bit for bit, `symbol` a
-    multiplier on the half spectrum of `shape` (none if None): the values on
-    the grid `shape` of that multiplier applied to the trigonometric
-    interpolant of the coarse half spectrum `hat`. In 2-D on a finer grid the
-    first-axis inverse runs only on the columns `hat` fills, as numpy's irfft2
-    runs it on every column before its last-axis irfft."""
+    """irfft(symbol * zero_pad(hat, shape), shape) bit for bit for the half
+    spectrum `hat` of one field, `symbol` a multiplier on the half spectrum
+    of `shape` (none if None): the values on the grid `shape` of that
+    multiplier applied to the trigonometric interpolant of `hat`. In 2-D on
+    a finer grid the first-axis inverse runs only on the columns `hat`
+    fills, as numpy's irfft2 runs it on every column before its last-axis
+    irfft."""
     shape = tuple(shape)
-    if hat.ndim == 1 or shape == _coarse_shape(hat):
+    if len(shape) == 1 or shape == _coarse_shape(hat, 2):
         padded = zero_pad(hat, shape)
         return irfft(padded if symbol is None else symbol * padded, shape)
     cols = hat.shape[1]
@@ -94,7 +160,7 @@ def resample(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         raise ValueError(f"cannot resample {values.shape} onto {shape}: not a finer grid")
     if np.iscomplexobj(values):
         return resample(values.real, shape) + 1j * resample(values.imag, shape)
-    return irfft_padded(rfft(values), shape)
+    return irfft_padded(rfft(values, values.shape), shape)
 
 
 class Symbols:
@@ -132,10 +198,12 @@ class Symbols:
             arr.flags.writeable = False
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        return rfft(values) if self.real else fft(values)
+        """Spectra of grid values on this layout; leading axes are fields."""
+        return rfft(values, self.shape) if self.real else fft(values, self.shape)
 
     def inverse(self, hat: np.ndarray) -> np.ndarray:
-        return irfft(hat, self.shape) if self.real else ifft(hat)
+        """Grid values of spectra on this layout; leading axes are fields."""
+        return irfft(hat, self.shape) if self.real else ifft(hat, self.shape)
 
     def parseval(self, power: np.ndarray) -> float:
         """Sum over the full spectrum of `power`, a function of |c_k| given on

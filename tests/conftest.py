@@ -14,13 +14,15 @@ def grid256() -> TorusGrid:
 
 
 class TransformCounter:
-    """Counts calls of each qnlab.spectral transform, except while `paused`:
-    `counts` by name, `by_shape` by (name, grid shape), the shape of the
-    values a transform reads or, for irfft, of those it writes. An
-    irfft_padded call counts as one irfft to its shape, whatever it calls."""
+    """Counts the calls of each qnlab.spectral transform and the fields they
+    transform, except while `paused`: `counts` (calls) and `fields` by name,
+    `by_shape` (fields) by (name, grid shape), the trailing axes every
+    transform is given. A stack of fields is one call and a field per row.
+    An irfft_padded call counts as one irfft to its shape, whatever it calls."""
 
     def __init__(self, monkeypatch) -> None:
         self.counts = dict.fromkeys(("fft", "ifft", "rfft", "irfft"), 0)
+        self.fields = dict.fromkeys(self.counts, 0)
         self.by_shape = Counter()
         self.paused = False
         for name in self.counts:
@@ -32,8 +34,11 @@ class TransformCounter:
         def counted(*args):
             if self.paused:
                 return fn(*args)
+            values, shape = args[0], tuple(args[1])
+            fields = int(np.prod(values.shape[:values.ndim - len(shape)]))
             self.counts[name] += 1
-            self.by_shape[name, tuple(args[1]) if name == "irfft" else args[0].shape] += 1
+            self.fields[name] += fields
+            self.by_shape[name, shape] += fields
             # the transforms a counted one makes are not counted again
             self.paused = True
             try:

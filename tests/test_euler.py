@@ -12,6 +12,7 @@ from qnlab.grid import ComplexField, RealField, TorusGrid, gradient, integrate
 from qnlab.euler import (
     RK4_STABILITY,
     EulerState,
+    check_first_step,
     euler_constants,
     euler_rhs,
     max_rate,
@@ -109,7 +110,7 @@ def test_rhs_matches_complex_reference(dim, n):
 
 @pytest.mark.parametrize("dim, n, per_stage", [(1, 64, 5), (2, 32, 11)])
 def test_rk4_stage_uses_real_transforms_only(transforms, dim, n, per_stage):
-    counts = transforms.counts
+    counts, fields = transforms.counts, transforms.fields
     steps, samples = 3, 2  # sample_every = 2 reports steps 2 and 3 after s0
     run_euler(full_spectrum_state(TorusGrid(dim, n), seed=5), steps * 1e-4, 1e-4,
               sample_every=2)
@@ -118,9 +119,13 @@ def test_rk4_stage_uses_real_transforms_only(transforms, dim, n, per_stage):
     # rest of its transforms are inverse; the state enters as dim + 1 forward
     # transforms and leaves as dim + 1 inverse ones per sample; the blow-up
     # guard reads the first stage's derivatives and transforms nothing
-    assert counts["rfft"] == (dim + 1) * (1 + stages)
-    assert counts["irfft"] == (per_stage - (dim + 1)) * stages + (dim + 1) * samples
-    assert counts["fft"] + counts["ifft"] == 0
+    assert fields["rfft"] == (dim + 1) * (1 + stages)
+    assert fields["irfft"] == (per_stage - (dim + 1)) * stages + (dim + 1) * samples
+    assert fields["fft"] + fields["ifft"] == 0
+    # 2 calls per stage, one inverse and one forward, and one call per state
+    # in and per sample out
+    assert counts["rfft"] == 1 + stages
+    assert counts["irfft"] == stages + samples
 
 
 @pytest.mark.parametrize("dim, n, amp, message", [
@@ -146,7 +151,7 @@ def test_blowup_guard_trips_on_nan():
     s0.u[1].values[3, 5] = np.nan  # past the field check, as a step between samples could
     sups: list = []
     sym = spectral.symbols(g, real=True)
-    euler._rhs(sym, sym.forward(s0.log_rho.values), [sym.forward(c.values) for c in s0.u], sups)
+    euler._rhs(sym, euler.spectrum(s0), euler._buffers(sym), sups)
     assert np.isnan(euler._grad_u_sup(sups))
     with pytest.raises(BlowupGuardTripped, match=r"\|\|grad u\|\|_inf > 50.0 at t = 0.0000$"):
         run_euler(s0, 0.01, 1e-3, sample_every=10)
@@ -290,6 +295,27 @@ def test_unstable_step_raises_step_too_large():
     assert caught.value.step == 0
     assert caught.value.value == pytest.approx(rate, rel=1e-12)
     assert caught.value.value > RK4_STABILITY
+
+
+@pytest.mark.parametrize("dim, n", [(1, 2048), (2, 256)])
+@pytest.mark.parametrize("u0_amp, dt, raises, log_rho", [
+    (0.1, 1e-4, False, False),  # a stable step: the rate decides
+    (0.1, 1e-2, True, False),  # unstable, and u alone shows the state varies
+    (0.0, 1e-2, True, True),  # unstable at u = 0: log rho decides
+])
+def test_first_step_check_transforms_log_rho_only_to_decide(dim, n, u0_amp, dt, raises, log_rho,
+                                                            transforms):
+    transforms.paused = True
+    s0 = experiments._cos_euler_data(dim, n, 0.5, u0_amp)
+    transforms.paused = False
+    if raises:
+        with pytest.raises(StepTooLarge, match=r"at t = 0\.0000; shrink dt$"):
+            check_first_step(s0, dt)
+    else:
+        check_first_step(s0, dt)
+    # u goes forward and back in one call each; log rho, when read, in one more
+    assert transforms.fields == {"fft": 0, "ifft": 0, "rfft": dim + log_rho, "irfft": dim}
+    assert transforms.counts == {"fft": 0, "ifft": 0, "rfft": 1 + log_rho, "irfft": 1}
 
 
 def test_max_rate_bounds_the_linear_spectrum():

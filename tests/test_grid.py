@@ -90,6 +90,26 @@ def test_derivative_zeroes_nyquist_mode():
     assert df.values.dtype.kind == "f"
 
 
+@pytest.mark.parametrize("dim, n", [(1, 256), (2, 32), (2, 256)])
+def test_gradient_is_the_derivative_per_axis_bit_for_bit(dim, n, transforms):
+    # one forward transform and one stacked inverse, the values of
+    # spectral_derivative along every axis
+    g = TorusGrid(dim, n)
+    vals = np.random.default_rng(n).standard_normal(g.shape)
+    for f in (RealField(g, vals), ComplexField(g, vals + 1j * vals[::-1])):
+        transforms.paused = True
+        want = [spectral_derivative(f, axis) for axis in range(dim)]
+        transforms.paused = False
+        counts = dict(transforms.counts)
+        got = gradient(f)
+        calls = {k: transforms.counts[k] - counts[k] for k in counts}
+        assert calls == ({"fft": 0, "ifft": 0, "rfft": 1, "irfft": 1} if isinstance(f, RealField)
+                         else {"fft": 1, "ifft": 1, "rfft": 0, "irfft": 0})
+        for a, b in zip(got, want, strict=True):
+            assert type(a) is type(b)
+            assert np.array_equal(a.values, b.values)
+
+
 def test_derivative_2d_axes():
     g = TorusGrid(2, 32)
     X, Y = g.coords()

@@ -199,7 +199,7 @@ def test_zero_pad_leaves_the_spectrum_it_reads(grid):
     # on its own grid zero_pad is the identity; onto a finer one it halves a
     # copy's Nyquist lines, not the caller's coefficients, which
     # euler_constants pads twice
-    hat = spectral.rfft(white_noise(grid, seed=3))
+    hat = spectral.rfft(white_noise(grid, seed=3), grid.shape)
     assert spectral.zero_pad(hat, grid.shape) is hat
     before = hat.copy()
     spectral.zero_pad(hat, (2 * grid.n,) * grid.dim)
@@ -218,7 +218,7 @@ def test_2d_irfft_padded_is_the_zero_padded_irfft_bit_for_bit(n_e, n):
     fine = TorusGrid(2, n)
     ik = spectral.symbols(fine, real=True).ik
     for seed in range(3):
-        hat = spectral.rfft(white_noise(TorusGrid(2, n_e), seed=seed))
+        hat = spectral.rfft(white_noise(TorusGrid(2, n_e), seed=seed), (n_e, n_e))
         before = hat.copy()
         padded = spectral.zero_pad(hat, fine.shape)
         assert np.array_equal(spectral.irfft_padded(hat, fine.shape),
@@ -234,9 +234,75 @@ def test_2d_irfft_padded_is_the_zero_padded_irfft_bit_for_bit(n_e, n):
 def test_1d_irfft_padded_is_the_zero_padded_irfft():
     fine = TorusGrid(1, 2048)
     [ik] = spectral.symbols(fine, real=True).ik
-    hat = spectral.rfft(white_noise(TorusGrid(1, 32), seed=5))
+    hat = spectral.rfft(white_noise(TorusGrid(1, 32), seed=5), (32,))
     padded = spectral.zero_pad(hat, fine.shape)
     assert np.array_equal(spectral.irfft_padded(hat, fine.shape),
                           np.fft.irfft(padded, fine.n))
     assert np.array_equal(spectral.irfft_padded(hat, fine.shape, ik),
                           np.fft.irfft(ik * padded, fine.n))
+
+
+# stacks of 2 fields and of enough fields to need two or more calls of
+# STACK_BYTES; from 128^2 up a field is a call of its own either way
+STACKED_GRIDS = [TorusGrid(1, 256), TorusGrid(1, 2048), TorusGrid(2, 32), TorusGrid(2, 64),
+                 TorusGrid(2, 128), TorusGrid(2, 256)]
+
+
+def stack_sizes(grid):
+    # a real field is the smallest input; the larger stack passes the budget
+    # with every transform
+    return sorted({2, spectral.STACK_BYTES // (8 * grid.size) + 2})
+
+
+@pytest.mark.parametrize("grid", STACKED_GRIDS, ids=str)
+def test_stacked_transforms_are_the_single_ones_bit_for_bit(grid):
+    rng = np.random.default_rng(grid.n)
+    shape = grid.shape
+    for count in stack_sizes(grid):
+        real = rng.standard_normal((count, *shape))
+        cplx = real + 1j * rng.standard_normal((count, *shape))
+        hat = spectral.rfft(real, shape)
+        full = spectral.fft(cplx, shape)
+        pairs = [(hat, [spectral.rfft(f, shape) for f in real]),
+                 (spectral.irfft(hat, shape), [spectral.irfft(h, shape) for h in hat]),
+                 (full, [spectral.fft(f, shape) for f in cplx]),
+                 (spectral.ifft(full, shape), [spectral.ifft(h, shape) for h in full])]
+        out = np.empty(real.shape)
+        assert spectral.irfft(hat, shape, out) is out
+        pairs.append((out, pairs[1][1]))
+        for stacked, single in pairs:
+            assert stacked.shape == (count, *single[0].shape)
+            for got, want in zip(stacked, single, strict=True):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_a_strided_out_is_refused():
+    # the chunks of a stack past STACK_BYTES write through a reshape of `out`,
+    # which of a strided array would be a copy that the caller never sees
+    grid = TorusGrid(2, 64)
+    hat = spectral.rfft(np.zeros((8, *grid.shape)), grid.shape)
+    assert hat.nbytes > spectral.STACK_BYTES
+    out = np.empty((8, grid.n, 2 * grid.n))[..., ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        spectral.irfft(hat, grid.shape, out)
+
+
+def test_leading_axes_of_a_stack_are_all_fields():
+    # a (2, 3) stack of 1-D fields has the ndim of a 2-D field and a 3-D array's
+    grid = TorusGrid(1, 2048)
+    vals = np.random.default_rng(4).standard_normal((2, 3, grid.n))
+    hat = spectral.rfft(vals, grid.shape)
+    assert hat.shape == (2, 3, grid.n // 2 + 1)
+    assert np.array_equal(hat[1, 2], spectral.rfft(vals[1, 2], grid.shape))
+    assert np.array_equal(spectral.irfft(hat, grid.shape)[1, 2],
+                          spectral.irfft(hat[1, 2], grid.shape))
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 32), TorusGrid(2, 16)], ids=str)
+def test_zero_pad_of_a_stack_pads_each_field(grid):
+    vals = np.random.default_rng(6).standard_normal((3, *grid.shape))
+    hat = spectral.rfft(vals, grid.shape)
+    fine = (4 * grid.n,) * grid.dim
+    padded = spectral.zero_pad(hat, fine)
+    for got, h in zip(padded, hat, strict=True):
+        assert np.array_equal(got, spectral.zero_pad(h, fine))
