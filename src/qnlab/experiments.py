@@ -8,7 +8,9 @@ remaining points still produce rows.
 from __future__ import annotations
 
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
+# the package, not its ProcessPoolExecutor: that name loads the process pool
+# and multiprocessing on first access, which only a sweep under --jobs > 1 makes
+from concurrent import futures
 from functools import partial, reduce
 from pathlib import Path
 
@@ -356,7 +358,7 @@ def _sweep_point(cfg: ExperimentConfig, reference: tuple[list, dict, dict] | Exc
 def _run_sweep(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
     point = partial(_sweep_point, cfg, _sweep_reference(cfg))
     if cfg.jobs > 1 and len(cfg.eps) > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(cfg.eps))) as pool:
+        with futures.ProcessPoolExecutor(max_workers=min(cfg.jobs, len(cfg.eps))) as pool:
             results = list(pool.map(point, cfg.eps, cfg.hbar))
     else:
         results = list(map(point, cfg.eps, cfg.hbar))

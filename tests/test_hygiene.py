@@ -53,13 +53,26 @@ def test_numpy_transforms_only_in_spectral():
     assert users == ["spectral.py"]
 
 
-def test_schrodinger_does_not_import_energy():
+def _loaded_after(module: str, names: list[str]) -> list[str]:
+    """Which of `names` are in sys.modules after `import module` in a fresh
+    interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    probe = "import sys, qnlab.schrodinger; print('qnlab.energy' in sys.modules)"
+    probe = f"import sys, {module}; print(*[m for m in {names!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.split()
+
+
+def test_schrodinger_does_not_import_energy():
+    assert _loaded_after("qnlab.schrodinger", ["qnlab.energy"]) == []
+
+
+def test_cli_leaves_the_process_pool_unloaded():
+    # concurrent.futures loads its process pool, and multiprocessing with it,
+    # on first attribute access; only a sweep under --jobs > 1 touches it
+    pool = ["multiprocessing", "concurrent.futures.process"]
+    assert _loaded_after("qnlab.cli", pool) == []
 
 
 # inner loops work on plain arrays: fields are validated where they cross the

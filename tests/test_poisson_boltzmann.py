@@ -48,6 +48,17 @@ def residual_norm(split, h_vals):
     return float(np.sqrt(np.mean((-split.eps * lap - h_vals + np.exp(v)) ** 2)))
 
 
+def hat_residual_norm(tilde, hat, eps, grid):
+    """L2 residual of -eps*Lap(hat) = 1 - exp(tilde + hat) with a full complex
+    transform pair and the reference symbol, and the roundoff of that
+    recomputation, which grows with the largest symbol value."""
+    k2 = full_k_squared(grid)
+    lap = np.fft.ifftn(np.fft.fftn(hat) * -k2).real
+    res = -eps * lap - 1.0 + np.exp(tilde + hat)
+    roundoff = np.finfo(float).eps * (eps * k2.max() * np.max(np.abs(hat)) + 1.0)
+    return float(np.sqrt(np.mean(res**2))), roundoff
+
+
 # ---------------------------------------------------------------------------
 # kernel
 # ---------------------------------------------------------------------------
@@ -159,13 +170,31 @@ def test_newton_residual_matches_complex_laplacian(grid):
     x = grid.coords()
     tilde = 0.5 * sum(np.cos(2 * np.pi * c) for c in x) + 0.2 * np.sin(6 * np.pi * x[0])
     hat, info = _newton_hat(tilde, eps, grid, tol=1e-9)
-    k2 = full_k_squared(grid)
-    lap = np.fft.ifftn(np.fft.fftn(hat) * -k2).real
-    res = -eps * lap - 1.0 + np.exp(tilde + hat)
-    # roundoff in eps*Lap(hat) grows with the largest symbol value
-    roundoff = np.finfo(float).eps * (eps * k2.max() * np.max(np.abs(hat)) + 1.0)
+    res, roundoff = hat_residual_norm(tilde, hat, eps, grid)
     assert info["iterations"] >= 2
-    assert abs(np.sqrt(np.mean(res**2)) - info["residuals"][-1]) <= roundoff
+    assert abs(res - info["residuals"][-1]) <= roundoff
+
+
+@pytest.mark.parametrize("n", [256, 2048])
+@pytest.mark.parametrize("eps", [1.0, 0.1, 0.025, 0.00625])
+def test_cold_and_warm_solves_meet_the_tolerance(n, eps):
+    # CG stops within CG_THETA of Newton's tolerance, so the last Newton step
+    # rests on F(hat + delta) = -r_lin + O(delta^2): the returned hat must
+    # still meet tol, from cold and from the solution of a nearby density,
+    # also when recomputed independently
+    g = TorusGrid(1, n)
+    x = g.axis_points()
+
+    def density(shift):
+        rho = np.exp(0.5 * np.cos(2 * np.pi * (x - shift)))
+        return RealField(g, rho / rho.mean())
+
+    cold = solve_pb(density(0.0), eps)
+    warm = solve_pb(density(1e-4), eps, hat0=cold.hat.values)
+    for s in (cold, warm):
+        res, roundoff = hat_residual_norm(s.tilde.values, s.hat.values, eps, g)
+        assert s.info["residuals"][-1] <= s.info["tolerance"]
+        assert res <= s.info["tolerance"] + roundoff
 
 
 def test_rejects_bad_densities(grid256):

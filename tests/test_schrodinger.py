@@ -223,17 +223,21 @@ def test_warm_start_needs_about_one_newton_iteration(monkeypatch):
     # the sweep_1d point: eps = hbar = 0.025, n = 2048, dt = 1e-4, 200 steps
     g = TorusGrid(1, 2048)
     w0 = _prepared_state(g, 0.5, 0.1, 0.025, 0.025)
-    iterations = []
+    infos = []
 
     def counted(*args, **kwargs):
         split = solve_potential(*args, **kwargs)
-        iterations.append(split.info["iterations"])
+        infos.append(split.info)
         return split
 
     monkeypatch.setattr(schrodinger, "solve_potential", counted)
     run(w0, 0.02, 1e-4, sample_every=20)
-    assert len(iterations) == 1 + 200 + 10
-    assert sum(iterations) <= 1.2 * len(iterations)
+    assert len(infos) == 1 + 200 + 10
+    assert sum(i["iterations"] for i in infos) <= 1.2 * len(infos)
+    # CG stops within CG_THETA of Newton's tolerance, not at roundoff: 4.06
+    # iterations per solve at CG_THETA = 0.01, 5.83 at CG_THETA = 0
+    assert sum(i["cg_iterations"] for i in infos) <= 4.5 * len(infos)
+    assert all(i["residuals"][-1] <= i["tolerance"] for i in infos)
 
 
 def test_run_matches_repeated_strang_steps():
