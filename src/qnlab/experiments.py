@@ -198,8 +198,8 @@ def _euler_reference(e0: EulerState, rho0_amp: float, u0_amp: float, big_t: floa
     "top_band_share": share}: the grid and RK4 step they were integrated with
     and the grid's _top_band_share of log rho and u. n_e is _coarsest_run's
     grid under BAND_SHARE_BOUND; below n the step is _coarse_step_run's, on n
-    it is dt. Coarser samples are zero-padded to n, and the constants are
-    euler_constants of the integrated samples' interpolant on n."""
+    it is dt. The samples stay on n_e (_padded takes one to a finer grid),
+    and the constants are euler_constants of their interpolant on n."""
     grid = e0.grid
 
     def prepare(n_e: int):
@@ -215,18 +215,19 @@ def _euler_reference(e0: EulerState, rho0_amp: float, u0_amp: float, big_t: floa
 
     n_e, (samples, h), share = _coarsest_run(e0, grid.n, grid.dim, BAND_SHARE_BOUND, prepare,
                                              integrate)
-
-    def pad(s: EulerState, t: float) -> EulerState:
-        if n_e == grid.n:
-            return EulerState(s.log_rho, s.u, t)
-        # one stacked forward transform, each field's inverse pruned
-        log_rho, *u = (RealField(grid, spectral.irfft_padded(c, grid.shape)) for c in spectrum(s))
-        return EulerState(log_rho, u, t)
-
     # the times run_euler gives the dt samples, whatever step made them
     times = [k * dt for k in sample_steps(big_t, dt, sample_every)]
-    padded = [pad(s, t) for s, t in zip(samples, times, strict=True)]
-    return padded, euler_constants(samples, grid), {"n": n_e, "dt": h, "top_band_share": share}
+    stamped = [EulerState(s.log_rho, s.u, t) for s, t in zip(samples, times, strict=True)]
+    return stamped, euler_constants(samples, grid), {"n": n_e, "dt": h, "top_band_share": share}
+
+
+def _padded(s: EulerState, grid: TorusGrid) -> EulerState:
+    """s zero-padded to the finer `grid` by one stacked forward transform,
+    each field's inverse pruned; s itself on its own grid."""
+    if s.grid == grid:
+        return s
+    log_rho, *u = (RealField(grid, spectral.irfft_padded(c, grid.shape)) for c in spectrum(s))
+    return EulerState(log_rho, u, s.time)
 
 
 def _sweep_reference(cfg: ExperimentConfig) -> tuple[list, dict, dict] | Exception:
@@ -244,14 +245,14 @@ def _sweep_reference(cfg: ExperimentConfig) -> tuple[list, dict, dict] | Excepti
 
 
 def _schrodinger_samples(cfg: ExperimentConfig, w0: WaveFunction) -> tuple[list, dict]:
-    """The sweep's Schrodinger samples on w0's n grid and {"n": n_s,
-    "top_band_share": share}: `run` on _coarsest_run's grid n_s under
+    """The sweep's Schrodinger samples and {"n": n_s, "top_band_share":
+    share}: `run` on _coarsest_run's grid n_s under
     SCHRODINGER_BAND_SHARE_BOUND (psi and V), from the standard data's
-    well-prepared state on n_s nodes, or from w0 on n. Below n the samples
-    are w0 and the later psi zero-padded to n, their potentials solved on n
-    from the padded coarse hat (w0's from none), as on n. dt must first pass
-    the n grid's kinetic-phase cap: a point whose n-grid run would stop there
-    fails as that run does, before any grid is integrated."""
+    well-prepared state on n_s nodes, or from w0 on n. The t = 0 sample is w0
+    and its potential solved on n, as in the run from w0; the later samples
+    are the run's own, on n_s. dt must first pass the n grid's kinetic-phase
+    cap: a point whose n-grid run would stop there fails as that run does,
+    before any grid is integrated."""
     grid = w0.psi.grid
     check_kinetic_phase(w0, cfg.dt)
 
@@ -266,24 +267,36 @@ def _schrodinger_samples(cfg: ExperimentConfig, w0: WaveFunction) -> tuple[list,
     n_s, samples, share = _coarsest_run(w0, grid.n, grid.dim, SCHRODINGER_BAND_SHARE_BOUND,
                                         prepare, integrate)
     if n_s < grid.n:
-        padded = [(w0, None)] + [
-            (WaveFunction(ComplexField(grid, spectral.resample(w.psi.values, grid.shape)),
-                          w.hbar, w.eps, w.time), spectral.resample(split.hat.values, grid.shape))
-            for w, split in samples[1:]]
-        steps = sample_steps(cfg.big_t, cfg.dt, cfg.sample_every)
         # called through the module, so a wrapper on it (perfbench's tracer)
-        # sees the n-grid solves
-        samples = [(w, schrodinger.solve_potential(density(w), w.eps, cfg.mode, hat0,
-                                                   time=w.time, step=step))
-                   for (w, hat0), step in zip(padded, steps, strict=True)]
+        # sees the n-grid solve
+        split0 = schrodinger.solve_potential(density(w0), w0.eps, cfg.mode, time=w0.time, step=0)
+        samples = [(w0, split0), *samples[1:]]
     return samples, {"n": n_s, "top_band_share": share}
+
+
+def _wave_on(grid: TorusGrid, w: WaveFunction, split, mode: str, step: int) -> tuple:
+    """The sample (w, split) on the finer `grid`: psi zero-padded (the complex
+    `resample`) and its potential re-solved there, warm-started from the
+    padded hat; as it is on its own grid."""
+    if w.psi.grid == grid:
+        return w, split
+    w = WaveFunction(ComplexField(grid, spectral.resample(w.psi.values, grid.shape)), w.hbar,
+                     w.eps, w.time)
+    hat0 = spectral.resample(split.hat.values, grid.shape)
+    # called through the module, so a wrapper on it (perfbench's tracer) sees
+    # the re-solves
+    return w, schrodinger.solve_potential(density(w), w.eps, mode, hat0, time=w.time, step=step)
 
 
 def _sweep_point(cfg: ExperimentConfig, reference: tuple[list, dict, dict] | Exception,
                  eps: float, hbar: float) -> dict:
     """One (eps, hbar) point of the sweep `cfg` against its _sweep_reference;
     returns rows + per-point summary, or an error record. The frozen config
-    and the reference pickle, so a process pool can ship them."""
+    and the reference pickle, so a process pool can ship them. The t = 0 row
+    is the n-grid prepared state's, evaluated on n; every later row is
+    evaluated on n_d = max(n_s, n_e), the coarser run brought there (_padded,
+    _wave_on). The L1 term stays on n (weak_distances' l1_grid): its integrand
+    has kinks, so unlike the other sums it is not exact to roundoff on n_d."""
     pair = {"eps": float(eps), "hbar": float(hbar)}
     stage = "prepare"
     try:
@@ -298,17 +311,27 @@ def _sweep_point(cfg: ExperimentConfig, reference: tuple[list, dict, dict] | Exc
             raise reference.with_traceback(None)
         esamp, gronwall, resolution = reference
 
+        # a potential re-solved on n_d fails at the schrodinger stage, as on n
+        stage = "schrodinger"
+        grid_d = TorusGrid(grid.dim, max(schrodinger_grid["n"], resolution["n"]))
+        steps = sample_steps(cfg.big_t, cfg.dt, cfg.sample_every)
+        grids = [grid if step == 0 else grid_d for step in steps]
+        samples = [_wave_on(g, w, split, cfg.mode, step)
+                   for (w, split), g, step in zip(samples, grids, steps, strict=True)]
+
         stage = "diagnostics"
-        x = grid.axis_points()
-        fields = [RealField(grid, np.ones(grid.shape)), RealField(grid, np.sin(2 * np.pi * x)),
-                  RealField(grid, np.cos(2 * np.pi * x))]
         rows = []
         currents_ok = True
         sup_bound_ok = True
         mass_defect = 0.0
-        for (w, split), est in zip(samples, esamp, strict=True):
+        # the current test fields 1, sin 2 pi x and cos 2 pi x on each grid
+        fields = {g: [RealField(g, f(2 * np.pi * g.axis_points()))
+                      for f in (np.ones_like, np.sin, np.cos)] for g in set(grids)}
+        for (w, split), est, g in zip(samples, esamp, grids, strict=True):
+            est = _padded(est, g)
             rep = modulated_total(w, split, est)
-            wd = weak_distances(w, est, split, rep.kinetic_modulated, test_fields=fields)
+            wd = weak_distances(w, est, split, rep.kinetic_modulated, test_fields=fields[g],
+                                l1_grid=grid)
             currents_ok &= all(c["passed"] for c in wd["currents"])
             current_err = max(abs(c["value"]) for c in wd["currents"])
             v = split.potential.values
@@ -427,6 +450,7 @@ def _run_euler(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
         return [_error_record(exc, stage)]
     rows = []
     for s in samp:
+        s = _padded(s, e0.grid)
         rho = s.rho()
         rows.append((float(s.time), float(abs(integrate(rho) - 1.0)),
                      float(max(np.max(np.abs(c.values)) for c in s.u)),

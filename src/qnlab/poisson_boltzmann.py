@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -82,6 +82,16 @@ class PotentialSplit:
 # damped Newton for the hat equation
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
+def _preconditioner(grid: TorusGrid, eps: float) -> np.ndarray:
+    """The symbol 1/(1 - eps*Lap) of _pcg's preconditioner on the rfft half
+    spectrum, built once per grid and eps (a run solves hundreds of times
+    with one of each)."""
+    precond = 1.0 / (1.0 - eps * spectral.symbols(grid, real=True).minus_k2)
+    precond.flags.writeable = False
+    return precond
+
+
 def _pcg(
     rhs: np.ndarray,
     weight: np.ndarray,
@@ -103,7 +113,7 @@ def _pcg(
     r buys Newton nothing once the quadratic term is under tol.
     """
     sym = spectral.symbols(grid, real=True)
-    precond = 1.0 / (1.0 - eps * sym.minus_k2)
+    precond = _preconditioner(grid, eps)
     shift = weight - 1.0
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -162,17 +172,16 @@ def _newton_hat(
     """
     sym = spectral.symbols(grid, real=True)
 
-    def boltzmann(v: np.ndarray) -> np.ndarray:
-        return np.exp(np.minimum(tilde_vals + v, _EXP_CLIP))
-
-    def residual(v: np.ndarray) -> np.ndarray:
-        return -eps * sym.apply(v, sym.minus_k2) - 1.0 + boltzmann(v)
+    def residual(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """F(v) and exp(tilde + v), the weight of the Newton step from v."""
+        weight = np.exp(np.minimum(tilde_vals + v, _EXP_CLIP))
+        return -eps * sym.apply(v, sym.minus_k2) - 1.0 + weight, weight
 
     def rms(r: np.ndarray) -> float:
         return math.sqrt(float(np.add.reduce(r * r, axis=None)) / r.size)
 
     hat = np.zeros(grid.shape) if hat0 is None else np.array(hat0, dtype=float)
-    res = residual(hat)
+    res, weight = residual(hat)
     res_norm = rms(res)
     if not np.isfinite(res_norm):
         raise NewtonDiverged(f"non-finite residual {res_norm} at the initial guess", res_norm)
@@ -187,7 +196,7 @@ def _newton_hat(
                 f"Newton cap {NEWTON_CAP} reached with residual {res_norm:.3e} (tol {tol:.3e})",
                 res_norm)
         forcing = max(min(max(res_norm, 1e-8), 1e-2), CG_THETA * tol / res_norm)
-        step, cg_its, converged = _pcg(-res, boltzmann(hat), eps, grid, forcing)
+        step, cg_its, converged = _pcg(-res, weight, eps, grid, forcing)
         cg_iterations += cg_its
         if not converged:
             cg_failures += 1
@@ -196,7 +205,7 @@ def _newton_hat(
         alpha = 1.0
         for _ in range(BACKTRACK_CAP + 1):
             trial = hat + alpha * step
-            trial_res = residual(trial)
+            trial_res, trial_weight = residual(trial)
             trial_norm = rms(trial_res)
             if trial_norm < res_norm:
                 break
@@ -205,7 +214,7 @@ def _newton_hat(
             raise NewtonDiverged(
                 f"backtracking exhausted at iteration {iterations}, residual {res_norm:.3e}",
                 res_norm)
-        hat, res, res_norm = trial, trial_res, trial_norm
+        hat, res, res_norm, weight = trial, trial_res, trial_norm, trial_weight
         history.append(res_norm)
         iterations += 1
 

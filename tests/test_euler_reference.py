@@ -1,9 +1,10 @@
 """The Euler reference of a sweep and of the euler_run kind: integrated on
 the coarsest grid that resolves the flow to BAND_SHARE_BOUND, from FLOOR_N
 nodes per axis up (256 in 1-D, 32^2 in 2-D), at the coarsest multiple of dt
-whose estimated RK4 error is at most TIME_ERROR_BOUND, and zero-padded to the
-run's n grid; on the n grid at dt where no coarser grid resolves it. A guard
-trip or an unstable step is reported as the n grid's."""
+whose estimated RK4 error is at most TIME_ERROR_BOUND; on the n grid at dt
+where no coarser grid resolves it. Its samples stay on the grid they were
+integrated on, and _padded zero-pads them to a finer one. A guard trip or an
+unstable step is reported as the n grid's."""
 import json
 
 import numpy as np
@@ -27,9 +28,14 @@ def cos_run(n, rho0_amp, u0_amp, big_t, dt, sample_every, dim=1):
 
 
 def reference(dim, n, rho0_amp, u0_amp, big_t, dt, sample_every):
-    """_euler_reference from the standard data on the dim-D n grid."""
+    """_euler_reference from the standard data on the dim-D n grid, its
+    samples, which stay on the grid n_e they were integrated on, zero-padded
+    to n by _padded."""
     e0 = experiments._cos_euler_data(dim, n, rho0_amp, u0_amp)
-    return experiments._euler_reference(e0, rho0_amp, u0_amp, big_t, dt, sample_every)
+    samples, gronwall, resolution = experiments._euler_reference(e0, rho0_amp, u0_amp, big_t,
+                                                                 dt, sample_every)
+    assert all(s.grid == TorusGrid(dim, resolution["n"]) for s in samples)
+    return [experiments._padded(s, e0.grid) for s in samples], gronwall, resolution
 
 
 @pytest.fixture
@@ -318,7 +324,8 @@ def test_euler_run_kind_integrates_on_the_coarsest_grid_that_resolves_it(
     assert (recorded["n"], recorded["dt"]) == resolution
     assert recorded["top_band_share"] <= experiments.BAND_SHARE_BOUND
     [(samples, _, _)] = references
-    assert all(s.grid == TorusGrid(dim, n) for s in samples)
+    assert all(s.grid == TorusGrid(dim, resolution[0]) for s in samples)
+    samples = [experiments._padded(s, TorusGrid(dim, n)) for s in samples]
     ref = cos_run(n, rho0_amp, u0_amp, big_t, dt, sample_every, dim)
     gap = max_state_error(samples, ref)
     assert gap <= 1e-12
