@@ -169,19 +169,41 @@ def _newton_hat(
     so ||F(hat + delta)|| <= CG_THETA * tol + O(||delta||^2): from a warm start
     one full step still lands under tol. The stopping test, backtracking,
     NEWTON_CAP and the non-finite guard do not depend on the forcing.
+
+    A cold solve (hat0 None) stops at the first iterate within tol. In a
+    warm solve every iterate, the guess and each trial, is first moved by
+    the constant -log mean exp(tilde + v), so the k = 0 equation, mean
+    exp(tilde + hat) = 1, holds to roundoff: the background mass inherits
+    neither the guess's defect nor the k = 0 part of r_lin, which a step cut
+    short at CG_THETA * tol leaves. The guess is returned as it is only
+    within CG_THETA * tol, where a step would end: by the identity above,
+    every solve that steps ends within CG_THETA * tol plus the quadratic
+    term, so accepting a guess anywhere under tol would let the answer
+    depend on how good the guess was. A guess between CG_THETA * tol and
+    tol takes one step, backtracked as any other; if no trial lowers the
+    residual the guess is kept, since it already meets tol, and nothing is
+    raised. Cold solves take no shift, and are what they were bit for bit.
     """
     sym = spectral.symbols(grid, real=True)
 
-    def residual(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """F(v) and exp(tilde + v), the weight of the Newton step from v."""
+    def residual(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """v, F(v) and exp(tilde + v), the weight of the Newton step from v.
+        In a warm solve v is first moved by the constant -log mean
+        exp(tilde + v), which -eps*Lap(v) does not see, so that the k = 0
+        equation mean exp(tilde + v) = 1 holds to roundoff."""
         weight = np.exp(np.minimum(tilde_vals + v, _EXP_CLIP))
-        return -eps * sym.apply(v, sym.minus_k2) - 1.0 + weight, weight
+        if hat0 is not None:
+            mass = float(np.add.reduce(weight, axis=None)) / weight.size
+            if mass > 0.0:  # a zero or nan mass leaves v as it is
+                v = v - math.log(mass)
+                weight = weight / mass
+        return v, -eps * sym.apply(v, sym.minus_k2) - 1.0 + weight, weight
 
     def rms(r: np.ndarray) -> float:
         return math.sqrt(float(np.add.reduce(r * r, axis=None)) / r.size)
 
-    hat = np.zeros(grid.shape) if hat0 is None else np.array(hat0, dtype=float)
-    res, weight = residual(hat)
+    hat, res, weight = residual(np.zeros(grid.shape) if hat0 is None
+                                else np.asarray(hat0, dtype=float))
     res_norm = rms(res)
     if not np.isfinite(res_norm):
         raise NewtonDiverged(f"non-finite residual {res_norm} at the initial guess", res_norm)
@@ -190,7 +212,9 @@ def _newton_hat(
     cg_iterations = 0
     cg_failures = 0
 
-    while res_norm > tol:
+    # a warm start inside tol but not inside CG_THETA * tol takes one step
+    while res_norm > tol or (iterations == 0 and hat0 is not None
+                             and res_norm > CG_THETA * tol):
         if iterations >= NEWTON_CAP:
             raise NewtonDiverged(
                 f"Newton cap {NEWTON_CAP} reached with residual {res_norm:.3e} (tol {tol:.3e})",
@@ -204,13 +228,14 @@ def _newton_hat(
 
         alpha = 1.0
         for _ in range(BACKTRACK_CAP + 1):
-            trial = hat + alpha * step
-            trial_res, trial_weight = residual(trial)
+            trial, trial_res, trial_weight = residual(hat + alpha * step)
             trial_norm = rms(trial_res)
             if trial_norm < res_norm:
                 break
             alpha *= 0.5
         else:
+            if res_norm <= tol:
+                break  # a warm start's step found no descent; the guess meets tol
             raise NewtonDiverged(
                 f"backtracking exhausted at iteration {iterations}, residual {res_norm:.3e}",
                 res_norm)

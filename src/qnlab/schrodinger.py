@@ -15,9 +15,11 @@ from .errors import NewtonDiverged, PotentialSolveFailed, StepTooLarge
 from .grid import ComplexField, RealField, integrate, spectral_derivative
 from .poisson_boltzmann import PotentialSplit, solve_pb, solve_tilde
 
-# sampling guard on the kinetic phase hbar |2 pi k|^2 dt / 2, |2 pi k|^2
-# maximized over the grid; the multiplier itself is exact, this keeps dt in
-# the order-2 error regime
+# cap on the kinetic phase hbar |2 pi k|^2 dt / 2 through which one step turns
+# the grid's top mode, |2 pi k|^2 maximized over the grid. The kinetic
+# multiplier is exact at any dt, so the cap bounds no error: it refuses a dt
+# that turns the top mode through 50 full turns or more per step. The
+# splitting's time error at a dt under the cap is not bounded by it
 KINETIC_PHASE_CAP = 100.0 * np.pi
 
 
@@ -121,6 +123,24 @@ def step_strang(w: WaveFunction, dt: float, mode: str = "poisson_boltzmann") -> 
     return WaveFunction(ComplexField(w.psi.grid, psi), w.hbar, w.eps, w.time + dt)
 
 
+def _extrapolate(solves: list[tuple[float, np.ndarray]], t: float) -> np.ndarray:
+    """The hat at time t from the Lagrange polynomial through `solves`, (time,
+    hat) pairs at distinct times, the newest last: constant through one pair,
+    linear through two, quadratic through three. Times may be in any unit and
+    unevenly spaced; on run's half-integer step times the weights are exact.
+    The weights sum to 1, so the newest hat plus weighted differences is the
+    same polynomial, with roundoff on the small differences, not on the hats."""
+    hat_new = solves[-1][1]
+    hat = hat_new
+    for j, (t_j, hat_j) in enumerate(solves[:-1]):
+        weight = 1.0
+        for k, (t_k, _) in enumerate(solves):
+            if k != j:
+                weight *= (t - t_k) / (t_j - t_k)
+        hat = hat + weight * (hat_j - hat_new)
+    return hat
+
+
 def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
         mode: str = "poisson_boltzmann") -> list[tuple[WaveFunction, PotentialSplit]]:
     """Integrate to time ~T, returning (state, potential) at
@@ -131,9 +151,15 @@ def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
     are one full kinetic factor, and psi goes back to grid values only at the
     step midpoint and at the samples. At each sample the potential is
     re-solved from the current |psi|^2 so the stored split is self-consistent
-    with the stored state. Every solve is warm-started by linear
-    extrapolation of the hats of the last two step solves, which sit at the
-    step midpoints, dt apart. Energies are left to the caller (qnlab.energy).
+    with the stored state. Every solve is warm-started by _extrapolate from
+    the last three step solves at their actual times, the step midpoints
+    (the t = 0 solve fills in while fewer than three exist): the next
+    midpoint is dt ahead of the last, a sample dt/2. A warm start within
+    the Newton tolerance but not within CG_THETA times it still takes one
+    Newton step (poisson_boltzmann._newton_hat), so a good guess ends where
+    a step from a poor one ends, and the closer the guess, the fewer CG
+    iterations that step needs. Energies are left to the caller
+    (qnlab.energy).
     """
     steps = sample_steps(T, dt, sample_every)
     split0 = solve_potential(density(w0), w0.eps, mode, time=w0.time, step=0)
@@ -142,23 +168,21 @@ def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
         check_kinetic_phase(w0, dt)
     shape = w0.psi.grid.shape
     chi_hat = spectral.fft(w0.psi.values, shape)
-    # hat_n, hat_(n-1): the last two step solves. The next midpoint is dt
-    # ahead (2 hat_n - hat_(n-1); the first step gets hat_0), the sample
-    # time dt/2 (1.5 hat_n - 0.5 hat_(n-1))
-    hat_n = hat_prev = split0.hat.values
+    # (time in steps of dt from w0.time, hat) of the last three step solves
+    solves = [(0.0, split0.hat.values)]
     half_kinetic = _half_kinetic(w0, dt)
     full_kinetic = half_kinetic * half_kinetic
     kinetic = half_kinetic  # the first step has no closing half before it
     sampled = set(steps)
     for i in range(1, steps[-1] + 1):
         chi_hat, split_used = _step_core(chi_hat, w0, i - 1, dt, mode,
-                                         2.0 * hat_n - hat_prev, kinetic)
+                                         _extrapolate(solves, i - 0.5), kinetic)
         kinetic = full_kinetic
-        hat_n, hat_prev = split_used.hat.values, hat_n
+        solves = [*solves[-2:], (i - 0.5, split_used.hat.values)]
         if i in sampled:
             psi = spectral.ifft(half_kinetic * chi_hat, shape)
             w = WaveFunction(ComplexField(w0.psi.grid, psi), w0.hbar, w0.eps, w0.time + i * dt)
-            snap = solve_potential(density(w), w.eps, mode, 1.5 * hat_n - 0.5 * hat_prev,
+            snap = solve_potential(density(w), w.eps, mode, _extrapolate(solves, float(i)),
                                    time=w.time, step=i)
             samples.append((w, snap))
     return samples

@@ -126,6 +126,23 @@ def test_newton_tail_has_one_caller():
     assert len(sites) == 1, sites
 
 
+def test_run_warm_starts_come_from_one_extrapolation():
+    # every warm start of run, step solve and sample re-solve, is the
+    # polynomial _extrapolate builds, so a change of predictor (uneven
+    # substeps, another order) edits one function
+    path = SRC / "qnlab" / "schrodinger.py"
+    assert _call_chains(path, "_extrapolate") == [("run",), ("run",)]
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    [body] = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "run"]
+    hat0_position = {"_step_core": 5, "solve_potential": 3}
+    guesses = [node.args[hat0_position[node.func.id]] for node in ast.walk(body)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) in hat0_position
+               and len(node.args) > hat0_position[node.func.id]]
+    assert len(guesses) == 2
+    assert all(isinstance(g, ast.Call) and g.func.id == "_extrapolate" for g in guesses)
+
+
 def test_euler_reference_callers_are_pinned():
     # a sweep integrates its reference once and hands it to every point; the
     # euler_run kind integrates its own

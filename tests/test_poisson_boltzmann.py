@@ -26,6 +26,7 @@ from qnlab.nbody import (
 )
 from qnlab.poisson_boltzmann import (
     CG_MAXITER,
+    CG_THETA,
     NEWTON_RTOL,
     lipschitz_hat_prime,
     lipschitz_hat_prime_bound,
@@ -289,6 +290,65 @@ def test_converged_warm_start_costs_two_transform_pairs(grid256, transforms):
     assert transforms.counts == {"fft": 0, "ifft": 0, "rfft": 2, "irfft": 2}
 
 
+def converged_hat(n, eps=0.025):
+    """h = 1 + 0.5 cos 2 pi x on n nodes and the hat of its cold solve."""
+    g = TorusGrid(1, n)
+    h = RealField(g, 1.0 + 0.5 * np.cos(2 * np.pi * g.axis_points()))
+    return h, solve_pb(h, eps).hat.values
+
+
+def assert_is_the_mass_shifted_guess(s, hat0):
+    """s.hat is hat0 moved by a roundoff-sized constant that makes the
+    background mass mean exp(V) one to roundoff."""
+    shift = s.hat.values - hat0
+    assert np.ptp(shift) <= 1e-15 and abs(shift[0]) <= 1e-14
+    assert abs(np.mean(s.background.values) - 1.0) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-9])
+def test_warm_start_inside_the_cg_target_comes_back_unchanged(offset):
+    # at n = 256 the converged hat's residual, 7.2e-13, is within
+    # CG_THETA * tol, where a Newton step would end: no step is taken, and
+    # only the constant that fixes the background mass moves the guess. A
+    # guess off by a constant 1e-9 (residual about 1e-9 > tol) ends the same
+    # way: the k = 0 equation is met by that constant before any step
+    h, hat0 = converged_hat(256)
+    s = solve_pb(h, 0.025, hat0=hat0 + offset)
+    assert s.info["residuals"][0] <= CG_THETA * s.info["tolerance"]
+    assert s.info["iterations"] == 0 and s.info["cg_iterations"] == 0
+    assert_is_the_mass_shifted_guess(s, hat0)
+
+
+def test_warm_start_inside_tol_takes_one_correction_step():
+    # at n = 2048 the converged hat's residual, 3.1e-11, lies between
+    # CG_THETA * tol and tol: a cold solve would stop there, a warm start
+    # takes exactly one Newton step and ends lower
+    h, hat0 = converged_hat(2048)
+    s = solve_pb(h, 0.025, hat0=hat0)
+    r = s.info["residuals"]
+    assert CG_THETA * s.info["tolerance"] < r[0] <= s.info["tolerance"]
+    assert s.info["iterations"] == 1 and len(r) == 2
+    assert r[1] < r[0]
+
+
+def test_correction_step_that_does_not_descend_keeps_the_guess(monkeypatch):
+    # a step along F(hat) = -rhs is uphill at every length backtracking
+    # tries, the Newton matrix being positive definite (also after each
+    # trial's mass shift, by Cauchy-Schwarz): a guess within tol comes back
+    # after its backtracking runs out, and nothing is raised; a guess above
+    # tol has no such exemption
+    h, hat0 = converged_hat(2048)
+    monkeypatch.setattr(poisson_boltzmann, "_pcg",
+                        lambda rhs, *args: (-1e6 * rhs, 1, True))
+    s = solve_pb(h, 0.025, hat0=hat0)
+    assert s.info["iterations"] == 0 and s.info["cg_iterations"] == 1
+    assert s.info["residuals"][0] > CG_THETA * s.info["tolerance"]
+    assert_is_the_mass_shifted_guess(s, hat0)
+    bump = 1e-6 * np.cos(2 * np.pi * h.grid.axis_points())
+    with pytest.raises(NewtonDiverged, match="backtracking exhausted"):
+        solve_pb(h, 0.025, hat0=hat0 + bump)
+
+
 # ---------------------------------------------------------------------------
 # preconditioned CG and the Newton guards
 # ---------------------------------------------------------------------------
@@ -334,6 +394,7 @@ def test_cg_maxiter_hit_is_counted_and_logged(grid256, monkeypatch, caplog):
 
 
 def test_newton_cap_reached(grid256, monkeypatch):
+    h2048, hat0 = converged_hat(2048)
     monkeypatch.setattr(poisson_boltzmann, "NEWTON_CAP", 0)
     x = grid256.axis_points()
     h = RealField(grid256, 1.0 + 0.3 * np.cos(2 * np.pi * x))
@@ -341,6 +402,10 @@ def test_newton_cap_reached(grid256, monkeypatch):
         solve_pb(h, 0.1)
     with pytest.raises(PotentialSolveFailed, match="Newton cap 0 reached"):
         solve_potential(h, 0.1)
+    # a warm start within tol still owes its correction step, and the cap
+    # counts it
+    with pytest.raises(NewtonDiverged, match="Newton cap 0 reached"):
+        solve_pb(h2048, 0.025, hat0=hat0)
 
 
 def test_non_finite_residual_raises(grid256):

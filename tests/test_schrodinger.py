@@ -215,6 +215,25 @@ def test_continuity_equation(grid, prepared):
     assert e1 / e2 >= 3.5
 
 
+def _mode_one_miss(mode, eps, hbar, omega):
+    """Run the well-prepared mode-1 data of amplitude 1e-4 at rest on 256
+    nodes over one period 2 pi / omega at dt = T/2000 under the closure
+    `mode`; the returned miss(w) is max |b(t) - b0 cos(w t)| / |b0| over the
+    samples, b the mode-1 cosine coefficient of |psi|^2."""
+    grid = TorusGrid(1, 256)
+    w0 = _prepared_state(grid, 1e-4, 0.0, eps, hbar)
+    period = 2.0 * np.pi / omega
+    samples = run(w0, period, period / 2000, sample_every=100, mode=mode)
+    cos_1 = np.cos(2.0 * np.pi * grid.axis_points())
+    b = np.array([2.0 * np.mean(density(w).values * cos_1) for w, _ in samples])
+    t = np.array([w.time for w, _ in samples])
+    assert t[-1] == pytest.approx(period, rel=1e-12)
+
+    def miss(w):
+        return float(np.max(np.abs(b - b[0] * np.cos(w * t)))) / abs(b[0])
+    return miss
+
+
 def test_boltzmann_linear_wave_frequency():
     # Small data about rho = 1, u = 0, V = 0. The Madelung form linearizes to
     # drho_tt = Lap dV - (hbar^2/4) Lap^2 drho, and the Boltzmann closure
@@ -235,18 +254,7 @@ def test_boltzmann_linear_wave_frequency():
         return np.sqrt(k**2 / (1.0 + eps_factor * eps * k**2)
                        + (hbar_factor * hbar) ** 2 * k**4 / 4.0)
 
-    grid = TorusGrid(1, 256)
-    w0 = _prepared_state(grid, 1e-4, 0.0, eps, hbar)
-    period = 2.0 * np.pi / omega()
-    samples = run(w0, period, period / 2000, sample_every=100)
-    cos_1 = np.cos(2.0 * np.pi * grid.axis_points())
-    b = np.array([2.0 * np.mean(density(w).values * cos_1) for w, _ in samples])
-    t = np.array([w.time for w, _ in samples])
-    assert t[-1] == pytest.approx(period, rel=1e-12)
-
-    def miss(w):
-        return float(np.max(np.abs(b - b[0] * np.cos(w * t)))) / abs(b[0])
-
+    miss = _mode_one_miss("poisson_boltzmann", eps, hbar, omega())
     bound = 4e-6
     assert miss(omega()) <= bound
     # the bound tells the closure and the quantum term apart: without the
@@ -254,6 +262,27 @@ def test_boltzmann_linear_wave_frequency():
     # hbar by 4.1e-3 |b0|
     assert miss(omega(eps_factor=0.0)) > 1e3 * bound
     assert miss(omega(hbar_factor=0.5)) > 1e2 * bound
+
+
+@pytest.mark.parametrize("eps", [0.025, 0.00625])
+def test_linear_poisson_wave_is_the_plasma_oscillation(eps):
+    # The linear closure -eps Lap dV = drho gives dV_k = drho_k / (eps K^2),
+    # so the same linearization yields the plasma oscillation
+    #     omega^2 = 1/eps + hbar^2 K^4 / 4,
+    # which does not tend to the fluid's omega = K as eps -> 0. At eps = hbar
+    # = 0.025 and 0.00625 the mode-1 coefficient follows it to 1.9e-6 and
+    # 2.0e-6 |b0|, Strang's error at dt = T/2000; the bound allows twice
+    # that. The Boltzmann relation of the same (eps, hbar) misses by 1.5 and
+    # 1.9 |b0|. The closure's solve ignores hat0, so this also covers run's
+    # loop in a mode whose warm starts are built and unused.
+    hbar = eps
+    k = 2.0 * np.pi
+    omega = np.sqrt(1.0 / eps + hbar**2 * k**4 / 4.0)
+    miss = _mode_one_miss("linear_poisson", eps, hbar, omega)
+    bound = 4e-6
+    assert miss(omega) <= bound
+    boltzmann = np.sqrt(k**2 / (1.0 + eps * k**2) + hbar**2 * k**4 / 4.0)
+    assert miss(boltzmann) > 1e3 * bound
 
 
 # ---------------------------------------------------------------------------
@@ -264,21 +293,40 @@ def test_warm_start_needs_about_one_newton_iteration(monkeypatch):
     # the sweep_1d point: eps = hbar = 0.025, n = 2048, dt = 1e-4, 200 steps
     g = TorusGrid(1, 2048)
     w0 = _prepared_state(g, 0.5, 0.1, 0.025, 0.025)
-    infos = []
+    splits, steps = [], []
+    step_core = schrodinger._step_core
 
     def counted(*args, **kwargs):
         split = solve_potential(*args, **kwargs)
-        infos.append(split.info)
+        splits.append(split)
         return split
 
+    def stepped(*args, **kwargs):
+        chi_hat, split = step_core(*args, **kwargs)
+        steps.append(split.info)
+        return chi_hat, split
+
     monkeypatch.setattr(schrodinger, "solve_potential", counted)
+    monkeypatch.setattr(schrodinger, "_step_core", stepped)
     run(w0, 0.02, 1e-4, sample_every=20)
-    assert len(infos) == 1 + 200 + 10
+    infos = [s.info for s in splits]
+    assert len(infos) == 1 + 200 + 10 and len(steps) == 200
     assert sum(i["iterations"] for i in infos) <= 1.2 * len(infos)
-    # CG stops within CG_THETA of Newton's tolerance, not at roundoff: 4.06
-    # iterations per solve at CG_THETA = 0.01, 5.83 at CG_THETA = 0
-    assert sum(i["cg_iterations"] for i in infos) <= 4.5 * len(infos)
+    # once three step solves exist the quadratic predictor starts a step
+    # solve inside Newton's tolerance: median 0.52 tol, against 794 tol from
+    # linear extrapolation
+    first = [i["residuals"][0] / i["tolerance"] for i in steps[3:]]
+    assert np.median(first) < 1.0
+    # each warm start is corrected to CG_THETA tol, so that distance sets the
+    # CG work: 2.18 iterations per solve (460 over 211), 4.06 from linear
+    # extrapolation; the bound leaves 15% over the measured count
+    assert sum(i["cg_iterations"] for i in infos) <= 2.5 * len(infos)
     assert all(i["residuals"][-1] <= i["tolerance"] for i in infos)
+    # each warm iterate is moved to unit background mass: without that, the
+    # k = 0 part a CG solve cut short at CG_THETA tol leaves stays in the
+    # solution, and |mean e^V - 1| reached 7.9e-11 on these solves
+    defect = max(abs(np.mean(s.background.values) - 1.0) for s in splits[1:])
+    assert defect <= 4 * np.finfo(float).eps
 
 
 def test_run_matches_repeated_strang_steps():
