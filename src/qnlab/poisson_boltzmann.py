@@ -22,6 +22,7 @@ from .grid import (
     RealField,
     TorusGrid,
     check_density,
+    gradient as field_gradient,
     integrate,
     l2_norm,
     spectral_derivative,
@@ -65,8 +66,7 @@ class PotentialSplit:
     @cached_property
     def gradient(self) -> tuple[np.ndarray, ...]:
         """d_j V per axis."""
-        return tuple(spectral_derivative(self.potential, j).values
-                     for j in range(self.tilde.grid.dim))
+        return tuple(d.values for d in field_gradient(self.potential))
 
     @cached_property
     def background(self) -> RealField:
@@ -106,11 +106,8 @@ def _pcg(
     recurrence as p (s <- r + beta*s), A p = s + (weight - 1) p costs no
     transform: one rfft/irfft pair per iteration, for z. Stops when
     ||r||_2 < rtol * ||rhs||_2, or unconverged after CG_MAXITER iterations;
-    returns (x, iterations, converged). For rhs = -F(hat), _newton_hat passes
-    rtol = max(clip(||F||, 1e-8, 1e-2), CG_THETA * tol / ||F||), so CG stops
-    within CG_THETA of Newton's tolerance, not at roundoff; since
-    F(hat + x) = -r + exp(tilde + hat) (exp(x) - 1 - x) exactly, a smaller
-    r buys Newton nothing once the quadratic term is under tol.
+    returns (x, iterations, converged). rtol is _newton_hat's forcing (see
+    its docstring).
     """
     sym = spectral.symbols(grid, real=True)
     precond = _preconditioner(grid, eps)
@@ -149,61 +146,57 @@ def _newton_hat(
     hat0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Solve F(hat) = -eps*Lap(hat) - 1 + exp(tilde + hat) = 0 to an L2 (RMS)
-    residual <= tol by damped inexact Newton.
+    residual <= tol by damped inexact Newton, from hat0, or from zeros when
+    no guess is given. Every Poisson-Boltzmann solve follows this one rule:
+
+    - every iterate, the start and each trial, is first moved by the
+      constant -log mean exp(tilde + v), which -eps*Lap does not see, so the
+      k = 0 equation mean exp(tilde + hat) = 1 holds to roundoff: the
+      background mass inherits neither the start's defect nor the k = 0
+      part of a step's linear residual;
+    - the start is returned as it is only within CG_THETA * tol;
+    - a start between CG_THETA * tol and tol owes one Newton step,
+      backtracked as any other, and is kept, with nothing raised, if no
+      trial lowers the residual;
+    - every stepped iterate is accepted within tol.
 
     Each Newton step delta solves (-eps*Lap + diag(exp(tilde + hat))) delta
     = -F(hat) by _pcg from 0 to the relative tolerance
 
-        forcing = max(clip(||F||, 1e-8, 1e-2), CG_THETA * tol / ||F||),
+        forcing = max(min(||F||, 1e-2), CG_THETA * tol / ||F||),
 
     so the linear residual r_lin = -F(hat) - A delta has ||r_lin|| <=
     forcing * ||F||. The first term is the usual forcing proportional to the
     residual, which keeps the quadratic tail without over-solving early
-    iterations; the lower bound stops CG once ||r_lin|| <= CG_THETA * tol,
+    iterations; the second stops CG once ||r_lin|| <= CG_THETA * tol,
     instead of driving it to roundoff (Dembo, Eisenstat and Steihaug, SIAM J.
     Numer. Anal. 19, 1982; Eisenstat and Walker, SIAM J. Sci. Comput. 17,
     1996). Because -eps*Lap is linear, the new residual is exactly
 
         F(hat + delta) = -r_lin + exp(tilde + hat) (exp(delta) - 1 - delta),
 
-    so ||F(hat + delta)|| <= CG_THETA * tol + O(||delta||^2): from a warm start
-    one full step still lands under tol. The stopping test, backtracking,
-    NEWTON_CAP and the non-finite guard do not depend on the forcing.
-
-    A cold solve (hat0 None) stops at the first iterate within tol. In a
-    warm solve every iterate, the guess and each trial, is first moved by
-    the constant -log mean exp(tilde + v), so the k = 0 equation, mean
-    exp(tilde + hat) = 1, holds to roundoff: the background mass inherits
-    neither the guess's defect nor the k = 0 part of r_lin, which a step cut
-    short at CG_THETA * tol leaves. The guess is returned as it is only
-    within CG_THETA * tol, where a step would end: by the identity above,
-    every solve that steps ends within CG_THETA * tol plus the quadratic
-    term, so accepting a guess anywhere under tol would let the answer
-    depend on how good the guess was. A guess between CG_THETA * tol and
-    tol takes one step, backtracked as any other; if no trial lowers the
-    residual the guess is kept, since it already meets tol, and nothing is
-    raised. Cold solves take no shift, and are what they were bit for bit.
+    so every step ends within CG_THETA * tol plus the quadratic term. That
+    is why the start is returned unstepped only within CG_THETA * tol:
+    accepting it anywhere under tol would let the answer depend on how good
+    the start was. Backtracking, NEWTON_CAP and the non-finite guard do not
+    depend on the forcing.
     """
     sym = spectral.symbols(grid, real=True)
 
     def residual(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """v, F(v) and exp(tilde + v), the weight of the Newton step from v.
-        In a warm solve v is first moved by the constant -log mean
-        exp(tilde + v), which -eps*Lap(v) does not see, so that the k = 0
-        equation mean exp(tilde + v) = 1 holds to roundoff."""
+        """v moved by -log mean exp(tilde + v), F of it and exp(tilde + v)
+        at it, the weight of the Newton step from there."""
         weight = np.exp(np.minimum(tilde_vals + v, _EXP_CLIP))
-        if hat0 is not None:
-            mass = float(np.add.reduce(weight, axis=None)) / weight.size
-            if mass > 0.0:  # a zero or nan mass leaves v as it is
-                v = v - math.log(mass)
-                weight = weight / mass
+        mass = float(np.add.reduce(weight, axis=None)) / weight.size
+        if mass > 0.0:  # a zero or nan mass leaves v as it is
+            v = v - math.log(mass)
+            weight = weight / mass
         return v, -eps * sym.apply(v, sym.minus_k2) - 1.0 + weight, weight
 
     def rms(r: np.ndarray) -> float:
         return math.sqrt(float(np.add.reduce(r * r, axis=None)) / r.size)
 
-    hat, res, weight = residual(np.zeros(grid.shape) if hat0 is None
-                                else np.asarray(hat0, dtype=float))
+    hat, res, weight = residual(np.zeros(grid.shape) if hat0 is None else hat0)
     res_norm = rms(res)
     if not np.isfinite(res_norm):
         raise NewtonDiverged(f"non-finite residual {res_norm} at the initial guess", res_norm)
@@ -212,14 +205,12 @@ def _newton_hat(
     cg_iterations = 0
     cg_failures = 0
 
-    # a warm start inside tol but not inside CG_THETA * tol takes one step
-    while res_norm > tol or (iterations == 0 and hat0 is not None
-                             and res_norm > CG_THETA * tol):
+    while res_norm > tol or (iterations == 0 and res_norm > CG_THETA * tol):
         if iterations >= NEWTON_CAP:
             raise NewtonDiverged(
                 f"Newton cap {NEWTON_CAP} reached with residual {res_norm:.3e} (tol {tol:.3e})",
                 res_norm)
-        forcing = max(min(max(res_norm, 1e-8), 1e-2), CG_THETA * tol / res_norm)
+        forcing = max(min(res_norm, 1e-2), CG_THETA * tol / res_norm)
         step, cg_its, converged = _pcg(-res, weight, eps, grid, forcing)
         cg_iterations += cg_its
         if not converged:
@@ -235,7 +226,7 @@ def _newton_hat(
             alpha *= 0.5
         else:
             if res_norm <= tol:
-                break  # a warm start's step found no descent; the guess meets tol
+                break  # the start's owed step found no descent; the start meets tol
             raise NewtonDiverged(
                 f"backtracking exhausted at iteration {iterations}, residual {res_norm:.3e}",
                 res_norm)
@@ -265,7 +256,14 @@ def solve_tilde(h: RealField, eps: float) -> RealField:
 
 
 def _split_with_hat(tilde: RealField, data_norm: float, eps: float, hat0) -> PotentialSplit:
-    """tilde and its Newton hat, to L2 residual NEWTON_RTOL * (1 + ||data||_2)."""
+    """tilde and its Newton hat, to L2 residual NEWTON_RTOL * (1 + ||data||_2);
+    a guess hat0 must be real and of the grid's shape."""
+    if hat0 is not None:
+        hat0 = np.asarray(hat0)
+        if hat0.shape != tilde.grid.shape or np.iscomplexobj(hat0):
+            raise ValueError(f"hat0 must be real of the grid's shape {tilde.grid.shape}, "
+                             f"got {hat0.dtype} of shape {hat0.shape}")
+        hat0 = hat0.astype(float, copy=False)
     tol = NEWTON_RTOL * (1.0 + data_norm)
     hat_vals, info = _newton_hat(tilde.values, eps, tilde.grid, tol, hat0)
     return PotentialSplit(tilde, RealField(tilde.grid, hat_vals), eps, info)

@@ -12,7 +12,7 @@ import numpy as np
 from . import spectral
 from .config import MODES, sample_steps
 from .errors import NewtonDiverged, PotentialSolveFailed, StepTooLarge
-from .grid import ComplexField, RealField, integrate, spectral_derivative
+from .grid import ComplexField, RealField, gradient as field_gradient, integrate
 from .poisson_boltzmann import PotentialSplit, solve_pb, solve_tilde
 
 # cap on the kinetic phase hbar |2 pi k|^2 dt / 2 through which one step turns
@@ -40,7 +40,7 @@ class WaveFunction:
     @cached_property
     def gradient(self) -> tuple[np.ndarray, ...]:
         """d_j psi per axis, computed on first use and kept with the state."""
-        return tuple(spectral_derivative(self.psi, j).values for j in range(self.psi.grid.dim))
+        return tuple(d.values for d in field_gradient(self.psi))
 
 
 def density(w: WaveFunction) -> RealField:
@@ -154,11 +154,9 @@ def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
     with the stored state. Every solve is warm-started by _extrapolate from
     the last three step solves at their actual times, the step midpoints
     (the t = 0 solve fills in while fewer than three exist): the next
-    midpoint is dt ahead of the last, a sample dt/2. A warm start within
-    the Newton tolerance but not within CG_THETA times it still takes one
-    Newton step (poisson_boltzmann._newton_hat), so a good guess ends where
-    a step from a poor one ends, and the closer the guess, the fewer CG
-    iterations that step needs. Energies are left to the caller
+    midpoint is dt ahead of the last, a sample dt/2. Where a solve starts
+    and stops is poisson_boltzmann._newton_hat's rule; the closer the guess,
+    the fewer CG iterations it needs. Energies are left to the caller
     (qnlab.energy).
     """
     steps = sample_steps(T, dt, sample_every)

@@ -190,6 +190,27 @@ def test_linear_wave_oracle(grid):
     assert worst <= 10 * a**2
 
 
+@pytest.mark.parametrize("a", [1e-4, 1e-3])
+def test_run_euler_linear_wave_frequency(a):
+    # about rho = 1, u = 0 the linearized equations give
+    # delta rho_tt = Lap(delta rho) (isothermal sound speed 1), so mode 1 of
+    # rho oscillates as b0 cos(omega t) with omega = K = 2 pi. Over one
+    # period at dt = 2e-3 the miss measured 1.24 a^2 |b0| at a = 1e-4 and at
+    # a = 1e-3, and the same at dt = 1e-3: it is the O(a^2) nonlinear term,
+    # not RK4's time error. C = 2.5 leaves a 2x margin. omega = sqrt(0.9) K
+    # misses by 0.253 |b0|
+    K = 2 * np.pi
+    s0 = experiments._cos_euler_data(1, 256, a, 0.0)
+    traj = run_euler(s0, 2 * np.pi / K, 2e-3, sample_every=25)
+    cos_kx = np.cos(K * s0.grid.axis_points())
+    b = np.array([2 * np.mean(s.rho().values * cos_kx) for s in traj])
+    t = np.array([s.time for s in traj])
+    bound = 2.5 * a**2 * abs(b[0])
+    assert len(traj) == 21 and t[-1] == pytest.approx(1.0)
+    assert np.max(np.abs(b - b[0] * np.cos(K * t))) <= bound
+    assert np.max(np.abs(b - b[0] * np.cos(np.sqrt(0.9) * K * t))) > 1e3 * bound
+
+
 def test_mass_conserved(grid):
     x = grid.axis_points()
     s0 = EulerState(nlog(grid, 0.2 * np.cos(2 * np.pi * x)),

@@ -126,6 +126,28 @@ def test_newton_tail_has_one_caller():
     assert len(sites) == 1, sites
 
 
+def test_newton_hat_reads_its_guess_once():
+    # one start rule for every solve: the guess, or zeros without one, is
+    # the starting iterate, and nothing else in the solve asks whether a
+    # guess was given
+    path = SRC / "qnlab" / "poisson_boltzmann.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    [func] = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "_newton_hat"]
+    body = func.body[1:] if ast.get_docstring(func) is not None else func.body
+    readers = [s for s in body if any(isinstance(node, ast.Name) and node.id == "hat0"
+                                      for node in ast.walk(s))]
+    assert len(readers) == 1, [s.lineno for s in readers]
+    [stmt] = readers
+    # hat, res, weight = residual(<the starting iterate>)
+    assert isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call)
+    assert stmt.value.func.id == "residual"
+    assert [t.id for t in stmt.targets[0].elts] == ["hat", "res", "weight"]
+    [start] = stmt.value.args
+    reads = [node for node in ast.walk(stmt) if isinstance(node, ast.Name) and node.id == "hat0"]
+    assert reads and all(any(node is r for node in ast.walk(start)) for r in reads)
+
+
 def test_run_warm_starts_come_from_one_extrapolation():
     # every warm start of run, step solve and sample re-solve, is the
     # polynomial _extrapolate builds, so a change of predictor (uneven

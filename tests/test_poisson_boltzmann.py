@@ -1,5 +1,6 @@
 """Tests for the split Poisson-Boltzmann solver and its diagnostics."""
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,8 @@ def test_cold_and_warm_solves_meet_the_tolerance(n, eps):
         res, roundoff = hat_residual_norm(s.tilde.values, s.hat.values, eps, g)
         assert s.info["residuals"][-1] <= s.info["tolerance"]
         assert res <= s.info["tolerance"] + roundoff
+    # one start rule: a solve without a guess is the zero guess's solve
+    assert_same_solve(solve_pb(density(0.0), eps, hat0=np.zeros(n)), cold)
 
 
 def test_rejects_bad_densities(grid256):
@@ -297,6 +300,13 @@ def converged_hat(n, eps=0.025):
     return h, solve_pb(h, eps).hat.values
 
 
+def assert_same_solve(s, t):
+    """s and t are the same solve bit for bit: hat, residual history and
+    Newton and CG counts."""
+    assert np.array_equal(s.hat.values, t.hat.values)
+    assert s.info == t.info
+
+
 def assert_is_the_mass_shifted_guess(s, hat0):
     """s.hat is hat0 moved by a roundoff-sized constant that makes the
     background mass mean exp(V) one to roundoff."""
@@ -320,15 +330,19 @@ def test_warm_start_inside_the_cg_target_comes_back_unchanged(offset):
 
 
 def test_warm_start_inside_tol_takes_one_correction_step():
-    # at n = 2048 the converged hat's residual, 3.1e-11, lies between
-    # CG_THETA * tol and tol: a cold solve would stop there, a warm start
-    # takes exactly one Newton step and ends lower
-    h, hat0 = converged_hat(2048)
-    s = solve_pb(h, 0.025, hat0=hat0)
-    r = s.info["residuals"]
-    assert CG_THETA * s.info["tolerance"] < r[0] <= s.info["tolerance"]
-    assert s.info["iterations"] == 1 and len(r) == 2
-    assert r[1] < r[0]
+    # the residual of the converged hat at n = 2048, 3.1e-11, and that of the
+    # zero guess for h ~ exp(5e-11 cos 2 pi x) at n = 256, 3.6e-11, lie
+    # between CG_THETA * tol and tol: either start takes exactly one Newton
+    # step and ends lower, and a solve without a guess takes it too
+    g = TorusGrid(1, 256)
+    tiny = np.exp(5e-11 * np.cos(2 * np.pi * g.axis_points()))
+    for h, hat0 in (converged_hat(2048), (RealField(g, tiny / tiny.mean()), np.zeros(256))):
+        s = solve_pb(h, 0.025, hat0=hat0)
+        r = s.info["residuals"]
+        assert CG_THETA * s.info["tolerance"] < r[0] <= s.info["tolerance"]
+        assert s.info["iterations"] == 1 and len(r) == 2
+        assert r[1] < r[0]
+    assert_same_solve(solve_pb(h, 0.025), s)
 
 
 def test_correction_step_that_does_not_descend_keeps_the_guess(monkeypatch):
@@ -417,6 +431,22 @@ def test_non_finite_residual_raises(grid256):
         solve_pb(h, 0.05, hat0=hat0)
     with pytest.raises(PotentialSolveFailed, match="non-finite residual"):
         solve_potential(h, 0.05, hat0=hat0)
+
+
+@pytest.mark.parametrize("hat0", [np.zeros(1), np.zeros((256, 1)), np.float64(0.0),
+                                  np.zeros(256, dtype=complex)],
+                         ids=["one-node", "column", "scalar", "complex"])
+def test_malformed_guess_is_refused(grid256, hat0, monkeypatch):
+    # numpy would broadcast the first three (the column to a (256, 256)
+    # Newton iterate) and drop the imaginary part of the last with only a
+    # ComplexWarning; both public solves refuse them before Newton runs
+    monkeypatch.setattr(poisson_boltzmann, "_newton_hat", None)
+    h = RealField(grid256, np.ones(256))
+    shapes = rf"\(256,\).*{re.escape(str(np.shape(hat0)))}"
+    with pytest.raises(ValueError, match=shapes):
+        solve_pb(h, 0.025, hat0=hat0)
+    with pytest.raises(ValueError, match=shapes):
+        solve_pb_empirical(ParticleConfig(np.array([0.25, 0.5])), 0.025, grid256, hat0=hat0)
 
 
 # ---------------------------------------------------------------------------
