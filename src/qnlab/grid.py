@@ -123,11 +123,12 @@ def spectral_derivative(f: Field, axis: int) -> Field:
 
 def gradient(f: Field) -> tuple[Field, ...]:
     """spectral_derivative(f, axis) for every axis, bit for bit: one forward
-    transform and one stacked inverse."""
+    transform and one inverse, stacked in 2-D."""
     real = isinstance(f, RealField)
     sym = spectral.symbols(f.grid, real=real)
     hat = sym.forward(f.values)
-    d = sym.inverse(np.stack([hat * ik for ik in sym.ik]))
+    d = ([sym.inverse(hat * sym.ik[0])] if f.grid.dim == 1
+         else sym.inverse(np.stack([hat * ik for ik in sym.ik])))
     return tuple((RealField if real else ComplexField)(f.grid, v) for v in d)
 
 

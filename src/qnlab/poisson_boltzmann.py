@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -56,7 +56,7 @@ class PotentialSplit:
     tilde: RealField
     hat: RealField
     eps: float
-    info: dict = field(default_factory=dict)
+    info: dict
     mode: str = "poisson_boltzmann"
 
     @cached_property
@@ -244,35 +244,47 @@ def _newton_hat(
     return hat, info
 
 
+def tilde_values(rho: np.ndarray, eps: float, grid: TorusGrid) -> np.ndarray:
+    """The linear part, unchecked: -eps*Lap(tilde) = rho - mean(rho), mean(tilde) = 0.
+    Both closure modes of a smooth density go through here. The symbol inv_k2 is
+    0 at k = 0, so applying it to rho/eps also projects out the (at most
+    MASS_TOL) mass defect."""
+    sym = spectral.symbols(grid, real=True)
+    return sym.apply(rho / eps, sym.inv_k2)
+
+
 def solve_tilde(h: RealField, eps: float) -> RealField:
-    """The linear part: -eps*Lap(tilde) = h - mean(h), mean(tilde) = 0. Both
-    closure modes of a smooth density go through here. The symbol inv_k2 is 0
-    at k = 0, so applying it to h/eps also projects out the (at most MASS_TOL)
-    mass defect."""
+    """tilde_values of the density h, eps checked."""
+    check_solve(h.grid, eps)
+    return RealField(h.grid, tilde_values(h.values, eps, h.grid))
+
+
+def check_solve(grid: TorusGrid, eps: float, hat0=None) -> np.ndarray | None:
+    """eps must be positive, and a guess hat0 real of the grid's shape; returns hat0."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    sym = spectral.symbols(h.grid, real=True)
-    return RealField(h.grid, sym.apply(h.values / eps, sym.inv_k2))
+    if hat0 is None:
+        return None
+    hat0 = np.asarray(hat0)
+    if hat0.shape != grid.shape or np.iscomplexobj(hat0):
+        raise ValueError(f"hat0 must be real of the grid's shape {grid.shape}, "
+                         f"got {hat0.dtype} of shape {hat0.shape}")
+    return hat0.astype(float, copy=False)
 
 
-def _split_with_hat(tilde: RealField, data_norm: float, eps: float, hat0) -> PotentialSplit:
-    """tilde and its Newton hat, to L2 residual NEWTON_RTOL * (1 + ||data||_2);
-    a guess hat0 must be real and of the grid's shape."""
-    if hat0 is not None:
-        hat0 = np.asarray(hat0)
-        if hat0.shape != tilde.grid.shape or np.iscomplexobj(hat0):
-            raise ValueError(f"hat0 must be real of the grid's shape {tilde.grid.shape}, "
-                             f"got {hat0.dtype} of shape {hat0.shape}")
-        hat0 = hat0.astype(float, copy=False)
-    tol = NEWTON_RTOL * (1.0 + data_norm)
-    hat_vals, info = _newton_hat(tilde.values, eps, tilde.grid, tol, hat0)
-    return PotentialSplit(tilde, RealField(tilde.grid, hat_vals), eps, info)
+def pb_values(data: np.ndarray, eps: float, grid: TorusGrid, hat0=None, tilde=None) -> tuple:
+    """solve_pb on data values, unchecked: (tilde, hat, info), hat to L2 residual
+    NEWTON_RTOL * (1 + ||data||_2); an empirical solve gives tilde, data 1 - exp(tilde)."""
+    tilde = tilde_values(data, eps, grid) if tilde is None else tilde
+    tol = NEWTON_RTOL * (1.0 + float(np.sqrt(np.mean(np.abs(data) ** 2))))
+    return (tilde, *_newton_hat(tilde, eps, grid, tol, hat0))
 
 
 def solve_pb(h: RealField, eps: float, *, hat0: np.ndarray | None = None) -> PotentialSplit:
     """Solve -eps*Lap(V) = h - exp(V) for a smooth probability density h."""
     check_density(h)
-    return _split_with_hat(solve_tilde(h, eps), l2_norm(h), eps, hat0)
+    tilde, hat, info = pb_values(h.values, eps, h.grid, check_solve(h.grid, eps, hat0))
+    return PotentialSplit(RealField(h.grid, tilde), RealField(h.grid, hat), eps, info)
 
 
 def _empirical_solve(
@@ -282,12 +294,12 @@ def _empirical_solve(
     evaluation of the particle sums."""
     if grid.dim != 1:
         raise ValueError("empirical solves are one-dimensional")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    hat0 = check_solve(grid, eps, hat0)
     phi, phi_prime = empirical_potential(x, grid.axis_points())
     tilde = RealField(grid, phi / eps)
-    data = RealField(grid, 1.0 - np.exp(np.minimum(tilde.values, _EXP_CLIP)))
-    return _split_with_hat(tilde, l2_norm(data), eps, hat0), phi_prime / eps
+    data = 1.0 - np.exp(np.minimum(tilde.values, _EXP_CLIP))
+    _, hat, info = pb_values(data, eps, grid, hat0, tilde.values)
+    return PotentialSplit(tilde, RealField(grid, hat), eps, info), phi_prime / eps
 
 
 def solve_pb_empirical(

@@ -12,8 +12,9 @@ import numpy as np
 from . import spectral
 from .config import MODES, sample_steps
 from .errors import NewtonDiverged, PotentialSolveFailed, StepTooLarge
-from .grid import ComplexField, RealField, gradient as field_gradient, integrate
-from .poisson_boltzmann import PotentialSplit, solve_pb, solve_tilde
+from .grid import (ComplexField, RealField, TorusGrid, check_density, gradient as field_gradient,
+                   integrate)
+from .poisson_boltzmann import PotentialSplit, check_solve, pb_values, tilde_values
 
 # cap on the kinetic phase hbar |2 pi k|^2 dt / 2 through which one step turns
 # the grid's top mode, |2 pi k|^2 maximized over the grid. The kinetic
@@ -53,22 +54,27 @@ def current(w: WaveFunction) -> list[RealField]:
             for dpsi in w.gradient]
 
 
-def solve_potential(rho: RealField, eps: float, mode: str = "poisson_boltzmann",
-                    hat0: np.ndarray | None = None, *, time: float | None = None,
-                    step: int | None = None) -> PotentialSplit:
-    """Self-consistent potential of a density in either closure mode; a
-    failed Newton solve raises PotentialSolveFailed with the caller's `time`
-    and `step` and the solve's last residual."""
+def potential_values(rho: np.ndarray, eps: float, grid: TorusGrid, mode: str, hat0=None, *,
+                     time: float | None = None, step: int | None = None) -> tuple:
+    """solve_potential on density values, unchecked: (tilde, hat, info); a failed
+    Newton solve raises PotentialSolveFailed with `time`, `step` and its last residual."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "poisson_boltzmann":
-        try:
-            return solve_pb(rho, eps, hat0=hat0)
-        except NewtonDiverged as exc:
-            raise PotentialSolveFailed(str(exc), time=time, value=exc.residual,
-                                       step=step) from exc
-    return PotentialSplit(solve_tilde(rho, eps), RealField(rho.grid, np.zeros(rho.grid.shape)),
-                          eps, mode=mode)
+    if mode == "linear_poisson":
+        return tilde_values(rho, eps, grid), np.zeros(grid.shape), {}
+    try:
+        return pb_values(rho, eps, grid, hat0)
+    except NewtonDiverged as exc:
+        raise PotentialSolveFailed(str(exc), time=time, value=exc.residual, step=step) from exc
+
+
+def solve_potential(rho: RealField, eps: float, mode: str = "poisson_boltzmann", hat0=None, *,
+                    time: float | None = None, step: int | None = None) -> PotentialSplit:
+    """potential_values of a density, its input checked as solve_pb checks it."""
+    check_density(rho)
+    tilde, hat, info = potential_values(rho.values, eps, rho.grid, mode,
+                                        check_solve(rho.grid, eps, hat0), time=time, step=step)
+    return PotentialSplit(RealField(rho.grid, tilde), RealField(rho.grid, hat), eps, info, mode)
 
 
 def check_kinetic_phase(w: WaveFunction, dt: float) -> None:
@@ -89,25 +95,26 @@ def _half_kinetic(w: WaveFunction, dt: float) -> np.ndarray:
 
 
 def _step_core(chi_hat: np.ndarray, w: WaveFunction, step: int, dt: float, mode: str,
-               hat0: np.ndarray | None, kinetic: np.ndarray) -> tuple[np.ndarray, PotentialSplit]:
+               hat0: np.ndarray | None, kinetic: np.ndarray) -> tuple:
     """Step number step + 1 of dt from w, from time t = w.time + step * dt,
     on the grid, hbar and eps of w, in coefficient space: chi_hat holds the
     coefficients before the kinetic factor still to come, `kinetic` is that
     factor with the step's opening half factor folded in. Returns the
-    coefficients before the step's closing half factor; StepTooLarge,
-    carrying t, the phase and `step`, when the potential phase
-    max|V| dt / hbar reaches pi (PotentialSolveFailed, with t and `step`,
-    when the midpoint solve fails)."""
+    coefficients before the step's closing half factor, and the midpoint
+    solve's hat and info; StepTooLarge, carrying t, the phase and `step`,
+    unless the potential phase max|V| dt / hbar is below pi
+    (PotentialSolveFailed, with t and `step`, when the midpoint solve fails).
+    On plain arrays: |psi|^2 is not checked, as w was and a step keeps its mass."""
     psi = spectral.ifft(kinetic * chi_hat, w.psi.grid.shape)
-    rho = RealField(w.psi.grid, np.abs(psi) ** 2)
     t = w.time + step * dt
-    split = solve_potential(rho, w.eps, mode, hat0, time=t, step=step)
-    v = split.potential.values
+    tilde, hat, info = potential_values(np.abs(psi) ** 2, w.eps, w.psi.grid, mode, hat0,
+                                        time=t, step=step)
+    v = tilde + hat
     v_phase = float(np.max(np.abs(v))) * dt / w.hbar
-    if v_phase >= np.pi:
+    if not v_phase < np.pi:
         raise StepTooLarge(f"potential phase {v_phase:.3f} >= pi; shrink dt",
                            time=t, value=v_phase, step=step)
-    return spectral.fft(psi * np.exp(-1j * v * dt / w.hbar), w.psi.grid.shape), split
+    return spectral.fft(psi * np.exp(-1j * v * dt / w.hbar), w.psi.grid.shape), hat, info
 
 
 def step_strang(w: WaveFunction, dt: float, mode: str = "poisson_boltzmann") -> WaveFunction:
@@ -118,7 +125,7 @@ def step_strang(w: WaveFunction, dt: float, mode: str = "poisson_boltzmann") -> 
     check_kinetic_phase(w, dt)
     half_kinetic = _half_kinetic(w, dt)
     shape = w.psi.grid.shape
-    chi_hat, _ = _step_core(spectral.fft(w.psi.values, shape), w, 0, dt, mode, None, half_kinetic)
+    chi_hat = _step_core(spectral.fft(w.psi.values, shape), w, 0, dt, mode, None, half_kinetic)[0]
     psi = spectral.ifft(half_kinetic * chi_hat, shape)
     return WaveFunction(ComplexField(w.psi.grid, psi), w.hbar, w.eps, w.time + dt)
 
@@ -173,10 +180,10 @@ def run(w0: WaveFunction, T: float, dt: float, sample_every: int = 50,
     kinetic = half_kinetic  # the first step has no closing half before it
     sampled = set(steps)
     for i in range(1, steps[-1] + 1):
-        chi_hat, split_used = _step_core(chi_hat, w0, i - 1, dt, mode,
-                                         _extrapolate(solves, i - 0.5), kinetic)
+        chi_hat, hat, _ = _step_core(chi_hat, w0, i - 1, dt, mode,
+                                     _extrapolate(solves, i - 0.5), kinetic)
         kinetic = full_kinetic
-        solves = [*solves[-2:], (i - 0.5, split_used.hat.values)]
+        solves = [*solves[-2:], (i - 0.5, hat)]
         if i in sampled:
             psi = spectral.ifft(half_kinetic * chi_hat, shape)
             w = WaveFunction(ComplexField(w0.psi.grid, psi), w0.hbar, w0.eps, w0.time + i * dt)

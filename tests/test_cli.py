@@ -401,15 +401,15 @@ class TestExitCodes:
         # 0: the record carries the step's start time, the 2 steps completed
         # and the residual of the solve's warm start
         solves = []
-        solve_pb = schrodinger.solve_pb
+        potential_values = schrodinger.potential_values
 
         def capped(*args, **kwargs):
             solves.append(None)
             if len(solves) == 4:
                 monkeypatch.setattr(poisson_boltzmann, "NEWTON_CAP", 0)
-            return solve_pb(*args, **kwargs)
+            return potential_values(*args, **kwargs)
 
-        monkeypatch.setattr(schrodinger, "solve_pb", capped)
+        monkeypatch.setattr(schrodinger, "potential_values", capped)
         cfg = write_cfg(tmp_path, "kind = schrodinger_run\nphysics.T = 0.01\n"
                         "physics.dt = 1e-3\nphysics.eps = 0.02\nphysics.hbar = 0.02\n"
                         "initial.rho0_amp = 0.2\n")

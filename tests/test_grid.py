@@ -90,10 +90,11 @@ def test_derivative_zeroes_nyquist_mode():
     assert df.values.dtype.kind == "f"
 
 
-@pytest.mark.parametrize("dim, n", [(1, 256), (2, 32), (2, 256)])
+@pytest.mark.parametrize("dim, n", [(1, 256), (1, 2048), (2, 32), (2, 256)])
 def test_gradient_is_the_derivative_per_axis_bit_for_bit(dim, n, transforms):
-    # one forward transform and one stacked inverse, the values of
-    # spectral_derivative along every axis
+    # one forward transform and one inverse, stacked in 2-D (a 1-D stack of
+    # one field only cost time), the values of spectral_derivative along
+    # every axis
     g = TorusGrid(dim, n)
     vals = np.random.default_rng(n).standard_normal(g.shape)
     for f in (RealField(g, vals), ComplexField(g, vals + 1j * vals[::-1])):

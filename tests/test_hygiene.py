@@ -76,9 +76,13 @@ def test_cli_leaves_the_process_pool_unloaded():
 
 
 # inner loops work on plain arrays: fields are validated where they cross the
-# public API, not each time a loop allocates one
+# public API, not each time a loop allocates one. A Strang step's |psi|^2 is
+# nonnegative by construction and keeps the mass of run's checked w0, so the
+# step builds no field, split or state and checks no density either
 PLAIN_ARRAY_LOOPS = [("poisson_boltzmann.py", "_pcg"), ("poisson_boltzmann.py", "_newton_hat"),
-                     ("euler.py", "_rhs")]
+                     ("euler.py", "_rhs"), ("schrodinger.py", "_step_core")]
+CHECKED_API = ("RealField", "ComplexField", "PotentialSplit", "WaveFunction", "check_density",
+               "solve_pb", "solve_potential")
 
 
 @pytest.mark.parametrize("module, func", PLAIN_ARRAY_LOOPS, ids=lambda v: v)
@@ -86,8 +90,7 @@ def test_inner_loops_build_no_fields(module, func):
     tree = ast.parse((SRC / "qnlab" / module).read_text(encoding="utf-8"))
     [body] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == func]
     built = [f"{module}:{node.lineno}" for node in ast.walk(body) if isinstance(node, ast.Call)
-             and getattr(node.func, "id", getattr(node.func, "attr", None))
-             in ("RealField", "ComplexField")]
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) in CHECKED_API]
     assert built == []
 
 
@@ -124,6 +127,16 @@ def test_newton_tail_has_one_caller():
     # the stopping tolerance, the Newton solve and the split are built once
     sites = [s for p in MODULES for s in _call_sites(p, "_newton_hat")]
     assert len(sites) == 1, sites
+
+
+def test_potential_solves_share_one_array_path():
+    # a public solve checks its input, runs the array-level core a step runs
+    # unchecked, and wraps the result: there is no second solve path
+    sites = [s for p in MODULES for s in _call_sites(p, "potential_values")]
+    assert sites == ["schrodinger.py:solve_potential", "schrodinger.py:_step_core"]
+    sites = [s for p in MODULES for s in _call_sites(p, "pb_values")]
+    assert sites == ["poisson_boltzmann.py:solve_pb", "poisson_boltzmann.py:_empirical_solve",
+                     "schrodinger.py:potential_values"]
 
 
 def test_newton_hat_reads_its_guess_once():

@@ -8,7 +8,7 @@ from conftest import full_k_squared
 from qnlab import schrodinger
 from qnlab.config import sample_steps
 from qnlab.energy import conserved_energy, field_energy, modulated_total
-from qnlab.errors import StepTooLarge
+from qnlab.errors import GuardError, StepTooLarge
 from qnlab.euler import EulerState
 from qnlab.experiments import _prepared_state
 from qnlab.grid import ComplexField, RealField, TorusGrid, integrate
@@ -293,23 +293,24 @@ def test_warm_start_needs_about_one_newton_iteration(monkeypatch):
     # the sweep_1d point: eps = hbar = 0.025, n = 2048, dt = 1e-4, 200 steps
     g = TorusGrid(1, 2048)
     w0 = _prepared_state(g, 0.5, 0.1, 0.025, 0.025)
-    splits, steps = [], []
+    solves, steps = [], []
+    potential_values = schrodinger.potential_values
     step_core = schrodinger._step_core
 
     def counted(*args, **kwargs):
-        split = solve_potential(*args, **kwargs)
-        splits.append(split)
-        return split
+        solve = potential_values(*args, **kwargs)
+        solves.append(solve)
+        return solve
 
     def stepped(*args, **kwargs):
-        chi_hat, split = step_core(*args, **kwargs)
-        steps.append(split.info)
-        return chi_hat, split
+        chi_hat, hat, info = step_core(*args, **kwargs)
+        steps.append(info)
+        return chi_hat, hat, info
 
-    monkeypatch.setattr(schrodinger, "solve_potential", counted)
+    monkeypatch.setattr(schrodinger, "potential_values", counted)
     monkeypatch.setattr(schrodinger, "_step_core", stepped)
     run(w0, 0.02, 1e-4, sample_every=20)
-    infos = [s.info for s in splits]
+    infos = [info for _, _, info in solves]
     assert len(infos) == 1 + 200 + 10 and len(steps) == 200
     assert sum(i["iterations"] for i in infos) <= 1.2 * len(infos)
     # once three step solves exist the quadratic predictor starts a step
@@ -325,7 +326,7 @@ def test_warm_start_needs_about_one_newton_iteration(monkeypatch):
     # each warm iterate is moved to unit background mass: without that, the
     # k = 0 part a CG solve cut short at CG_THETA tol leaves stays in the
     # solution, and |mean e^V - 1| reached 7.9e-11 on these solves
-    defect = max(abs(np.mean(s.background.values) - 1.0) for s in splits[1:])
+    defect = max(abs(np.mean(np.exp(tilde + hat)) - 1.0) for tilde, hat, _ in solves[1:])
     assert defect <= 4 * np.finfo(float).eps
 
 
@@ -379,18 +380,35 @@ def test_run_transforms_only_in_steps(monkeypatch, transforms, prepared):
     # multiplier on the carried coefficients. The start transforms psi
     # forward once, and each sample after t0 costs one inverse transform;
     # its energies are the caller's
+    potential_values = schrodinger.potential_values
+
     def uncounted(*args, **kwargs):
         transforms.paused = True
         try:
-            return solve_potential(*args, **kwargs)
+            return potential_values(*args, **kwargs)
         finally:
             transforms.paused = False
 
-    monkeypatch.setattr(schrodinger, "solve_potential", uncounted)
+    monkeypatch.setattr(schrodinger, "potential_values", uncounted)
     steps = 10
     run(prepared, steps * 1e-3, 1e-3, sample_every=2)
     samples = steps // 2
     assert transforms.counts == {"fft": 1 + steps, "ifft": steps + samples, "rfft": 0, "irfft": 0}
+
+
+def test_benchmark_run_transform_budget(transforms):
+    # every transform of the sweep_1d point's run on the 256 nodes it
+    # resolves: fft 1 + 200 steps, ifft 200 steps + 10 samples; the real
+    # pairs are the 211 Poisson-Boltzmann solves (tilde, each residual, each
+    # CG iteration), 901 each as measured, with 5% margin for a solve's
+    # Newton path; a transform added to a step costs 200 more
+    transforms.paused = True
+    w0 = _prepared_state(TorusGrid(1, 256), 0.5, 0.1, 0.025, 0.025)
+    transforms.paused = False
+    run(w0, 0.02, 1e-4, sample_every=20)
+    counts = transforms.counts
+    assert (counts["fft"], counts["ifft"]) == (201, 210)
+    assert counts["rfft"] <= 1.05 * 901 and counts["irfft"] <= 1.05 * 901
 
 
 def test_potential_phase_guard():
@@ -419,22 +437,50 @@ def test_potential_phase_guard_reports_the_failing_steps_start(prepared, monkeyp
     # guard: the error carries that step's start time, 2 dt after t0, and
     # the two steps completed before it
     solves = []
+    potential_values = schrodinger.potential_values
 
     def lifted(*args, **kwargs):
-        split = solve_potential(*args, **kwargs)
-        solves.append(split)
-        if len(solves) == 4:  # the t0 solve, then steps 1, 2 and 3
-            split.hat.values += 1e4
-        return split
+        tilde, hat, info = potential_values(*args, **kwargs)
+        if len(solves) == 3:  # the t0 solve, then steps 1, 2 and 3
+            hat = hat + 1e4
+        solves.append((tilde, hat))
+        return tilde, hat, info
 
-    monkeypatch.setattr(schrodinger, "solve_potential", lifted)
+    monkeypatch.setattr(schrodinger, "potential_values", lifted)
     dt = 1e-3
     with pytest.raises(StepTooLarge) as exc:
         run(prepared, 10 * dt, dt)
     assert exc.value.time == 2 * dt
     assert exc.value.step == 2
-    v = solves[-1].potential.values
+    assert len(solves) == 4
+    v = solves[-1][0] + solves[-1][1]
     assert exc.value.value == float(np.max(np.abs(v))) * dt / prepared.hbar
+
+
+@pytest.mark.parametrize("mode", ["poisson_boltzmann", "linear_poisson"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_potential_trips_the_phase_guard(prepared, monkeypatch, mode, bad):
+    # max|V| dt / hbar is nan when one node of V is, and nan >= pi is false:
+    # the guard passes only a phase below pi, so the run stops at the step
+    # whose solve returned it, with that step's start time and index
+    potential_values = schrodinger.potential_values
+    solves = []
+
+    def poisoned(*args, **kwargs):
+        tilde, hat, info = potential_values(*args, **kwargs)
+        solves.append(None)
+        if len(solves) == 4:  # the t0 solve, then steps 1, 2 and 3
+            hat = hat.copy()
+            hat[7] = bad
+        return tilde, hat, info
+
+    monkeypatch.setattr(schrodinger, "potential_values", poisoned)
+    dt = 1e-3
+    with pytest.raises(GuardError) as exc:
+        run(prepared, 10 * dt, dt, mode=mode)
+    assert len(solves) == 4
+    assert exc.value.time == 2 * dt
+    assert exc.value.step == 2
 
 
 def test_wave_function_validation(grid):

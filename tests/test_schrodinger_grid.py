@@ -102,13 +102,13 @@ def test_benchmark_point_solves_one_potential_on_n(monkeypatch):
     # evaluated there: the only potential solved on n is the prepared
     # state's, at t = 0 (11 when each later sample was re-solved on n)
     solved = []
-    computed = schrodinger.solve_potential
+    computed = schrodinger.potential_values
 
-    def recorded(rho, *args, **kwargs):
-        solved.append((rho.grid.n, kwargs["time"]))
-        return computed(rho, *args, **kwargs)
+    def recorded(rho, eps, grid, *args, **kwargs):
+        solved.append((grid.n, kwargs["time"]))
+        return computed(rho, eps, grid, *args, **kwargs)
 
-    monkeypatch.setattr(schrodinger, "solve_potential", recorded)
+    monkeypatch.setattr(schrodinger, "potential_values", recorded)
     point = experiments._sweep_point(BENCH, experiments._sweep_reference(BENCH), 0.025, 0.025)
     assert point["status"] == "ok"
     assert [t for n, t in solved if n == BENCH.grid_n] == [0.0]
