@@ -112,30 +112,30 @@ def _pcg(
     sym = spectral.symbols(grid, real=True)
     precond = _preconditioner(grid, eps)
     shift = weight - 1.0
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    stop = rtol * math.sqrt(float(np.vdot(rhs, rhs)))
-    p = s = None
-    rz_prev = 1.0
+    r = rhs  # never written: each iteration makes a new r
+    rr = float(np.vdot(r, r))
+    stop = rtol * math.sqrt(rr)
+    x = p = s = None  # x = 0 until the first iteration makes it alpha * p
     iterations = 0
-    while stop > 0.0 and math.sqrt(float(np.vdot(r, r))) >= stop:
-        if iterations == CG_MAXITER:
+    while stop > 0.0 and math.sqrt(rr) >= stop:
+        if iterations == CG_MAXITER:  # at least 1, so x is set
             return x, iterations, False
         z = sym.apply(r, precond)
         rz = float(np.vdot(r, z))
         if p is None:
-            p, s = z, r.copy()
+            p, s = z, r
         else:
             beta = rz / rz_prev
             p = z + beta * p
             s = r + beta * s
         q = s + shift * p
         alpha = rz / float(np.vdot(p, q))
-        x += alpha * p
-        r -= alpha * q
+        x = alpha * p if x is None else x + alpha * p
+        r = r - alpha * q
+        rr = float(np.vdot(r, r))
         rz_prev = rz
         iterations += 1
-    return x, iterations, True
+    return (np.zeros_like(rhs) if x is None else x), iterations, True
 
 
 def _newton_hat(
@@ -276,7 +276,7 @@ def pb_values(data: np.ndarray, eps: float, grid: TorusGrid, hat0=None, tilde=No
     """solve_pb on data values, unchecked: (tilde, hat, info), hat to L2 residual
     NEWTON_RTOL * (1 + ||data||_2); an empirical solve gives tilde, data 1 - exp(tilde)."""
     tilde = tilde_values(data, eps, grid) if tilde is None else tilde
-    tol = NEWTON_RTOL * (1.0 + float(np.sqrt(np.mean(np.abs(data) ** 2))))
+    tol = NEWTON_RTOL * (1.0 + math.sqrt(float(np.add.reduce(data * data, axis=None)) / data.size))
     return (tilde, *_newton_hat(tilde, eps, grid, tol, hat0))
 
 

@@ -110,10 +110,11 @@ def _step_core(chi_hat: np.ndarray, w: WaveFunction, step: int, dt: float, mode:
     tilde, hat, info = potential_values(np.abs(psi) ** 2, w.eps, w.psi.grid, mode, hat0,
                                         time=t, step=step)
     v = tilde + hat
-    v_phase = float(np.max(np.abs(v))) * dt / w.hbar
+    v_phase = float(max(v.max(), -v.min())) * dt / w.hbar  # not finite if any V is not
     if not v_phase < np.pi:
-        raise StepTooLarge(f"potential phase {v_phase:.3f} >= pi; shrink dt",
-                           time=t, value=v_phase, step=step)
+        message = (f"potential phase {v_phase:.3f} >= pi; shrink dt" if np.isfinite(v_phase) else
+                   f"non-finite potential: phase {v_phase} at step {step}, t = {t:.4g}")
+        raise StepTooLarge(message, time=t, value=v_phase, step=step)
     return spectral.fft(psi * np.exp(-1j * v * dt / w.hbar), w.psi.grid.shape), hat, info
 
 

@@ -2,10 +2,11 @@
 
 Real fields use numpy's real-to-complex transforms, half the work of complex
 ones, with symbols on the rfft half spectrum; complex fields (wave functions)
-use the full transform. Symbols are cached per grid.
-A transform acts on the trailing axes that the grid's `shape` names; any
-leading axes index fields, a stack transformed in calls of at most
-STACK_BYTES of input each, every field bit for bit as on its own.
+use the full transform. Symbols are cached per grid. A transform acts on the
+trailing axes that the grid's `shape` names; any leading axes index fields, a
+stack transformed in calls of at most STACK_BYTES of input each, every field
+bit for bit as on its own. In 1-D, input within STACK_BYTES is one numpy call
+and nothing more: on a few hundred nodes a transform is mostly call overhead.
 Derivative symbols zero the Nyquist mode, which on real fields agrees to
 roundoff with keeping it and taking the real part. Sums over the spectrum
 (Parseval through `Symbols.parseval`, point evaluations in qnlab.nbody) take
@@ -66,16 +67,19 @@ _AXES2 = (-2, -1)
 
 def rfft(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """rfft half spectra of real grid values on the grid `shape`."""
-    half = (*shape[:-1], shape[-1] // 2 + 1)
     if len(shape) == 1:
-        return _chunked(np.fft.rfft, values, 1, half, complex)
-    return _chunked(np.fft.rfftn, values, 2, half, complex, axes=_AXES2)
+        if values.nbytes <= STACK_BYTES:
+            return np.fft.rfft(values)
+        return _chunked(np.fft.rfft, values, 1, (shape[0] // 2 + 1,), complex)
+    return _chunked(np.fft.rfftn, values, 2, (shape[0], shape[1] // 2 + 1), complex, axes=_AXES2)
 
 
 def irfft(hat: np.ndarray, shape: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
     """Real grid values on the grid `shape` of rfft half spectra, written to
     `out` if given."""
     if len(shape) == 1:
+        if hat.nbytes <= STACK_BYTES and (out is None or out.flags.c_contiguous):
+            return np.fft.irfft(hat, shape[0], out=out)
         return _chunked(np.fft.irfft, hat, 1, shape, float, out, n=shape[0])
     return _chunked(np.fft.irfftn, hat, 2, shape, float, out, s=shape, axes=_AXES2)
 
@@ -83,6 +87,8 @@ def irfft(hat: np.ndarray, shape: tuple[int, ...], out: np.ndarray | None = None
 def fft(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Full spectra of complex grid values on the grid `shape`."""
     if len(shape) == 1:
+        if values.nbytes <= STACK_BYTES:
+            return np.fft.fft(values)
         return _chunked(np.fft.fft, values, 1, shape, complex)
     return _chunked(np.fft.fftn, values, 2, shape, complex, axes=_AXES2)
 
@@ -90,6 +96,8 @@ def fft(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def ifft(hat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Complex grid values on the grid `shape` of full spectra."""
     if len(shape) == 1:
+        if hat.nbytes <= STACK_BYTES:
+            return np.fft.ifft(hat)
         return _chunked(np.fft.ifft, hat, 1, shape, complex)
     return _chunked(np.fft.ifftn, hat, 2, shape, complex, axes=_AXES2)
 

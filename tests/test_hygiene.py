@@ -53,6 +53,33 @@ def test_numpy_transforms_only_in_spectral():
     assert users == ["spectral.py"]
 
 
+def _numpy_fft_names(node) -> list[str]:
+    """The attribute names X of every `np.fft.X` under `node`."""
+    return [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Attribute) and n.value.attr == "fft"
+            and isinstance(n.value.value, ast.Name) and n.value.value.id == "np"]
+
+
+def test_spectral_calls_numpy_transforms_only_where_they_are_counted():
+    # TransformCounter (tests/conftest.py) patches the four transforms and
+    # irfft_padded: a numpy transform anywhere else in spectral.py would run
+    # uncounted. Symbols reads numpy's mode numbers, which transform nothing
+    tree = ast.parse((SRC / "qnlab" / "spectral.py").read_text(encoding="utf-8"))
+    counted = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name in ("rfft", "irfft", "fft", "ifft", "irfft_padded")]
+    [symbols] = [node for node in tree.body if isinstance(node, ast.ClassDef)
+                 and node.name == "Symbols"]
+    [init] = [node for node in symbols.body if isinstance(node, ast.FunctionDef)
+              and node.name == "__init__"]
+    assert sorted(set(_numpy_fft_names(init))) == ["fftfreq", "rfftfreq"]
+    assert len(_numpy_fft_names(tree)) == \
+        sum(len(_numpy_fft_names(node)) for node in counted) + len(_numpy_fft_names(init))
+    # and np.fft is the only name numpy's transforms go by there
+    imports = [ast.unparse(node) for node in tree.body
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert [line for line in imports if "fft" in line] == []
+
+
 def _loaded_after(module: str, names: list[str]) -> list[str]:
     """Which of `names` are in sys.modules after `import module` in a fresh
     interpreter."""

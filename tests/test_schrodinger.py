@@ -1,14 +1,16 @@
 """Tests for the split-step Schrodinger integrator."""
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from conftest import full_k_squared
 
 from qnlab import schrodinger
+from qnlab.cli import main
 from qnlab.config import sample_steps
 from qnlab.energy import conserved_energy, field_energy, modulated_total
-from qnlab.errors import GuardError, StepTooLarge
+from qnlab.errors import StepTooLarge
 from qnlab.euler import EulerState
 from qnlab.experiments import _prepared_state
 from qnlab.grid import ComplexField, RealField, TorusGrid, integrate
@@ -396,6 +398,30 @@ def test_run_transforms_only_in_steps(monkeypatch, transforms, prepared):
     assert transforms.counts == {"fft": 1 + steps, "ifft": steps + samples, "rfft": 0, "irfft": 0}
 
 
+def test_run_transforms_are_what_its_steps_and_solves_report(monkeypatch, transforms, prepared):
+    # a step is one complex pair (psi at the midpoint and back), a sample
+    # after t0 one inverse transform; a Poisson-Boltzmann solve is one real
+    # pair for tilde, one for the residual of each iterate it evaluates (the
+    # start and each Newton step's trial; no trial backtracks at this point)
+    # and one per CG iteration. Any other transform fails the count
+    potential_values = schrodinger.potential_values
+    infos = []
+
+    def recorded(*args, **kwargs):
+        tilde, hat, info = potential_values(*args, **kwargs)
+        infos.append(info)
+        return tilde, hat, info
+
+    monkeypatch.setattr(schrodinger, "potential_values", recorded)
+    steps, every = 20, 5
+    run(prepared, steps * 1e-3, 1e-3, sample_every=every)
+    samples = steps // every
+    assert len(infos) == 1 + steps + samples
+    pairs = sum(1 + len(info["residuals"]) + info["cg_iterations"] for info in infos)
+    assert transforms.counts == {"fft": 1 + steps, "ifft": steps + samples,
+                                 "rfft": pairs, "irfft": pairs}
+
+
 def test_benchmark_run_transform_budget(transforms):
     # every transform of the sweep_1d point's run on the 256 nodes it
     # resolves: fft 1 + 200 steps, ifft 200 steps + 10 samples; the real
@@ -459,10 +485,11 @@ def test_potential_phase_guard_reports_the_failing_steps_start(prepared, monkeyp
 
 @pytest.mark.parametrize("mode", ["poisson_boltzmann", "linear_poisson"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_potential_trips_the_phase_guard(prepared, monkeypatch, mode, bad):
+def test_non_finite_potential_trips_the_phase_guard(prepared, monkeypatch, tmp_path, mode, bad):
     # max|V| dt / hbar is nan when one node of V is, and nan >= pi is false:
     # the guard passes only a phase below pi, so the run stops at the step
-    # whose solve returned it, with that step's start time and index
+    # whose solve returned it, with that step's start time and index; no dt
+    # fixes a non-finite potential, so the message names it, not dt
     potential_values = schrodinger.potential_values
     solves = []
 
@@ -476,11 +503,25 @@ def test_non_finite_potential_trips_the_phase_guard(prepared, monkeypatch, mode,
 
     monkeypatch.setattr(schrodinger, "potential_values", poisoned)
     dt = 1e-3
-    with pytest.raises(GuardError) as exc:
+    message = f"non-finite potential: phase {bad} at step 2, t = 0.002"
+    with pytest.raises(StepTooLarge) as exc:
         run(prepared, 10 * dt, dt, mode=mode)
     assert len(solves) == 4
     assert exc.value.time == 2 * dt
     assert exc.value.step == 2
+    assert str(exc.value) == message
+    # the CLI's record keeps where the run stopped and the message; JSON has
+    # no nan or inf, so it has no value
+    solves.clear()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"physics.T = 0.01\nphysics.dt = {dt}\nphysics.eps = 0.05\n"
+                   f"physics.hbar = 0.1\nphysics.mode = {mode}\n")
+    out = tmp_path / "out"
+    assert main(["schrodinger_run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert len(solves) == 4
+    assert json.loads((out / "errors.json").read_text()) == [
+        {"stage": "schrodinger", "type": "StepTooLarge", "message": message, "time": 2 * dt,
+         "step": 2, "eps": 0.05, "hbar": 0.1}]
 
 
 def test_wave_function_validation(grid):

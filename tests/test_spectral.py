@@ -243,9 +243,10 @@ def test_1d_irfft_padded_is_the_zero_padded_irfft():
 
 
 # stacks of 2 fields and of enough fields to need two or more calls of
-# STACK_BYTES; from 128^2 up a field is a call of its own either way
-STACKED_GRIDS = [TorusGrid(1, 256), TorusGrid(1, 2048), TorusGrid(2, 32), TorusGrid(2, 64),
-                 TorusGrid(2, 128), TorusGrid(2, 256)]
+# STACK_BYTES; from 128^2 up a field is a call of its own either way, and a
+# 16384-node complex field is one call past the budget
+STACKED_GRIDS = [TorusGrid(1, 256), TorusGrid(1, 2048), TorusGrid(1, 16384), TorusGrid(2, 32),
+                 TorusGrid(2, 64), TorusGrid(2, 128), TorusGrid(2, 256)]
 
 
 def stack_sizes(grid):
@@ -254,26 +255,42 @@ def stack_sizes(grid):
     return sorted({2, spectral.STACK_BYTES // (8 * grid.size) + 2})
 
 
+# numpy's own transform of one field on a 1-D or 2-D grid `shape`
+NUMPY_ALONE = {
+    1: {"rfft": lambda f, shape: np.fft.rfft(f),
+        "irfft": lambda h, shape: np.fft.irfft(h, shape[0]),
+        "fft": lambda f, shape: np.fft.fft(f), "ifft": lambda h, shape: np.fft.ifft(h)},
+    2: {"rfft": lambda f, shape: np.fft.rfft2(f), "irfft": np.fft.irfft2,
+        "fft": lambda f, shape: np.fft.fft2(f), "ifft": lambda h, shape: np.fft.ifft2(h)},
+}
+
+
 @pytest.mark.parametrize("grid", STACKED_GRIDS, ids=str)
 def test_stacked_transforms_are_the_single_ones_bit_for_bit(grid):
+    # a 1-D field or stack within STACK_BYTES is one numpy call, a larger
+    # one goes in chunks of whole fields, a 2-D one always in chunks: each
+    # field, alone or in a stack, comes out as numpy transforms it alone,
+    # into `out` or not
     rng = np.random.default_rng(grid.n)
     shape = grid.shape
-    for count in stack_sizes(grid):
-        real = rng.standard_normal((count, *shape))
-        cplx = real + 1j * rng.standard_normal((count, *shape))
-        hat = spectral.rfft(real, shape)
-        full = spectral.fft(cplx, shape)
-        pairs = [(hat, [spectral.rfft(f, shape) for f in real]),
-                 (spectral.irfft(hat, shape), [spectral.irfft(h, shape) for h in hat]),
-                 (full, [spectral.fft(f, shape) for f in cplx]),
-                 (spectral.ifft(full, shape), [spectral.ifft(h, shape) for h in full])]
+    half = (*shape[:-1], shape[-1] // 2 + 1)
+    for lead in [(), *((count,) for count in stack_sizes(grid))]:
+        real = rng.standard_normal((*lead, *shape))
+        cplx = real + 1j * rng.standard_normal(real.shape)
+        spec = rng.standard_normal((*lead, *half)) + 1j * rng.standard_normal((*lead, *half))
         out = np.empty(real.shape)
-        assert spectral.irfft(hat, shape, out) is out
-        pairs.append((out, pairs[1][1]))
-        for stacked, single in pairs:
-            assert stacked.shape == (count, *single[0].shape)
-            for got, want in zip(stacked, single, strict=True):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert spectral.irfft(spec, shape, out) is out
+        cases = [(name, getattr(spectral, name)(values, shape), values)
+                 for name, values in (("rfft", real), ("irfft", spec), ("fft", cplx),
+                                      ("ifft", cplx))]
+        for name, got, values in [*cases, ("irfft", out, spec)]:
+            assert got.shape[:len(lead)] == lead
+            rows = zip(got.reshape(-1, *got.shape[len(lead):]),
+                       values.reshape(-1, *values.shape[len(lead):]), strict=True)
+            for row, field in rows:
+                want = NUMPY_ALONE[grid.dim][name](field, shape)
+                assert row.shape == want.shape and row.dtype == want.dtype
+                assert row.tobytes() == want.tobytes(), (name, lead)
 
 
 def test_a_strided_out_is_refused():
