@@ -1,9 +1,10 @@
 """Experiment orchestration: single solver runs, (eps, hbar) sweeps against
 the Euler reference flow, and N-particle Monte-Carlo statistics.
 
-Sweep points are independent and run on a process pool sized by --jobs; every
-failure becomes a machine-readable error record instead of a crash, and the
-remaining points still produce rows.
+Every run evaluates its initial data through _profiles(cfg, grid), on each
+grid it needs them. Sweep points are independent and run on a process pool
+sized by --jobs; every failure becomes a machine-readable error record
+instead of a crash, and the remaining points still produce rows.
 """
 from __future__ import annotations
 
@@ -32,8 +33,9 @@ from .poisson_boltzmann import solve_pb, validate_elliptic_bounds
 from .schrodinger import WaveFunction, check_kinetic_phase, density, run
 
 
-def _cos_profiles(grid: TorusGrid, rho0_amp: float, u0_amp: float):
-    """The standard data family: rho0 ~ exp(amp cos), U0 = amp sin/(2 pi)."""
+def _profiles(cfg: ExperimentConfig, grid: TorusGrid) -> tuple[RealField, RealField]:
+    """The configured initial data (rho0, U0) on `grid`, the one reader of the
+    initial.* keys: rho0 ~ exp(rho0_amp cos), U0 = u0_amp sin/(2 pi)."""
     # one cos and one sin per axis, broadcast: the sums over the nodes are
     # those of the meshgrid's bit for bit
     x = grid.axis_points()
@@ -42,17 +44,22 @@ def _cos_profiles(grid: TorusGrid, rho0_amp: float, u0_amp: float):
     phase = sum(np.cos(2.0 * np.pi * c) for c in axes)
     # an overflowing amplitude leaves inf/nan here; RealField reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        rho0 = np.exp(rho0_amp * phase)
+        rho0 = np.exp(cfg.rho0_amp * phase)
         rho0 /= rho0.mean()
-    u0pot = u0_amp * sum(np.sin(2.0 * np.pi * c) for c in axes) / (2.0 * np.pi)
+    u0pot = cfg.u0_amp * sum(np.sin(2.0 * np.pi * c) for c in axes) / (2.0 * np.pi)
     return RealField(grid, rho0), RealField(grid, u0pot)
 
 
-def _prepared_state(grid: TorusGrid, rho0_amp: float, u0_amp: float, eps: float,
-                    hbar: float) -> WaveFunction:
-    """The well-prepared wave function of the standard data on `grid`."""
-    rho0, u0pot = _cos_profiles(grid, rho0_amp, u0_amp)
-    return well_prepared(WellPreparedSpec(rho0, u0pot, eps, hbar))
+def _wave(cfg: ExperimentConfig, grid: TorusGrid, eps: float, hbar: float) -> WaveFunction:
+    """The well-prepared wave function of the configured data on `grid`."""
+    return well_prepared(WellPreparedSpec(*_profiles(cfg, grid), eps, hbar))
+
+
+def _euler_state(cfg: ExperimentConfig, grid: TorusGrid) -> EulerState:
+    """The Euler state of the configured data on `grid`."""
+    rho0, u0pot = _profiles(cfg, grid)
+    return EulerState(normalize_log_density(RealField(grid, np.log(rho0.values))),
+                      list(gradient(u0pot)))
 
 
 def _error_record(exc: Exception, stage: str, **context) -> dict:
@@ -89,14 +96,6 @@ FLOOR_N = {1: 256, 2: 32}
 BAND_SHARE_BOUND = 1e-13
 SCHRODINGER_BAND_SHARE_BOUND = 1e-10
 TIME_ERROR_BOUND = 1e-12
-
-
-def _cos_euler_data(dim: int, n: int, rho0_amp: float, u0_amp: float) -> EulerState:
-    """The Euler state of the standard data on the n^dim grid."""
-    grid = TorusGrid(dim, n)
-    rho0, u0pot = _cos_profiles(grid, rho0_amp, u0_amp)
-    return EulerState(normalize_log_density(RealField(grid, np.log(rho0.values))),
-                      list(gradient(u0pot)))
 
 
 def _top_band_share(fields: list[np.ndarray]) -> float:
@@ -191,32 +190,34 @@ def _euler_fields(samples: list[EulerState]) -> list[np.ndarray]:
     return [f.values for s in samples for f in (s.log_rho, *s.u)]
 
 
-def _euler_reference(e0: EulerState, rho0_amp: float, u0_amp: float, big_t: float,
-                     dt: float, sample_every: int) -> tuple[list, dict, dict]:
-    """The sampled Euler states from e0, the standard data on the n grid, at
+def _euler_reference(cfg: ExperimentConfig, e0: EulerState) -> tuple[list, dict, dict]:
+    """The sampled Euler states of `cfg` from e0, its data on the n grid, at
     the dt sample times, their Gronwall constants, and {"n": n_e, "dt": h,
     "top_band_share": share}: the grid and RK4 step they were integrated with
-    and the grid's _top_band_share of log rho and u. n_e is _coarsest_run's
-    grid under BAND_SHARE_BOUND; below n the step is _coarse_step_run's, on n
-    it is dt. The samples stay on n_e (_padded takes one to a finer grid),
-    and the constants are euler_constants of their interpolant on n."""
-    grid = e0.grid
+    and the grid's _top_band_share of log rho and u. A step of dt must first
+    be stable on the n grid, not only on a coarser one (check_first_step).
+    n_e is _coarsest_run's grid under BAND_SHARE_BOUND; below n the step is
+    _coarse_step_run's, on n it is dt. The samples stay on n_e (_padded takes
+    one to a finer grid), and the constants are euler_constants of their
+    interpolant on n."""
+    grid, dt = e0.grid, cfg.dt
+    check_first_step(e0, dt)
 
     def prepare(n_e: int):
-        e = _cos_euler_data(grid.dim, n_e, rho0_amp, u0_amp)
+        e = _euler_state(cfg, TorusGrid(grid.dim, n_e))
         return e, _euler_fields([e])
 
     def integrate(e: EulerState):
         if e is e0:
-            samples, h = run_euler(e, big_t, dt, sample_every=sample_every), dt
+            samples, h = run_euler(e, cfg.big_t, dt, sample_every=cfg.sample_every), dt
         else:
-            samples, h = _coarse_step_run(e, big_t, dt, sample_every)
+            samples, h = _coarse_step_run(e, cfg.big_t, dt, cfg.sample_every)
         return (samples, h), _euler_fields(samples)
 
     n_e, (samples, h), share = _coarsest_run(e0, grid.n, grid.dim, BAND_SHARE_BOUND, prepare,
                                              integrate)
     # the times run_euler gives the dt samples, whatever step made them
-    times = [k * dt for k in sample_steps(big_t, dt, sample_every)]
+    times = [k * dt for k in sample_steps(cfg.big_t, dt, cfg.sample_every)]
     stamped = [EulerState(s.log_rho, s.u, t) for s, t in zip(samples, times, strict=True)]
     return stamped, euler_constants(samples, grid), {"n": n_e, "dt": h, "top_band_share": share}
 
@@ -231,15 +232,12 @@ def _padded(s: EulerState, grid: TorusGrid) -> EulerState:
 
 
 def _sweep_reference(cfg: ExperimentConfig) -> tuple[list, dict, dict] | Exception:
-    """_euler_reference of the sweep `cfg` from its n-grid data after
-    check_first_step, as in the euler_run kind, or the Exception that stopped
-    it. It depends on the data and the time grid, not on (eps, hbar), so a
-    sweep computes it once and hands it to every point."""
+    """_euler_reference of the sweep `cfg` from its n-grid data, as in the
+    euler_run kind, or the Exception that stopped it. It depends on the data
+    and the time grid, not on (eps, hbar), so a sweep computes it once and
+    hands it to every point."""
     try:
-        e0 = _cos_euler_data(cfg.grid_dim, cfg.grid_n, cfg.rho0_amp, cfg.u0_amp)
-        check_first_step(e0, cfg.dt)
-        return _euler_reference(e0, cfg.rho0_amp, cfg.u0_amp, cfg.big_t, cfg.dt,
-                                cfg.sample_every)
+        return _euler_reference(cfg, _euler_state(cfg, TorusGrid(cfg.grid_dim, cfg.grid_n)))
     except Exception as exc:  # noqa: BLE001 - each point re-raises it at its euler stage
         return exc
 
@@ -247,17 +245,17 @@ def _sweep_reference(cfg: ExperimentConfig) -> tuple[list, dict, dict] | Excepti
 def _schrodinger_samples(cfg: ExperimentConfig, w0: WaveFunction) -> tuple[list, dict]:
     """The sweep's Schrodinger samples and {"n": n_s, "top_band_share":
     share}: `run` on _coarsest_run's grid n_s under
-    SCHRODINGER_BAND_SHARE_BOUND (psi and V), from the standard data's
-    well-prepared state on n_s nodes, or from w0 on n. The t = 0 sample is w0
-    and its potential solved on n, as in the run from w0; the later samples
-    are the run's own, on n_s. dt must first pass the n grid's kinetic-phase
+    SCHRODINGER_BAND_SHARE_BOUND (psi and V), from the configured data's
+    well-prepared state on the n_s^dim grid, or from w0 on n. The t = 0
+    sample is w0 and its potential solved on n, as in the run from w0; the
+    later samples are the run's own, on n_s. dt must first pass the n grid's kinetic-phase
     cap: a point whose n-grid run would stop there fails as that run does,
     before any grid is integrated."""
     grid = w0.psi.grid
     check_kinetic_phase(w0, cfg.dt)
 
     def prepare(n_s: int):
-        w = _prepared_state(TorusGrid(1, n_s), cfg.rho0_amp, cfg.u0_amp, w0.eps, w0.hbar)
+        w = _wave(cfg, TorusGrid(grid.dim, n_s), w0.eps, w0.hbar)
         return w, [w.psi.values]
 
     def integrate(w: WaveFunction):
@@ -292,19 +290,19 @@ def _sweep_point(cfg: ExperimentConfig, reference: tuple[list, dict, dict] | Exc
                  eps: float, hbar: float) -> dict:
     """One (eps, hbar) point of the sweep `cfg` against its _sweep_reference;
     returns rows + per-point summary, or an error record. The frozen config
-    and the reference pickle, so a process pool can ship them. The t = 0 row
-    is the n-grid prepared state's, evaluated on n; every later row is
-    evaluated on n_d = max(n_s, n_e), the coarser run brought there (_padded,
-    _wave_on). The L1 term stays on n (weak_distances' l1_grid): its integrand
-    has kinks, so unlike the other sums it is not exact to roundoff on n_d."""
+    and the reference pickle, so a process pool can ship them. A reference
+    that failed is the point's error once its state is prepared, before any
+    Schrodinger step. The t = 0 row is the n-grid prepared state's, evaluated
+    on n; every later row is evaluated on n_d = max(n_s, n_e), the coarser run
+    brought there (_padded, _wave_on). The L1 term stays on n (weak_distances'
+    l1_grid): its integrand has kinks, so unlike the other sums it is not
+    exact to roundoff on n_d."""
     pair = {"eps": float(eps), "hbar": float(hbar)}
     stage = "prepare"
     try:
         grid = TorusGrid(cfg.grid_dim, cfg.grid_n)
-        w0 = _prepared_state(grid, cfg.rho0_amp, cfg.u0_amp, eps, hbar)
+        w0 = _wave(cfg, grid, eps, hbar)
 
-        stage = "schrodinger"
-        samples, schrodinger_grid = _schrodinger_samples(cfg, w0)
         stage = "euler"
         if isinstance(reference, Exception):
             # a fresh traceback per point, not one grown by every raise
@@ -313,6 +311,7 @@ def _sweep_point(cfg: ExperimentConfig, reference: tuple[list, dict, dict] | Exc
 
         # a potential re-solved on n_d fails at the schrodinger stage, as on n
         stage = "schrodinger"
+        samples, schrodinger_grid = _schrodinger_samples(cfg, w0)
         grid_d = TorusGrid(grid.dim, max(schrodinger_grid["n"], resolution["n"]))
         steps = sample_steps(cfg.big_t, cfg.dt, cfg.sample_every)
         grids = [grid if step == 0 else grid_d for step in steps]
@@ -412,7 +411,7 @@ def _run_pb(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
     stage = "prepare"
     try:
         grid = TorusGrid(cfg.grid_dim, cfg.grid_n)
-        h, _ = _cos_profiles(grid, cfg.rho0_amp, 0.0)
+        h = _profiles(cfg, grid)[0]
         stage = "pb_solve"
         split = solve_pb(h, cfg.eps[0])
     except Exception as exc:  # noqa: BLE001
@@ -440,12 +439,9 @@ def _run_pb(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
 def _run_euler(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
     stage = "prepare"
     try:
-        e0 = _cos_euler_data(cfg.grid_dim, cfg.grid_n, cfg.rho0_amp, cfg.u0_amp)
+        e0 = _euler_state(cfg, TorusGrid(cfg.grid_dim, cfg.grid_n))
         stage = "euler"
-        # a step of dt must be stable on the n grid, not only on a coarser one
-        check_first_step(e0, cfg.dt)
-        samp, gronwall, resolution = _euler_reference(e0, cfg.rho0_amp, cfg.u0_amp, cfg.big_t,
-                                                      cfg.dt, cfg.sample_every)
+        samp, gronwall, resolution = _euler_reference(cfg, e0)
     except Exception as exc:  # noqa: BLE001
         return [_error_record(exc, stage)]
     rows = []
@@ -465,8 +461,7 @@ def _run_euler(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
 def _run_schrodinger(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
     stage = "prepare"
     try:
-        w0 = _prepared_state(TorusGrid(cfg.grid_dim, cfg.grid_n), cfg.rho0_amp, cfg.u0_amp,
-                             cfg.eps[0], cfg.hbar[0])
+        w0 = _wave(cfg, TorusGrid(cfg.grid_dim, cfg.grid_n), cfg.eps[0], cfg.hbar[0])
         stage = "schrodinger"
         samples = run(w0, cfg.big_t, cfg.dt, sample_every=cfg.sample_every, mode=cfg.mode)
     except Exception as exc:  # noqa: BLE001

@@ -1,6 +1,6 @@
 """1-D N-particle electrostatics on the unit circle: configurations, the Green
-kernel, renormalized energy against a background density, coercivity and
-commutator functionals, Wasserstein-1 distances, and Monte-Carlo statistics.
+kernel, renormalized energy against a background density, the commutator
+functional, Wasserstein-1 distances, and Monte-Carlo statistics.
 
 Particle sums are exact and cost O(N log N): on the unit circle the Green
 kernel is K(y) = (f^2 - f)/2 with f = frac(y), so over sorted positions, with
@@ -11,9 +11,9 @@ d_j = x_(j) - (j + 1/2)/N, the energy against the flat background is
 a sum of squares in which nothing cancels. The commutator pair term is the
 matching covariance of u against d. The potential of mu_X - 1 and its
 derivative at any points are prefix sums over the sorted positions
-(`empirical_potential`). Kernel convolutions with grid densities
-go through the Fourier symbol of K, i.e. against the trigonometric
-interpolant of the density, evaluated at the points in bounded blocks.
+(`empirical_potential`). Grid fields at the positions (K * mu in the energy;
+u, K' * mu and K' * (u mu) in the commutator) are modal sums of their rfft
+coefficients, evaluated in bounded blocks of points (`_modal_sums`).
 
 Circle W1 is exact to roundoff: the gap between two CDFs is piecewise
 quadratic between atoms and grid nodes, so the measure of {gap < c} and the
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .grid import RealField, TorusGrid, check_density, integrate, l2_norm, spectral_derivative
+from .grid import RealField, TorusGrid, check_density
 
 # points per block in modal sums; a block holds O(block * sqrt(n)) phases
 POINT_BLOCK = 2048
@@ -144,23 +144,6 @@ def _modal_sums(grid: TorusGrid, hats: np.ndarray, points: np.ndarray) -> np.nda
     return out
 
 
-def trig_interp_at(f: RealField, points: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of a grid field at off-grid points."""
-    if f.grid.dim != 1:
-        raise ValueError("interpolation helper is one-dimensional")
-    return _modal_sums(f.grid, spectral.rfft(f.values, f.grid.shape)[:, None], points)[:, 0]
-
-
-def kernel_convolution(mu: RealField, points: np.ndarray | None = None,
-                       prime: bool = False) -> np.ndarray:
-    """(K * mu) (or (K' * mu)) on the grid, or at arbitrary points if given."""
-    grid = mu.grid
-    sym = green_prime_symbol(grid) if prime else green_symbol(grid)
-    if points is None:
-        return spectral.symbols(grid, real=True).apply(mu.values, sym)
-    return _modal_sums(grid, (spectral.rfft(mu.values, grid.shape) * sym)[:, None], points)[:, 0]
-
-
 def _centered_offsets(x_sorted: np.ndarray) -> np.ndarray:
     """d_j - mean d with d_j = x_(j) - (j + 1/2)/N, for positions sorted
     along the last axis."""
@@ -221,31 +204,6 @@ def renormalized_energy(x: ParticleConfig, mu: RealField) -> RenormalizedEnergy:
     mu_hat = spectral.rfft(mu.values, mu.grid.shape)
     conv = _modal_sums(mu.grid, (mu_hat * green_symbol(mu.grid))[:, None], x.positions)[:, 0]
     return _energy(x, mu, mu_hat, conv)
-
-
-def coercivity_check(x: ParticleConfig, mu: RealField, phi: RealField) -> dict:
-    """Measure both sides of the weak-coercivity inequality for a test function.
-
-    Constants are existential, so this reports the implied constant at
-    exponent lambda = 1/2 instead of a pass/fail verdict.
-    """
-    energy = renormalized_energy(x, mu)
-    lhs = abs(float(np.mean(trig_interp_at(phi, x.positions))) - float(integrate(
-        RealField(mu.grid, phi.values * mu.values))))
-    grad = spectral_derivative(phi, 0)
-    grad_inf = float(np.max(np.abs(grad.values)))
-    grad_l2 = l2_norm(grad)
-    energy_part = grad_l2 * float(np.sqrt(max(energy.augmented, 0.0)))
-    implied_c = float("nan")
-    if grad_inf > 0:
-        implied_c = max(lhs - energy_part, 0.0) * np.sqrt(x.n) / grad_inf
-    return {
-        "lhs": lhs,
-        "energy_part": energy_part,
-        "gradient_sup": grad_inf,
-        "implied_constant_half": implied_c,
-        "energy": energy,
-    }
 
 
 def commutator_functional(x: ParticleConfig, mu: RealField, u: RealField) -> dict:

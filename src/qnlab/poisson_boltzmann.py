@@ -253,12 +253,6 @@ def tilde_values(rho: np.ndarray, eps: float, grid: TorusGrid) -> np.ndarray:
     return sym.apply(rho / eps, sym.inv_k2)
 
 
-def solve_tilde(h: RealField, eps: float) -> RealField:
-    """tilde_values of the density h, eps checked."""
-    check_solve(h.grid, eps)
-    return RealField(h.grid, tilde_values(h.values, eps, h.grid))
-
-
 def check_solve(grid: TorusGrid, eps: float, hat0=None) -> np.ndarray | None:
     """eps must be positive, and a guess hat0 real of the grid's shape; returns hat0."""
     if not eps > 0:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -5,12 +6,20 @@ import numpy as np
 import pytest
 
 from qnlab import spectral
+from qnlab.config import ExperimentConfig, build_config
 from qnlab.grid import RealField, TorusGrid
 
 
 @pytest.fixture
 def grid256() -> TorusGrid:
     return TorusGrid(1, 256)
+
+
+def data_config(rho0_amp: float, u0_amp: float, **fields) -> ExperimentConfig:
+    """The default configuration with the initial data (rho0_amp, u0_amp),
+    and any other `fields`, replaced."""
+    return dataclasses.replace(build_config({}, "pb_solve"), rho0_amp=rho0_amp,
+                               u0_amp=u0_amp, **fields)
 
 
 class TransformCounter:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import full_wavenumbers
+from conftest import data_config, full_wavenumbers
 
 from qnlab import euler, experiments, spectral
 from qnlab.config import sample_steps
@@ -200,7 +200,7 @@ def test_run_euler_linear_wave_frequency(a):
     # not RK4's time error. C = 2.5 leaves a 2x margin. omega = sqrt(0.9) K
     # misses by 0.253 |b0|
     K = 2 * np.pi
-    s0 = experiments._cos_euler_data(1, 256, a, 0.0)
+    s0 = experiments._euler_state(data_config(a, 0.0), TorusGrid(1, 256))
     traj = run_euler(s0, 2 * np.pi / K, 2e-3, sample_every=25)
     cos_kx = np.cos(K * s0.grid.axis_points())
     b = np.array([2 * np.mean(s.rho().values * cos_kx) for s in traj])
@@ -308,7 +308,7 @@ def test_blowup_guard(grid):
 def test_unstable_step_raises_step_too_large():
     # the standard data on 2048 nodes at dt = 1e-3: dt max_rate = 4.7 > 2 sqrt 2,
     # which used to surface as a blow-up at t = 0.0080
-    s0 = experiments._cos_euler_data(1, 2048, 0.5, 0.1)
+    s0 = experiments._euler_state(data_config(0.5, 0.1), TorusGrid(1, 2048))
     rate = 1e-3 * max_rate(s0.grid, max(float(np.max(np.abs(c.values))) for c in s0.u))
     with pytest.raises(StepTooLarge, match=r"at t = 0\.0000; shrink dt$") as caught:
         run_euler(s0, 0.01, 1e-3)
@@ -327,7 +327,7 @@ def test_unstable_step_raises_step_too_large():
 def test_first_step_check_transforms_log_rho_only_to_decide(dim, n, u0_amp, dt, raises, log_rho,
                                                             transforms):
     transforms.paused = True
-    s0 = experiments._cos_euler_data(dim, n, 0.5, u0_amp)
+    s0 = experiments._euler_state(data_config(0.5, u0_amp), TorusGrid(dim, n))
     transforms.paused = False
     if raises:
         with pytest.raises(StepTooLarge, match=r"at t = 0\.0000; shrink dt$"):

@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import zero_padded
+from conftest import data_config, zero_padded
 
 from qnlab import experiments, spectral
 from qnlab.cli import main
@@ -23,17 +23,18 @@ AC1 = (2048, 0.5, 0.1, 0.2, 1e-4, 200)
 
 def cos_run(n, rho0_amp, u0_amp, big_t, dt, sample_every, dim=1):
     """The standard data's samples on the dim-D n grid at step dt."""
-    return run_euler(experiments._cos_euler_data(dim, n, rho0_amp, u0_amp), big_t, dt,
-                     sample_every=sample_every)
+    e0 = experiments._euler_state(data_config(rho0_amp, u0_amp), TorusGrid(dim, n))
+    return run_euler(e0, big_t, dt, sample_every=sample_every)
 
 
 def reference(dim, n, rho0_amp, u0_amp, big_t, dt, sample_every):
     """_euler_reference from the standard data on the dim-D n grid, its
     samples, which stay on the grid n_e they were integrated on, zero-padded
     to n by _padded."""
-    e0 = experiments._cos_euler_data(dim, n, rho0_amp, u0_amp)
-    samples, gronwall, resolution = experiments._euler_reference(e0, rho0_amp, u0_amp, big_t,
-                                                                 dt, sample_every)
+    cfg = data_config(rho0_amp, u0_amp, grid_dim=dim, grid_n=n, big_t=big_t, dt=dt,
+                      sample_every=sample_every)
+    e0 = experiments._euler_state(cfg, TorusGrid(dim, n))
+    samples, gronwall, resolution = experiments._euler_reference(cfg, e0)
     assert all(s.grid == TorusGrid(dim, resolution["n"]) for s in samples)
     return [experiments._padded(s, e0.grid) for s in samples], gronwall, resolution
 
@@ -277,13 +278,21 @@ def test_guard_trip_on_a_coarse_grid_is_decided_on_the_n_grid(grids):
     assert caught.value.step == fine.value.step == 766
 
 
-def test_unstable_step_on_the_floor_hands_over_to_the_n_grid(grids):
+def test_unstable_step_on_the_floor_hands_over_to_the_n_grid(grids, monkeypatch):
     # dt max_rate = 2.95 on 256 nodes leaves no probe, and the dt run is past
     # RK4's bound; the error is the (n, dt) run's, with its larger rate
     args = (2048, 0.5, 0.1, 0.05, 5e-3, 5)
     with pytest.raises(StepTooLarge) as fine:
         cos_run(*args)
     grids.clear()
+    # the n grid's first-step check refuses the step before any grid runs
+    with pytest.raises(StepTooLarge) as caught:
+        reference(1, *args)
+    assert grids == []
+    assert str(caught.value) == str(fine.value)
+    assert caught.value.value == fine.value.value > 20
+    # and past that check, the grid rule hands the floor's failure to n
+    monkeypatch.setattr(experiments, "check_first_step", lambda e0, dt: None)
     with pytest.raises(StepTooLarge) as caught:
         reference(1, *args)
     assert grids == [(256, 5e-3), (2048, 5e-3)]
@@ -442,10 +451,14 @@ def test_failed_reference_is_computed_once_per_sweep(grids, tmp_path):
         assert (pooled / name).read_bytes() == (out / name).read_bytes(), name
 
 
-def test_sweep_reference_refuses_the_step_euler_run_refuses(grids, tmp_path, capsys):
+def test_sweep_reference_refuses_the_step_euler_run_refuses(grids, tmp_path, capsys,
+                                                           monkeypatch):
     # dt max_rate = 4.7 on 2048 nodes, 0.59 on 256: the sweep's reference
     # applies the n grid's first-step check, as euler_run does, so every
-    # point reports euler_run's record and no Euler grid is integrated
+    # point reports euler_run's record, no Euler grid is integrated, and the
+    # point raises it before its Schrodinger stage runs
+    runs = []
+    monkeypatch.setattr(experiments, "run", lambda *args, **kwargs: runs.append(args))
     body = "grid.n = 2048\nphysics.T = 0.02\nphysics.dt = 1e-3\nruntime.sample_every = 10\n"
     records = []
     for kind, extra in (("euler_run", ""), ("quasineutral_sweep",
@@ -456,6 +469,7 @@ def test_sweep_reference_refuses_the_step_euler_run_refuses(grids, tmp_path, cap
         [line] = capsys.readouterr().err.splitlines()
         records.append(json.loads(line))
     assert grids == []
+    assert runs == []
     euler, sweep = records
     assert {k: euler[k] for k in ("stage", "type", "time", "step", "value")} == {
         "stage": "euler", "type": "StepTooLarge", "time": 0.0, "step": 0,

@@ -1,6 +1,7 @@
 """Source hygiene of the qnlab package: no unused imports, imports at module
-level only, numpy's transforms behind qnlab.spectral, the import direction
-between the solver and energy modules, and one owner for each restated rule."""
+level only, no public name without a caller, numpy's transforms behind
+qnlab.spectral, the import direction between the solver and energy modules,
+and one owner for each restated rule."""
 import ast
 import os
 import subprocess
@@ -8,8 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_bench_smoke import qnlab_names, wrapped_names
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from qnlab.config import _KEYS
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 MODULES = sorted((SRC / "qnlab").glob("*.py"))
 
 
@@ -46,6 +51,46 @@ def test_imports_are_module_level(path):
              if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
              for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert local == []
+
+
+def _referenced(node) -> set[str]:
+    """Every name read, attribute taken or name imported under `node`."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in n.names)
+    return names
+
+
+# public names whose only callers are tests, each with the reason it stays
+UNCALLED_KEPT = {
+    "nbody.green_kernel_prime": "the direct-sum oracle of the commutator and of phi'",
+}
+
+
+def test_every_public_name_has_a_caller():
+    # a public top-level function or class is used elsewhere in the package,
+    # by the benchmark (perfbench/micro.py imports, perfbench/tracer.py
+    # wraps), or by the acceptance gate; a name that nothing runs is deleted
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    outside = set().union(
+        (name for _, name in qnlab_names((ROOT / "perfbench" / "micro.py").read_text())),
+        (name for _, name in wrapped_names((ROOT / "perfbench" / "tracer.py").read_text())),
+        _referenced(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())))
+    uncalled = []
+    for module, tree in trees.items():
+        other_modules = set().union(*(_referenced(t) for m, t in trees.items() if m != module))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                # a reference inside its own definition (recursion) does not count
+                same_module = set().union(*(_referenced(o) for o in tree.body if o is not node))
+                if node.name not in other_modules | same_module | outside:
+                    uncalled.append(f"{module}.{node.name}")
+    assert sorted(uncalled) == sorted(UNCALLED_KEPT)
 
 
 def test_numpy_transforms_only_in_spectral():
@@ -124,9 +169,9 @@ def test_inner_loops_build_no_fields(module, func):
 # one owner per rule: each rule below is written in one function, so a change
 # to it edits one place
 
-def _call_chains(path: Path, callee: str) -> list[tuple[str, ...]]:
-    """The enclosing functions, outermost first, of every call of `callee` (by
-    name or attribute) in `path`; () at module level."""
+def _chains(path: Path, match) -> list[tuple[str, ...]]:
+    """The enclosing functions, outermost first, of every node in `path` that
+    `match` accepts; () at module level."""
     chains = []
 
     def visit(node, chain):
@@ -134,13 +179,18 @@ def _call_chains(path: Path, callee: str) -> list[tuple[str, ...]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, (*chain, child.name))
                 continue
-            if isinstance(child, ast.Call) and \
-                    getattr(child.func, "id", getattr(child.func, "attr", None)) == callee:
+            if match(child):
                 chains.append(chain)
             visit(child, chain)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), ())
     return chains
+
+
+def _call_chains(path: Path, callee: str) -> list[tuple[str, ...]]:
+    """_chains of every call of `callee` (by name or attribute) in `path`."""
+    return _chains(path, lambda node: isinstance(node, ast.Call) and
+                   getattr(node.func, "id", getattr(node.func, "attr", None)) == callee)
 
 
 def _call_sites(path: Path, callee: str) -> list[str]:
@@ -230,7 +280,16 @@ def test_n_grid_first_step_checked_once_before_the_grid_rule():
     # the callers of _coarsest_run hand it an n-grid state that has passed
     # the n grid's first-step check; no coarse grid's prepare applies it
     sites = [s for p in MODULES for s in _call_sites(p, "check_first_step")]
-    assert sites == ["experiments.py:_sweep_reference", "experiments.py:_run_euler"]
+    assert sites == ["experiments.py:_euler_reference"]
+    tree = ast.parse((SRC / "qnlab" / "experiments.py").read_text(encoding="utf-8"))
+    [body] = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "_euler_reference"]
+
+    def first_call(callee):
+        return min(i for i, stmt in enumerate(body.body) for node in ast.walk(stmt)
+                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) == callee)
+
+    assert first_call("check_first_step") < first_call("_coarsest_run")
     chains = _call_chains(SRC / "qnlab" / "experiments.py", "check_kinetic_phase")
     assert chains == [("_schrodinger_samples",)]
 
@@ -247,6 +306,18 @@ def test_euler_integrates_only_under_the_grid_rule():
 def test_prepared_state_built_in_one_function():
     sites = _call_sites(SRC / "qnlab" / "experiments.py", "WellPreparedSpec")
     assert len(sites) == 1, sites
+
+
+def test_initial_data_read_only_in_profiles():
+    # every run evaluates its initial data through _profiles(cfg, grid), so a
+    # new data family edits one function; the summary's initial block only
+    # echoes the configured values
+    fields = {field for key, (field, _, _) in _KEYS.items() if key.startswith("initial.")}
+    assert fields
+    readers = {f"{p.name}:{chain[-1] if chain else '<module>'}" for p in MODULES
+               for chain in _chains(p, lambda node: isinstance(node, ast.Attribute)
+                                    and node.attr in fields)}
+    assert sorted(readers) == ["experiments.py:_profiles", "experiments.py:run_experiment"]
 
 
 def _is_power_of_two_test(node) -> bool:

@@ -2,6 +2,7 @@
 empirical measures."""
 import numpy as np
 import pytest
+from conftest import data_config
 
 from qnlab import experiments
 from qnlab.errors import NotAProbabilityDensity, NotPositive
@@ -272,6 +273,6 @@ def test_cos_profiles_are_the_meshgrid_formula_bit_for_bit(grid):
     rho0 = np.exp(0.5 * phase)
     rho0 /= rho0.mean()
     u0pot = 0.3 * sum(np.sin(2.0 * np.pi * c) for c in coords) / (2.0 * np.pi)
-    got_rho0, got_u0pot = experiments._cos_profiles(grid, 0.5, 0.3)
+    got_rho0, got_u0pot = experiments._profiles(data_config(0.5, 0.3), grid)
     assert np.array_equal(got_rho0.values, rho0)
     assert np.array_equal(got_u0pot.values, u0pot)

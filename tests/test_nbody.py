@@ -11,15 +11,14 @@ from qnlab.nbody import (
     MC_BLOCK_ATOMS,
     ParticleConfig,
     _flat_energy,
+    _modal_sums,
     _w1_to_uniform,
-    coercivity_check,
     commutator_functional,
     green_kernel,
     green_kernel_prime,
-    kernel_convolution,
+    green_symbol,
     mc_uniform_stats,
     renormalized_energy,
-    trig_interp_at,
     w1_circle,
 )
 
@@ -56,24 +55,6 @@ def direct_commutator_pair(pos, u_at):
 @pytest.fixture
 def flat(grid256):
     return RealField(grid256, np.ones(grid256.n))
-
-
-def test_trig_interp_exact_for_band_limited(grid256):
-    x = grid256.axis_points()
-    f = RealField(grid256, np.sin(2 * np.pi * x) + 0.5 * np.cos(6 * np.pi * x))
-    pts = np.array([0.123, 0.456, 0.789, 0.0])
-    expected = np.sin(2 * np.pi * pts) + 0.5 * np.cos(6 * np.pi * pts)
-    np.testing.assert_allclose(trig_interp_at(f, pts), expected, atol=1e-13)
-
-
-def test_kernel_convolution_grid_vs_points(grid256):
-    rng = np.random.default_rng(8)
-    from conftest import smooth_density
-
-    mu = smooth_density(grid256, rng)
-    on_grid = kernel_convolution(mu)
-    at_nodes = kernel_convolution(mu, grid256.axis_points())
-    np.testing.assert_allclose(on_grid, at_nodes, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -181,26 +162,8 @@ def test_flat_energy_million_atoms_against_long_double():
 
 
 # ---------------------------------------------------------------------------
-# coercivity and commutator
+# commutator
 # ---------------------------------------------------------------------------
-
-def test_coercivity_zero_for_symmetric_case(grid256, flat):
-    phi = RealField(grid256, np.cos(2 * np.pi * grid256.axis_points()))
-    rep = coercivity_check(ParticleConfig(np.arange(8) / 8), flat, phi)
-    assert rep["lhs"] <= 1e-14
-    assert rep["implied_constant_half"] == 0.0
-
-
-def test_coercivity_constant_stays_small(grid256, flat):
-    # fluctuation integrals are dominated by the energy term in practice;
-    # the implied extra constant at exponent 1/2 stays below 1
-    rng = np.random.default_rng(0)
-    x = grid256.axis_points()
-    phi = RealField(grid256, np.sin(4 * np.pi * x) + 0.3 * np.cos(2 * np.pi * x))
-    for _ in range(100):
-        rep = coercivity_check(ParticleConfig(rng.random(32)), flat, phi)
-        assert rep["implied_constant_half"] <= 1.0
-
 
 def test_commutator_vanishes_for_constant_velocity(grid256, flat):
     u = RealField(grid256, np.full(grid256.n, 2.2))
@@ -238,7 +201,8 @@ def test_commutator_pair_term_matches_direct_sum(grid256, n_part):
     u = RealField(grid256, np.sin(2 * np.pi * x) + 0.2 * np.cos(6 * np.pi * x))
     for pos in oracle_configs(n_part):
         rep = commutator_functional(ParticleConfig(pos), mu, u)
-        direct = direct_commutator_pair(pos, trig_interp_at(u, pos))
+        u_at = np.sin(2 * np.pi * pos) + 0.2 * np.cos(6 * np.pi * pos)
+        direct = direct_commutator_pair(pos, u_at)
         np.testing.assert_allclose(rep["pair_term"], direct, rtol=1e-13, atol=1e-15)
 
 
@@ -253,10 +217,13 @@ def test_point_evaluations_match_direct_phase_sum():
     coeffs = np.fft.fft(mu.values) / g.n
     k2 = full_k_squared(g)
     green = np.divide(1.0, k2, out=np.full(g.shape, -1.0 / 12.0), where=k2 != 0.0)
+    # K * mu and mu itself at the points, as two columns of one modal sum
+    mu_hat = np.fft.rfft(mu.values)
+    conv, values = _modal_sums(g, np.stack([mu_hat * green_symbol(g), mu_hat], axis=1), pos).T
     direct = (phases @ (coeffs * green)).real
-    np.testing.assert_allclose(kernel_convolution(mu, pos), direct, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(conv, direct, rtol=1e-12, atol=1e-15)
     direct = (phases @ coeffs).real
-    np.testing.assert_allclose(trig_interp_at(mu, pos), direct, rtol=1e-12)
+    np.testing.assert_allclose(values, direct, rtol=1e-12)
 
 
 def test_particle_layer_uses_real_transforms_only(transforms):
@@ -272,12 +239,6 @@ def test_particle_layer_uses_real_transforms_only(transforms):
     assert transforms.counts == {"fft": 0, "ifft": 0, "rfft": 1, "irfft": 0}
     commutator_functional(cfg, mu, u)
     assert transforms.counts == {"fft": 0, "ifft": 0, "rfft": 1 + 3, "irfft": 1}
-    coercivity_check(cfg, mu, u)
-    kernel_convolution(mu)
-    kernel_convolution(mu, prime=True)
-    trig_interp_at(u, cfg.positions)
-    assert transforms.counts["fft"] == transforms.counts["ifft"] == 0
-    assert transforms.counts["rfft"] > 0
 
 
 def test_commutator_ratio_bounded_by_velocity_lipschitz(grid256, flat):

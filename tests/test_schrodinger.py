@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import full_k_squared
+from conftest import data_config, full_k_squared
 
 from qnlab import schrodinger
 from qnlab.cli import main
@@ -12,7 +12,7 @@ from qnlab.config import sample_steps
 from qnlab.energy import conserved_energy, field_energy, modulated_total
 from qnlab.errors import StepTooLarge
 from qnlab.euler import EulerState
-from qnlab.experiments import _prepared_state
+from qnlab.experiments import _wave
 from qnlab.grid import ComplexField, RealField, TorusGrid, integrate
 from qnlab.schrodinger import (
     WaveFunction,
@@ -223,7 +223,7 @@ def _mode_one_miss(mode, eps, hbar, omega):
     `mode`; the returned miss(w) is max |b(t) - b0 cos(w t)| / |b0| over the
     samples, b the mode-1 cosine coefficient of |psi|^2."""
     grid = TorusGrid(1, 256)
-    w0 = _prepared_state(grid, 1e-4, 0.0, eps, hbar)
+    w0 = _wave(data_config(1e-4, 0.0), grid, eps, hbar)
     period = 2.0 * np.pi / omega
     samples = run(w0, period, period / 2000, sample_every=100, mode=mode)
     cos_1 = np.cos(2.0 * np.pi * grid.axis_points())
@@ -294,7 +294,7 @@ def test_linear_poisson_wave_is_the_plasma_oscillation(eps):
 def test_warm_start_needs_about_one_newton_iteration(monkeypatch):
     # the sweep_1d point: eps = hbar = 0.025, n = 2048, dt = 1e-4, 200 steps
     g = TorusGrid(1, 2048)
-    w0 = _prepared_state(g, 0.5, 0.1, 0.025, 0.025)
+    w0 = _wave(data_config(0.5, 0.1), g, 0.025, 0.025)
     solves, steps = [], []
     potential_values = schrodinger.potential_values
     step_core = schrodinger._step_core
@@ -338,7 +338,7 @@ def test_run_matches_repeated_strang_steps():
     # values and solves the potential cold, so they differ only by roundoff
     # and the Newton tolerance
     g = TorusGrid(1, 2048)
-    w = _prepared_state(g, 0.5, 0.1, 0.025, 0.025)
+    w = _wave(data_config(0.5, 0.1), g, 0.025, 0.025)
     dt, steps = 1e-4, 50
     traj = run(w, steps * dt, dt, sample_every=7)
     expected = {}
@@ -429,7 +429,7 @@ def test_benchmark_run_transform_budget(transforms):
     # CG iteration), 901 each as measured, with 5% margin for a solve's
     # Newton path; a transform added to a step costs 200 more
     transforms.paused = True
-    w0 = _prepared_state(TorusGrid(1, 256), 0.5, 0.1, 0.025, 0.025)
+    w0 = _wave(data_config(0.5, 0.1), TorusGrid(1, 256), 0.025, 0.025)
     transforms.paused = False
     run(w0, 0.02, 1e-4, sample_every=20)
     counts = transforms.counts

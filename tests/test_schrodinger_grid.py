@@ -50,8 +50,7 @@ def runs(monkeypatch):
 
 
 def prepared(cfg, eps, hbar, n=None):
-    return experiments._prepared_state(TorusGrid(1, n or cfg.grid_n), cfg.rho0_amp,
-                                       cfg.u0_amp, eps, hbar)
+    return experiments._wave(cfg, TorusGrid(1, n or cfg.grid_n), eps, hbar)
 
 
 def on_the_n_grid(monkeypatch):
@@ -200,13 +199,38 @@ def test_unresolved_prepared_state_is_never_integrated_there(runs):
     assert resolution["n"] == 512
 
 
+def test_grid_rule_keeps_a_2d_state_in_2d(runs):
+    # the coarse grids the rule tries have the state's dimension: from a
+    # 128^2 start, the prepared state on 32^2 is left before any step, the
+    # run is on 64^2, and every later sample lies there
+    cfg = dataclasses.replace(
+        build_config({}, "schrodinger_run"), grid_dim=2, grid_n=128, eps=(0.02,), hbar=(0.02,),
+        big_t=0.002, dt=1e-4, sample_every=10, rho0_amp=0.05, u0_amp=0.0)
+    w0 = experiments._wave(cfg, TorusGrid(2, 128), 0.02, 0.02)
+    samples, resolution = experiments._schrodinger_samples(cfg, w0)
+    assert runs == [64]
+    assert resolution["n"] == 64
+    assert samples[0][0] is w0
+    assert len(samples) == 3
+    for w, split in samples[1:]:
+        assert w.psi.grid == split.potential.grid == TorusGrid(2, 64)
+
+
 def test_n_grid_kinetic_phase_cap_holds_before_any_coarse_run(runs):
     # at dt = 1e-3 a step on 2048 nodes exceeds the kinetic-phase cap and a
     # step on 256 nodes does not: the point fails as the n-grid run does,
     # and nothing is integrated on any grid
     cfg = dataclasses.replace(BENCH, dt=1e-3)
     check_kinetic_phase(prepared(cfg, 0.025, 0.025, n=256), cfg.dt)
+    # the sweep's own reference fails at this dt too (dt max_rate = 4.7 on
+    # 2048 nodes), and a point raises a failed reference first
     got = experiments._sweep_point(cfg, experiments._sweep_reference(cfg), 0.025, 0.025)
+    assert runs == []
+    assert (got["error"]["stage"], got["error"]["type"]) == ("euler", "StepTooLarge")
+    assert got["error"]["message"].startswith("RK4 step dt * lambda = 4.718")
+    # past a reference that stands, the cap decides
+    standing = experiments._sweep_reference(dataclasses.replace(cfg, dt=1e-4))
+    got = experiments._sweep_point(cfg, standing, 0.025, 0.025)
     assert runs == []
     with pytest.raises(StepTooLarge) as fine:
         run(prepared(cfg, 0.025, 0.025), cfg.big_t, cfg.dt, sample_every=cfg.sample_every)
