@@ -115,7 +115,7 @@ def _step_core(chi_hat: np.ndarray, w: WaveFunction, step: int, dt: float, mode:
         message = (f"potential phase {v_phase:.3f} >= pi; shrink dt" if np.isfinite(v_phase) else
                    f"non-finite potential: phase {v_phase} at step {step}, t = {t:.4g}")
         raise StepTooLarge(message, time=t, value=v_phase, step=step)
-    return spectral.fft(psi * np.exp(-1j * v * dt / w.hbar), w.psi.grid.shape), hat, info
+    return spectral.fft(psi * np.exp(1j * (-(v * dt) * (1 / w.hbar))), w.psi.grid.shape), hat, info
 
 
 def step_strang(w: WaveFunction, dt: float, mode: str = "poisson_boltzmann") -> WaveFunction:

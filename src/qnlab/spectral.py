@@ -5,17 +5,17 @@ ones, with symbols on the rfft half spectrum; complex fields (wave functions)
 use the full transform. Symbols are cached per grid. A transform acts on the
 trailing axes that the grid's `shape` names; any leading axes index fields, a
 stack transformed in calls of at most STACK_BYTES of input each, every field
-bit for bit as on its own. In 1-D, input within STACK_BYTES is one numpy call
-and nothing more: on a few hundred nodes a transform is mostly call overhead.
-Derivative symbols zero the Nyquist mode, which on real fields agrees to
-roundoff with keeping it and taking the real part. Sums over the spectrum
-(Parseval through `Symbols.parseval`, point evaluations in qnlab.nbody) take
-the half-spectrum conjugate-pair weight from `Symbols.pair_weight`.
-`resample` zero-pads a 1-D or 2-D field onto a finer grid, `zero_pad` its rfft
-(or a stack of them), and `irfft_padded` inverts a zero-padded half spectrum,
-a multiplier applied. In 2-D that inverse transforms along the first axis
-only the columns the coarse spectrum fills (a pruned FFT): the rest are zero,
-and the result is irfft2's bit for bit.
+bit for bit as on its own. It calls numpy's pocketfft gufuncs, one per axis,
+not np.fft's Python wrapper around them: in 1-D, input within STACK_BYTES is
+one call. Derivative symbols zero the Nyquist mode, which on real fields
+agrees to roundoff with keeping it and taking the real part. Sums over the
+spectrum (Parseval through `Symbols.parseval`, point evaluations in
+qnlab.nbody) take the half-spectrum conjugate-pair weight from
+`Symbols.pair_weight`. `resample` zero-pads a 1-D or 2-D field onto a finer
+grid, `zero_pad` its rfft (or a stack of them), and `irfft_padded` inverts a
+zero-padded half spectrum, a multiplier applied. In 2-D that inverse
+transforms along the first axis only the columns the coarse spectrum fills (a
+pruned FFT): the rest are zero, and the result is irfft2's bit for bit.
 """
 from __future__ import annotations
 
@@ -40,66 +40,85 @@ STACK_BYTES = 128 * 1024
 
 
 def _chunked(transform, values: np.ndarray, dim: int, field_shape: tuple[int, ...],
-             dtype, out: np.ndarray | None = None, **kwargs) -> np.ndarray:
-    """transform(values, out=out, **kwargs) over the trailing `dim` axes of
+             dtype, out: np.ndarray | None = None, *args) -> np.ndarray:
+    """transform(values, *args, out=out) over the trailing `dim` axes of
     `values`, whose leading axes are fields, in calls of at most STACK_BYTES
     of input (at least one field each); each transformed field has
     `field_shape`. The result is written to `out` if given, which must be
     C-contiguous: the chunks write through a reshaped view of it."""
-    if out is not None and not out.flags.c_contiguous:
-        raise ValueError("a transform's `out` must be C-contiguous")
     if values.nbytes <= STACK_BYTES or values.ndim == dim:
-        return transform(values, out=out, **kwargs)  # one chunk
+        return transform(values, *args, out=out)  # one chunk
     fields = values.reshape(-1, *values.shape[-dim:])
     per = max(1, STACK_BYTES // fields[0].nbytes)
     if out is None:
         out = np.empty((*values.shape[:-dim], *field_shape), dtype)
     flat = out.reshape(len(fields), *field_shape)
     for start in range(0, len(fields), per):
-        transform(fields[start:start + per], out=flat[start:start + per], **kwargs)
+        transform(fields[start:start + per], *args, out=flat[start:start + per])
     return out
 
 
-# numpy's irfft2 and ifft2 ignore `out`; their n-d forms over the last two
-# axes compute the same and honour it
-_AXES2 = (-2, -1)
+def _along(values: np.ndarray, ufunc, axis: int, points: int, inverse: bool, dtype=complex,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """The gufunc `ufunc` of np.fft._pocketfft_umath along `axis` of `values`, `points`
+    values out along it, scaled by 1/points if `inverse`: the call each np.fft transform
+    ends in, less its wrapper. Into `out` if given, else a new `dtype` array."""
+    if out is None:
+        shape = list(values.shape)
+        shape[axis] = points
+        out = np.empty(shape, dtype)
+    return ufunc(values, 1 / points if inverse else 1, axes=[(axis,), (), (axis,)], out=out)
+
+
+def _plane(values: np.ndarray, first: tuple, second: tuple, out=None) -> np.ndarray:
+    """A 2-D transform in numpy's n-d order: the _along pass `first`, then `second` into `out`."""
+    return _along(_along(values, *first), *second, out=out)
 
 
 def rfft(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """rfft half spectra of real grid values on the grid `shape`."""
+    pfu = np.fft._pocketfft_umath
+    half = (*shape[:-1], shape[-1] // 2 + 1)
+    last = (pfu.rfft_n_even if shape[-1] % 2 == 0 else pfu.rfft_n_odd, -1, half[-1], False)
     if len(shape) == 1:
         if values.nbytes <= STACK_BYTES:
-            return np.fft.rfft(values)
-        return _chunked(np.fft.rfft, values, 1, (shape[0] // 2 + 1,), complex)
-    return _chunked(np.fft.rfftn, values, 2, (shape[0], shape[1] // 2 + 1), complex, axes=_AXES2)
+            return _along(values, *last)
+        return _chunked(_along, values, 1, half, complex, None, *last)
+    return _chunked(_plane, values, 2, half, complex, None, last, (pfu.fft, -2, shape[0], False))
 
 
 def irfft(hat: np.ndarray, shape: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
     """Real grid values on the grid `shape` of rfft half spectra, written to
     `out` if given."""
+    pfu = np.fft._pocketfft_umath
+    last = (pfu.irfft, -1, shape[-1], True, float)
+    if out is not None and (not out.flags.c_contiguous or out.shape != (*hat.shape[:-1], last[2])):
+        raise ValueError("a transform's `out` must be C-contiguous and of the result's shape")
     if len(shape) == 1:
-        if hat.nbytes <= STACK_BYTES and (out is None or out.flags.c_contiguous):
-            return np.fft.irfft(hat, shape[0], out=out)
-        return _chunked(np.fft.irfft, hat, 1, shape, float, out, n=shape[0])
-    return _chunked(np.fft.irfftn, hat, 2, shape, float, out, s=shape, axes=_AXES2)
+        if hat.nbytes <= STACK_BYTES:
+            return _along(hat, *last, out)
+        return _chunked(_along, hat, 1, shape, float, out, *last)
+    return _chunked(_plane, hat, 2, shape, float, out, (pfu.ifft, -2, shape[0], True), last)
 
 
 def fft(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Full spectra of complex grid values on the grid `shape`."""
+    last = (np.fft._pocketfft_umath.fft, -1, shape[-1], False)
     if len(shape) == 1:
         if values.nbytes <= STACK_BYTES:
-            return np.fft.fft(values)
-        return _chunked(np.fft.fft, values, 1, shape, complex)
-    return _chunked(np.fft.fftn, values, 2, shape, complex, axes=_AXES2)
+            return _along(values, *last)
+        return _chunked(_along, values, 1, shape, complex, None, *last)
+    return _chunked(_plane, values, 2, shape, complex, None, last, (last[0], -2, shape[0], False))
 
 
 def ifft(hat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Complex grid values on the grid `shape` of full spectra."""
+    last = (np.fft._pocketfft_umath.ifft, -1, shape[-1], True)
     if len(shape) == 1:
         if hat.nbytes <= STACK_BYTES:
-            return np.fft.ifft(hat)
-        return _chunked(np.fft.ifft, hat, 1, shape, complex)
-    return _chunked(np.fft.ifftn, hat, 2, shape, complex, axes=_AXES2)
+            return _along(hat, *last)
+        return _chunked(_along, hat, 1, shape, complex, None, *last)
+    return _chunked(_plane, hat, 2, shape, complex, None, last, (last[0], -2, shape[0], True))
 
 
 def _coarse_shape(hat: np.ndarray, dim: int) -> tuple[int, ...]:
@@ -150,9 +169,10 @@ def irfft_padded(hat: np.ndarray, shape: tuple[int, ...], symbol=None) -> np.nda
     part = zero_pad(hat, shape, cols)
     if symbol is not None:
         part = symbol[..., :cols] * part
-    out = np.zeros((shape[0], shape[1] // 2 + 1), dtype=complex)
-    out[:, :cols] = np.fft.ifft(part, axis=0)
-    return np.fft.irfft(out, shape[1], axis=1)
+    pfu = np.fft._pocketfft_umath
+    full = np.zeros((shape[0], shape[1] // 2 + 1), dtype=complex)
+    _along(part, pfu.ifft, -2, shape[0], True, complex, full[:, :cols])
+    return _along(full, pfu.irfft, -1, shape[1], True, float)
 
 
 def resample(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

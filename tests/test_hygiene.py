@@ -140,6 +140,12 @@ def test_schrodinger_does_not_import_energy():
     assert _loaded_after("qnlab.schrodinger", ["qnlab.energy"]) == []
 
 
+def test_cli_leaves_numpy_fft_unloaded():
+    # numpy.fft loads at a run's first transform: transform set-up at import
+    # would move into every CLI start-up
+    assert _loaded_after("qnlab.cli", ["numpy.fft"]) == []
+
+
 def test_cli_leaves_the_process_pool_unloaded():
     # concurrent.futures loads its process pool, and multiprocessing with it,
     # on first attribute access; only a sweep under --jobs > 1 touches it

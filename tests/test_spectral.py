@@ -265,12 +265,22 @@ NUMPY_ALONE = {
 }
 
 
+def _layouts(values):
+    """`values`, a strided view and a transposed view (every axis reversed)
+    of arrays holding the same numbers."""
+    strided = np.empty((*values.shape[:-1], 2 * values.shape[-1]), values.dtype)[..., ::2]
+    transposed = np.empty(values.shape[::-1], values.dtype).T
+    strided[...] = transposed[...] = values
+    return values, strided, transposed
+
+
 @pytest.mark.parametrize("grid", STACKED_GRIDS, ids=str)
 def test_stacked_transforms_are_the_single_ones_bit_for_bit(grid):
     # a 1-D field or stack within STACK_BYTES is one numpy call, a larger
     # one goes in chunks of whole fields, a 2-D one always in chunks: each
-    # field, alone or in a stack, comes out as numpy transforms it alone,
-    # into `out` or not
+    # field, alone or in a stack, contiguous, strided or transposed, comes
+    # out as numpy's public transform makes it of that field alone, into
+    # `out` or not
     rng = np.random.default_rng(grid.n)
     shape = grid.shape
     half = (*shape[:-1], shape[-1] // 2 + 1)
@@ -280,17 +290,43 @@ def test_stacked_transforms_are_the_single_ones_bit_for_bit(grid):
         spec = rng.standard_normal((*lead, *half)) + 1j * rng.standard_normal((*lead, *half))
         out = np.empty(real.shape)
         assert spectral.irfft(spec, shape, out) is out
-        cases = [(name, getattr(spectral, name)(values, shape), values)
+        cases = [(name, getattr(spectral, name)(view, shape), view)
                  for name, values in (("rfft", real), ("irfft", spec), ("fft", cplx),
-                                      ("ifft", cplx))]
+                                      ("ifft", cplx))
+                 for view in _layouts(values)]
         for name, got, values in [*cases, ("irfft", out, spec)]:
             assert got.shape[:len(lead)] == lead
-            rows = zip(got.reshape(-1, *got.shape[len(lead):]),
-                       values.reshape(-1, *values.shape[len(lead):]), strict=True)
-            for row, field in rows:
-                want = NUMPY_ALONE[grid.dim][name](field, shape)
-                assert row.shape == want.shape and row.dtype == want.dtype
-                assert row.tobytes() == want.tobytes(), (name, lead)
+            for index in np.ndindex(lead):
+                want = NUMPY_ALONE[grid.dim][name](values[index], shape)
+                assert got[index].shape == want.shape and got[index].dtype == want.dtype
+                assert got[index].tobytes() == want.tobytes(), (name, lead, values.strides)
+
+
+# the gufuncs that numpy's transforms end in, which spectral calls by name
+POCKETFFT_GUFUNCS = {"rfft_n_even": "(n),()->(m)", "rfft_n_odd": "(n),()->(m)",
+                     "irfft": "(m),()->(n)", "fft": "(n),()->(m)", "ifft": "(m),()->(n)"}
+
+
+def test_numpy_has_the_gufuncs_spectral_calls():
+    # a numpy that renames one of them, or changes its signature, fails here by name
+    pocketfft = np.fft._pocketfft_umath
+    for name, signature in POCKETFFT_GUFUNCS.items():
+        ufunc = getattr(pocketfft, name)
+        assert isinstance(ufunc, np.ufunc) and ufunc.__name__ == name
+        assert (ufunc.signature, ufunc.nin, ufunc.nout) == (signature, 2, 1), name
+
+
+def test_transforms_go_past_numpys_wrappers(monkeypatch):
+    # every transform, 1-D and 2-D, and the pruned irfft_padded run with
+    # np.fft's public transforms gone
+    for name in ("rfft", "irfft", "fft", "ifft", "rfftn", "irfftn", "fftn", "ifftn"):
+        monkeypatch.delattr(np.fft, name)
+    for grid in (TorusGrid(1, 64), TorusGrid(2, 16)):
+        values = white_noise(grid, seed=3)
+        hat = spectral.rfft(values, grid.shape)
+        assert np.allclose(spectral.irfft(hat, grid.shape), values)
+        assert np.allclose(spectral.ifft(spectral.fft(values + 0j, grid.shape), grid.shape), values)
+    assert spectral.irfft_padded(hat, (32, 32)).shape == (32, 32)
 
 
 def test_a_strided_out_is_refused():
@@ -302,6 +338,15 @@ def test_a_strided_out_is_refused():
     out = np.empty((8, grid.n, 2 * grid.n))[..., ::2]
     with pytest.raises(ValueError, match="C-contiguous"):
         spectral.irfft(hat, grid.shape, out)
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(1, 256), TorusGrid(2, 16)], ids=str)
+def test_an_out_of_another_shape_is_refused(grid):
+    # numpy's gufuncs would fit the transform to whatever `out` they are given
+    hat = spectral.rfft(np.zeros(grid.shape), grid.shape)
+    for shape in [(*grid.shape[:-1], grid.n + 2), (2, *grid.shape)]:
+        with pytest.raises(ValueError, match="shape"):
+            spectral.irfft(hat, grid.shape, np.empty(shape))
 
 
 def test_leading_axes_of_a_stack_are_all_fields():
