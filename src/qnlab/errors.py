@@ -14,15 +14,6 @@ class NotAProbabilityDensity(QnlabError, ValueError):
     """Density is negative somewhere or does not integrate to one."""
 
 
-class NewtonDiverged(QnlabError, RuntimeError):
-    """Damped Newton iteration hit its cap (or exhausted backtracking);
-    carries the L2 residual of its last iterate."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class GuardError(QnlabError):
     """A run guard tripped; carries the simulated time, the value the guard
     measured and the number of steps completed when it tripped, each when the
@@ -34,6 +25,12 @@ class GuardError(QnlabError):
         self.time = time
         self.value = value
         self.step = step
+
+
+class NewtonDiverged(GuardError, RuntimeError):
+    """Damped Newton iteration hit its cap (or exhausted backtracking);
+    carries the L2 residual of its last iterate as the value, and no time or
+    step: a solve knows neither."""
 
 
 class PotentialSolveFailed(GuardError, RuntimeError):

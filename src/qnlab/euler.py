@@ -49,10 +49,11 @@ class EulerState:
 
 def max_rate(grid: TorusGrid, sup_u: float) -> float:
     """Bound on |lambda| over the linearized right-hand side at a state with
-    max_i |u_i| = sup_u: 2 pi (n/3) sqrt(dim) (sup_u sqrt(dim) + 1), the largest
-    |2 pi k| that _rhs evolves times the largest |u| plus the unit sound speed."""
+    max_i |u_i| = sup_u: 2 pi edge sqrt(dim) (sup_u sqrt(dim) + 1), the largest |2 pi k|
+    that _rhs evolves (spectral.Symbols.edge) times the largest |u| plus the unit sound speed."""
     root_dim = float(np.sqrt(grid.dim))
-    return 2.0 * np.pi * (grid.n / 3.0) * root_dim * (sup_u * root_dim + 1.0)
+    top = 2.0 * np.pi * spectral.symbols(grid, real=True).edge
+    return top * root_dim * (sup_u * root_dim + 1.0)
 
 
 def _buffers(sym: spectral.Symbols) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ from collections.abc import Callable
 # the package, not its ProcessPoolExecutor: that name loads the process pool
 # and multiprocessing on first access, which only a sweep under --jobs > 1 makes
 from concurrent import futures
-from functools import partial, reduce
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -100,18 +100,15 @@ TIME_ERROR_BOUND = 1e-12
 
 def _top_band_share(fields: list[np.ndarray]) -> float:
     """Largest ||f_band||_2 / ||f||_2 over 1-D or 2-D grid values f, real or
-    complex, the band the shell n/6 < max over axes of |k_axis| <= n/3 taken
-    on the values' own grid."""
+    complex, the band the top half of the dealiasing band (spectral.Symbols'
+    shell) on the values' own grid."""
     share = 0.0
     for f in fields:
-        grid = TorusGrid(f.ndim, f.shape[0])
-        sym = spectral.symbols(grid, real=np.isrealobj(f))
-        top = reduce(np.maximum, map(np.abs, sym.modes))
-        band = (top > grid.n / 6.0) & (top <= grid.n / 3.0)
+        sym = spectral.symbols(TorusGrid(f.ndim, f.shape[0]), real=np.isrealobj(f))
         power = np.abs(sym.forward(f)) ** 2
         total = sym.parseval(power)
         if total > 0.0:
-            share = max(share, float(np.sqrt(sym.parseval(power * band) / total)))
+            share = max(share, float(np.sqrt(sym.parseval(power * sym.shell) / total)))
     return share
 
 
@@ -259,7 +256,7 @@ def _schrodinger_samples(cfg: ExperimentConfig, w0: WaveFunction) -> tuple[list,
         return w, [w.psi.values]
 
     def integrate(w: WaveFunction):
-        samples = run(w, cfg.big_t, cfg.dt, sample_every=cfg.sample_every, mode=cfg.mode)
+        samples = run(w, cfg.big_t, cfg.dt, sample_every=cfg.sample_every)
         return samples, [f for v, split in samples for f in (v.psi.values, split.potential.values)]
 
     n_s, samples, share = _coarsest_run(w0, grid.n, grid.dim, SCHRODINGER_BAND_SHARE_BOUND,
@@ -267,12 +264,12 @@ def _schrodinger_samples(cfg: ExperimentConfig, w0: WaveFunction) -> tuple[list,
     if n_s < grid.n:
         # called through the module, so a wrapper on it (perfbench's tracer)
         # sees the n-grid solve
-        split0 = schrodinger.solve_potential(density(w0), w0.eps, cfg.mode, time=w0.time, step=0)
+        split0 = schrodinger.solve_potential(density(w0), w0.eps, time=w0.time, step=0)
         samples = [(w0, split0), *samples[1:]]
     return samples, {"n": n_s, "top_band_share": share}
 
 
-def _wave_on(grid: TorusGrid, w: WaveFunction, split, mode: str, step: int) -> tuple:
+def _wave_on(grid: TorusGrid, w: WaveFunction, split, step: int) -> tuple:
     """The sample (w, split) on the finer `grid`: psi zero-padded (the complex
     `resample`) and its potential re-solved there, warm-started from the
     padded hat; as it is on its own grid."""
@@ -283,7 +280,7 @@ def _wave_on(grid: TorusGrid, w: WaveFunction, split, mode: str, step: int) -> t
     hat0 = spectral.resample(split.hat.values, grid.shape)
     # called through the module, so a wrapper on it (perfbench's tracer) sees
     # the re-solves
-    return w, schrodinger.solve_potential(density(w), w.eps, mode, hat0, time=w.time, step=step)
+    return w, schrodinger.solve_potential(density(w), w.eps, hat0=hat0, time=w.time, step=step)
 
 
 def _sweep_point(cfg: ExperimentConfig, reference: tuple[list, dict, dict] | Exception,
@@ -315,7 +312,7 @@ def _sweep_point(cfg: ExperimentConfig, reference: tuple[list, dict, dict] | Exc
         grid_d = TorusGrid(grid.dim, max(schrodinger_grid["n"], resolution["n"]))
         steps = sample_steps(cfg.big_t, cfg.dt, cfg.sample_every)
         grids = [grid if step == 0 else grid_d for step in steps]
-        samples = [_wave_on(g, w, split, cfg.mode, step)
+        samples = [_wave_on(g, w, split, step)
                    for (w, split), g, step in zip(samples, grids, steps, strict=True)]
 
         stage = "diagnostics"

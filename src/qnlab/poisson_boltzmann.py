@@ -4,7 +4,8 @@ The potential is produced as the split V = tilde + hat, where tilde carries
 the source (linear Poisson solve, or for particle data in 1-D the exact
 Green-kernel sums of qnlab.nbody) and hat solves the remaining exponential
 problem -eps*Lap(hat) = 1 - exp(tilde + hat) by damped Newton with a
-preconditioned conjugate-gradient linear solve on plain arrays.
+preconditioned conjugate-gradient linear solve on plain arrays. The module
+owns the closure: potential_values also solves the linear -eps*Lap(V) = h - 1.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import spectral
-from .errors import NewtonDiverged
+from .config import MODES
+from .errors import NewtonDiverged, PotentialSolveFailed
 from .grid import (
     MASS_TOL,
     RealField,
@@ -199,7 +201,7 @@ def _newton_hat(
     hat, res, weight = residual(np.zeros(grid.shape) if hat0 is None else hat0)
     res_norm = rms(res)
     if not np.isfinite(res_norm):
-        raise NewtonDiverged(f"non-finite residual {res_norm} at the initial guess", res_norm)
+        raise NewtonDiverged(f"non-finite residual {res_norm} at the initial guess", value=res_norm)
     history = [res_norm]
     iterations = 0
     cg_iterations = 0
@@ -209,7 +211,7 @@ def _newton_hat(
         if iterations >= NEWTON_CAP:
             raise NewtonDiverged(
                 f"Newton cap {NEWTON_CAP} reached with residual {res_norm:.3e} (tol {tol:.3e})",
-                res_norm)
+                value=res_norm)
         forcing = max(min(res_norm, 1e-2), CG_THETA * tol / res_norm)
         step, cg_its, converged = _pcg(-res, weight, eps, grid, forcing)
         cg_iterations += cg_its
@@ -229,7 +231,7 @@ def _newton_hat(
                 break  # the start's owed step found no descent; the start meets tol
             raise NewtonDiverged(
                 f"backtracking exhausted at iteration {iterations}, residual {res_norm:.3e}",
-                res_norm)
+                value=res_norm)
         hat, res, res_norm, weight = trial, trial_res, trial_norm, trial_weight
         history.append(res_norm)
         iterations += 1
@@ -272,6 +274,21 @@ def pb_values(data: np.ndarray, eps: float, grid: TorusGrid, hat0=None, tilde=No
     tilde = tilde_values(data, eps, grid) if tilde is None else tilde
     tol = NEWTON_RTOL * (1.0 + math.sqrt(float(np.add.reduce(data * data, axis=None)) / data.size))
     return (tilde, *_newton_hat(tilde, eps, grid, tol, hat0))
+
+
+def potential_values(rho: np.ndarray, eps: float, grid: TorusGrid, mode: str, hat0=None, *,
+                     time: float | None = None, step: int | None = None) -> tuple:
+    """(tilde, hat, info) of density values under the closure `mode`, unchecked: pb_values,
+    or tilde_values and a zero hat under the linear -eps*Lap(V) = rho - 1; a failed Newton
+    solve raises PotentialSolveFailed with `time`, `step` and its last residual."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "linear_poisson":
+        return tilde_values(rho, eps, grid), np.zeros(grid.shape), {}
+    try:
+        return pb_values(rho, eps, grid, hat0)
+    except NewtonDiverged as exc:
+        raise PotentialSolveFailed(str(exc), time=time, value=exc.value, step=step) from exc
 
 
 def solve_pb(h: RealField, eps: float, *, hat0: np.ndarray | None = None) -> PotentialSplit:

@@ -10,11 +10,10 @@ from functools import cached_property
 import numpy as np
 
 from . import spectral
-from .config import MODES, sample_steps
-from .errors import NewtonDiverged, PotentialSolveFailed, StepTooLarge
-from .grid import (ComplexField, RealField, TorusGrid, check_density, gradient as field_gradient,
-                   integrate)
-from .poisson_boltzmann import PotentialSplit, check_solve, pb_values, tilde_values
+from .config import sample_steps
+from .errors import StepTooLarge
+from .grid import ComplexField, RealField, check_density, gradient as field_gradient
+from .poisson_boltzmann import PotentialSplit, check_solve, potential_values
 
 # cap on the kinetic phase hbar |2 pi k|^2 dt / 2 through which one step turns
 # the grid's top mode, |2 pi k|^2 maximized over the grid. The kinetic
@@ -34,9 +33,7 @@ class WaveFunction:
     def __post_init__(self) -> None:
         if not (self.hbar > 0 and self.eps > 0):
             raise ValueError("hbar and eps must be positive")
-        mass = float(integrate(RealField(self.psi.grid, np.abs(self.psi.values) ** 2)))
-        if abs(mass - 1.0) > 1e-10:
-            raise ValueError(f"wave function has mass {mass!r}, not 1")
+        check_density(density(self))
 
     @cached_property
     def gradient(self) -> tuple[np.ndarray, ...]:
@@ -52,20 +49,6 @@ def current(w: WaveFunction) -> list[RealField]:
     """J_j = hbar Im(conj(psi) d_j psi)."""
     return [RealField(w.psi.grid, w.hbar * np.imag(np.conj(w.psi.values) * dpsi))
             for dpsi in w.gradient]
-
-
-def potential_values(rho: np.ndarray, eps: float, grid: TorusGrid, mode: str, hat0=None, *,
-                     time: float | None = None, step: int | None = None) -> tuple:
-    """solve_potential on density values, unchecked: (tilde, hat, info); a failed
-    Newton solve raises PotentialSolveFailed with `time`, `step` and its last residual."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "linear_poisson":
-        return tilde_values(rho, eps, grid), np.zeros(grid.shape), {}
-    try:
-        return pb_values(rho, eps, grid, hat0)
-    except NewtonDiverged as exc:
-        raise PotentialSolveFailed(str(exc), time=time, value=exc.residual, step=step) from exc
 
 
 def solve_potential(rho: RealField, eps: float, mode: str = "poisson_boltzmann", hat0=None, *,

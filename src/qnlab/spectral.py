@@ -198,7 +198,8 @@ class Symbols:
     ik[axis] = i 2 pi k_axis with the Nyquist mode zeroed, broadcastable as
     (n, 1) and (1, m) in 2-D; minus_k2 = -|2 pi k|^2; inv_k2 = 1/|2 pi k|^2,
     0 at k = 0; modes[axis] = the integer mode numbers k_axis, broadcastable
-    like ik; dealias = 1 where every |k_axis| <= n/3 (2/3 rule), else 0;
+    like ik; dealias = 1 where every |k_axis| <= edge = n/3 (2/3 rule), else 0;
+    shell = True on that band's top half, edge/2 < max over axes of |k_axis|;
     pair_weight = 1 on the self-conjugate last-axis modes 0 and n/2 of the half
     spectrum and 2 on its other modes, which stand for a conjugate pair (1
     everywhere on the full spectrum).
@@ -218,11 +219,14 @@ class Symbols:
         k2 = sum(ka**2 for ka in k)
         self.minus_k2 = -k2
         self.inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 != 0.0)
-        self.dealias = reduce(np.logical_and, [np.abs(m) <= n / 3.0 for m in modes]).astype(float)
+        self.edge = n / 3.0
+        inside = reduce(np.logical_and, [np.abs(m) <= self.edge for m in modes])
+        self.dealias = inside.astype(float)
+        self.shell = inside & reduce(np.logical_or, [np.abs(m) > self.edge / 2.0 for m in modes])
         last = np.abs(modes[-1])
         self.pair_weight = np.where(real & (last != 0) & (last != n / 2), 2.0, 1.0)
         for arr in (*self.modes, *self.ik, self.minus_k2, self.inv_k2, self.dealias,
-                    self.pair_weight):
+                    self.shell, self.pair_weight):
             arr.flags.writeable = False
 
     def forward(self, values: np.ndarray) -> np.ndarray:

@@ -427,6 +427,24 @@ class TestExitCodes:
             assert json.load(fh) == [record]
         assert_schema_valid(load_summary(out))
 
+    def test_failed_pb_solve_writes_by_how_much(self, tmp_path, capsys, monkeypatch):
+        # a Newton cap of 0 stops the solve at its start: the record carries
+        # that start's residual, and no time or step, which a lone solve lacks
+        monkeypatch.setattr(poisson_boltzmann, "NEWTON_CAP", 0)
+        cfg = write_cfg(tmp_path, "kind = pb_solve\ninitial.rho0_amp = 0.3\n")
+        out = tmp_path / "out"
+        assert main(["pb_solve", "--config", cfg, "--out", str(out)]) == 1
+        record = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert record["stage"] == "pb_solve"
+        assert record["type"] == "NewtonDiverged"
+        assert record["value"] > poisson_boltzmann.NEWTON_RTOL
+        assert record["message"].startswith(
+            f"Newton cap 0 reached with residual {record['value']:.3e} (tol ")
+        assert "time" not in record and "step" not in record
+        with open(out / "errors.json") as fh:
+            assert json.load(fh) == [record]
+        assert_schema_valid(load_summary(out))
+
     def test_all_points_failing_leaves_header_only_csv(self, tmp_path):
         cfg = write_cfg(tmp_path, SWEEP_CFG)
         out = tmp_path / "out"

@@ -475,3 +475,52 @@ def test_sweep_reference_refuses_the_step_euler_run_refuses(grids, tmp_path, cap
         "stage": "euler", "type": "StepTooLarge", "time": 0.0, "step": 0,
         "value": 4.718253286671452}
     assert sweep == {**euler, "eps": 0.01, "hbar": 0.01}
+
+
+# The simple wave, an exact nonlinear flow. Data with rho0_amp = u0_amp = a
+# keep the Riemann invariant u - log rho at -log I0(a) everywhere, so
+# u + log rho = 2u + log I0(a) is carried at speed u + 1 and steepens into a
+# shock at T* = 1/(2 pi a)
+SIMPLE_WAVE_AMP = 0.5
+
+
+def simple_wave(a, x, t):
+    """(log rho, u) of the exact simple wave of amplitude a at time
+    t < 1/(2 pi a) and the points x: u = a cos 2 pi xi and log rho =
+    u - log I0(a), where xi solves x = xi + (1 + a cos 2 pi xi) t. That map
+    is increasing for t < 1/(2 pi a), and its root lies in
+    [x - (1 + a) t, x - (1 - a) t]: bisection to roundoff."""
+    lo, hi = x - (1.0 + a) * t, x - (1.0 - a) * t
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        past = mid + (1.0 + a * np.cos(2 * np.pi * mid)) * t > x
+        lo, hi = np.where(past, lo, mid), np.where(past, mid, hi)
+    u = a * np.cos(np.pi * (lo + hi))
+    return u - np.log(np.i0(a)), u
+
+
+def test_run_euler_follows_the_exact_simple_wave():
+    # at a = 0.5, T* = 1/pi = 0.318. On 2048 nodes RK4's error dominates:
+    # at dt = 1e-4 the max over log rho and u was 2.4e-11 at T = 0.25 and
+    # 8.0e-10 at T = 0.28, and at dt = 5e-5 5.0e-11 at T = 0.28 (16x: fourth
+    # order). The bounds are C(T) dt^4 with C twice those measured at dt = 1e-4
+    a, dt = SIMPLE_WAVE_AMP, 1e-4
+    samples = cos_run(2048, a, a, 0.28, dt, 2500)
+    x = samples[0].grid.axis_points()
+    bounds = [1e-12, 5e5 * dt**4, 1.6e7 * dt**4]
+    assert [s.time for s in samples] == pytest.approx([0.0, 0.25, 0.28], abs=1e-12)
+    for s, bound in zip(samples, bounds, strict=True):
+        log_rho, u = simple_wave(a, x, s.time)
+        err = max(np.max(np.abs(s.log_rho.values - log_rho)), np.max(np.abs(s.u[0].values - u)))
+        assert err <= bound, (s.time, err)
+
+
+def test_reference_sup_grad_u_meets_the_steepening_law():
+    # along characteristics sup |u_x|(t) = 2 pi a/(1 - 2 pi a t), 8.45238 at
+    # T = 0.2; the constants take the sup over the n nodes, which miss the
+    # peak by O(h^2): the relative undershoot was 61.5/n^2 at n = 512 and at
+    # n = 2048
+    a, big_t, n = SIMPLE_WAVE_AMP, 0.2, 512
+    law = 2 * np.pi * a / (1 - 2 * np.pi * a * big_t)
+    gronwall = reference(1, n, a, a, big_t, 1e-4, 500)[1]
+    assert 0.0 < (law - gronwall["sup_grad_u"]) / law <= 64.0 / n**2

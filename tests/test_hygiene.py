@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from test_bench_smoke import qnlab_names, wrapped_names
 
-from qnlab.config import _KEYS
+from qnlab.config import _KEYS, MODES
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -218,8 +218,55 @@ def test_potential_solves_share_one_array_path():
     sites = [s for p in MODULES for s in _call_sites(p, "potential_values")]
     assert sites == ["schrodinger.py:solve_potential", "schrodinger.py:_step_core"]
     sites = [s for p in MODULES for s in _call_sites(p, "pb_values")]
-    assert sites == ["poisson_boltzmann.py:solve_pb", "poisson_boltzmann.py:_empirical_solve",
-                     "schrodinger.py:potential_values"]
+    assert sites == ["poisson_boltzmann.py:potential_values", "poisson_boltzmann.py:solve_pb",
+                     "poisson_boltzmann.py:_empirical_solve"]
+
+
+def _compares_a_closure(node) -> bool:
+    """A comparison with a closure name or with the tuple config.MODES of them."""
+    return isinstance(node, ast.Compare) and any(
+        (isinstance(o, ast.Constant) and o.value in MODES)
+        or (isinstance(o, ast.Name) and o.id == "MODES")
+        for o in (node.left, *node.comparators))
+
+
+def test_closure_is_chosen_only_in_poisson_boltzmann():
+    # config refuses an unknown or meaningless mode; every other question of
+    # which closure solves the potential is answered in qnlab.poisson_boltzmann,
+    # so a new closure edits the solver module and the config only
+    users = [p.name for p in MODULES if _chains(p, _compares_a_closure)]
+    assert users == ["config.py", "poisson_boltzmann.py"]
+
+
+def _divides_a_grid_size_by_3_or_6(node) -> bool:
+    """`size / 3` or `size // 3` (or 6), the size a name n or n_* or an attribute .n."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Div, ast.FloorDiv))
+            and isinstance(node.right, ast.Constant) and node.right.value in (3, 6)
+            and any((isinstance(n, ast.Name) and (n.id == "n" or n.id.startswith("n_")))
+                    or (isinstance(n, ast.Attribute) and n.attr == "n")
+                    for n in ast.walk(node.left)))
+
+
+def test_dealiasing_band_only_in_spectral():
+    # the 2/3 rule's edge n/3, which the Euler right-hand side evolves and
+    # max_rate bounds, and its top half, which the grid rule measures, are
+    # Symbols' edge and shell; no other module rebuilds them from mode numbers
+    users = [p.name for p in MODULES if _chains(p, _divides_a_grid_size_by_3_or_6)]
+    assert users == ["spectral.py"]
+    readers = [p.name for p in MODULES
+               if _chains(p, lambda node: isinstance(node, ast.Attribute) and node.attr == "modes")]
+    assert readers == ["spectral.py"]
+
+
+def test_sweep_does_not_thread_the_mode():
+    # build_config allows only Poisson-Boltzmann for a sweep, so the sweep's
+    # solves take the default; only the schrodinger_run kind and the summary
+    # read the configured mode
+    readers = {f"{p.name}:{chain[-1] if chain else '<module>'}" for p in MODULES
+               for chain in _chains(p, lambda node: isinstance(node, ast.Attribute)
+                                    and node.attr == "mode" and isinstance(node.value, ast.Name)
+                                    and node.value.id == "cfg")}
+    assert sorted(readers) == ["experiments.py:_run_schrodinger", "experiments.py:run_experiment"]
 
 
 def test_newton_hat_reads_its_guess_once():

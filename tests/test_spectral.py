@@ -53,6 +53,25 @@ def test_half_symbols_are_the_nonnegative_last_axis_modes(grid):
         np.testing.assert_array_equal(np.abs(np.broadcast_to(half.modes[axis], want.shape)), want)
 
 
+@pytest.mark.parametrize("grid", GRIDS, ids=str)
+@pytest.mark.parametrize("real", [True, False])
+def test_shell_is_the_top_half_of_the_dealiased_band(grid, real):
+    sym = spectral.symbols(grid, real=real)
+    assert sym.edge == grid.n / 3.0
+    # the grid rule's lower edge, n/6 bit for bit
+    assert sym.edge / 2.0 == grid.n / 6.0
+    top = np.zeros(grid.shape)
+    for axis in range(grid.dim):
+        top = np.maximum(top, np.rint(np.abs(full_wavenumbers(grid, axis)) / (2 * np.pi)))
+    want = (top > grid.n / 6.0) & (top <= grid.n / 3.0)
+    if real:
+        want = want[..., :grid.n // 2 + 1]
+    # a boolean mask per cached grid, not another float array
+    assert sym.shell.dtype == bool
+    np.testing.assert_array_equal(np.broadcast_to(sym.shell, want.shape), want)
+    assert not sym.shell.flags.writeable
+
+
 def test_symbols_cached_per_grid_and_read_only():
     sym = spectral.symbols(TorusGrid(2, 64), real=True)
     assert spectral.symbols(TorusGrid(2, 64), real=True) is sym
