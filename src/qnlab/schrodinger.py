@@ -1,7 +1,18 @@
 """Split-step spectral integrator for the Schrodinger equation with a
 self-consistent potential: i hbar dpsi/dt = -(hbar^2/2) Lap(psi) + V psi,
 where V solves -eps*Lap(V) = |psi|^2 - e^V (or the linearized
--eps*Lap(V) = |psi|^2 - 1)."""
+-eps*Lap(V) = |psi|^2 - 1).
+
+Linear waves: the Madelung form (rho = |psi|^2, velocity u) linearized about
+rho = 1, u = 0 gives drho_tt = Lap(dV) - (hbar^2/4) Lap^2(drho). On a mode of
+wavenumber K = 2 pi |k| the Boltzmann closure's dV_k = drho_k/(1 + eps K^2)
+makes omega^2 = K^2/(1 + eps K^2) + hbar^2 K^4/4, and linear Poisson's
+dV_k = drho_k/(eps K^2) the plasma oscillation omega^2 = 1/eps + hbar^2 K^4/4.
+As eps, hbar -> 0 the first tends to omega = K, the sound wave of isothermal
+Euler (qnlab.euler); the second does not. Gates: test_schrodinger.py's
+test_boltzmann_linear_wave_frequency and
+test_linear_poisson_wave_is_the_plasma_oscillation, and test_euler.py's
+test_run_euler_linear_wave_frequency."""
 from __future__ import annotations
 
 from dataclasses import dataclass

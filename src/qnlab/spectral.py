@@ -3,19 +3,20 @@
 Real fields use numpy's real-to-complex transforms, half the work of complex
 ones, with symbols on the rfft half spectrum; complex fields (wave functions)
 use the full transform. Symbols are cached per grid. A transform acts on the
-trailing axes that the grid's `shape` names; any leading axes index fields, a
-stack transformed in calls of at most STACK_BYTES of input each, every field
-bit for bit as on its own. It calls numpy's pocketfft gufuncs, one per axis,
-not np.fft's Python wrapper around them: in 1-D, input within STACK_BYTES is
-one call. Derivative symbols zero the Nyquist mode, which on real fields
-agrees to roundoff with keeping it and taking the real part. Sums over the
-spectrum (Parseval through `Symbols.parseval`, point evaluations in
-qnlab.nbody) take the half-spectrum conjugate-pair weight from
-`Symbols.pair_weight`. `resample` zero-pads a 1-D or 2-D field onto a finer
-grid, `zero_pad` its rfft (or a stack of them), and `irfft_padded` inverts a
-zero-padded half spectrum, a multiplier applied. In 2-D that inverse
-transforms along the first axis only the columns the coarse spectrum fills (a
-pruned FFT): the rest are zero, and the result is irfft2's bit for bit.
+trailing axes that the grid's `shape` names; any leading axes index fields,
+every field transformed bit for bit as on its own. It calls numpy's pocketfft
+gufuncs, one per axis, not np.fft's Python wrapper around them: a 1-D
+transform is one call at any stack size, and only a 2-D stack is split, into
+calls of at most STACK_BYTES of input each. Derivative symbols zero the
+Nyquist mode, which on real fields agrees to roundoff with keeping it and
+taking the real part. Sums over the spectrum (Parseval through
+`Symbols.parseval`, point evaluations in qnlab.nbody) take the half-spectrum
+conjugate-pair weight from `Symbols.pair_weight`. `resample` zero-pads a 1-D
+or 2-D field onto a finer grid, `zero_pad` its rfft (or a stack of them), and
+`irfft_padded` inverts a zero-padded half spectrum, a multiplier applied. In
+2-D that inverse transforms along the first axis only the columns the coarse
+spectrum fills (a pruned FFT): the rest are zero, and the result is irfft2's
+bit for bit.
 """
 from __future__ import annotations
 
@@ -23,10 +24,11 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-# Most input bytes one transform call takes: a stack of fields goes in
-# chunks of as many whole fields as fit, and a larger field alone. Batching
-# pays while a transform costs call overhead, not arithmetic; past a few
-# hundred kB per call it costs (8 fields per call on 64^2 and 128^2 below).
+# Most input bytes one 2-D transform call takes: a 2-D stack of fields goes
+# in chunks of as many whole fields as fit, and a larger field alone (a 1-D
+# stack is never split). Batching pays while a transform costs call overhead,
+# not arithmetic; past a few hundred kB per call it costs (8 fields per call
+# on 64^2 and 128^2 below).
 # irfft2 of 8 fields, us (best of 7, a fresh process per entry, 2 vCPUs,
 # numpy 2.4), by fields per call:
 #           1     2     3     4     8     half-spectrum field
@@ -37,25 +39,6 @@ import numpy as np
 # 128 kB takes a 2-D Euler stage's 8 inverse fields on 32^2 in one call,
 # chunks of 3 on 64^2, and one field per call from 128^2 up.
 STACK_BYTES = 128 * 1024
-
-
-def _chunked(transform, values: np.ndarray, dim: int, field_shape: tuple[int, ...],
-             dtype, out: np.ndarray | None = None, *args) -> np.ndarray:
-    """transform(values, *args, out=out) over the trailing `dim` axes of
-    `values`, whose leading axes are fields, in calls of at most STACK_BYTES
-    of input (at least one field each); each transformed field has
-    `field_shape`. The result is written to `out` if given, which must be
-    C-contiguous: the chunks write through a reshaped view of it."""
-    if values.nbytes <= STACK_BYTES or values.ndim == dim:
-        return transform(values, *args, out=out)  # one chunk
-    fields = values.reshape(-1, *values.shape[-dim:])
-    per = max(1, STACK_BYTES // fields[0].nbytes)
-    if out is None:
-        out = np.empty((*values.shape[:-dim], *field_shape), dtype)
-    flat = out.reshape(len(fields), *field_shape)
-    for start in range(0, len(fields), per):
-        transform(fields[start:start + per], *args, out=flat[start:start + per])
-    return out
 
 
 def _along(values: np.ndarray, ufunc, axis: int, points: int, inverse: bool, dtype=complex,
@@ -70,9 +53,24 @@ def _along(values: np.ndarray, ufunc, axis: int, points: int, inverse: bool, dty
     return ufunc(values, 1 / points if inverse else 1, axes=[(axis,), (), (axis,)], out=out)
 
 
-def _plane(values: np.ndarray, first: tuple, second: tuple, out=None) -> np.ndarray:
-    """A 2-D transform in numpy's n-d order: the _along pass `first`, then `second` into `out`."""
-    return _along(_along(values, *first), *second, out=out)
+def _plane(values: np.ndarray, shape: tuple[int, ...], dtype, first: tuple, second: tuple,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """A 2-D transform in numpy's n-d order over the trailing axes of `values`: the _along
+    pass `first`, then `second`, each result field of `shape`, into `out` if given, else a
+    new `dtype` array. Leading axes are fields; both passes run per chunk of as many whole
+    fields as fit in STACK_BYTES of input (at least one), each chunk written through a
+    reshaped view of `out`, which must therefore be C-contiguous."""
+    field = values.shape[-2] * values.shape[-1]
+    per = max(1, STACK_BYTES // (values.itemsize * field))
+    if values.size <= per * field:  # one chunk: each pass is one call on `values` as given
+        return _along(_along(values, *first), *second, out=out)
+    fields = values.reshape(-1, *values.shape[-2:])
+    if out is None:
+        out = np.empty((*values.shape[:-2], *shape), dtype)
+    flat = out.reshape(-1, *shape)
+    for start in range(0, len(fields), per):
+        _along(_along(fields[start:start + per], *first), *second, out=flat[start:start + per])
+    return out
 
 
 def rfft(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -81,10 +79,8 @@ def rfft(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     half = (*shape[:-1], shape[-1] // 2 + 1)
     last = (pfu.rfft_n_even if shape[-1] % 2 == 0 else pfu.rfft_n_odd, -1, half[-1], False)
     if len(shape) == 1:
-        if values.nbytes <= STACK_BYTES:
-            return _along(values, *last)
-        return _chunked(_along, values, 1, half, complex, None, *last)
-    return _chunked(_plane, values, 2, half, complex, None, last, (pfu.fft, -2, shape[0], False))
+        return _along(values, *last)
+    return _plane(values, half, complex, last, (pfu.fft, -2, shape[0], False))
 
 
 def irfft(hat: np.ndarray, shape: tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
@@ -95,34 +91,24 @@ def irfft(hat: np.ndarray, shape: tuple[int, ...], out: np.ndarray | None = None
     if out is not None and (not out.flags.c_contiguous or out.shape != (*hat.shape[:-1], last[2])):
         raise ValueError("a transform's `out` must be C-contiguous and of the result's shape")
     if len(shape) == 1:
-        if hat.nbytes <= STACK_BYTES:
-            return _along(hat, *last, out)
-        return _chunked(_along, hat, 1, shape, float, out, *last)
-    return _chunked(_plane, hat, 2, shape, float, out, (pfu.ifft, -2, shape[0], True), last)
+        return _along(hat, *last, out)
+    return _plane(hat, shape, float, (pfu.ifft, -2, shape[0], True), last, out)
 
 
 def fft(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Full spectra of complex grid values on the grid `shape`."""
     last = (np.fft._pocketfft_umath.fft, -1, shape[-1], False)
     if len(shape) == 1:
-        if values.nbytes <= STACK_BYTES:
-            return _along(values, *last)
-        return _chunked(_along, values, 1, shape, complex, None, *last)
-    return _chunked(_plane, values, 2, shape, complex, None, last, (last[0], -2, shape[0], False))
+        return _along(values, *last)
+    return _plane(values, shape, complex, last, (last[0], -2, shape[0], False))
 
 
 def ifft(hat: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Complex grid values on the grid `shape` of full spectra."""
     last = (np.fft._pocketfft_umath.ifft, -1, shape[-1], True)
     if len(shape) == 1:
-        if hat.nbytes <= STACK_BYTES:
-            return _along(hat, *last)
-        return _chunked(_along, hat, 1, shape, complex, None, *last)
-    return _chunked(_plane, hat, 2, shape, complex, None, last, (last[0], -2, shape[0], True))
-
-
-def _coarse_shape(hat: np.ndarray, dim: int) -> tuple[int, ...]:
-    return (*hat.shape[-dim:-1], 2 * hat.shape[-1] - 2)
+        return _along(hat, *last)
+    return _plane(hat, shape, complex, last, (last[0], -2, shape[0], True))
 
 
 def zero_pad(hat: np.ndarray, shape: tuple[int, ...], cols: int | None = None) -> np.ndarray:
@@ -134,7 +120,7 @@ def zero_pad(hat: np.ndarray, shape: tuple[int, ...], cols: int | None = None) -
     spectrum holds only +n/2), so the interpolant is real and takes the values
     at the coarse nodes. `cols` keeps only the first cols last-axis modes of a
     finer grid's result."""
-    coarse = _coarse_shape(hat, len(shape))
+    coarse = (*hat.shape[-len(shape):-1], 2 * hat.shape[-1] - 2)
     if tuple(shape) == coarse:
         return hat
     hat = hat * (np.prod(shape) / np.prod(coarse))
@@ -157,12 +143,12 @@ def irfft_padded(hat: np.ndarray, shape: tuple[int, ...], symbol=None) -> np.nda
     """irfft(symbol * zero_pad(hat, shape), shape) bit for bit for the half
     spectrum `hat` of one field, `symbol` a multiplier on the half spectrum
     of `shape` (none if None): the values on the grid `shape` of that
-    multiplier applied to the trigonometric interpolant of `hat`. In 2-D on
-    a finer grid the first-axis inverse runs only on the columns `hat`
-    fills, as numpy's irfft2 runs it on every column before its last-axis
-    irfft."""
+    multiplier applied to the trigonometric interpolant of `hat`. In 2-D the
+    first-axis inverse runs only on the columns `hat` fills (all of them on
+    its own grid), as numpy's irfft2 runs it on every column before its
+    last-axis irfft."""
     shape = tuple(shape)
-    if len(shape) == 1 or shape == _coarse_shape(hat, 2):
+    if len(shape) == 1:
         padded = zero_pad(hat, shape)
         return irfft(padded if symbol is None else symbol * padded, shape)
     cols = hat.shape[1]

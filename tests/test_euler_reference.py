@@ -14,7 +14,7 @@ from conftest import data_config, zero_padded
 from qnlab import experiments, spectral
 from qnlab.cli import main
 from qnlab.errors import BlowupGuardTripped, StepTooLarge
-from qnlab.euler import EulerState, euler_constants, run_euler
+from qnlab.euler import GRAD_U_GUARD, EulerState, euler_constants, run_euler
 from qnlab.grid import RealField, TorusGrid, integrate
 
 # AC-1 data: (n, rho0_amp, u0_amp, T, dt, sample_every)
@@ -499,6 +499,14 @@ def simple_wave(a, x, t):
     return u - np.log(np.i0(a)), u
 
 
+def simple_wave_error(s: EulerState, a: float) -> float:
+    """Max-abs error in log rho and u of the 1-D state s against the exact
+    simple wave of amplitude a at its time."""
+    log_rho, u = simple_wave(a, s.grid.axis_points(), s.time)
+    return max(float(np.max(np.abs(s.log_rho.values - log_rho))),
+               float(np.max(np.abs(s.u[0].values - u))))
+
+
 def test_run_euler_follows_the_exact_simple_wave():
     # at a = 0.5, T* = 1/pi = 0.318. On 2048 nodes RK4's error dominates:
     # at dt = 1e-4 the max over log rho and u was 2.4e-11 at T = 0.25 and
@@ -506,21 +514,63 @@ def test_run_euler_follows_the_exact_simple_wave():
     # order). The bounds are C(T) dt^4 with C twice those measured at dt = 1e-4
     a, dt = SIMPLE_WAVE_AMP, 1e-4
     samples = cos_run(2048, a, a, 0.28, dt, 2500)
-    x = samples[0].grid.axis_points()
     bounds = [1e-12, 5e5 * dt**4, 1.6e7 * dt**4]
     assert [s.time for s in samples] == pytest.approx([0.0, 0.25, 0.28], abs=1e-12)
     for s, bound in zip(samples, bounds, strict=True):
-        log_rho, u = simple_wave(a, x, s.time)
-        err = max(np.max(np.abs(s.log_rho.values - log_rho)), np.max(np.abs(s.u[0].values - u)))
+        err = simple_wave_error(s, a)
         assert err <= bound, (s.time, err)
 
 
-def test_reference_sup_grad_u_meets_the_steepening_law():
+@pytest.mark.parametrize("n, a, big_t, sample_every, h, bound", [
+    (2048, 0.1, 0.02, 20, 5e-4, 1e-13), (512, SIMPLE_WAVE_AMP, 0.05, 100, 2e-4, 5e-13)])
+def test_coarse_step_reference_meets_its_time_error_bound(n, a, big_t, sample_every, h, bound):
+    # the grid rule runs each on 256 nodes at h = m dt, m = 5 and 2, claiming
+    # an error of at most TIME_ERROR_BOUND = 1e-12 at the samples; against
+    # the exact wave it was 3.9e-14 and 2.1e-13, and each bound is about 2.5x
+    # that
+    samples, _, resolution = reference(1, n, a, a, big_t, 1e-4, sample_every)
+    assert (resolution["n"], resolution["dt"]) == (256, pytest.approx(h, rel=1e-12))
+    assert bound < experiments.TIME_ERROR_BOUND
+    assert max(simple_wave_error(s, a) for s in samples) <= bound
+
+
+@pytest.fixture(scope="module")
+def steep_reference():
+    """_euler_reference of the simple wave at a = 0.5 on 512 nodes to
+    T = 0.2, where no coarser grid resolves it."""
+    return reference(1, 512, SIMPLE_WAVE_AMP, SIMPLE_WAVE_AMP, 0.2, 1e-4, 500)
+
+
+def test_unresolved_reference_runs_on_n_at_dt(steep_reference):
+    # the fallback is run_euler on n at dt: 9.1e-13 from the exact wave, and
+    # the bound is about twice that
+    samples, _, resolution = steep_reference
+    assert (resolution["n"], resolution["dt"]) == (512, 1e-4)
+    assert resolution["top_band_share"] > experiments.BAND_SHARE_BOUND
+    assert max(simple_wave_error(s, SIMPLE_WAVE_AMP) for s in samples) <= 2e-12
+
+
+def test_reference_sup_grad_u_meets_the_steepening_law(steep_reference):
     # along characteristics sup |u_x|(t) = 2 pi a/(1 - 2 pi a t), 8.45238 at
     # T = 0.2; the constants take the sup over the n nodes, which miss the
     # peak by O(h^2): the relative undershoot was 61.5/n^2 at n = 512 and at
     # n = 2048
     a, big_t, n = SIMPLE_WAVE_AMP, 0.2, 512
     law = 2 * np.pi * a / (1 - 2 * np.pi * a * big_t)
-    gronwall = reference(1, n, a, a, big_t, 1e-4, 500)[1]
+    gronwall = steep_reference[1]
     assert 0.0 < (law - gronwall["sup_grad_u"]) / law <= 64.0 / n**2
+
+
+def test_blowup_guard_trips_where_the_steepening_law_crosses_it():
+    # sup |u_x| = 2 pi a/(1 - 2 pi a t) crosses GRAD_U_GUARD = 50 at
+    # t = 0.29831. The guard reads the state before each step, so it trips
+    # at step ceil(t/dt) = 2984, at 50.211, which the nodes' sup keeps
+    # below the law's 50.233 there
+    a, dt = SIMPLE_WAVE_AMP, 1e-4
+    crossing = (1 - 2 * np.pi * a / GRAD_U_GUARD) / (2 * np.pi * a)
+    with pytest.raises(BlowupGuardTripped) as trip:
+        cos_run(2048, a, a, 0.3, dt, 3000)
+    step, t = trip.value.step, trip.value.time
+    assert step == int(np.ceil(crossing / dt)) == 2984
+    assert t == pytest.approx(step * dt, abs=1e-12)
+    assert GRAD_U_GUARD < trip.value.value <= 2 * np.pi * a / (1 - 2 * np.pi * a * t)

@@ -125,15 +125,15 @@ def test_spectral_calls_numpy_transforms_only_where_they_are_counted():
     assert [line for line in imports if "fft" in line] == []
 
 
-def _loaded_after(module: str, names: list[str]) -> list[str]:
-    """Which of `names` are in sys.modules after `import module` in a fresh
-    interpreter."""
+def _loaded_after(module: str, names: list[str], then: str = "") -> list[str]:
+    """Which of `names` are in sys.modules after `import module` and the
+    statements `then` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    probe = f"import sys, {module}; print(*[m for m in {names!r} if m in sys.modules])"
+    probe = f"import sys, {module}\n{then}\nprint(*[m for m in {names!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
-    return out.stdout.split()
+    return out.stdout.splitlines()[-1].split()
 
 
 def test_schrodinger_does_not_import_energy():
@@ -144,6 +144,23 @@ def test_cli_leaves_numpy_fft_unloaded():
     # numpy.fft loads at a run's first transform: transform set-up at import
     # would move into every CLI start-up
     assert _loaded_after("qnlab.cli", ["numpy.fft"]) == []
+
+
+# one small run of each kind, by --set overrides of an empty config
+SMALL_RUNS = {"pb_solve": [], "schrodinger_run": ["physics.T=0.01"],
+              "euler_run": ["physics.T=0.01"], "quasineutral_sweep": ["physics.T=0.01"],
+              "nbody_stats": ["nbody.n_particles=8", "nbody.n_configs=2"]}
+
+
+def test_runs_of_every_kind_leave_scipy_unloaded(tmp_path):
+    # README and pyproject.toml say qnlab needs only numpy; scipy is a test
+    # dependency, so a run that loaded it would pass here and fail without it
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("")
+    argvs = [[kind, "--config", str(cfg), "--out", str(tmp_path / kind),
+              *(arg for s in sets for arg in ("--set", s))] for kind, sets in SMALL_RUNS.items()]
+    runs = "\n".join(f"assert qnlab.cli.main({argv!r}) == 0" for argv in argvs)
+    assert _loaded_after("qnlab.cli", ["scipy"], runs) == []
 
 
 def test_cli_leaves_the_process_pool_unloaded():

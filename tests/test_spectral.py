@@ -261,9 +261,10 @@ def test_1d_irfft_padded_is_the_zero_padded_irfft():
                           np.fft.irfft(ik * padded, fine.n))
 
 
-# stacks of 2 fields and of enough fields to need two or more calls of
-# STACK_BYTES; from 128^2 up a field is a call of its own either way, and a
-# 16384-node complex field is one call past the budget
+# stacks of 2 fields and of enough fields to pass STACK_BYTES, which splits a
+# 2-D stack into two or more calls (from 128^2 up a field is a call of its
+# own either way) and leaves a 1-D stack whole (a 16384-node complex field is
+# past the budget on its own)
 STACKED_GRIDS = [TorusGrid(1, 256), TorusGrid(1, 2048), TorusGrid(1, 16384), TorusGrid(2, 32),
                  TorusGrid(2, 64), TorusGrid(2, 128), TorusGrid(2, 256)]
 
@@ -295,11 +296,10 @@ def _layouts(values):
 
 @pytest.mark.parametrize("grid", STACKED_GRIDS, ids=str)
 def test_stacked_transforms_are_the_single_ones_bit_for_bit(grid):
-    # a 1-D field or stack within STACK_BYTES is one numpy call, a larger
-    # one goes in chunks of whole fields, a 2-D one always in chunks: each
-    # field, alone or in a stack, contiguous, strided or transposed, comes
-    # out as numpy's public transform makes it of that field alone, into
-    # `out` or not
+    # a 1-D field or stack of any size is one numpy call, a 2-D one goes in
+    # chunks of whole fields: each field, alone or in a stack, contiguous,
+    # strided or transposed, comes out as numpy's public transform makes it
+    # of that field alone, into `out` or not
     rng = np.random.default_rng(grid.n)
     shape = grid.shape
     half = (*shape[:-1], shape[-1] // 2 + 1)
@@ -324,6 +324,31 @@ def test_stacked_transforms_are_the_single_ones_bit_for_bit(grid):
 # the gufuncs that numpy's transforms end in, which spectral calls by name
 POCKETFFT_GUFUNCS = {"rfft_n_even": "(n),()->(m)", "rfft_n_odd": "(n),()->(m)",
                      "irfft": "(m),()->(n)", "fft": "(n),()->(m)", "ifft": "(m),()->(n)"}
+
+
+@pytest.mark.parametrize("grid", STACKED_GRIDS, ids=str)
+def test_a_1d_transform_is_one_call_and_a_2d_stack_goes_in_chunks(grid, monkeypatch):
+    # a 1-D transform is one gufunc call at any stack size (an (8, 16384)
+    # complex stack is 2 MB); a 2-D one is two passes per chunk of as many
+    # whole fields as fit in STACK_BYTES of input, at least one
+    calls = []
+    pocketfft = np.fft._pocketfft_umath
+    for name in POCKETFFT_GUFUNCS:
+        def counted(*args, _ufunc=getattr(pocketfft, name), **kwargs):
+            calls.append(_ufunc.__name__)
+            return _ufunc(*args, **kwargs)
+        monkeypatch.setattr(pocketfft, name, counted)
+    shape = grid.shape
+    half = (*shape[:-1], shape[-1] // 2 + 1)
+    for fields in sorted({1, 8, *stack_sizes(grid)}):
+        real = np.zeros((fields, *shape))
+        for name, values in (("rfft", real), ("irfft", np.zeros((fields, *half), complex)),
+                             ("fft", real + 0j), ("ifft", real + 0j)):
+            calls.clear()
+            getattr(spectral, name)(values, shape)
+            per = max(1, spectral.STACK_BYTES // values[0].nbytes)
+            want = 1 if grid.dim == 1 else 2 * -(-fields // per)
+            assert len(calls) == want, (name, fields)
 
 
 def test_numpy_has_the_gufuncs_spectral_calls():
