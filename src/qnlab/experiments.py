@@ -9,16 +9,10 @@ instead of a crash, and the remaining points still produce rows.
 from __future__ import annotations
 
 from collections.abc import Callable
-# the package, not its ProcessPoolExecutor: that name loads the process pool
-# and multiprocessing on first access, which only a sweep under --jobs > 1 makes
-from concurrent import futures
 from functools import partial
 from pathlib import Path
 
 import numpy as np
-# numpy 2 loads numpy.random on first use; load it with the package, so that
-# no run pays for it inside its own timing
-import numpy.random  # noqa: F401
 
 from . import reports, schrodinger, spectral
 from .config import ExperimentConfig, sample_steps
@@ -377,7 +371,10 @@ def _sweep_point(cfg: ExperimentConfig, reference: tuple[list, dict, dict] | Exc
 def _run_sweep(cfg: ExperimentConfig, summary: dict, out_dir: Path) -> list:
     point = partial(_sweep_point, cfg, _sweep_reference(cfg))
     if cfg.jobs > 1 and len(cfg.eps) > 1:
-        with futures.ProcessPoolExecutor(max_workers=min(cfg.jobs, len(cfg.eps))) as pool:
+        # the process pool loads multiprocessing and logging; only a sweep
+        # under --jobs > 1 pays for them
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(cfg.eps))) as pool:
             results = list(pool.map(point, cfg.eps, cfg.hbar))
     else:
         results = list(map(point, cfg.eps, cfg.hbar))

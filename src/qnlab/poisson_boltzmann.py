@@ -9,7 +9,6 @@ owns the closure: potential_values also solves the linear -eps*Lap(V) = h - 1.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -31,7 +30,6 @@ from .grid import (
 )
 from .nbody import ParticleConfig, empirical_potential, w1_circle
 
-log = logging.getLogger(__name__)
 
 NEWTON_CAP = 100
 # Newton stops at L2 residual NEWTON_RTOL * (1 + ||data||_2)
@@ -217,7 +215,9 @@ def _newton_hat(
         cg_iterations += cg_its
         if not converged:
             cg_failures += 1
-            log.debug("cg hit maxiter at Newton iteration %d", iterations)
+            # logging loads at the first message, not with every start-up
+            import logging
+            logging.getLogger(__name__).debug("cg hit maxiter at Newton iteration %d", iterations)
 
         alpha = 1.0
         for _ in range(BACKTRACK_CAP + 1):

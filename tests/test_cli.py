@@ -600,13 +600,3 @@ def test_console_script_installed(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert str(tmp_path / "out") in proc.stdout
-
-
-def test_cli_import_leaves_scipy_out():
-    # numpy 2 loads numpy.random lazily; the package loads it at import, so
-    # no run pays for it inside its own timing
-    code = ("import sys, qnlab.cli; "
-            "print('scipy' in sys.modules, 'numpy.random' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True)
-    assert proc.stdout.split() == ["False", "True"]

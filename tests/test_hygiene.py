@@ -1,7 +1,7 @@
 """Source hygiene of the qnlab package: no unused imports, imports at module
-level only, no public name without a caller, numpy's transforms behind
-qnlab.spectral, the import direction between the solver and energy modules,
-and one owner for each restated rule."""
+level but for a listed few, no public name without a caller, numpy's
+transforms behind qnlab.spectral, the import direction between the solver and
+energy modules, what a start-up loads, and one owner for each restated rule."""
 import ast
 import os
 import subprocess
@@ -43,14 +43,47 @@ def test_every_import_is_used(path):
     assert _unused_imports(path) == []
 
 
+# function-local imports of modules outside qnlab, each with its reason: a
+# start-up loads these only in the runs that use them (tests below)
+LOCAL_IMPORTS = {
+    ("cli.py", "numpy.random"): "only nbody_stats draws; loaded before build_config "
+                                "returns, so the load counts as start-up",
+    ("experiments.py", "concurrent.futures"): "the process pool, and multiprocessing "
+                                              "with it, serve only a sweep under --jobs > 1",
+    ("poisson_boltzmann.py", "logging"): "only the CG max-iteration message logs",
+}
+
+
+def _local_imports(path: Path) -> list[tuple[str, int]]:
+    """(module, line) of every import inside a function of `path`; a relative
+    import names its qnlab module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    local = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Import):
+                local.extend((alias.name, node.lineno) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level:
+                    module = ".".join(m for m in ("qnlab", module) if m)
+                local.append((module, node.lineno))
+    return local
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_imports_are_module_level(path):
-    # a function-local import hides an import cycle
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    local = [f"{path.name}:{node.lineno}" for func in ast.walk(tree)
-             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-             for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))]
-    assert local == []
+    # a function-local import of a qnlab module hides an import cycle; one of
+    # any other module must be listed in LOCAL_IMPORTS, and each listed one
+    # is still made
+    local = _local_imports(path)
+    hidden = [f"{path.name}:{line}: {module}" for module, line in local
+              if module.split(".")[0] == "qnlab" or (path.name, module) not in LOCAL_IMPORTS]
+    assert hidden == []
+    listed = {module for name, module in LOCAL_IMPORTS if name == path.name}
+    assert listed <= {module for module, _ in local}
 
 
 def _referenced(node) -> set[str]:
@@ -125,25 +158,51 @@ def test_spectral_calls_numpy_transforms_only_where_they_are_counted():
     assert [line for line in imports if "fft" in line] == []
 
 
+def _probe(statements: str) -> list[str]:
+    """The last stdout line, split, of `statements` run in a fresh interpreter
+    that imports qnlab from src (a CLI run prints its output path before it)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", statements], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.splitlines()[-1].split()
+
+
 def _loaded_after(module: str, names: list[str], then: str = "") -> list[str]:
     """Which of `names` are in sys.modules after `import module` and the
     statements `then` in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    probe = f"import sys, {module}\n{then}\nprint(*[m for m in {names!r} if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True)
-    return out.stdout.splitlines()[-1].split()
+    return _probe(f"import sys, {module}\n{then}\n"
+                  f"print(*[m for m in {names!r} if m in sys.modules])")
 
 
 def test_schrodinger_does_not_import_energy():
     assert _loaded_after("qnlab.schrodinger", ["qnlab.energy"]) == []
 
 
-def test_cli_leaves_numpy_fft_unloaded():
-    # numpy.fft loads at a run's first transform: transform set-up at import
-    # would move into every CLI start-up
-    assert _loaded_after("qnlab.cli", ["numpy.fft"]) == []
+# what `import qnlab.cli` leaves unloaded, each with what loads it
+UNLOADED_AT_IMPORT = {
+    # transform set-up at import would move into every CLI start-up
+    "numpy.fft": "a run's first transform",
+    # numpy 2 loads it on first use, with secrets and hashlib
+    "numpy.random": "cli.main, for the nbody_stats kind only",
+    "secrets": "numpy.random",
+    "concurrent.futures": "a sweep under --jobs > 1",
+    "concurrent.futures.process": "a sweep under --jobs > 1",
+    "multiprocessing": "the process pool of a sweep under --jobs > 1",
+    "logging": "the CG max-iteration message, and the process pool",
+    # README and pyproject.toml say qnlab needs only numpy
+    "scipy": "nothing: it is a test dependency",
+}
+
+
+@pytest.fixture(scope="module")
+def loaded_by_cli_import():
+    return _loaded_after("qnlab.cli", list(UNLOADED_AT_IMPORT))
+
+
+@pytest.mark.parametrize("module", UNLOADED_AT_IMPORT)
+def test_cli_import_leaves_unloaded(module, loaded_by_cli_import):
+    assert module not in loaded_by_cli_import, UNLOADED_AT_IMPORT[module]
 
 
 # one small run of each kind, by --set overrides of an empty config
@@ -152,22 +211,48 @@ SMALL_RUNS = {"pb_solve": [], "schrodinger_run": ["physics.T=0.01"],
               "nbody_stats": ["nbody.n_particles=8", "nbody.n_configs=2"]}
 
 
-def test_runs_of_every_kind_leave_scipy_unloaded(tmp_path):
-    # README and pyproject.toml say qnlab needs only numpy; scipy is a test
-    # dependency, so a run that loaded it would pass here and fail without it
+def _small_run_argv(kind: str, tmp_path: Path) -> list[str]:
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("")
-    argvs = [[kind, "--config", str(cfg), "--out", str(tmp_path / kind),
-              *(arg for s in sets for arg in ("--set", s))] for kind, sets in SMALL_RUNS.items()]
-    runs = "\n".join(f"assert qnlab.cli.main({argv!r}) == 0" for argv in argvs)
+    return [kind, "--config", str(cfg), "--out", str(tmp_path / kind),
+            *(arg for s in SMALL_RUNS[kind] for arg in ("--set", s))]
+
+
+def test_runs_of_every_kind_leave_scipy_unloaded(tmp_path):
+    # scipy is a test dependency, so a run that loaded it would pass here and
+    # fail without it
+    runs = "\n".join(f"assert qnlab.cli.main({_small_run_argv(kind, tmp_path)!r}) == 0"
+                     for kind in SMALL_RUNS)
     assert _loaded_after("qnlab.cli", ["scipy"], runs) == []
 
 
-def test_cli_leaves_the_process_pool_unloaded():
-    # concurrent.futures loads its process pool, and multiprocessing with it,
-    # on first attribute access; only a sweep under --jobs > 1 touches it
-    pool = ["multiprocessing", "concurrent.futures.process"]
-    assert _loaded_after("qnlab.cli", pool) == []
+@pytest.mark.parametrize("kind", SMALL_RUNS)
+def test_a_run_loads_numpy_random_only_if_it_draws(kind, tmp_path):
+    # build_config and run_experiment wrapped as perfbench/child.py wraps
+    # them: the one kind that draws loads numpy.random before build_config
+    # returns, so the load counts as start-up and not inside the run's own
+    # timing, and no other kind loads it at all; a serial run loads neither
+    # the process pool nor logging
+    watched = ["numpy.random", "concurrent.futures", "logging"]
+    loaded = f"[m for m in {watched!r} if m in sys.modules]"
+    out = " ".join(_probe(f"""import sys, qnlab.cli
+build_config, run_experiment = qnlab.cli.build_config, qnlab.cli.run_experiment
+seen = []
+def stamped_build_config(*args, **kwargs):
+    cfg = build_config(*args, **kwargs)
+    seen.append({loaded})
+    return cfg
+def timed_run_experiment(cfg):
+    seen.append({loaded})
+    return run_experiment(cfg)
+qnlab.cli.build_config = stamped_build_config
+qnlab.cli.run_experiment = timed_run_experiment
+assert qnlab.cli.main({_small_run_argv(kind, tmp_path)!r}) == 0
+seen.append({loaded})
+print(*("+".join(names) or "-" for names in seen))"""))
+    drawn = "numpy.random" if kind == "nbody_stats" else "-"
+    # at build_config's return, at run_experiment's entry, after the run
+    assert out.split() == [drawn] * 3
 
 
 # inner loops work on plain arrays: fields are validated where they cross the

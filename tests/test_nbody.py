@@ -251,6 +251,53 @@ def test_commutator_ratio_bounded_by_velocity_lipschitz(grid256, flat):
         assert abs(rep["ratio"]) <= lip
 
 
+# Serfaty's inequality is an identity in 1-D. With G = F_X - F_mu the CDF gap
+# and G_bar its mean, -(G - G_bar) is the field of mu_X - mu, so integrating
+# by parts gives E = int (G - G_bar)^2 and commutator = int u' (G - G_bar)^2.
+# This mu is its own trigonometric interpolant on 256 nodes, F_mu is in closed
+# form, and G is smooth between atoms: Gauss-Legendre per piece is exact to
+# roundoff
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(32)
+
+
+def serfaty_mu(x):
+    return 1.0 + 0.5 * np.cos(2 * np.pi * x) + 0.2 * np.sin(4 * np.pi * x)
+
+
+def serfaty_mu_cdf(t):
+    return (t + 0.5 * np.sin(2 * np.pi * t) / (2 * np.pi)
+            + 0.2 * (1.0 - np.cos(4 * np.pi * t)) / (4 * np.pi))
+
+
+def cdf_gap_quadrature(x_sorted):
+    """Nodes t, weights w and the centred gap G - G_bar at the nodes, for
+    Gauss-Legendre on each piece between consecutive atoms, 0 and 1."""
+    ends = np.concatenate([[0.0], x_sorted, [1.0]])
+    lo, hi = ends[:-1, None], ends[1:, None]
+    t = lo + 0.5 * (hi - lo) * (GAUSS_NODES + 1.0)
+    w = 0.5 * (hi - lo) * GAUSS_WEIGHTS
+    gap = np.arange(ends.size - 1)[:, None] / x_sorted.size - serfaty_mu_cdf(t)
+    return t.ravel(), w.ravel(), (gap - np.sum(w * gap)).ravel()
+
+
+@pytest.mark.parametrize("n_part", [8, 64, 512])
+def test_serfaty_inequality_is_an_identity_in_1d(grid256, n_part):
+    x = np.sort(np.random.default_rng(n_part).random(n_part))
+    cfg = ParticleConfig(x)
+    nodes = grid256.axis_points()
+    mu = RealField(grid256, serfaty_mu(nodes))
+    u = RealField(grid256, 0.3 * np.sin(2 * np.pi * nodes))
+    t, w, centred = cdf_gap_quadrature(x)
+    energy = float(np.sum(w * centred**2))
+    commutator = float(np.sum(w * 0.6 * np.pi * np.cos(2 * np.pi * t) * centred**2))
+    e = renormalized_energy(cfg, mu).value
+    assert e == pytest.approx(energy, rel=1e-12, abs=0.0)
+    assert commutator_functional(cfg, mu, u)["value"] == pytest.approx(commutator, rel=1e-12,
+                                                                       abs=0.0)
+    # Cauchy-Schwarz: W1 = min_c int |G - c| <= ||G - G_bar||_2
+    assert w1_circle(cfg, mu) ** 2 <= e
+
+
 # ---------------------------------------------------------------------------
 # circle W1
 # ---------------------------------------------------------------------------

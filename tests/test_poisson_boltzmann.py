@@ -200,6 +200,21 @@ def test_cold_and_warm_solves_meet_the_tolerance(n, eps):
     assert_same_solve(solve_pb(density(0.0), eps, hat0=np.zeros(n)), cold)
 
 
+@pytest.mark.xfail(strict=True, raises=NewtonDiverged,
+                   reason="ROADMAP item 2: the residual's roundoff floor grows like n^2 and "
+                          "passes the fixed tolerance; backtracking is exhausted at "
+                          "3.17e-10 and 3.88e-10 against tol 2.06e-10")
+@pytest.mark.parametrize("eps", [0.025, 0.00625])
+def test_newton_converges_at_n_8192(eps):
+    # grid.n accepts any power of two >= 8, so a solve on a legal grid must
+    # stop somewhere the residual can reach
+    g = TorusGrid(1, 8192)
+    h = RealField(g, 1.0 + 0.5 * np.cos(2 * np.pi * g.axis_points()))
+    s = solve_pb(h, eps)
+    res, roundoff = hat_residual_norm(s.tilde.values, s.hat.values, eps, g)
+    assert res <= s.info["tolerance"] + roundoff
+
+
 def test_rejects_bad_densities(grid256):
     x = grid256.axis_points()
     with pytest.raises(NotAProbabilityDensity):
