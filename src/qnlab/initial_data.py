@@ -60,8 +60,6 @@ def well_prepared(spec: WellPreparedSpec) -> WaveFunction:
 def sample_iid(rho: RealField, n: int, seed: int) -> ParticleConfig:
     """n i.i.d. draws from the periodic linear interpolant of rho by exact
     inverse-CDF (piecewise-quadratic) inversion."""
-    if rho.grid.dim != 1:
-        raise ValueError("sampling is one-dimensional")
     ext, node_cdf = density_cdf(rho)
     m = rho.grid.n
     node_cdf /= node_cdf[-1]  # absorb the <= MASS_TOL mass defect exactly

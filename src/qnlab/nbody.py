@@ -2,24 +2,43 @@
 kernel, renormalized energy against a background density, the commutator
 functional, Wasserstein-1 distances, and Monte-Carlo statistics.
 
-Particle sums are exact and cost O(N log N): on the unit circle the Green
-kernel is K(y) = (f^2 - f)/2 with f = frac(y), so over sorted positions, with
-d_j = x_(j) - (j + 1/2)/N, the energy against the flat background is
+A grid density mu is read one way throughout, as its periodic piecewise-linear
+interpolant (`density_cdf`), and a grid field u likewise, so u' is constant on
+each cell. Against the empirical measure mu_X of N atoms, the CDF gap
+G = F_X - F_mu is then piecewise quadratic between merged atoms and grid
+nodes: G(t_k + s) = a_k + b_k s + q_k s^2 on the k-th piece (`_gap_pieces`).
+
+In 1-D Serfaty's functional inequalities are identities. The Green kernel
+K(y) = (f^2 - f)/2, f = frac(y), solves -K'' = delta - 1, so the potential
+h = K * (mu_X - mu) has h' = -(G - G_bar), G_bar the mean of G. Integrating by
+parts on the circle,
+
+    E = int int K(x - y) d(mu_X - mu)^2 = int h d(mu_X - mu) = int h'^2
+      = int (G - G_bar)^2,
+
+    C = int int_{x != y} (u(x) - u(y)) K'(x - y) d(mu_X - mu)^2
+      = 2 int u h' d(mu_X - mu) = -int u d(h'^2) = int u' (G - G_bar)^2.
+
+E keeps the diagonal, where K is continuous and K(0) = 0. In C the
+convention K'(0) = 0 makes h' at an atom the mean of its one-sided limits,
+which is what d(h'^2) = 2 h' dh' needs at a jump, so C is exact for every
+Lipschitz u and |C| <= max |u'| E. By Cauchy-Schwarz,
+W1 = min_c int |G - c| <= ||G - G_bar||_2, so W1^2 <= E. Both E and C are
+summed in closed form over the pieces of G, with no transform.
+
+Against the flat background the energy needs one sort: with
+d_j = x_(j) - (j + 1/2)/N over sorted positions,
 
     (1/N^2) sum_{i,j} K(x_i - x_j) + 1/12 = 1/(12 N^2) + (1/N) sum_j (d_j - mean d)^2,
 
-a sum of squares in which nothing cancels. The commutator pair term is the
-matching covariance of u against d. The potential of mu_X - 1 and its
-derivative at any points are prefix sums over the sorted positions
-(`empirical_potential`). Grid fields at the positions (K * mu in the energy;
-u, K' * mu and K' * (u mu) in the commutator) are modal sums of their rfft
-coefficients, evaluated in bounded blocks of points (`_modal_sums`).
+a sum of squares in which nothing cancels (`_flat_energy`, the Monte-Carlo
+ensembles' energy). The potential of mu_X - 1 and its derivative at any
+points are prefix sums over the sorted positions (`empirical_potential`).
 
-Circle W1 is exact to roundoff: the gap between two CDFs is piecewise
-quadratic between atoms and grid nodes, so the measure of {gap < c} and the
-integral of |gap - c| have closed forms piece by piece; the Lebesgue median c
-is bisected to roundoff on the first (Rabin, Delon & Gousseau, Transportation
-distances on the circle, JMIV 2011).
+Circle W1 is exact to roundoff: the measure of {G < c} and the integral of
+|G - c| have closed forms piece by piece; the Lebesgue median c is bisected
+to roundoff on the first (Rabin, Delon & Gousseau, Transportation distances
+on the circle, JMIV 2011).
 
 Against the uniform measure one sort of N numbers is enough. On the k-th gap
 the CDF gap F_X - t falls with slope -1 from k/N - x_(k) to k/N - x_(k+1);
@@ -36,11 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
-from .grid import RealField, TorusGrid, check_density
+from .grid import RealField, check_density
 
-# points per block in modal sums; a block holds O(block * sqrt(n)) phases
-POINT_BLOCK = 2048
 # atoms per block of Monte-Carlo configurations reduced together; small blocks
 # keep the temporaries in cache and peak memory flat
 MC_BLOCK_ATOMS = 1 << 12
@@ -66,21 +82,6 @@ def green_kernel_prime(x: np.ndarray | float) -> np.ndarray:
     """K'(x) = x - sign(x)/2 wrapped; odd sawtooth, K'(0) = 0 by convention."""
     y = wrap_half(x)
     return y - 0.5 * np.sign(y)
-
-
-def green_symbol(grid: TorusGrid) -> np.ndarray:
-    """Half-spectrum multiplier of K: 1/|2 pi k|^2 away from k = 0, -1/12 at k = 0."""
-    sym = spectral.symbols(grid, real=True).inv_k2.copy()
-    sym[(0,) * grid.dim] = -1.0 / 12.0
-    return sym
-
-
-def green_prime_symbol(grid: TorusGrid) -> np.ndarray:
-    """Half-spectrum multiplier of K' = i/(2 pi k), zero where ik is (k = 0, Nyquist)."""
-    if grid.dim != 1:
-        raise ValueError("K' symbol is one-dimensional")
-    ik = spectral.symbols(grid, real=True).ik[0]
-    return np.divide(-1.0, ik, out=np.zeros_like(ik), where=ik != 0.0)
 
 
 @dataclass
@@ -110,53 +111,13 @@ class RenormalizedEnergy:
     n: int
     counterterm: float
 
-    @property
-    def augmented(self) -> float:
-        """Energy plus the (1 + ||mu||_inf)/N^2 counterterm."""
-        return self.value + self.counterterm
-
-
-def _modal_sums(grid: TorusGrid, hats: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Values at every point of the real fields whose rfft coefficients are
-    the columns of `hats` (rows in half-spectrum order, modes 0 .. n/2):
-    Re sum_k w_k (hat_k / n) exp(2 pi i k x), with w_k = Symbols.pair_weight.
-
-    Each mode splits as k = a*B + b from 0 with B ~ sqrt(n/2), so a block of
-    points needs only O(sqrt(n)) complex exponentials per point and one
-    matrix product; values agree with the direct N x n phase sum to roundoff.
-    """
-    points = np.asarray(points, dtype=float)
-    modes, m = hats.shape
-    weight = spectral.symbols(grid, real=True).pair_weight / grid.size
-    fine_n = 1 << (modes.bit_length() // 2)
-    coarse_n = -(-modes // fine_n)
-    padded = np.zeros((coarse_n * fine_n, m), dtype=complex)
-    padded[:modes] = hats * weight[:, None]
-    # table[b, a*m + col] = weighted coefficient of mode a*B + b in column col
-    table = padded.reshape(coarse_n, fine_n, m).transpose(1, 0, 2).reshape(fine_n, -1)
-    fine = 2j * np.pi * np.arange(fine_n)
-    coarse = 2j * np.pi * fine_n * np.arange(coarse_n)
-    out = np.empty((points.size, m))
-    for start in range(0, points.size, POINT_BLOCK):
-        x = points[start:start + POINT_BLOCK, None]
-        inner = (np.exp(x * fine) @ table).reshape(x.shape[0], coarse_n, m)
-        out[start:start + POINT_BLOCK] = np.einsum("pa,pam->pm", np.exp(x * coarse), inner).real
-    return out
-
-
-def _centered_offsets(x_sorted: np.ndarray) -> np.ndarray:
-    """d_j - mean d with d_j = x_(j) - (j + 1/2)/N, for positions sorted
-    along the last axis."""
-    n = x_sorted.shape[-1]
-    d = x_sorted - (np.arange(n) + 0.5) / n
-    return d - d.mean(axis=-1, keepdims=True)
-
 
 def _flat_energy(x_sorted: np.ndarray) -> np.ndarray:
     """(1/N^2) sum_{i,j} K(x_i - x_j) + 1/12, the energy against mu = 1, per
-    configuration sorted along the last axis."""
-    d = _centered_offsets(x_sorted)
-    n = d.shape[-1]
+    configuration sorted along the last axis (module docstring)."""
+    n = x_sorted.shape[-1]
+    d = x_sorted - (np.arange(n) + 0.5) / n
+    d = d - d.mean(axis=-1, keepdims=True)
     return 1.0 / (12.0 * n * n) + np.sum(d * d, axis=-1) / n
 
 
@@ -186,80 +147,19 @@ def empirical_potential(x: ParticleConfig, points: np.ndarray) -> tuple:
     return phi, (s1 + above - 0.5 * n_atoms + 0.5 * at) / n_atoms
 
 
-def _energy(x: ParticleConfig, mu: RealField, mu_hat: np.ndarray,
-            conv_at_points: np.ndarray) -> RenormalizedEnergy:
-    """Energy from the rfft of mu and the values of K * mu at the positions."""
-    n = x.n
-    pair = float(_flat_energy(np.sort(x.positions))) - 1.0 / 12.0
-    cross = -2.0 * float(np.mean(conv_at_points))
-    power = green_symbol(mu.grid) * np.abs(mu_hat) ** 2
-    self_term = spectral.symbols(mu.grid, real=True).parseval(power) / mu.grid.size**2
-    counterterm = (1.0 + float(np.max(mu.values))) / n**2
-    return RenormalizedEnergy(value=pair + cross + self_term, n=n, counterterm=counterterm)
-
-
-def renormalized_energy(x: ParticleConfig, mu: RealField) -> RenormalizedEnergy:
-    """Green-kernel quadratic form of mu_X - mu with the diagonal kept (K(0)=0)."""
-    check_density(mu)
-    mu_hat = spectral.rfft(mu.values, mu.grid.shape)
-    conv = _modal_sums(mu.grid, (mu_hat * green_symbol(mu.grid))[:, None], x.positions)[:, 0]
-    return _energy(x, mu, mu_hat, conv)
-
-
-def commutator_functional(x: ParticleConfig, mu: RealField, u: RealField) -> dict:
-    """Off-diagonal double integral of (u(x)-u(y)) K'(x-y) against (mu_X - mu)^2.
-
-    The pair term is (1/N^2) sum_{i != j} (u_i - u_j) K'(x_i - x_j)
-    = (2/N) sum_j (u_(j) - mean u)(d_j - mean d) over sorted positions.
-    """
-    check_density(mu)
-    n = x.n
-    grid = mu.grid
-    kp = green_prime_symbol(grid)
-    mu_hat = spectral.rfft(mu.values, grid.shape)
-    mu_kp = mu_hat * kp
-    hats = np.stack([
-        spectral.rfft(u.values, grid.shape),
-        mu_kp,
-        spectral.rfft(u.values * mu.values, grid.shape) * kp,
-        mu_hat * green_symbol(grid),
-    ], axis=1)
-    u_at, conv_mu, conv_umu, conv_k = _modal_sums(grid, hats, x.positions).T
-
-    order = np.argsort(x.positions, kind="stable")
-    u_sorted = u_at[order]
-    pair = 2.0 * float(np.dot(u_sorted - u_sorted.mean(),
-                              _centered_offsets(x.positions[order]))) / n
-    cross = -2.0 * float(np.mean(u_at * conv_mu - conv_umu))
-    conv_grid = spectral.irfft(mu_kp, grid.shape)
-    mumu = 2.0 * float(np.mean(u.values * mu.values * conv_grid))
-
-    value = pair + cross + mumu
-    energy = _energy(x, mu, mu_hat, conv_k)
-    denom = max(energy.augmented, 1e-300)
-    return {
-        "value": value,
-        "pair_term": pair,
-        "cross_term": cross,
-        "background_term": mumu,
-        "energy": energy,
-        "ratio": value / denom,
-    }
-
-
 # ---------------------------------------------------------------------------
-# circle Wasserstein-1
+# the CDF gap
 #
 # The gap G = F_mu - F_nu between two CDFs is stored as pieces: on the k-th
-# piece, G(t_k + s) = a_k + b_k s + q_k s^2 for 0 <= s < length_k. Then
-# W1 = min_c int |G - c| = int |G - c*| with c* a median of the values of G
-# under Lebesgue measure.
+# piece, G(t_k + s) = a_k + b_k s + q_k s^2 for 0 <= s < length_k.
 # ---------------------------------------------------------------------------
 
 def density_cdf(rho: RealField) -> tuple:
     """rho at the n + 1 closed nodes j/n, j = 0..n (the last repeats the
     first), and there the CDF of its periodic piecewise-linear interpolant:
     trapezoid sums from 0, the last entry the grid mass."""
+    if rho.grid.dim != 1:
+        raise ValueError("circle densities are one-dimensional")
     check_density(rho)
     ext = np.append(rho.values, rho.values[0])
     return ext, np.concatenate([[0.0], np.cumsum((ext[:-1] + ext[1:]) / (2.0 * rho.grid.n))])
@@ -284,6 +184,7 @@ def _breakpoints(m) -> np.ndarray:
 
 
 def _gap_pieces(mu, nu) -> tuple:
+    """Start t, length and a, b, q of every piece of G = F_mu - F_nu."""
     edges = np.sort(np.concatenate([[0.0, 1.0], _breakpoints(mu), _breakpoints(nu)]))
     length = np.diff(edges)
     t = edges[:-1][length > 0.0]
@@ -291,8 +192,47 @@ def _gap_pieces(mu, nu) -> tuple:
     f_nu, d_nu, q_nu = _cdf_pieces(nu, t)
     b = np.broadcast_to(d_mu - d_nu, t.shape)
     q = np.broadcast_to(q_mu - q_nu, t.shape)
-    return length[length > 0.0], f_mu - f_nu, b, q
+    return t, length[length > 0.0], f_mu - f_nu, b, q
 
+
+# ---------------------------------------------------------------------------
+# renormalized energy and commutator, in closed form on the pieces of
+# G = F_X - F_mu (module docstring)
+# ---------------------------------------------------------------------------
+
+def _centred_gap_squares(x: ParticleConfig, mu: RealField) -> tuple:
+    """Start t of each piece of the CDF gap G = F_X - F_mu, and int (G - G_bar)^2
+    over it in closed form (G = a + b s + q s^2 on a piece of length L)."""
+    t, length, a, b, q = _gap_pieces(x, mu)
+    c = a - np.sum((a + (0.5 * b + q * length / 3.0) * length) * length)
+    return t, (c * c + (c * b + ((b * b + 2.0 * c * q) / 3.0
+                                 + (0.5 * b * q + q * q * length / 5.0) * length) * length)
+               * length) * length
+
+
+def renormalized_energy(x: ParticleConfig, mu: RealField) -> RenormalizedEnergy:
+    """Green-kernel quadratic form of mu_X - mu with the diagonal kept (K(0)=0)."""
+    _, squares = _centred_gap_squares(x, mu)
+    counterterm = (1.0 + float(np.max(mu.values))) / x.n**2
+    return RenormalizedEnergy(value=float(np.sum(squares)), n=x.n, counterterm=counterterm)
+
+
+def commutator_functional(x: ParticleConfig, mu: RealField, u: RealField) -> float:
+    """Off-diagonal double integral of (u(x)-u(y)) K'(x-y) against (mu_X - mu)^2,
+    with u' the slope of u's interpolant on each piece's cell."""
+    if u.grid != mu.grid:
+        raise ValueError("u must be on mu's grid")
+    t, squares = _centred_gap_squares(x, mu)
+    n = mu.grid.n
+    slope = np.diff(np.append(u.values, u.values[0])) * n
+    cell = np.searchsorted(mu.grid.axis_points(), t, side="right") - 1
+    return float(np.dot(slope[cell], squares))
+
+
+# ---------------------------------------------------------------------------
+# circle Wasserstein-1: W1 = min_c int |G - c| = int |G - c*| with c* a median
+# of the values of G under Lebesgue measure
+# ---------------------------------------------------------------------------
 
 def _monotone(length, a, b, q) -> tuple:
     """Split every piece at an interior vertex of its quadratic."""
@@ -361,7 +301,7 @@ def w1_circle(mu, nu) -> float:
     quadratic on the merged atoms and grid nodes, its median c is bisected to
     roundoff, and |gap - c| is integrated in closed form on each piece.
     """
-    length, a, b, q = _monotone(*_gap_pieces(mu, nu))
+    length, a, b, q = _monotone(*_gap_pieces(mu, nu)[1:])
     end = a + (b + q * length) * length
     return _abs_integral(_median_bisect(length, a, b, q, end), length, a, b, q, end)
 

@@ -10,8 +10,8 @@ transform is one call at any stack size, and only a 2-D stack is split, into
 calls of at most STACK_BYTES of input each. Derivative symbols zero the
 Nyquist mode, which on real fields agrees to roundoff with keeping it and
 taking the real part. Sums over the spectrum (Parseval through
-`Symbols.parseval`, point evaluations in qnlab.nbody) take the half-spectrum
-conjugate-pair weight from `Symbols.pair_weight`. `resample` zero-pads a 1-D
+`Symbols.parseval`) take the half-spectrum conjugate-pair weight from
+`Symbols.pair_weight`. `resample` zero-pads a 1-D
 or 2-D field onto a finer grid, `zero_pad` its rfft (or a stack of them), and
 `irfft_padded` inverts a zero-padded half spectrum, a multiplier applied. In
 2-D that inverse transforms along the first axis only the columns the coarse

@@ -28,7 +28,7 @@ from qnlab.grid import ComplexField, RealField, TorusGrid, integrate
 from qnlab.initial_data import (WellPreparedSpec, entropy_w1_check,
                                 quantum_density, sample_iid)
 from qnlab.nbody import (ParticleConfig, green_kernel, mc_uniform_stats,
-                         renormalized_energy, wrap_half)
+                         renormalized_energy, w1_circle, wrap_half)
 from qnlab.poisson_boltzmann import (solve_pb, solve_pb_empirical,
                                      validate_elliptic_bounds,
                                      w1_stability_check)
@@ -249,6 +249,7 @@ def test_ac07_renormalized_energy_positivity():
     grid = TorusGrid(1, 256)
     rng = np.random.default_rng(707)
     worst = np.inf
+    worst_w1 = 0.0
     failures = []
     for i in range(1000):
         n = (2, 8, 32, 128)[i % 4]
@@ -259,8 +260,15 @@ def test_ac07_renormalized_energy_positivity():
         worst = min(worst, slack)
         if slack < -1e-10:
             failures.append(f"N={n}: energy + counterterm = {slack:.3e} < -1e-10")
-    emit("AC-7 renormalized-energy positivity over 1000 pairs", failures,
-         detail=f"worst energy + counterterm {worst:.3e}")
+        # Cauchy-Schwarz on the CDF gap: W1^2 <= E; W1 is the costly part
+        if i < 200:
+            ratio = w1_circle(x, mu) ** 2 / e.value
+            worst_w1 = max(worst_w1, ratio)
+            if ratio > 1.0:
+                failures.append(f"N={n}: W1^2 / energy = {ratio:.6f} > 1")
+    emit("AC-7 renormalized-energy positivity over 1000 pairs, W1^2 <= energy over 200",
+         failures, detail=f"worst energy + counterterm {worst:.3e}, "
+                          f"largest W1^2 / energy {worst_w1:.3f}")
 
 
 def test_ac08_uniform_monte_carlo():

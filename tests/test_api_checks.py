@@ -12,8 +12,7 @@ from qnlab.energy import ckp_check, kinetic_modulated
 from qnlab.errors import NotAProbabilityDensity
 from qnlab.grid import MASS_TOL, ComplexField, RealField, TorusGrid
 from qnlab.initial_data import WellPreparedSpec, mollified_empirical, sample_iid, well_prepared
-from qnlab.nbody import (ParticleConfig, commutator_functional, green_prime_symbol,
-                         renormalized_energy, w1_circle)
+from qnlab.nbody import ParticleConfig, commutator_functional, renormalized_energy, w1_circle
 from qnlab.poisson_boltzmann import (PotentialSplit, lipschitz_hat_prime, solve_pb,
                                      solve_pb_empirical, w1_stability_check)
 from qnlab.schrodinger import WaveFunction, solve_potential, step_strang
@@ -24,6 +23,7 @@ PSI = ComplexField(GRID, np.ones(GRID.n, dtype=complex))
 ZERO = RealField(GRID, np.zeros(GRID.n))
 PLANE = TorusGrid(2, 8)
 PLANE_ZERO = RealField(PLANE, np.zeros(PLANE.shape))
+PLANE_FLAT = RealField(PLANE, np.ones(PLANE.shape))
 
 CASES = {
     "solve_potential_linear_negative_eps": (
@@ -49,7 +49,21 @@ CASES = {
     "mollified_empirical_2d": (
         lambda: mollified_empirical(ParticleConfig(np.array([0.25])), 0.1, PLANE),
         "mollified measures are one-dimensional"),
-    "green_prime_symbol_2d": (lambda: green_prime_symbol(PLANE), "K' symbol is one-dimensional"),
+    "w1_circle_2d": (
+        lambda: w1_circle(ParticleConfig(np.array([0.1, 0.4, 0.7])), PLANE_FLAT),
+        "circle densities are one-dimensional"),
+    "renormalized_energy_2d": (
+        lambda: renormalized_energy(ParticleConfig(np.array([0.25])), PLANE_FLAT),
+        "circle densities are one-dimensional"),
+    "commutator_functional_2d": (
+        lambda: commutator_functional(ParticleConfig(np.array([0.25])), PLANE_FLAT, PLANE_FLAT),
+        "circle densities are one-dimensional"),
+    "sample_iid_2d": (
+        lambda: sample_iid(PLANE_FLAT, 16, 0), "circle densities are one-dimensional"),
+    "commutator_functional_grid_mismatch": (
+        lambda: commutator_functional(ParticleConfig(np.array([0.25])), FLAT,
+                                      RealField(TorusGrid(1, 32), np.zeros(32))),
+        "u must be on mu's grid"),
     "particle_config_empty": (
         lambda: ParticleConfig(np.array([])), "positions must be a nonempty 1-D array"),
     "particle_config_2d": (

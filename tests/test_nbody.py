@@ -5,18 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from conftest import full_k_squared
 from qnlab.grid import RealField, TorusGrid
 from qnlab.nbody import (
     MC_BLOCK_ATOMS,
     ParticleConfig,
     _flat_energy,
-    _modal_sums,
     _w1_to_uniform,
     commutator_functional,
     green_kernel,
     green_kernel_prime,
-    green_symbol,
     mc_uniform_stats,
     renormalized_energy,
     w1_circle,
@@ -26,6 +23,9 @@ from qnlab.nbody import (
 # and atoms at both ends of [0, 1)
 ORACLE_SIZES = (1, 2, 3, 17, 512)
 EDGE = 1.0 - 2.0**-52
+# Gauss-Legendre nodes on [-1, 1], exact to degree 5: every integrand below is
+# a polynomial of degree at most 4 on each piece it is split into
+GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(3)
 
 
 def oracle_configs(n_part):
@@ -50,6 +50,33 @@ def direct_commutator_pair(pos, u_at):
     kprime = green_kernel_prime(pos[:, None] - pos[None, :])
     np.fill_diagonal(kprime, 0.0)
     return float(((u_at[:, None] - u_at[None, :]) * kprime).sum()) / pos.size**2
+
+
+def interpolant(values, t):
+    """The periodic piecewise-linear interpolant of grid values at t in [0, 1)."""
+    n = values.size
+    ext = np.append(values, values[0])
+    j = np.minimum((t * n).astype(int), n - 1)
+    return ext[j] + (ext[j + 1] - ext[j]) * (t * n - j)
+
+
+def interpolant_cdf(values, t):
+    """int_0^t of the interpolant, for t in [0, 1)."""
+    n = values.size
+    ext = np.append(values, values[0])
+    node_cdf = np.concatenate([[0.0], np.cumsum((ext[:-1] + ext[1:]) / (2.0 * n))])
+    j = np.minimum((t * n).astype(int), n - 1)
+    xi = t - j / n
+    return node_cdf[j] + ext[j] * xi + 0.5 * (ext[j + 1] - ext[j]) * n * xi**2
+
+
+def gauss_pieces(n, points):
+    """Gauss-Legendre nodes and weights on each piece of [0, 1] between the
+    grid nodes j/n and the given points."""
+    ends = np.unique(np.concatenate([np.arange(n + 1) / n, points]))
+    lo, hi = ends[:-1, None], ends[1:, None]
+    return ((lo + 0.5 * (hi - lo) * (GAUSS_NODES + 1.0)).ravel(),
+            (0.5 * (hi - lo) * GAUSS_WEIGHTS).ravel())
 
 
 @pytest.fixture
@@ -83,24 +110,28 @@ def test_crystal_minimizes_among_random(flat):
         assert e.value >= floor - 1e-13
 
 
-def test_energy_against_closed_form_oracle(grid256):
-    # mu = 1 + 0.3 cos(2 pi x) + 0.2 sin(4 pi x): K*mu and the background
-    # double integral have explicit Fourier expressions
+@pytest.mark.parametrize("n_part", [8, 64, 512])
+def test_energy_against_closed_form_oracle(grid256, n_part):
+    # the kernel form pair + cross + self, with mu read as its piecewise-linear
+    # interpolant: its Fourier coefficients are mu_hat_{m mod n} sinc^2(pi m/n),
+    # summed over |m| <= 2^14, where the terms decay like m^-6
     x = grid256.axis_points()
     mu_vals = 1.0 + 0.3 * np.cos(2 * np.pi * x) + 0.2 * np.sin(4 * np.pi * x)
     assert mu_vals.min() > 0
     mu = RealField(grid256, mu_vals)
-    pos = np.array([0.15, 0.4, 0.83])
-
-    pair = sum(green_kernel(a - b) for a in pos for b in pos) / 9.0
-    conv = (-1.0 / 12.0 + 0.3 * np.cos(2 * np.pi * pos) / (4 * np.pi**2)
-            + 0.2 * np.sin(4 * np.pi * pos) / (16 * np.pi**2))
-    cross = -2.0 * conv.mean()
-    self_term = -1.0 / 12.0 + 2 * 0.15**2 / (4 * np.pi**2) + 2 * 0.1**2 / (16 * np.pi**2)
+    pos = np.random.default_rng(n_part).random(n_part)
+    m = np.arange(1, 2**14 + 1)
+    coeffs = (np.fft.fft(mu_vals) / grid256.n)[m % grid256.n] * np.sinc(m / grid256.n) ** 2
+    green = 1.0 / (2 * np.pi * m) ** 2  # K_hat(m); K_hat(0) = -1/12, and c_0 = 1
+    pair = direct_pair_energy(pos)
+    conv = [-1.0 / 12.0 + 2.0 * np.sum(green * coeffs * np.exp(2j * np.pi * m * p)).real
+            for p in pos]
+    cross = -2.0 * np.mean(conv)
+    self_term = -1.0 / 12.0 + 2.0 * np.sum(green * np.abs(coeffs) ** 2)
 
     e = renormalized_energy(ParticleConfig(pos), mu)
-    np.testing.assert_allclose(e.value, pair + cross + self_term, atol=1e-12)
-    np.testing.assert_allclose(e.counterterm, (1.0 + mu_vals.max()) / 9.0, rtol=1e-12)
+    np.testing.assert_allclose(e.value, pair + cross + self_term, rtol=1e-13)
+    np.testing.assert_allclose(e.counterterm, (1.0 + mu_vals.max()) / n_part**2, rtol=1e-12)
 
 
 def test_energy_translation_invariance(grid256):
@@ -119,7 +150,7 @@ def test_energy_translation_invariance(grid256):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**6), n_part=st.integers(1, 40))
 def test_energy_nonnegative(seed, n_part):
-    # spectral form: sum over modes of khat |mu_N_hat - mu_hat|^2 >= 0
+    # E = int (G - G_bar)^2 >= 0 for the CDF gap G
     g = TorusGrid(1, 64)
     rng = np.random.default_rng(seed)
     x = g.axis_points()
@@ -167,117 +198,66 @@ def test_flat_energy_million_atoms_against_long_double():
 
 def test_commutator_vanishes_for_constant_velocity(grid256, flat):
     u = RealField(grid256, np.full(grid256.n, 2.2))
-    rep = commutator_functional(ParticleConfig(np.array([0.1, 0.3, 0.8])), flat, u)
-    assert abs(rep["value"]) <= 1e-14
+    assert abs(commutator_functional(ParticleConfig(np.array([0.1, 0.3, 0.8])), flat, u)) <= 1e-14
 
 
-def test_commutator_against_closed_form_oracle(grid256):
-    # mu = 1 + 0.3 cos(2 pi x), u = sin(2 pi x), three atoms: every
-    # convolution in the functional has an explicit form
-    x = grid256.axis_points()
-    mu = RealField(grid256, 1.0 + 0.3 * np.cos(2 * np.pi * x))
-    u = RealField(grid256, np.sin(2 * np.pi * x))
-    pos = np.array([0.15, 0.4, 0.83])
-
-    upos = np.sin(2 * np.pi * pos)
-    pair = sum(
-        (upos[i] - upos[j]) * green_kernel_prime(pos[i] - pos[j])
-        for i in range(3) for j in range(3) if i != j
-    ) / 9.0
-    conv_mu = -0.3 * np.sin(2 * np.pi * pos) / (2 * np.pi)
-    # u*mu = sin(2 pi x) + 0.15 sin(4 pi x)
-    conv_umu = np.cos(2 * np.pi * pos) / (2 * np.pi) + 0.15 * np.cos(4 * np.pi * pos) / (4 * np.pi)
-    cross = -2.0 * np.mean(upos * conv_mu - conv_umu)
-    background = 2.0 * (-0.3 / (2 * np.pi)) * 0.5
-
-    rep = commutator_functional(ParticleConfig(pos), mu, u)
-    np.testing.assert_allclose(rep["value"], pair + cross + background, atol=1e-12)
+def kprime_convolution(values, p):
+    """(K' * u)(p) = int u(y) K'(p - y) dy for u the interpolant of grid
+    values, by Gauss-Legendre on each cell split at p, where u K' is quadratic."""
+    y, w = gauss_pieces(values.size, [p])
+    return float(np.sum(w * interpolant(values, y) * green_kernel_prime(p - y)))
 
 
 @pytest.mark.parametrize("n_part", ORACLE_SIZES)
-def test_commutator_pair_term_matches_direct_sum(grid256, n_part):
+def test_commutator_pair_term_matches_direct_sum(grid256, flat, n_part):
+    # at mu = 1 the definition expands to the pair sum plus the cross terms
+    # (2/N) sum_i (K' * u)(x_i); the background term vanishes, int K' = 0
     x = grid256.axis_points()
-    mu = RealField(grid256, 1.0 + 0.3 * np.cos(2 * np.pi * x))
-    u = RealField(grid256, np.sin(2 * np.pi * x) + 0.2 * np.cos(6 * np.pi * x))
+    u_vals = np.sin(2 * np.pi * x) + 0.2 * np.cos(6 * np.pi * x)
+    u = RealField(grid256, u_vals)
     for pos in oracle_configs(n_part):
-        rep = commutator_functional(ParticleConfig(pos), mu, u)
-        u_at = np.sin(2 * np.pi * pos) + 0.2 * np.cos(6 * np.pi * pos)
-        direct = direct_commutator_pair(pos, u_at)
-        np.testing.assert_allclose(rep["pair_term"], direct, rtol=1e-13, atol=1e-15)
+        cross = 2.0 * np.mean([kprime_convolution(u_vals, p) for p in pos])
+        direct = direct_commutator_pair(pos, interpolant(u_vals, pos)) + cross
+        np.testing.assert_allclose(commutator_functional(ParticleConfig(pos), flat, u), direct,
+                                   rtol=1e-13, atol=1e-15)
 
 
-def test_point_evaluations_match_direct_phase_sum():
-    # the modal sums factor the N x n phase matrix; compare with it directly
-    g = TorusGrid(1, 2048)
-    x = g.axis_points()
-    rho = np.exp(0.5 * np.cos(2 * np.pi * x))
-    mu = RealField(g, rho / rho.mean())
-    pos = np.random.default_rng(3).random(3000)
-    phases = np.exp(2j * np.pi * np.outer(pos, np.fft.fftfreq(g.n, d=1.0 / g.n)))
-    coeffs = np.fft.fft(mu.values) / g.n
-    k2 = full_k_squared(g)
-    green = np.divide(1.0, k2, out=np.full(g.shape, -1.0 / 12.0), where=k2 != 0.0)
-    # K * mu and mu itself at the points, as two columns of one modal sum
-    mu_hat = np.fft.rfft(mu.values)
-    conv, values = _modal_sums(g, np.stack([mu_hat * green_symbol(g), mu_hat], axis=1), pos).T
-    direct = (phases @ (coeffs * green)).real
-    np.testing.assert_allclose(conv, direct, rtol=1e-12, atol=1e-15)
-    direct = (phases @ coeffs).real
-    np.testing.assert_allclose(values, direct, rtol=1e-12)
-
-
-def test_particle_layer_uses_real_transforms_only(transforms):
+def test_particle_layer_makes_no_transform(transforms):
     g = TorusGrid(1, 256)
     x = g.axis_points()
     rho = np.exp(0.5 * np.cos(2 * np.pi * x))
     mu = RealField(g, rho / rho.mean())
     u = RealField(g, np.sin(2 * np.pi * x))
     cfg = ParticleConfig(np.random.default_rng(4).random(64))
-    # the energy transforms mu once; the commutator transforms mu, u and u*mu
-    # and brings K' * mu back to the grid, reusing the one transform of mu
     renormalized_energy(cfg, mu)
-    assert transforms.counts == {"fft": 0, "ifft": 0, "rfft": 1, "irfft": 0}
     commutator_functional(cfg, mu, u)
-    assert transforms.counts == {"fft": 0, "ifft": 0, "rfft": 1 + 3, "irfft": 1}
+    w1_circle(cfg, mu)
+    assert transforms.counts == {"fft": 0, "ifft": 0, "rfft": 0, "irfft": 0}
 
 
 def test_commutator_ratio_bounded_by_velocity_lipschitz(grid256, flat):
-    # |commutator| <= C ||u'||_inf (energy + counterterm); observed C ~ 1/3
+    # |commutator| <= max |u'| energy, u' the slope of u's interpolant: the
+    # identity's bound, with constant 1 and no counterterm
     rng = np.random.default_rng(0)
-    u = RealField(grid256, np.sin(2 * np.pi * grid256.axis_points()))
-    lip = 2 * np.pi
+    u_vals = np.sin(2 * np.pi * grid256.axis_points())
+    u = RealField(grid256, u_vals)
+    lip = float(np.max(np.abs(np.diff(np.append(u_vals, u_vals[0]))))) * grid256.n
     for _ in range(100):
-        rep = commutator_functional(ParticleConfig(rng.random(32)), flat, u)
-        assert abs(rep["ratio"]) <= lip
+        cfg = ParticleConfig(rng.random(32))
+        energy = renormalized_energy(cfg, flat).value
+        assert abs(commutator_functional(cfg, flat, u)) <= lip * energy
 
 
 # Serfaty's inequality is an identity in 1-D. With G = F_X - F_mu the CDF gap
 # and G_bar its mean, -(G - G_bar) is the field of mu_X - mu, so integrating
 # by parts gives E = int (G - G_bar)^2 and commutator = int u' (G - G_bar)^2.
-# This mu is its own trigonometric interpolant on 256 nodes, F_mu is in closed
-# form, and G is smooth between atoms: Gauss-Legendre per piece is exact to
-# roundoff
-GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(32)
+# mu and u are read as their piecewise-linear interpolants: between atoms and
+# grid nodes G is quadratic and u' constant, so Gauss-Legendre per piece is
+# exact to roundoff
 
 
 def serfaty_mu(x):
     return 1.0 + 0.5 * np.cos(2 * np.pi * x) + 0.2 * np.sin(4 * np.pi * x)
-
-
-def serfaty_mu_cdf(t):
-    return (t + 0.5 * np.sin(2 * np.pi * t) / (2 * np.pi)
-            + 0.2 * (1.0 - np.cos(4 * np.pi * t)) / (4 * np.pi))
-
-
-def cdf_gap_quadrature(x_sorted):
-    """Nodes t, weights w and the centred gap G - G_bar at the nodes, for
-    Gauss-Legendre on each piece between consecutive atoms, 0 and 1."""
-    ends = np.concatenate([[0.0], x_sorted, [1.0]])
-    lo, hi = ends[:-1, None], ends[1:, None]
-    t = lo + 0.5 * (hi - lo) * (GAUSS_NODES + 1.0)
-    w = 0.5 * (hi - lo) * GAUSS_WEIGHTS
-    gap = np.arange(ends.size - 1)[:, None] / x_sorted.size - serfaty_mu_cdf(t)
-    return t.ravel(), w.ravel(), (gap - np.sum(w * gap)).ravel()
 
 
 @pytest.mark.parametrize("n_part", [8, 64, 512])
@@ -286,14 +266,18 @@ def test_serfaty_inequality_is_an_identity_in_1d(grid256, n_part):
     cfg = ParticleConfig(x)
     nodes = grid256.axis_points()
     mu = RealField(grid256, serfaty_mu(nodes))
-    u = RealField(grid256, 0.3 * np.sin(2 * np.pi * nodes))
-    t, w, centred = cdf_gap_quadrature(x)
+    u_vals = 0.3 * np.sin(2 * np.pi * nodes)
+    u = RealField(grid256, u_vals)
+    t, w = gauss_pieces(grid256.n, x)
+    gap = np.searchsorted(x, t, side="right") / n_part - interpolant_cdf(mu.values, t)
+    centred = gap - np.sum(w * gap)
+    cell = (t * grid256.n).astype(int)
+    u_prime = np.diff(np.append(u_vals, u_vals[0]))[cell] * grid256.n
     energy = float(np.sum(w * centred**2))
-    commutator = float(np.sum(w * 0.6 * np.pi * np.cos(2 * np.pi * t) * centred**2))
+    commutator = float(np.sum(w * u_prime * centred**2))
     e = renormalized_energy(cfg, mu).value
     assert e == pytest.approx(energy, rel=1e-12, abs=0.0)
-    assert commutator_functional(cfg, mu, u)["value"] == pytest.approx(commutator, rel=1e-12,
-                                                                       abs=0.0)
+    assert commutator_functional(cfg, mu, u) == pytest.approx(commutator, rel=1e-12, abs=0.0)
     # Cauchy-Schwarz: W1 = min_c int |G - c| <= ||G - G_bar||_2
     assert w1_circle(cfg, mu) ** 2 <= e
 
